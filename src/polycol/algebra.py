@@ -22,17 +22,19 @@ from .exactmath import (
     QQ,
     ZZ,
     PolynomialRing,
-    det_int,
     dot,
-    mat_inverse_frac,
-    mat_vec,
-    rank_int,
-    transpose,
     vec_add,
     vec_scale,
     vec_sub,
 )
-from .polytopes import InternalCheckError, dilate, is_normalized
+from .polytopes import (
+    AffineLatticeMap,
+    InternalCheckError,
+    _spanning_tuple,
+    dilate,
+    is_normalized,
+    unimodular_frame_map,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -392,68 +394,25 @@ def elementary_closed_formula_image(p, col, lam, ring, z, degree):
 
 def lattice_symmetries(p):
     """All affine lattice self-maps of P, as AffineLatticeMaps."""
-    from .polytopes import AffineLatticeMap
-
     verts = p.vertices
-    n = p.ambient_dim
-    if n == 0:
+    if p.ambient_dim == 0:
         return [AffineLatticeMap.identity(0)]
-    anchor = _spanning_vertex_tuple(p)
-    v0 = anchor[0]
-    vmat = transpose([vec_sub(v, v0) for v in anchor[1:]])
-    vinv = mat_inverse_frac(vmat)
+    if not p.is_full_dimensional:
+        raise ValueError("symmetries need a full-dimensional polytope")
+    anchor = _spanning_tuple(p)
     vert_set = set(verts)
     sigs = _vertex_signatures(p)
-    maps = []
-    seen = set()
     candidates = [
         [w for w in verts if sigs[w] == sigs[a]] for a in anchor
     ]
+    # a map is pinned by the image of the anchor, so no map is found twice
+    maps = []
     for image in itertools.product(*candidates):
-        if len(set(image)) != len(image):
-            continue
-        w0 = image[0]
-        wmat = transpose([vec_sub(w, w0) for w in image[1:]])
-        u_frac = tuple(
-            tuple(
-                sum(Fraction(wmat[i][k]) * vinv[k][j] for k in range(n))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        if any(x.denominator != 1 for row in u_frac for x in row):
-            continue
-        u = tuple(tuple(int(x) for x in row) for row in u_frac)
-        if abs(det_int(u)) != 1:
-            continue
-        t = vec_sub(w0, mat_vec(u, v0))
-        if {vec_add(mat_vec(u, v), t) for v in verts} != vert_set:
-            continue
-        key = (u, t)
-        if key in seen:
-            continue
-        seen.add(key)
-        fwd = AffineLatticeMap(u, t)
-        uinv = tuple(tuple(int(x) for x in row) for row in mat_inverse_frac(u))
-        fwd.inverse = AffineLatticeMap(uinv, vec_sub(v0, mat_vec(uinv, w0)), fwd)
-        maps.append(fwd)
+        amap = unimodular_frame_map(anchor, image)
+        if amap is not None and {amap.apply(v) for v in verts} == vert_set:
+            maps.append(amap)
     maps.sort(key=lambda m: m.key())
     return maps
-
-
-def _spanning_vertex_tuple(p):
-    chosen = [p.vertices[0]]
-    diffs = []
-    for v in p.vertices[1:]:
-        cand = diffs + [vec_sub(v, chosen[0])]
-        if rank_int(cand) > len(diffs):
-            chosen.append(v)
-            diffs = cand
-        if len(chosen) == p.ambient_dim + 1:
-            break
-    if len(chosen) < p.ambient_dim + 1:
-        raise ValueError("symmetries need a full-dimensional polytope")
-    return tuple(chosen)
 
 
 def _vertex_signatures(p):

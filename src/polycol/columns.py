@@ -21,11 +21,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .exactmath import (
-    det_int,
     dot,
-    mat_inverse_frac,
     primitive_part,
-    transpose,
     vec_add,
     vec_neg,
     vec_sub,
@@ -40,6 +37,7 @@ from .polytopes import (
     polygon_cycle,
     polytope_from_points,
     projectively_equivalent,
+    unimodular_frame_map,
 )
 
 
@@ -478,29 +476,15 @@ def _fan_witness(p, ref):
         nxt = cyc[(i + 1) % len(cyc)]
         return primitive_part(vec_sub(prev, v)), primitive_part(vec_sub(nxt, v))
 
-    d1, d2 = edge_dirs(cyc_p, 0)
-    from fractions import Fraction
-
-    vmat = transpose([d1, d2])
-    vinv = mat_inverse_frac(vmat)
+    frame = ((0, 0),) + edge_dirs(cyc_p, 0)
     for i in range(len(cyc_r)):
         e1, e2 = edge_dirs(cyc_r, i)
-        for f1, f2 in ((e1, e2), (e2, e1)):
-            wmat = transpose([f1, f2])
-            u_frac = tuple(
-                tuple(
-                    sum(Fraction(wmat[r][k]) * vinv[k][c] for k in range(2))
-                    for c in range(2)
-                )
-                for r in range(2)
-            )
-            if any(x.denominator != 1 for row in u_frac for x in row):
-                continue
-            u = tuple(tuple(int(x) for x in row) for row in u_frac)
-            if abs(det_int(u)) != 1:
-                continue
-            if projectively_equivalent(linear_image(p, u), ref):
-                return u
+        for image in (((0, 0), e1, e2), ((0, 0), e2, e1)):
+            amap = unimodular_frame_map(frame, image)
+            if amap is not None and projectively_equivalent(
+                linear_image(p, amap.matrix), ref
+            ):
+                return amap.matrix
     return None
 
 

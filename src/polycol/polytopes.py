@@ -18,11 +18,13 @@ from .exactmath import (
     adjugate_int,
     det_int,
     dot,
+    extended_gcd,
     hermite_normal_form,
     identity_matrix,
     kernel_basis_int,
     lattice_index_is_full,
     mat_inverse_frac,
+    mat_mul,
     mat_vec,
     primitive_part,
     rank_int,
@@ -333,7 +335,11 @@ def polytope_from_points(points, name=None):
         return Polytope([x0], n, name=name)
     if d == n:
         pairs = facet_inequalities(pts)
-        return Polytope(_extreme_points(pts, pairs, n), n, name=name)
+        p = Polytope(_extreme_points(pts, pairs, n), n, name=name)
+        # the hull of all points has the same facets as the hull of its
+        # vertices, so the double description need not run again
+        p._facet_pairs = tuple(pairs)
+        return p
     basis = saturation_basis(diffs)
     bt = transpose(basis)
     coords = []
@@ -492,10 +498,11 @@ def _nvol_full(p):
 def integral_affine_equivalent(p, q):
     """A lattice-affine bijection carrying P onto Q, or None.
 
-    Anchors a canonical affinely spanning vertex tuple of P and tries all
-    images among Q's vertices; for polygons the candidates are vertex
-    neighborhoods, which is complete because affine equivalences carry edges
-    to edges.  Deterministic first-found under canonical order.
+    Pure translations are tried first.  Polygons are compared by their
+    normal forms, and the map is the one between the two frames that reach
+    the minimum.  In other dimensions a canonical affinely spanning vertex
+    tuple of P is sent to every ordered vertex tuple of Q in turn;
+    deterministic first-found under canonical order.
     """
     if p.ambient_dim != q.ambient_dim or p.dim != q.dim:
         return None
@@ -510,41 +517,53 @@ def integral_affine_equivalent(p, q):
     shift = vec_sub(min(q.vertices), min(p.vertices))
     if {vec_add(v, shift) for v in p.vertices} == set(q.vertices):
         return AffineLatticeMap.translation_map(shift)
+    if n == 2:
+        form_p, frame_p = _min_polygon_frame(p)
+        form_q, frame_q = _min_polygon_frame(q)
+        if form_p != form_q:
+            return None
+        amap = unimodular_frame_map(frame_p, frame_q)
+        if amap is None:
+            raise InternalCheckError("equal normal forms without a frame map")
+        return amap
     anchor = _spanning_tuple(p)
-    v0 = anchor[0]
-    vmat = transpose([vec_sub(v, v0) for v in anchor[1:]])
-    vinv = mat_inverse_frac(vmat)
     q_vert_set = set(q.vertices)
-    for image in _image_candidates(p, q):
-        w0 = image[0]
-        wmat = transpose([vec_sub(w, w0) for w in image[1:]])
-        u_frac = tuple(
-            tuple(sum(Fraction(wmat[i][k]) * vinv[k][j] for k in range(n))
-                  for j in range(n))
-            for i in range(n)
-        )
-        if any(x.denominator != 1 for row in u_frac for x in row):
-            continue
-        u = tuple(tuple(int(x) for x in row) for row in u_frac)
-        if abs(det_int(u)) != 1:
-            continue
-        t = vec_sub(w0, mat_vec(u, v0))
-        if {vec_add(mat_vec(u, v), t) for v in p.vertices} == q_vert_set:
-            fwd = AffineLatticeMap(u, t)
-            uinv = tuple(
-                tuple(int(x) for x in row) for row in mat_inverse_frac(u)
-            )
-            fwd.inverse = AffineLatticeMap(uinv, vec_sub(v0, mat_vec(uinv, w0)), fwd)
-            return fwd
+    for image in itertools.permutations(q.vertices, n + 1):
+        amap = unimodular_frame_map(anchor, image)
+        if amap is not None and {amap.apply(v) for v in p.vertices} == q_vert_set:
+            return amap
     return None
 
 
+def unimodular_frame_map(frame, image):
+    """The lattice-affine map sending the affinely spanning point tuple
+    ``frame`` onto ``image`` in order, or None if it is not unimodular.
+
+    The linear part is W adj(V) / det(V), where the columns of V and W are
+    the differences to the first point of each tuple.
+    """
+    v0, w0 = frame[0], image[0]
+    vmat = transpose([vec_sub(v, v0) for v in frame[1:]])
+    wmat = transpose([vec_sub(w, w0) for w in image[1:]])
+    det = det_int(vmat)
+    det_w = det_int(wmat)
+    if abs(det_w) != abs(det):
+        return None
+    prod = mat_mul(wmat, adjugate_int(vmat))
+    if any(x % det for row in prod for x in row):
+        return None
+    u = tuple(tuple(x // det for x in row) for row in prod)
+    # det(u) = det_w / det is a unit, so u's inverse is det(u) adj(u)
+    unit = det_w // det
+    uinv = tuple(tuple(unit * x for x in row) for row in adjugate_int(u))
+    fwd = AffineLatticeMap(u, vec_sub(w0, mat_vec(u, v0)))
+    fwd.inverse = AffineLatticeMap(uinv, vec_sub(v0, mat_vec(uinv, w0)), fwd)
+    return fwd
+
+
 def _spanning_tuple(p):
+    """The first affinely spanning vertex tuple in vertex order."""
     n = p.ambient_dim
-    if n == 2:
-        cyc = polygon_cycle(p)
-        i = cyc.index(min(cyc))
-        return (cyc[i], cyc[i - 1], cyc[(i + 1) % len(cyc)])
     chosen = [p.vertices[0]]
     diffs = []
     for v in p.vertices[1:]:
@@ -559,42 +578,82 @@ def _spanning_tuple(p):
     return tuple(chosen)
 
 
-def _image_candidates(p, q):
-    n = p.ambient_dim
-    if n == 2:
-        cyc = polygon_cycle(q)
-        m = len(cyc)
-        for i in range(m):
-            yield (cyc[i], cyc[i - 1], cyc[(i + 1) % m])
-            yield (cyc[i], cyc[(i + 1) % m], cyc[i - 1])
-        return
-    yield from itertools.permutations(q.vertices, n + 1)
+def polygon_normal_form(p):
+    """Canonical integer vertex tuple, shared by two polygons exactly when
+    they are integral-affine equivalent.
+
+    A frame is a vertex v with an ordered pair (a, b) of its two neighbours.
+    It pins one U in GL2(Z): U sends the primitive direction of a - v to
+    (1, 0), and U(b - v) = (x, y) with 0 <= x < y.  The normal form is the
+    least sorted tuple of U(w - v) over the vertices w, taken over all 2m
+    frames.  Equivalences carry frames to frames, which makes it invariant;
+    the frame map between two equal forms is an equivalence, which makes it
+    complete.
+    """
+    return _min_polygon_frame(p)[0]
+
+
+def _min_polygon_frame(p):
+    """(normal form, (v, a, b)) for the first frame reaching the minimum."""
+    cyc = polygon_cycle(p)
+    m = len(cyc)
+    best = None
+    for i, v in enumerate(cyc):
+        prev, nxt = cyc[i - 1], cyc[(i + 1) % m]
+        for a, b in ((nxt, prev), (prev, nxt)):
+            (r0, r1), (s0, s1) = _frame_matrix(vec_sub(a, v), vec_sub(b, v))
+            form = tuple(sorted(
+                (r0 * (w[0] - v[0]) + r1 * (w[1] - v[1]),
+                 s0 * (w[0] - v[0]) + s1 * (w[1] - v[1]))
+                for w in cyc
+            ))
+            if best is None or form < best[0]:
+                best = (form, (v, a, b))
+    return best
+
+
+def _frame_matrix(ea, eb):
+    """The U in GL2(Z) with U primitive(ea) = (1, 0) and U eb = (x, y),
+    0 <= x < y; ea and eb must be linearly independent."""
+    dx, dy = primitive_part(ea)
+    _, x, y = extended_gcd(dx, dy)
+    # rows (x, y) and (-dy, dx) have determinant 1 and send (dx, dy) to (1, 0)
+    s0, s1 = -dy, dx
+    height = s0 * eb[0] + s1 * eb[1]
+    if height < 0:
+        s0, s1, height = -s0, -s1, -height
+    k = (x * eb[0] + y * eb[1]) // height
+    return (x - k * s0, y - k * s1), (s0, s1)
+
+
+def _half_plane(v):
+    return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+
+
+def _angular_cmp(a, b):
+    ha, hb = _half_plane(a), _half_plane(b)
+    if ha != hb:
+        return -1 if ha < hb else 1
+    cross = a[0] * b[1] - a[1] * b[0]
+    return (cross < 0) - (cross > 0)
+
+
+# orders nonzero integer vectors counterclockwise, starting at direction (1, 0)
+angular_key = functools.cmp_to_key(_angular_cmp)
 
 
 def polygon_cycle(p):
-    """Vertices of a polygon in counterclockwise cyclic order."""
+    """Vertices of a polygon in counterclockwise cyclic order, by angle
+    around the centroid (scaled by the vertex count to stay integral)."""
     if p.dim != 2 or p.ambient_dim != 2:
         raise ValueError("polygon_cycle needs a full-dimensional polygon")
     verts = p.vertices
-    cx = Fraction(sum(v[0] for v in verts), len(verts))
-    cy = Fraction(sum(v[1] for v in verts), len(verts))
-
-    def half(v):
-        dx, dy = Fraction(v[0]) - cx, Fraction(v[1]) - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    def cmp(a, b):
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        ax, ay = Fraction(a[0]) - cx, Fraction(a[1]) - cy
-        bx, by = Fraction(b[0]) - cx, Fraction(b[1]) - cy
-        cross = ax * by - ay * bx
-        if cross == 0:
-            return 0
-        return -1 if cross > 0 else 1
-
-    return tuple(sorted(verts, key=functools.cmp_to_key(cmp)))
+    m = len(verts)
+    sx = sum(v[0] for v in verts)
+    sy = sum(v[1] for v in verts)
+    return tuple(
+        sorted(verts, key=lambda v: angular_key((m * v[0] - sx, m * v[1] - sy)))
+    )
 
 
 # ---------------------------------------------------------------------------

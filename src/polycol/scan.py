@@ -3,8 +3,10 @@
 Convex polygons with vertices in the (box+1) x (box+1) grid are enumerated
 up to translation as closed edge-vector loops with strictly increasing
 directions; that yields every hull of a grid subset exactly once.  Balanced
-polygons are classified, deduplicated up to integral-affine equivalence, and
-checked for Col-divisibility.
+polygons are checked for Col-divisibility one by one, deduplicated up to
+integral-affine equivalence through a dict keyed by
+``polytopes.polygon_normal_form`` (the least vertex tuple represents its
+class), and the representatives are classified.
 """
 
 from __future__ import annotations
@@ -18,11 +20,7 @@ from .columns import (
     is_balanced,
     is_col_divisible,
 )
-from .polytopes import (
-    integral_affine_equivalent,
-    normalized_volume,
-    polytope_from_points,
-)
+from .polytopes import angular_key, polygon_normal_form, polytope_from_points
 
 MAX_BOX = 4
 
@@ -36,22 +34,7 @@ def _directions(box):
         for y in range(-box, box + 1)
         if (x, y) != (0, 0) and gcd(abs(x), abs(y)) == 1
     ]
-
-    def half(v):
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    import functools
-
-    def cmp(a, b):
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = a[0] * b[1] - a[1] * b[0]
-        if cross == 0:
-            return 0
-        return -1 if cross > 0 else 1
-
-    return sorted(vecs, key=functools.cmp_to_key(cmp))
+    return sorted(vecs, key=angular_key)
 
 
 def enumerate_polygons(box):
@@ -107,32 +90,12 @@ def enumerate_polygons(box):
     return polys
 
 
-def polygon_from_cycle(cycle, name=None):
-    """Polytope from a counterclockwise vertex cycle, hull recomputed."""
-    return polytope_from_points(cycle, name=name)
-
-
-def _iae_key(p):
-    """Cheap integral-affine invariants for bucketing."""
-    cols = column_vectors(p)
-    facet_sizes = tuple(sorted(len(f.on_facet) for f in p.facets))
-    return (
-        len(p.lattice_points),
-        len(p.vertices),
-        normalized_volume(p),
-        facet_sizes,
-        len(cols),
-        tuple(sorted((len([c for c in cols if c.base == b])) for b in
-                     sorted({c.base for c in cols}))) if cols else (),
-    )
-
-
 def scan_polygons(box, seed=0, sample_rate=0.01):
     """Classify every balanced polygon in the box; summary dictionary.
 
-    Balanced polygons are deduplicated up to integral-affine equivalence so
-    per-class counts are counts of equivalence classes.  A seeded sample is
-    re-verified with pruning disabled.
+    Balanced polygons are deduplicated up to integral-affine equivalence by
+    their normal forms, so per-class counts are counts of equivalence
+    classes.  A seeded sample is re-verified with pruning disabled.
     """
     if box > MAX_BOX:
         raise ValueError(f"box sizes above {MAX_BOX} are not supported")
@@ -141,7 +104,7 @@ def scan_polygons(box, seed=0, sample_rate=0.01):
     scanned = 0
     for cycle in cycles:
         scanned += 1
-        p = polygon_from_cycle(cycle)
+        p = polytope_from_points(cycle)
         flag, _ = is_balanced(p)
         if flag:
             balanced_polys.append(p)
@@ -155,22 +118,16 @@ def scan_polygons(box, seed=0, sample_rate=0.01):
                 {"vertices": [list(v) for v in p.vertices], "witness": repr(wit)}
             )
 
-    # dedupe balanced polygons up to integral-affine equivalence
-    buckets = {}
-    for p in balanced_polys:
-        buckets.setdefault(_iae_key(p), []).append(p)
-    class_reps = []
-    for key in sorted(buckets):
-        reps = []
-        for p in sorted(buckets[key], key=lambda q: q.vertices):
-            if not any(integral_affine_equivalent(p, r) is not None for r in reps):
-                reps.append(p)
-        class_reps.extend(reps)
+    # one representative per integral-affine class: the least vertex tuple
+    reps = {}
+    for p in sorted(balanced_polys, key=lambda q: q.vertices):
+        reps.setdefault(polygon_normal_form(p), p)
+    class_reps = list(reps.values())  # inserted in vertex order
 
     per_class = {}
     witnesses = {}
     unclassified = []
-    for p in sorted(class_reps, key=lambda q: q.vertices):
+    for p in class_reps:
         try:
             cls = classify_balanced_polygon(p)
         except Exception as exc:  # surfaced, never swallowed

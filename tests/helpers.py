@@ -128,3 +128,45 @@ def random_normalized_polytopes(seed, count, dims=(2, 3)):
         q, _ = normalize_full_dim(p)
         out.append(q)
     return out
+
+
+def brute_force_polygon_equivalent(p_vertices, q_vertices):
+    """Integral-affine equivalence of two lattice polygons by exhaustion.
+
+    A fixed affine basis (v0, v1, v2) of P's vertices is sent to every
+    ordered vertex triple (w0, w1, w2) of Q; the polygons are equivalent iff
+    one of these affine maps is integral, unimodular and carries P's vertex
+    set onto Q's.
+    """
+    ps = sorted(set(map(tuple, p_vertices)))
+    qs = set(map(tuple, q_vertices))
+    if len(ps) != len(qs):
+        return False
+
+    def sub(x, y):
+        return (x[0] - y[0], x[1] - y[1])
+
+    v0, v1 = ps[0], ps[1]
+    a = sub(v1, v0)
+    v2 = next(v for v in ps[2:] if a[0] * sub(v, v0)[1] - a[1] * sub(v, v0)[0])
+    b = sub(v2, v0)
+    det = a[0] * b[1] - a[1] * b[0]
+    for w0, w1, w2 in itertools.permutations(qs, 3):
+        c, d = sub(w1, w0), sub(w2, w0)
+        # U with U a = c and U b = d is [c d] [a b]^-1
+        scaled = (
+            c[0] * b[1] - d[0] * a[1], d[0] * a[0] - c[0] * b[0],
+            c[1] * b[1] - d[1] * a[1], d[1] * a[0] - c[1] * b[0],
+        )
+        if any(x % det for x in scaled):
+            continue
+        u00, u01, u10, u11 = (x // det for x in scaled)
+        if abs(u00 * u11 - u01 * u10) != 1:
+            continue
+        image = set()
+        for v in ps:
+            x, y = sub(v, v0)
+            image.add((w0[0] + u00 * x + u01 * y, w0[1] + u10 * x + u11 * y))
+        if image == qs:
+            return True
+    return False

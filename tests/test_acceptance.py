@@ -104,10 +104,18 @@ def test_criterion_3_box4_scan():
     t0 = time.monotonic()
     summary = scan_polygons(4, seed=0)
     elapsed = time.monotonic() - t0
+    counts = (
+        summary["polygons_up_to_translation"],
+        summary["balanced_polygons"],
+        summary["balanced_classes"],
+    )
     ok = (
         summary["unclassified"] == []
         and summary["col_divisibility_failures"] == []
         and summary["sample_recheck"]["failures"] == []
+        and counts == (17978, 17726, 1510)
+        and summary["class_counts"]
+        == {"a": 4, "b": 6, "c": 8, "d": 1431, "e": 10, "f": 51}
         and elapsed < 600.0
     )
     _report(

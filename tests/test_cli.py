@@ -163,9 +163,34 @@ def test_cli_scan(tmp_path, capsys):
 def test_scan_box2_summary():
     s = scan_polygons(2)
     assert s["polygons_up_to_translation"] == len(enumerate_polygons(2))
-    assert s["unclassified"] == []
-    assert s["col_divisibility_failures"] == []
-    assert set(s["class_counts"]) <= set("abcdef")
+    assert s == {
+        "box": 2,
+        "polygons_up_to_translation": 119,
+        "balanced_polygons": 99,
+        "balanced_classes": 16,
+        "class_counts": {"a": 2, "b": 1, "d": 8, "e": 3, "f": 2},
+        "class_witnesses": {
+            "a": [[0, 0], [0, 1], [1, 0]],
+            "b": [[0, 0], [0, 1], [1, 0], [1, 2]],
+            "d": [[0, 0], [0, 1], [1, 0], [1, 2], [2, 1]],
+            "e": [[0, 0], [0, 1], [1, 0], [1, 1]],
+            "f": [[0, 0], [0, 1], [1, 2], [2, 0], [2, 2]],
+        },
+        "absent_classes": ["c"],
+        "unclassified": [],
+        "col_divisibility_failures": [],
+        "sample_recheck": {"checked": 1, "failures": []},
+    }
+
+
+def test_scan_box3_counts():
+    s = scan_polygons(3)
+    got = (s["polygons_up_to_translation"], s["balanced_polygons"],
+           s["balanced_classes"])
+    assert got == (1633, 1549, 145)
+    assert s["class_counts"] == {"a": 3, "b": 3, "c": 2, "d": 118, "e": 6,
+                                 "f": 13}
+    assert s["unclassified"] == [] and s["col_divisibility_failures"] == []
 
 
 def test_enumerate_polygons_box1():

@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from polycol.exactmath import dot, rank_int, vec_sub
+from polycol.exactmath import dot, mat_mul, mat_vec, rank_int, vec_add, vec_sub
 from polycol.polytopes import (
     dilate,
     integral_affine_equivalent,
@@ -13,10 +15,13 @@ from polycol.polytopes import (
     normalize_full_dim,
     normalized_volume,
     polygon_cycle,
+    polygon_normal_form,
     polytope_from_points,
     projectively_equivalent,
     translate,
+    unimodular_frame_map,
 )
+from polycol.scan import enumerate_polygons
 
 from .conftest import (
     BIG_TRAPEZOID,
@@ -30,7 +35,7 @@ from .conftest import (
     TRIANGLE2,
     UNIT_SQUARE,
 )
-from .helpers import facet_scan_oracle
+from .helpers import brute_force_polygon_equivalent, facet_scan_oracle
 
 
 def test_constructor_validation():
@@ -366,3 +371,113 @@ def test_polygon_cycle():
         a = vec_sub(cyc[(i + 1) % m], cyc[i])
         b = vec_sub(cyc[(i + 2) % m], cyc[(i + 1) % m])
         assert a[0] * b[1] - a[1] * b[0] > 0
+
+
+def test_polygon_cycle_starts_at_angle_zero():
+    # counterclockwise around the centroid (2/3, 2/3), from the first vertex
+    # whose direction lies in [0, pi)
+    cyc = polygon_cycle(polytope_from_points([(0, 0), (2, 1), (0, 1)]))
+    assert cyc == ((2, 1), (0, 1), (0, 0))
+    assert polygon_cycle(HEXAGON)[0] == (5, 2)
+
+
+def _box2_polygons():
+    return [polytope_from_points(c) for c in enumerate_polygons(2)]
+
+
+def test_normal_form_matches_brute_force_oracle():
+    polys = _box2_polygons()
+    pairs = 0
+    for p, q in itertools.combinations(polys, 2):
+        if len(p.lattice_points) != len(q.lattice_points):
+            continue
+        if len(p.vertices) != len(q.vertices):
+            continue
+        pairs += 1
+        same = polygon_normal_form(p) == polygon_normal_form(q)
+        assert same == brute_force_polygon_equivalent(p.vertices, q.vertices)
+        assert same == (integral_affine_equivalent(p, q) is not None)
+    assert pairs == 922  # 562 of them equivalent
+
+
+NEAR_MISS = (
+    polytope_from_points([(0, 0), (0, 1), (1, 0), (2, 2)]),
+    polytope_from_points([(0, 0), (0, 1), (2, 1), (2, 2)]),
+)
+
+
+def test_normal_form_separates_near_miss():
+    p, q = NEAR_MISS
+    assert len(p.lattice_points) == len(q.lattice_points) == 5
+    assert len(p.vertices) == len(q.vertices) == 4
+    assert normalized_volume(p) == normalized_volume(q) == 4
+    assert polygon_normal_form(p) != polygon_normal_form(q)
+    assert not brute_force_polygon_equivalent(p.vertices, q.vertices)
+    assert integral_affine_equivalent(p, q) is None
+
+
+def test_near_miss_is_the_only_one_in_box2():
+    # classes sharing lattice-point count, vertex count and volume
+    groups = {}
+    for p in _box2_polygons():
+        key = (len(p.lattice_points), len(p.vertices), normalized_volume(p))
+        groups.setdefault(key, set()).add(polygon_normal_form(p))
+    clashes = [forms for forms in groups.values() if len(forms) > 1]
+    assert clashes == [{polygon_normal_form(p) for p in NEAR_MISS}]
+
+
+# generators of GL2(Z) with a shear size
+_GL2_STEPS = st.lists(
+    st.tuples(st.sampled_from(["upper", "lower", "swap", "flip"]),
+              st.integers(-3, 3)),
+    max_size=5,
+)
+
+
+def _gl2(steps):
+    u = ((1, 0), (0, 1))
+    for kind, k in steps:
+        g = {
+            "upper": ((1, k), (0, 1)),
+            "lower": ((1, 0), (k, 1)),
+            "swap": ((0, 1), (1, 0)),
+            "flip": ((-1, 0), (0, 1)),
+        }[kind]
+        u = mat_mul(g, u)
+    return u
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+             min_size=3, max_size=8),
+    _GL2_STEPS,
+    st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+)
+def test_normal_form_invariant_under_unimodular_maps(points, steps, shift):
+    p = polytope_from_points(points)
+    assume(p.dim == 2)
+    u = _gl2(steps)
+    q = polytope_from_points([vec_add(mat_vec(u, v), shift) for v in points])
+    assert polygon_normal_form(q) == polygon_normal_form(p)
+    amap = integral_affine_equivalent(p, q)
+    assert amap is not None
+    assert {amap.apply(v) for v in p.vertices} == set(q.vertices)
+    for v in p.lattice_points:
+        assert amap.inverse.apply(amap.apply(v)) == v
+    for w in q.lattice_points:
+        assert amap.apply(amap.inverse.apply(w)) == w
+
+
+def test_unimodular_frame_map():
+    frame = ((1, 1), (2, 1), (1, 2))
+    amap = unimodular_frame_map(frame, ((0, 0), (1, 1), (0, 1)))
+    assert amap.matrix == ((1, 0), (1, 1))
+    assert amap.translation == (-1, -2)
+    assert [amap.apply(v) for v in frame] == [(0, 0), (1, 1), (0, 1)]
+    assert amap.inverse.apply((1, 1)) == (2, 1)
+    # index 2 images and non-integral maps are refused
+    assert unimodular_frame_map(frame, ((0, 0), (2, 0), (0, 1))) is None
+    assert unimodular_frame_map(
+        ((0, 0), (2, 0), (0, 1)), ((0, 0), (1, 1), (0, 2))
+    ) is None
