@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from .columns import ColumnVector, product_table
+from .columns import ColumnVector, is_balanced, product_table
 from .exactmath import (
     QQ,
     ZZ,
@@ -32,7 +32,6 @@ from .polytopes import (
     InternalCheckError,
     _spanning_tuple,
     dilate,
-    is_normalized,
     unimodular_frame_map,
 )
 
@@ -41,19 +40,17 @@ from .polytopes import (
 # the graded semigroup
 
 
-_SP_CACHE = {}
-
-
 def sp_membership(p, z, degree):
     """Is (z, degree) a sum of `degree` degree-one generators?
 
     The semigroup can miss integral points of the cone over P, so this is
-    a genuine recursion, memoized per polytope, not a cone test.
+    a genuine recursion, not a cone test.  Its memo is stored on ``p`` and
+    lives as long as ``p`` does.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     z = tuple(z)
-    memo = _SP_CACHE.setdefault(p, {})
+    memo = p.__dict__.setdefault("_sp_memo", {})
     pset = p.lattice_set
 
     def rec(z, d):
@@ -218,7 +215,7 @@ def elementary_automorphism(p, col, lam, ring):
     points x + k v, all of which are lattice points because heights over
     the base facet drop by exactly one per step.
     """
-    if not is_normalized(p):
+    if not p.is_normalized:
         raise ValueError("elementary automorphisms need a normalized polytope")
     table = product_table(p)
     if isinstance(col, ColumnVector):
@@ -556,7 +553,7 @@ def verify_steinberg_relations(p, var_names=("a", "b")):
     Pairs whose sum is a column without an existing product are outside
     both covered cases and reported as skipped.
     """
-    balanced, _ = is_balanced_cached(p)
+    balanced, _ = is_balanced(p)
     ring = PolynomialRing(var_names)
     lam = ring.var(var_names[0])
     mu = ring.var(var_names[1])
@@ -612,12 +609,6 @@ def verify_steinberg_relations(p, var_names=("a", "b")):
                      "commutes": commutator.is_identity(), "ok": None}
                 )
     return report
-
-
-def is_balanced_cached(p):
-    from .columns import is_balanced
-
-    return is_balanced(p)
 
 
 def verify_additive_embedding(p, facet_index, grid=5):
@@ -685,8 +676,6 @@ def steinberg_presentation_lines(p):
     covered cases.  Pairs whose sum is a column without a product are left
     out of the schema.
     """
-    from .columns import is_balanced
-
     balanced, _ = is_balanced(p)
     if not balanced:
         raise ValueError("presentations are exported for balanced polytopes")
@@ -747,8 +736,6 @@ def steinberg_presentation_json(p):
 
 def steinberg_presentation_mod(p, modulus):
     """Fully finite presentation instantiated over the integers mod m."""
-    from .columns import is_balanced
-
     balanced, _ = is_balanced(p)
     if not balanced:
         raise ValueError("presentations are exported for balanced polytopes")

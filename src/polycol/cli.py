@@ -3,7 +3,8 @@
 Subcommands: analyze, scan-polygons, verify, export, spectrum.  Input is the
 polytope JSON schema {"name": ..., "vertices": [[int, ...], ...]}; outputs
 are deterministic bytes for fixed input.  Exit codes: 0 success, 1 failed
-checks, 2 invalid input, 3 internal consistency error.
+checks, 2 invalid input, 3 internal consistency error or any other
+unexpected exception raised inside polycol.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 
 from .algebra import (
     check_column_property,
+    steinberg_presentation_json,
     steinberg_presentation_lines,
     steinberg_presentation_mod,
     verify_additive_embedding,
@@ -83,13 +85,15 @@ def _verify_embedding(q, args):
 
 
 def _verify_heights(q, args):
-    cols = column_vectors(q, pruned=not args.no_prune)
+    pruned = product_table(q).columns
+    unpruned = column_vectors(q, pruned=False)
+    cols = unpruned if args.no_prune else pruned
     heights = [
         {"vector": list(c.vector), "base": c.base,
          "height": dot(q.facets[c.base].normal, c.vector)}
         for c in cols
     ]
-    agree = column_vectors(q) == column_vectors(q, pruned=False)
+    agree = pruned == unpruned
     ok = agree and all(h["height"] == -1 for h in heights)
     return {
         "check": "heights",
@@ -101,7 +105,7 @@ def _verify_heights(q, args):
 def _verify_columns_property(q, args):
     results = []
     ok = True
-    for c in column_vectors(q):
+    for c in product_table(q).columns:
         flag, violations = check_column_property(q, c, max_degree=args.max_degree)
         results.append(
             {"vector": list(c.vector), "ok": flag,
@@ -120,7 +124,7 @@ def _verify_doubling(q, args):
             "facet": {"normal": list(f.normal), "offset": f.offset},
             "facet_count_delta": len(r.doubled.facets) - len(q.facets),
             "lattice_count_identity": r.count_identity_holds,
-            "columns_extend": len(r.col_inclusion) == len(column_vectors(q)),
+            "columns_extend": len(r.col_inclusion) == len(product_table(q).columns),
         }
         if is_unimodular_simplex(q):
             n = q.dim
@@ -169,8 +173,6 @@ def cmd_export(args):
             lines = steinberg_presentation_lines(q)
         _emit("\n".join(lines) + "\n", args.output)
     elif args.what == "presentation-json":
-        from .algebra import steinberg_presentation_json
-
         _emit(to_json(steinberg_presentation_json(q)), args.output)
     elif args.what == "fan":
         _emit(to_json(normal_fan_json(q)), args.output)
@@ -245,11 +247,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a bug in polycol, not bad input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

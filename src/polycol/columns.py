@@ -17,6 +17,7 @@ and keeps the polytopal-algebra shears well defined.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -31,7 +32,6 @@ from .polytopes import (
     InternalCheckError,
     dilate,
     integral_affine_equivalent,
-    is_normalized,
     linear_image,
     normalized_volume,
     polygon_cycle,
@@ -49,13 +49,6 @@ class ColumnVector(NamedTuple):
         return f"Col({self.vector}, base={self.base})"
 
 
-def _require_normalized(p):
-    if not is_normalized(p):
-        raise ValueError(
-            "column structures need a normalized full-dimensional polytope"
-        )
-
-
 def column_vectors(p, pruned=True):
     """All column vectors of p with their base facets, canonically sorted.
 
@@ -63,9 +56,14 @@ def column_vectors(p, pruned=True):
     default) only differences at height -1 over some facet are examined.
     The literal definition is verified for every vector that is returned,
     so pruning never changes the result on normalized input; ``--no-prune``
-    style runs exist to double-check exactly that.
+    style runs exist to double-check exactly that.  Callers that only need
+    Col(P) read ``product_table(p).columns``, which searches once per
+    polytope object.
     """
-    _require_normalized(p)
+    if not p.is_normalized:
+        raise ValueError(
+            "column structures need a normalized full-dimensional polytope"
+        )
     if p.dim < 1:
         raise ValueError("column vectors need dimension >= 1")
     pts = p.lattice_points
@@ -99,55 +97,66 @@ class ProductTable:
     """The finite partial product on Col(P).
 
     For each ordered pair of column indices the entry is ("product", k),
-    ("zero",) when the vectors cancel, or ("none",).
+    ("zero",) when the vectors cancel, or ("none",).  ``rows[i][j]`` holds
+    it, at one pointer per entry: a table stays in memory for as long as
+    its polytope does.
     """
 
-    def __init__(self, polytope, columns, entries):
-        self.polytope = polytope
+    def __init__(self, columns, rows):
         self.columns = columns
         self.index = {c.vector: i for i, c in enumerate(columns)}
-        self.entries = entries
+        self.rows = rows
         self.products = tuple(
-            sorted(
-                (i, j, entry[1])
-                for (i, j), entry in entries.items()
-                if entry[0] == "product"
-            )
+            (i, j, entry[1])
+            for i, row in enumerate(rows)
+            for j, entry in enumerate(row)
+            if entry[0] == "product"
         )
 
     def entry(self, i, j):
-        return self.entries[(i, j)]
+        return self.rows[i][j]
 
-
-_TABLE_CACHE = {}
+    def product_of(self, u, v):
+        """The column u*v for two columns of this table, or None."""
+        entry = self.rows[self.index[u.vector]][self.index[v.vector]]
+        return self.columns[entry[1]] if entry[0] == "product" else None
 
 
 def product_table(p):
-    if p in _TABLE_CACHE:
-        return _TABLE_CACHE[p]
+    """Col(P) and its partial product, built once per polytope object.
+
+    The table is stored on ``p`` itself (next to its cached properties), so
+    it lives exactly as long as ``p`` and is never shared with an equal
+    polytope.
+    """
+    table = p.__dict__.get("_product_table")
+    if table is not None:
+        return table
     cols = column_vectors(p)
     facets = p.facets
     pts = p.lattice_points
     index = {c.vector: i for i, c in enumerate(cols)}
-    entries = {}
+    rows = []
     # precompute, per base facet, the points off the facet
     off_facet = {}
     for i, c in enumerate(cols):
         if c.base not in off_facet:
             on = facets[c.base].points_on
             off_facet[c.base] = [x for x in pts if x not in on]
-    for i, u in enumerate(cols):
-        for j, v in enumerate(cols):
+    for u in cols:
+        row = []
+        rows.append(row)
+        for v in cols:
             s = vec_add(u.vector, v.vector)
             if not any(s):
-                entries[(i, j)] = ("zero",)
+                row.append(("zero",))
                 continue
             target = facets[v.base].points_on
             exists = all(
                 vec_add(x, u.vector) not in target for x in off_facet[u.base]
             )
             if not exists:
-                entries[(i, j)] = ("none",)
+                row.append(("none",))
                 continue
             k = index.get(s)
             if k is None:
@@ -158,13 +167,12 @@ def product_table(p):
                 raise InternalCheckError(
                     f"product {s} does not inherit the left base facet"
                 )
-            entries[(i, j)] = ("product", k)
-    table = ProductTable(p, cols, entries)
-    _TABLE_CACHE[p] = table
+            row.append(("product", k))
+    table = p.__dict__["_product_table"] = ProductTable(cols, rows)
     return table
 
 
-def _as_column(p, table, v):
+def _as_column(table, v):
     if isinstance(v, ColumnVector):
         vec = v.vector
     else:
@@ -178,12 +186,8 @@ def _as_column(p, table, v):
 def product(p, u, v):
     """u*v = u+v with base P_u when the product exists, else None."""
     table = product_table(p)
-    i = _as_column(p, table, u)
-    j = _as_column(p, table, v)
-    entry = table.entry(i, j)
-    if entry[0] == "product":
-        return table.columns[entry[1]]
-    return None
+    u, v = (table.columns[_as_column(table, c)] for c in (u, v))
+    return table.product_of(u, v)
 
 
 def weak_product(p, vs):
@@ -193,7 +197,7 @@ def weak_product(p, vs):
     existence is searched, by interval dynamic programming.
     """
     table = product_table(p)
-    idx = [_as_column(p, table, v) for v in vs]
+    idx = [_as_column(table, v) for v in vs]
     if not idx:
         raise ValueError("empty sequence")
     n = len(idx)
@@ -227,7 +231,7 @@ def weak_product(p, vs):
 def weak_hull(p, vectors):
     """Closure of the given columns under binary products."""
     table = product_table(p)
-    current = {_as_column(p, table, v) for v in vectors}
+    current = {_as_column(table, v) for v in vectors}
     while True:
         new = set()
         for i, j in itertools.product(current, repeat=2):
@@ -249,7 +253,7 @@ def strict_hull(p, vectors):
     search space is finite.
     """
     table = product_table(p)
-    gens = sorted({_as_column(p, table, v) for v in vectors})
+    gens = sorted({_as_column(table, v) for v in vectors})
     result = set(gens)
     # state: (last column index, frozenset of suffix sums, total sum)
     start = [(g, frozenset([table.columns[g].vector]), table.columns[g].vector)
@@ -407,8 +411,6 @@ def classify_balanced_polygon(p):
 
     if len(cols) == 6 and len(pairs) == 6:
         if n_products == 6 and _triangle_relations(table):
-            import math
-
             k = math.isqrt(normalized_volume(p))
             ref = dilate(polytope_from_points(UNIT_TRIANGLE_VERTICES), k)
             amap = integral_affine_equivalent(p, ref)
@@ -510,10 +512,7 @@ def _match_trapezoid_relations(table):
     for v in paired:
         minus_v = vecs[vec_neg(v.vector)]
         for u, w in itertools.permutations(unpaired, 2):
-            uv = product(table.polytope, u, v)
-            wmv = product(table.polytope, w, minus_v)
-            if uv is not None and uv.vector == w.vector \
-                    and wmv is not None and wmv.vector == u.vector:
+            if table.product_of(u, v) == w and table.product_of(w, minus_v) == u:
                 return {"u": u, "v": v, "-v": minus_v, "w": w}
     return None
 
@@ -548,9 +547,6 @@ class DirectedGraph:
 
     def _path_counts(self):
         # path counts in a DAG-candidate; bail out if counts blow past 2
-        counts = {}
-        order = list(self.vertices)
-        changed = True
         adj = {}
         for a, b in self.edges:
             adj.setdefault(a, []).append(b)
@@ -625,16 +621,10 @@ def is_rigid(p, vectors):
     elems = sorted(hull, key=lambda c: c.vector)
     eidx = {c: i for i, c in enumerate(elems)}
 
-    def prod(a, b):
-        e = table.entry(table.index[a.vector], table.index[b.vector])
-        if e[0] != "product":
-            return None
-        return table.columns[e[1]]
-
     prods = {}
     for a in elems:
         for b in elems:
-            r = prod(a, b)
+            r = table.product_of(a, b)
             if r is not None:
                 if r not in eidx:
                     return NotRigid("products escape the hull", (a, b, r))
@@ -646,25 +636,24 @@ def is_rigid(p, vectors):
     ports = [(c, "t") for c in irreducibles] + [(c, "h") for c in irreducibles]
     parent = {pt: pt for pt in ports}
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
     for e in irreducibles:
         for f in irreducibles:
             if (e, f) in prods:
-                union((e, "h"), (f, "t"))
+                parent[_find(parent, (e, "h"))] = _find(parent, (f, "t"))
 
     outcome = _try_graph(elems, irreducibles, prods, parent, ports)
     if isinstance(outcome, Rigid) or isinstance(outcome, NotRigid):
         return outcome
     # fallback: enumerate legal extra gluings of the forced partition
     return _coarsening_search(elems, irreducibles, prods, parent, ports)
+
+
+def _find(parent, x):
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def _build_graph(irreducibles, class_of):
@@ -680,20 +669,9 @@ def _try_graph(elems, irreducibles, prods, parent, ports):
     Returns Rigid, NotRigid for defects no coarsening can repair, or None
     when only extra endpoint identifications might still help.
     """
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    class_of = {pt: f"n{sorted(ports).index(find(pt))}" for pt in ports}
+    class_of = {pt: f"n{sorted(ports).index(_find(parent, pt))}" for pt in ports}
     graph = _build_graph(irreducibles, class_of)
     defect = graph.check_conditions()
-    if defect in ("multiple edges", "self-loop") or (
-        defect is not None and "shadow" in defect
-    ) or defect == "directed cycle":
-        return NotRigid(f"forced graph defect: {defect}", graph)
     if defect is not None:
         return NotRigid(f"forced graph defect: {defect}", graph)
 
@@ -757,15 +735,9 @@ def _verify_labeling(elems, prods, graph, label):
 
 
 def _coarsening_search(elems, irreducibles, prods, parent, ports):
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     base_classes = {}
     for pt in ports:
-        base_classes.setdefault(find(pt), []).append(pt)
+        base_classes.setdefault(_find(parent, pt), []).append(pt)
     blocks = [tuple(sorted(v)) for v in base_classes.values()]
     blocks.sort()
 
@@ -848,8 +820,8 @@ def check_k_morphism(p, q, mapping):
     tq = product_table(q)
     mu = {}
     for src, dst in mapping.items():
-        i = _as_column(p, tp, src)
-        j = _as_column(q, tq, dst)
+        i = _as_column(tp, src)
+        j = _as_column(tq, dst)
         mu[i] = j
     if set(mu) != set(range(len(tp.columns))):
         raise ValueError("mapping must be total on Col(P)")

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .columns import column_vectors
+from .columns import product_table
 from .exactmath import dot, integral_section, vec_scale, vec_sub
 from .polytopes import (
     AffineLatticeMap,
@@ -121,10 +121,9 @@ def extend_columns(p, result):
     the base copy exactly as the original does, which pins it down, and it
     must be verified as a genuine column vector of the double.
     """
-    doubled_cols = column_vectors(result.doubled)
-    by_vector = {c.vector: c for c in doubled_cols}
+    by_vector = {c.vector: c for c in product_table(result.doubled).columns}
     mapping = {}
-    for c in column_vectors(p):
+    for c in product_table(p).columns:
         candidates = [c.vector + (0,)]
         matches = [by_vector[v] for v in candidates if v in by_vector]
         if not matches:
@@ -189,7 +188,7 @@ def doubling_spectrum(p, steps):
     """
     if steps < 1:
         raise ValueError("a spectrum needs at least one step")
-    initial_cols = column_vectors(p)
+    initial_cols = product_table(p).columns
     if not initial_cols:
         raise ValueError("doubling spectra need a polytope with columns")
 
@@ -212,7 +211,7 @@ def doubling_spectrum(p, steps):
         ident = queue.popleft()
         tc = spectrum.tracked[ident]
         vec = tc.vector_at(current.ambient_dim)
-        cols = {c.vector: c for c in column_vectors(current)}
+        cols = {c.vector: c for c in product_table(current).columns}
         if vec not in cols:
             raise InternalCheckError(
                 f"tracked column {vec} vanished from the chain"
@@ -232,7 +231,7 @@ def doubling_spectrum(p, steps):
                 decomposed_now.append(other.ident)
 
         current = result.doubled
-        new_cols = column_vectors(current)
+        new_cols = product_table(current).columns
         known = {
             t.vector_at(current.ambient_dim) for t in spectrum.tracked.values()
         }

@@ -234,6 +234,17 @@ class Polytope:
         return self.dim == self.ambient_dim
 
     @cached_property
+    def is_normalized(self):
+        """Full-dimensional, with lattice points affinely generating Z^n."""
+        if not self.is_full_dimensional:
+            return False
+        if self.ambient_dim == 0:
+            return True
+        x0 = self.lattice_points[0]
+        diffs = [vec_sub(z, x0) for z in self.lattice_points[1:]]
+        return lattice_index_is_full(diffs, self.ambient_dim)
+
+    @cached_property
     def _facet_pairs(self):
         if not self.is_full_dimensional:
             raise ValueError("facets require a full-dimensional polytope")
@@ -365,18 +376,6 @@ def _extreme_points(pts, facet_pairs, n):
 # normalization
 
 
-def is_normalized(p):
-    """Full-dimensional, with lattice points affinely generating Z^n."""
-    if not p.is_full_dimensional:
-        return False
-    if p.ambient_dim == 0:
-        return True
-    pts = p.lattice_points
-    x0 = pts[0]
-    diffs = [vec_sub(z, x0) for z in pts[1:]]
-    return lattice_index_is_full(diffs, p.ambient_dim)
-
-
 def normalize_full_dim(p):
     """Rewrite P so its lattice points affinely generate Z^dim(P).
 
@@ -386,7 +385,7 @@ def normalize_full_dim(p):
     the vertices.  Idempotent: normalized input comes back unchanged with
     the identity map.
     """
-    if is_normalized(p):
+    if p.is_normalized:
         return p, AffineLatticeMap.identity(p.ambient_dim)
     pts = p.lattice_points
     n = p.ambient_dim
@@ -415,7 +414,7 @@ def normalize_full_dim(p):
     fwd = AffineLatticeMap(fwd_matrix, t)
     fwd.inverse = AffineLatticeMap(bt, x0, fwd)
     q = Polytope([fwd.apply(v) for v in p.vertices], r, name=p.name)
-    if not is_normalized(q):
+    if not q.is_normalized:
         raise InternalCheckError("normalization did not reach the full lattice")
     return q, fwd
 

@@ -19,6 +19,7 @@ from .columns import (
     column_vectors,
     is_balanced,
     is_col_divisible,
+    product_table,
 )
 from .polytopes import angular_key, polygon_normal_form, polytope_from_points
 
@@ -50,43 +51,31 @@ def enumerate_polygons(box):
     dirs = _directions(box)
     nd = len(dirs)
     path = [(0, 0)]
+    polys = []
 
-    def bounds(points):
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        return max(xs) - min(xs), max(ys) - min(ys)
-
-    out = []
-
-    def rec(i, edges_used):
+    # lo_x..hi_y is the bounding box of path, carried down the recursion
+    def rec(i, edges_used, lo_x, hi_x, lo_y, hi_y):
         cur = path[-1]
         if i == nd:
             if cur == (0, 0) and edges_used >= 3:
-                out.append(tuple(path[:-1]) if path[-1] == (0, 0) else tuple(path))
+                polys.append(tuple((x - lo_x, y - lo_y) for x, y in path[:-1]))
             return
         # skip this direction entirely
-        rec(i + 1, edges_used)
+        rec(i + 1, edges_used, lo_x, hi_x, lo_y, hi_y)
         dx, dy = dirs[i]
         k = 1
         while True:
-            nxt = (cur[0] + k * dx, cur[1] + k * dy)
-            pts = path + [nxt]
-            w, h = bounds(pts)
-            if w > box or h > box:
+            x, y = cur[0] + k * dx, cur[1] + k * dy
+            nlo_x, nhi_x = min(lo_x, x), max(hi_x, x)
+            nlo_y, nhi_y = min(lo_y, y), max(hi_y, y)
+            if nhi_x - nlo_x > box or nhi_y - nlo_y > box:
                 break
-            path.append(nxt)
-            rec(i + 1, edges_used + 1)
+            path.append((x, y))
+            rec(i + 1, edges_used + 1, nlo_x, nhi_x, nlo_y, nhi_y)
             path.pop()
             k += 1
 
-    rec(0, 0)
-    polys = []
-    for cycle in out:
-        pts = cycle[:-1] if cycle[0] == cycle[-1] else cycle
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        mx, my = min(xs), min(ys)
-        polys.append(tuple((x - mx, y - my) for x, y in pts))
+    rec(0, 0, 0, 0, 0, 0)
     return polys
 
 
@@ -145,7 +134,7 @@ def scan_polygons(box, seed=0, sample_rate=0.01):
     for p in balanced_polys:
         if rng.random() < sample_rate:
             sample_checked += 1
-            if column_vectors(p) != column_vectors(p, pruned=False):
+            if product_table(p).columns != column_vectors(p, pruned=False):
                 sample_failures.append([list(v) for v in p.vertices])
             flag, _ = is_balanced(p)
             if not flag:

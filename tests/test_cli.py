@@ -90,6 +90,46 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+INPUT_COMMANDS = (
+    [["analyze"]]
+    + [["verify", "--which", w] for w in
+       ("steinberg", "embedding", "heights", "columns-property", "doubling")]
+    + [["export", "--what", w] for w in
+       ("dot", "presentation", "presentation-json", "fan", "columns-json")]
+    + [["spectrum"]]
+)
+MALFORMED_INPUTS = (
+    "[]",
+    '{"vertices": []}',
+    '{"vertices": [[0,0],[1]]}',
+    '{"vertices": [[1.5,0]]}',
+    '{"vertices": "x"}',
+)
+
+
+@pytest.mark.parametrize("text", MALFORMED_INPUTS)
+@pytest.mark.parametrize("command", INPUT_COMMANDS, ids=" ".join)
+def test_cli_malformed_json_exits_2(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(p):
+        raise KeyError("stale index")
+
+    monkeypatch.setattr("polycol.cli.analysis_report", broken)
+    path = write_poly(tmp_path, "trapezoid", [[0, 0], [2, 0], [1, 1], [0, 1]])
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: KeyError: 'stale index'\n"
+
+
 def test_cli_verify_commands(tmp_path, capsys):
     path = write_poly(tmp_path, "trapezoid", [[0, 0], [2, 0], [1, 1], [0, 1]])
     for which in ("steinberg", "embedding", "heights", "columns-property",

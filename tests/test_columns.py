@@ -1,7 +1,10 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
+from polycol.algebra import sp_membership
 from polycol.columns import (
     NotRigid,
     Rigid,
@@ -50,6 +53,31 @@ def test_slanted_quad_columns():
     assert facets[cols[(-1, 0)].base].key() == ((1, -1), 0)      # slant
     assert facets[cols[(1, 0)].base].key() == ((-1, 0), -3)      # right
     assert facets[cols[(-1, -1)].base].key() == ((0, 1), 0)      # bottom
+
+
+def test_product_table_built_once_per_object():
+    p = polytope_from_points([(0, 0), (2, 0), (1, 1), (0, 1)])
+    assert product_table(p) is product_table(p)
+    assert product_table(p).columns == column_vectors(p)
+
+
+def test_equal_polytopes_get_their_own_tables():
+    p = polytope_from_points([(0, 0), (2, 0), (1, 1), (0, 1)], name="one")
+    q = polytope_from_points([(0, 0), (2, 0), (1, 1), (0, 1)], name="two")
+    assert p == q
+    assert product_table(p) is not product_table(q)
+    assert product_table(p).columns == product_table(q).columns
+
+
+def test_derived_data_does_not_outlive_polytope():
+    # a translated trapezoid no other test builds
+    p = polytope_from_points([(7, 7), (9, 7), (8, 8), (7, 8)])
+    product_table(p)
+    sp_membership(p, (16, 15), 2)
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None
 
 
 def test_slanted_quad_products():

@@ -12,7 +12,6 @@ from polycol.doubling import (
 from polycol.exactmath import dot, kernel_basis_int, vec_scale, vec_sub
 from polycol.polytopes import (
     integral_affine_equivalent,
-    is_normalized,
     is_unimodular_simplex,
     normalize_full_dim,
     polytope_from_points,
@@ -227,4 +226,4 @@ def test_spectrum_determinism_and_fairness():
     assert first["chosen_vector"] == [-1, 0]
     # polytopes in the chain stay normalized
     chain = doubling_spectrum(TRAPEZOID, 4)
-    assert is_normalized(chain.final)
+    assert chain.final.is_normalized

@@ -8,7 +8,6 @@ from polycol.exactmath import dot, mat_mul, mat_vec, rank_int, vec_add, vec_sub
 from polycol.polytopes import (
     dilate,
     integral_affine_equivalent,
-    is_normalized,
     is_unimodular_simplex,
     linear_image,
     normal_fan,
@@ -206,7 +205,7 @@ def test_normalize_segment_in_plane():
 def test_normalize_idempotent(corpus):
     for p in corpus:
         q, carry = normalize_full_dim(p)
-        assert is_normalized(q)
+        assert q.is_normalized
         q2, carry2 = normalize_full_dim(q)
         assert q2 is q
         assert carry2.matrix == tuple(
@@ -233,9 +232,9 @@ def test_normalize_sublattice():
 def test_normalize_empty_simplex():
     # lattice points generate an index-2 sublattice; heights halve
     p = polytope_from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)])
-    assert not is_normalized(p)
+    assert not p.is_normalized
     q, _ = normalize_full_dim(p)
-    assert is_normalized(q)
+    assert q.is_normalized
     assert len(q.lattice_points) == len(p.lattice_points) == 4
 
 
