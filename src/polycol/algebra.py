@@ -2,13 +2,14 @@
 
 The algebra is the semigroup ring of the monoid generated by (z, 1) for the
 lattice points z, graded so every lattice point sits in degree one.  Graded
-automorphisms are represented faithfully by their matrices on the degree-one
-monomial basis, in canonical lattice-point order; words in elementary, torus
-and symmetry generators are carried along for provenance.
+automorphisms are represented faithfully by their sparse degree-one columns:
+the image of each degree-one monomial, in canonical lattice-point order, with
+its nonzero coefficients only.  Words in elementary, torus and symmetry
+generators are carried along for provenance.
 
 Symbolic verification happens over a polynomial ring on integer
-coefficients: a matrix identity there holds over every commutative ring at
-once.
+coefficients: an identity of columns there holds over every commutative ring
+at once.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ def check_column_property(p, col, max_degree=2):
     Face-cone membership is height zero; the property is checked for all
     semigroup monomials up to the degree bound.  Returns (flag, violations).
     """
+    if max_degree < 1:
+        raise ValueError("max_degree must be >= 1")
     table = product_table(p)
     if col.vector not in table.index:
         raise ValueError("not a column vector of this polytope")
@@ -107,54 +110,52 @@ def check_column_property(p, col, max_degree=2):
 
 
 # ---------------------------------------------------------------------------
-# graded automorphisms as degree-one matrices
-
-
-def _mat_mul_ring(ring, a, b):
-    m = len(a)
-    cols = list(zip(*b))
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            acc = ring.zero
-            for k in range(m):
-                acc = acc + a[i][k] * cols[j][k]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _identity_ring(ring, m):
-    return tuple(
-        tuple(ring.one if i == j else ring.zero for j in range(m))
-        for i in range(m)
-    )
+# graded automorphisms as sparse degree-one columns
 
 
 class GradedAutomorphism:
-    """A graded algebra automorphism through its degree-one matrix.
+    """A graded algebra automorphism through its sparse degree-one columns.
 
-    Columns are the images of the degree-one monomials in canonical
-    lattice-point order.  Degree one generates the algebra, so equality of
-    matrices is equality of automorphisms.
+    Column j is the image of the j-th degree-one monomial, in canonical
+    lattice-point order, as a dict {row index: coefficient}.  No zero
+    coefficient is ever stored, so equal automorphisms have equal columns;
+    degree one generates the algebra, so equality of columns is equality of
+    automorphisms.
     """
 
-    def __init__(self, polytope, ring, matrix, word, inverse_word):
+    def __init__(self, polytope, ring, columns, word, inverse_word):
         self.polytope = polytope
         self.ring = ring
-        self.matrix = matrix
+        self.columns = tuple(columns)
         self.word = tuple(word)
         self.inverse_word = tuple(inverse_word)
+
+    @property
+    def matrix(self):
+        """Dense read-only view: matrix[i][j] is the coefficient of
+        monomial i in the image of monomial j."""
+        zero = self.ring.zero
+        m = len(self.columns)
+        return tuple(
+            tuple(col.get(i, zero) for col in self.columns) for i in range(m)
+        )
 
     def compose(self, other):
         """self after other."""
         if self.polytope != other.polytope or self.ring is not other.ring:
             raise ValueError("automorphisms live on different algebras")
+        zero = self.ring.zero
+        columns = []
+        for col in other.columns:
+            acc = {}
+            for k, c in col.items():
+                for i, a in self.columns[k].items():
+                    acc[i] = acc[i] + a * c if i in acc else a * c
+            columns.append({i: x for i, x in acc.items() if x != zero})
         return GradedAutomorphism(
             self.polytope,
             self.ring,
-            _mat_mul_ring(self.ring, self.matrix, other.matrix),
+            columns,
             self.word + other.word,
             other.inverse_word + self.inverse_word,
         )
@@ -163,13 +164,16 @@ class GradedAutomorphism:
         inv = automorphism_from_word(
             self.polytope, self.ring, self.inverse_word
         )
-        check = _mat_mul_ring(self.ring, self.matrix, inv.matrix)
-        if check != _identity_ring(self.ring, len(self.matrix)):
-            raise InternalCheckError("inverse word does not invert the matrix")
+        if not self.compose(inv).is_identity():
+            raise InternalCheckError("inverse word does not invert the columns")
         return inv
 
     def is_identity(self):
-        return self.matrix == _identity_ring(self.ring, len(self.matrix))
+        one = self.ring.one
+        return all(
+            len(col) == 1 and col.get(j) == one
+            for j, col in enumerate(self.columns)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, GradedAutomorphism):
@@ -177,19 +181,24 @@ class GradedAutomorphism:
         return (
             self.polytope == other.polytope
             and self.ring is other.ring
-            and self.matrix == other.matrix
+            and self.columns == other.columns
         )
 
     def __hash__(self):
-        return hash((self.polytope, id(self.ring), self.matrix))
+        return hash((
+            self.polytope,
+            id(self.ring),
+            tuple(frozenset(col.items()) for col in self.columns),
+        ))
 
     def __repr__(self):
         return f"GradedAutomorphism({self.word})"
 
 
 def identity_automorphism(p, ring):
-    m = len(p.lattice_points)
-    return GradedAutomorphism(p, ring, _identity_ring(ring, m), (), ())
+    one = ring.one
+    columns = [{j: one} for j in range(len(p.lattice_points))]
+    return GradedAutomorphism(p, ring, columns, (), ())
 
 
 def automorphism_from_word(p, ring, word):
@@ -211,9 +220,10 @@ def automorphism_from_word(p, ring, word):
 def elementary_automorphism(p, col, lam, ring):
     """The shear sending x to (1 + lam * v)^(height of x) times x.
 
-    On the degree-one basis the column of x expands binomially through the
-    points x + k v, all of which are lattice points because heights over
-    the base facet drop by exactly one per step.
+    The column of x expands binomially through the points x + k v, all of
+    which are lattice points because heights over the base facet drop by
+    exactly one per step.  Terms that vanish in the ring (lam = 0, or a
+    binomial coefficient divisible by the modulus) are not stored.
     """
     if not p.is_normalized:
         raise ValueError("elementary automorphisms need a normalized polytope")
@@ -228,10 +238,14 @@ def elementary_automorphism(p, col, lam, ring):
     facet = p.facets[col.base]
     pts = p.lattice_points
     index = {z: i for i, z in enumerate(pts)}
-    m = len(pts)
-    matrix = [[ring.zero] * m for _ in range(m)]
-    for j, x in enumerate(pts):
-        h = dot(facet.normal, x) - facet.offset
+    heights = [dot(facet.normal, x) - facet.offset for x in pts]
+    powers = [ring.one]
+    for _ in range(max(heights)):
+        powers.append(powers[-1] * lam)
+    zero = ring.zero
+    columns = []
+    for x, h in zip(pts, heights):
+        column = {}
         for k in range(h + 1):
             target = vec_add(x, vec_scale(k, col.vector))
             if target not in index:
@@ -240,14 +254,13 @@ def elementary_automorphism(p, col, lam, ring):
                 )
             coeff = ring.from_int(comb(h, k))
             if k:
-                coeff = coeff * _ring_pow(ring, lam, k)
-            i = index[target]
-            matrix[i][j] = matrix[i][j] + coeff
+                coeff = coeff * powers[k]
+            if coeff != zero:
+                column[index[target]] = coeff
+        columns.append(column)
     word = (("elementary", col.vector, lam),)
     inverse_word = (("elementary", col.vector, _ring_neg(ring, lam)),)
-    return GradedAutomorphism(
-        p, ring, tuple(tuple(r) for r in matrix), word, inverse_word
-    )
+    return GradedAutomorphism(p, ring, columns, word, inverse_word)
 
 
 def _ring_pow(ring, x, k):
@@ -274,39 +287,28 @@ def torus_automorphism(p, units, ring):
     for u in units:
         if not ring.is_unit(u):
             raise ValueError(f"{u!r} is not a unit")
-    pts = p.lattice_points
-    m = len(pts)
-    matrix = [[ring.zero] * m for _ in range(m)]
-    for j, z in enumerate(pts):
+    columns = []
+    for j, z in enumerate(p.lattice_points):
         val = units[n]
         for i, zi in enumerate(z):
             if zi >= 0:
                 val = val * _ring_pow(ring, units[i], zi)
             else:
                 val = val * _ring_pow(ring, ring.inverse(units[i]), -zi)
-        matrix[j][j] = val
+        columns.append({j: val})
     word = (("torus", units),)
     inverse_word = (("torus", tuple(ring.inverse(u) for u in units)),)
-    return GradedAutomorphism(
-        p, ring, tuple(tuple(r) for r in matrix), word, inverse_word
-    )
+    return GradedAutomorphism(p, ring, columns, word, inverse_word)
 
 
 def _symmetry_from_permutation(p, ring, perm):
-    pts = p.lattice_points
-    m = len(pts)
-    matrix = [[ring.zero] * m for _ in range(m)]
-    for j in range(m):
-        matrix[perm[j]][j] = ring.one
-    inv = [0] * m
-    for j, i in enumerate(perm):
-        inv[i] = j
+    one = ring.one
     return GradedAutomorphism(
         p,
         ring,
-        tuple(tuple(r) for r in matrix),
+        [{i: one} for i in perm],
         (("symmetry", tuple(perm)),),
-        (("symmetry", tuple(inv)),),
+        (("symmetry", _perm_inverse(perm)),),
     )
 
 
@@ -347,29 +349,23 @@ def degree_consistency_violations(auto, max_degree=3):
 def _multiset_image(auto, combo):
     """Image of a product of degree-one monomials, as a dict point -> coeff."""
     pts = auto.polytope.lattice_points
-    ring = auto.ring
-    current = {(0,) * auto.polytope.ambient_dim: ring.one}
+    zero = auto.ring.zero
+    current = {(0,) * auto.polytope.ambient_dim: auto.ring.one}
     for i in combo:
-        col = [(pts[r], auto.matrix[r][i]) for r in range(len(pts))
-               if not _is_zero(ring, auto.matrix[r][i])]
+        col = [(pts[r], c) for r, c in auto.columns[i].items()]
         nxt = {}
         for z, c in current.items():
             for x, cx in col:
                 key = vec_add(z, x)
-                acc = nxt.get(key, ring.zero) + c * cx
-                nxt[key] = acc
-        current = {k: v for k, v in nxt.items() if not _is_zero(ring, v)}
+                nxt[key] = nxt.get(key, zero) + c * cx
+        current = {k: v for k, v in nxt.items() if v != zero}
     return current
-
-
-def _is_zero(ring, x):
-    return x == ring.zero
 
 
 def elementary_closed_formula_image(p, col, lam, ring, z, degree):
     """Binomial image of the degree-`degree` monomial at z, as a dict.
 
-    Independent of the matrix route: used to cross-check that the closed
+    Independent of the column route: used to cross-check that the closed
     formula and the multiplicative degree-one action agree.
     """
     table = product_table(p)
@@ -560,33 +556,36 @@ def verify_steinberg_relations(p, var_names=("a", "b")):
     table = product_table(p)
     cols = table.columns
     report = {"additivity": [], "pairs": [], "all_ok": True, "balanced": balanced}
+    # the four shears of every commutator, built once per column
+    by_lam, by_mu, by_neg_lam, by_neg_mu = [], [], [], []
     for u in cols:
-        lhs = elementary_automorphism(p, u, lam, ring).compose(
-            elementary_automorphism(p, u, mu, ring)
-        )
+        by_lam.append(elementary_automorphism(p, u, lam, ring))
+        by_mu.append(elementary_automorphism(p, u, mu, ring))
+        by_neg_lam.append(elementary_automorphism(p, u, -lam, ring))
+        by_neg_mu.append(elementary_automorphism(p, u, -mu, ring))
         rhs = elementary_automorphism(p, u, lam + mu, ring)
-        ok = lhs.matrix == rhs.matrix
+        ok = by_lam[-1].compose(by_mu[-1]).columns == rhs.columns
         report["additivity"].append({"u": u.vector, "ok": ok})
         if not ok:
             report["all_ok"] = False
     vecs = {c.vector for c in cols}
+
+    def commutator(i, j):
+        return (by_lam[i].compose(by_mu[j]).compose(by_neg_lam[i])
+                .compose(by_neg_mu[j]))
+
     for i, u in enumerate(cols):
-        eu = elementary_automorphism(p, u, lam, ring)
-        eu_inv = elementary_automorphism(p, u, -lam, ring)
         for j, v in enumerate(cols):
             s = vec_add(u.vector, v.vector)
             if not any(s):
                 continue
-            ev = elementary_automorphism(p, v, mu, ring)
-            ev_inv = elementary_automorphism(p, v, -mu, ring)
-            commutator = eu.compose(ev).compose(eu_inv).compose(ev_inv)
             entry = table.entry(i, j)
             if entry[0] == "product":
                 if not balanced:
                     continue
                 w = cols[entry[1]]
                 expected = elementary_automorphism(p, w, -(lam * mu), ring)
-                ok = commutator.matrix == expected.matrix
+                ok = commutator(i, j).columns == expected.columns
                 report["pairs"].append(
                     {"u": u.vector, "v": v.vector, "case": "product",
                      "result": w.vector, "ok": ok}
@@ -596,7 +595,7 @@ def verify_steinberg_relations(p, var_names=("a", "b")):
             elif s not in vecs:
                 if not balanced:
                     continue
-                ok = commutator.is_identity()
+                ok = commutator(i, j).is_identity()
                 report["pairs"].append(
                     {"u": u.vector, "v": v.vector, "case": "commute", "ok": ok}
                 )
@@ -606,7 +605,7 @@ def verify_steinberg_relations(p, var_names=("a", "b")):
                 report["pairs"].append(
                     {"u": u.vector, "v": v.vector, "case": "skipped",
                      "note": "sum is a column but the product does not exist",
-                     "commutes": commutator.is_identity(), "ok": None}
+                     "commutes": commutator(i, j).is_identity(), "ok": None}
                 )
     return report
 
@@ -616,7 +615,7 @@ def verify_additive_embedding(p, facet_index, grid=5):
 
     Commutation and the homomorphism identity are symbolic; injectivity is
     certified on a grid of distinct rational tuples whose images must be
-    pairwise distinct matrices.
+    pairwise distinct automorphisms.
     """
     table = product_table(p)
     cols = [c for c in table.columns if c.base == facet_index]
@@ -631,11 +630,12 @@ def verify_additive_embedding(p, facet_index, grid=5):
     avars = [ring.var(f"a{i}") for i in range(s)]
     bvars = [ring.var(f"b{i}") for i in range(s)]
 
+    shears = [
+        elementary_automorphism(p, c, a, ring) for c, a in zip(cols, avars)
+    ]
     ok_comm = True
-    for i, j in itertools.combinations(range(s), 2):
-        ei = elementary_automorphism(p, cols[i], avars[i], ring)
-        ej = elementary_automorphism(p, cols[j], avars[j], ring)
-        if ei.compose(ej).matrix != ej.compose(ei).matrix:
+    for ei, ej in itertools.combinations(shears, 2):
+        if ei.compose(ej).columns != ej.compose(ei).columns:
             ok_comm = False
     report["pairwise_commute"] = ok_comm
 
@@ -647,14 +647,14 @@ def verify_additive_embedding(p, facet_index, grid=5):
 
     lhs = phi([a + b for a, b in zip(avars, bvars)], ring)
     rhs = phi(avars, ring).compose(phi(bvars, ring))
-    report["homomorphism"] = lhs.matrix == rhs.matrix
+    report["homomorphism"] = lhs.columns == rhs.columns
 
     points = []
     for i in range(grid):
         for j in range(grid):
             tup = [Fraction(i), Fraction(j)] + [Fraction(0)] * (s - 2)
             points.append(tuple(tup[:s]))
-    images = {phi(pt, QQ).matrix for pt in points}
+    images = {phi(pt, QQ) for pt in points}
     report["grid_points"] = len(points)
     report["distinct_images"] = len(images)
     report["injective_on_grid"] = len(images) == len(points)
@@ -736,6 +736,8 @@ def steinberg_presentation_json(p):
 
 def steinberg_presentation_mod(p, modulus):
     """Fully finite presentation instantiated over the integers mod m."""
+    if modulus < 2:
+        raise ValueError("modulus must be >= 2")
     balanced, _ = is_balanced(p)
     if not balanced:
         raise ValueError("presentations are exported for balanced polytopes")

@@ -103,6 +103,9 @@ def _verify_heights(q, args):
 
 
 def _verify_columns_property(q, args):
+    # a column-free polytope never reaches check_column_property's own test
+    if args.max_degree < 1:
+        raise ValueError("max_degree must be >= 1")
     results = []
     ok = True
     for c in product_table(q).columns:
@@ -167,7 +170,7 @@ def cmd_export(args):
     if args.what == "dot":
         _emit(columns_dot(q), args.output)
     elif args.what == "presentation":
-        if args.modulus:
+        if args.modulus is not None:
             lines = steinberg_presentation_mod(q, args.modulus)
         else:
             lines = steinberg_presentation_lines(q)

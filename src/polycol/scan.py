@@ -88,6 +88,8 @@ def scan_polygons(box, seed=0, sample_rate=0.01):
     """
     if box > MAX_BOX:
         raise ValueError(f"box sizes above {MAX_BOX} are not supported")
+    if not 0 <= sample_rate <= 1:
+        raise ValueError("sample rate must lie in [0, 1]")
     cycles = enumerate_polygons(box)
     balanced_polys = []
     scanned = 0

@@ -170,3 +170,18 @@ def brute_force_polygon_equivalent(p_vertices, q_vertices):
         if image == qs:
             return True
     return False
+
+
+def dense_ring_product(ring, a, b):
+    """Product of two square matrices over ``ring``, by the triple loop."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ring.zero
+            for k in range(n):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)

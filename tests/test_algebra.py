@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,8 @@ from polycol.algebra import (
     column_inversion,
 )
 from polycol.columns import column_vectors
-from polycol.exactmath import QQ, ZZ, PolynomialRing, dot
+from polycol.exactmath import QQ, ZZ, IntegersMod, ModInt, PolynomialRing, dot
+from polycol.polytopes import dilate
 
 from .conftest import (
     HEXAGON,
@@ -40,6 +42,7 @@ from .conftest import (
     UNIT_SQUARE,
     WIDE_TRIANGLE,
 )
+from .helpers import dense_ring_product
 
 
 def col(p, vec):
@@ -142,6 +145,79 @@ def test_elementary_nontrivial_for_nonzero_scalar():
                 p.facets[c.base].on_facet
             )
             assert e.is_identity() == (not off_base)
+
+
+def _random_scalar(ring, rng):
+    if ring is ZZ:
+        return rng.randint(-2, 2)
+    if ring is QQ:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    if isinstance(ring, IntegersMod):
+        return ModInt(rng.randrange(ring.modulus), ring.modulus)
+    a, b = ring.var("a"), ring.var("b")
+    return rng.choice([a, b, a + b, -a, 2 * b, a * b, ring.zero])
+
+
+def _random_unit(ring, rng):
+    if ring is QQ:
+        return Fraction(rng.choice([1, 2, -3]), rng.choice([1, 5]))
+    if isinstance(ring, IntegersMod):
+        return ModInt(rng.choice([1, 5]), ring.modulus)
+    return rng.choice([ring.one, -ring.one])
+
+
+def _random_generator(p, ring, rng):
+    kind = rng.choice(["elementary", "torus", "symmetry"])
+    if kind == "elementary":
+        c = rng.choice(column_vectors(p))
+        return elementary_automorphism(p, c, _random_scalar(ring, rng), ring)
+    if kind == "torus":
+        units = [_random_unit(ring, rng) for _ in range(p.ambient_dim + 1)]
+        return torus_automorphism(p, units, ring)
+    return rng.choice(sigma_group(p, ring))
+
+
+def _no_stored_zero(g):
+    return all(c != g.ring.zero for col in g.columns for c in col.values())
+
+
+def test_sparse_compose_matches_dense_oracle():
+    rng = random.Random(11)
+    rings = [ZZ, QQ, PolynomialRing(("a", "b")), IntegersMod(6)]
+    for p in [TRIANGLE, TRAPEZOID, HEXAGON, SQUARE_PYRAMID]:
+        for ring in rings:
+            for _ in range(2):
+                g = identity_automorphism(p, ring)
+                for _ in range(4):
+                    h = _random_generator(p, ring, rng)
+                    assert _no_stored_zero(h)
+                    for x, y in ((g, h), (h, g)):
+                        xy = x.compose(y)
+                        assert _no_stored_zero(xy)
+                        assert xy.matrix == dense_ring_product(
+                            ring, x.matrix, y.matrix
+                        ), (p.name, ring, x, y)
+                    g = g.compose(h)
+
+
+def test_elementary_stores_no_vanishing_coefficient():
+    for ring in [ZZ, QQ, PolynomialRing(("a", "b")), IntegersMod(6)]:
+        for p in [TRIANGLE, TRAPEZOID, HEXAGON, SQUARE_PYRAMID]:
+            for c in column_vectors(p):
+                e = elementary_automorphism(p, c, ring.zero, ring)
+                assert e.columns == identity_automorphism(p, ring).columns
+    # on the hexagon the point (2, 3) has height 3, and 3 = C(3, 1) = C(3, 2)
+    # vanishes mod 3: only the two end terms of the binomial survive
+    ring = IntegersMod(3)
+    lam = ModInt(2, 3)
+    e = elementary_automorphism(HEXAGON, col(HEXAGON, (0, -1)), lam, ring)
+    pts = HEXAGON.lattice_points
+    column = e.columns[pts.index((2, 3))]
+    assert {pts[i]: c for i, c in column.items()} == {
+        (2, 3): ring.one,
+        (2, 0): lam * lam * lam,
+    }
+    assert _no_stored_zero(e)
 
 
 def test_elementary_inverse():
@@ -274,6 +350,16 @@ def test_steinberg_relations_fixtures():
         for entry in report["pairs"]:
             if entry["case"] != "skipped":
                 assert entry["ok"], (p.name, entry)
+
+
+def test_steinberg_dilated_triangle_k8():
+    p = dilate(TRIANGLE, 8)
+    assert len(p.lattice_points) == 45
+    report = verify_steinberg_relations(p)
+    assert report["all_ok"]
+    assert len(report["additivity"]) == 6
+    cases = Counter(entry["case"] for entry in report["pairs"])
+    assert cases == {"commute": 18, "product": 6, "skipped": 6}
 
 
 def test_steinberg_square_all_commute():

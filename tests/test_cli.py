@@ -181,6 +181,40 @@ def test_cli_export(tmp_path, capsys):
     assert len(data["skipped_pairs"]) == 2
 
 
+@pytest.mark.parametrize("modulus", ["0", "1", "-3"])
+def test_cli_export_rejects_modulus_below_2(tmp_path, capsys, modulus):
+    trap = write_poly(tmp_path, "trap", [[0, 0], [2, 0], [1, 1], [0, 1]])
+    code, out, err = run_cli(capsys, "export", trap, "--what", "presentation",
+                             "--modulus", modulus)
+    assert code == 2
+    assert out == ""
+    assert err == "error: modulus must be >= 2\n"
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+@pytest.mark.parametrize("vertices", [
+    [[0, 0], [2, 0], [1, 1], [0, 1]],
+    [[2, 0], [1, 2], [0, 1]],  # column-free
+])
+def test_cli_columns_property_rejects_degree_below_1(tmp_path, capsys, degree,
+                                                     vertices):
+    path = write_poly(tmp_path, "p", vertices)
+    code, out, err = run_cli(capsys, "verify", path, "--which",
+                             "columns-property", "--max-degree", degree)
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_degree must be >= 1\n"
+
+
+@pytest.mark.parametrize("rate", ["5", "-1", "nan"])
+def test_cli_scan_rejects_sample_rate_outside_unit_interval(capsys, rate):
+    code, out, err = run_cli(capsys, "scan-polygons", "--box", "1",
+                             "--sample-rate", rate)
+    assert code == 2
+    assert out == ""
+    assert err == "error: sample rate must lie in [0, 1]\n"
+
+
 def test_cli_spectrum(tmp_path, capsys):
     trap = write_poly(tmp_path, "trap", [[0, 0], [2, 0], [1, 1], [0, 1]])
     code, out, _ = run_cli(capsys, "spectrum", trap, "--steps", "2")
