@@ -630,31 +630,44 @@ def verify_additive_embedding(p, facet_index, grid=5):
     avars = [ring.var(f"a{i}") for i in range(s)]
     bvars = [ring.var(f"b{i}") for i in range(s)]
 
-    shears = [
-        elementary_automorphism(p, c, a, ring) for c, a in zip(cols, avars)
-    ]
+    def shears_at(values):
+        return [
+            elementary_automorphism(p, c, lam, ring) for c, lam in zip(cols, values)
+        ]
+
+    shears = shears_at(avars)
     ok_comm = True
     for ei, ej in itertools.combinations(shears, 2):
         if ei.compose(ej).columns != ej.compose(ei).columns:
             ok_comm = False
     report["pairwise_commute"] = ok_comm
 
-    def phi(values, rng):
+    def phi(factors, rng):
         out = identity_automorphism(p, rng)
-        for c, lam in zip(cols, values):
-            out = out.compose(elementary_automorphism(p, c, lam, rng))
+        for e in factors:
+            out = out.compose(e)
         return out
 
-    lhs = phi([a + b for a, b in zip(avars, bvars)], ring)
-    rhs = phi(avars, ring).compose(phi(bvars, ring))
+    lhs = phi(shears_at([a + b for a, b in zip(avars, bvars)]), ring)
+    rhs = phi(shears, ring).compose(phi(shears_at(bvars), ring))
     report["homomorphism"] = lhs.columns == rhs.columns
 
-    points = []
-    for i in range(grid):
-        for j in range(grid):
-            tup = [Fraction(i), Fraction(j)] + [Fraction(0)] * (s - 2)
-            points.append(tuple(tup[:s]))
-    images = {phi(pt, QQ) for pt in points}
+    # the grid varies the first two columns and keeps the rest at 0, so it
+    # needs one QQ shear per column and value
+    grid_shears = [
+        {
+            value: elementary_automorphism(p, c, Fraction(value), QQ)
+            for value in (range(grid) if k < 2 else (0,))
+        }
+        for k, c in enumerate(cols)
+    ]
+    points = [
+        (i, j) + (0,) * (s - 2) for i in range(grid) for j in range(grid)
+    ]
+    images = {
+        phi([grid_shears[k][value] for k, value in enumerate(pt)], QQ)
+        for pt in points
+    }
     report["grid_points"] = len(points)
     report["distinct_images"] = len(images)
     report["injective_on_grid"] = len(images) == len(points)

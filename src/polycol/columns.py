@@ -10,8 +10,11 @@ structures.
 
 All operations require a normalized full-dimensional polytope: with the
 lattice points affinely generating the ambient lattice, the base-facet form
-evaluates to exactly -1 on its column vectors, which both prunes the search
-and keeps the polytopal-algebra shears well defined.
+evaluates to exactly -1 on its column vectors, which keeps the
+polytopal-algebra shears well defined and bounds the search: a column with
+base F carries a lattice point at height 1 over F onto F, so the candidates
+for F are the differences y - x0 from one such point x0 to the points y of
+F.
 """
 
 from __future__ import annotations
@@ -52,13 +55,17 @@ class ColumnVector(NamedTuple):
 def column_vectors(p, pruned=True):
     """All column vectors of p with their base facets, canonically sorted.
 
-    Candidates are differences of lattice points; with ``pruned`` (the
-    default) only differences at height -1 over some facet are examined.
-    The literal definition is verified for every vector that is returned,
-    so pruning never changes the result on normalized input; ``--no-prune``
-    style runs exist to double-check exactly that.  Callers that only need
-    Col(P) read ``product_table(p).columns``, which searches once per
-    polytope object.
+    With ``pruned`` (the default) the candidates for a facet F are the
+    vectors y - x0 over the lattice points y of F, for one lattice point x0
+    at height exactly 1 over F; a facet without such a point is skipped.
+    This loses no column: a column v with base F has height -1 over F on
+    normalized input, so x0 + v lies in P at height 0, that is on F; and
+    shifting any point off F by v again and again passes through height 1.
+    Without ``pruned`` every difference of two lattice points is a
+    candidate.  Either way the literal definition is checked for every
+    candidate, so the two searches agree; ``--no-prune`` style runs exist
+    to double-check exactly that.  Callers that only need Col(P) read
+    ``product_table(p).columns``, which searches once per polytope object.
     """
     if not p.is_normalized:
         raise ValueError(
@@ -69,11 +76,16 @@ def column_vectors(p, pruned=True):
     pts = p.lattice_points
     pset = p.lattice_set
     facets = p.facets
-    diffs = sorted({vec_sub(y, x) for x in pts for y in pts if y != x})
+    if pruned:
+        cands = set()
+        for f in facets:
+            x0 = next((x for x in pts if dot(f.normal, x) == f.offset + 1), None)
+            if x0 is not None:
+                cands.update(vec_sub(y, x0) for y in f.points_on)
+    else:
+        cands = {vec_sub(y, x) for x in pts for y in pts if y != x}
     out = []
-    for v in diffs:
-        if pruned and not any(dot(f.normal, v) == -1 for f in facets):
-            continue
+    for v in sorted(cands):
         stuck = [x for x in pts if vec_add(x, v) not in pset]
         if not stuck:
             raise InternalCheckError(

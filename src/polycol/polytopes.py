@@ -1,9 +1,10 @@
 """Exact lattice-polytope geometry.
 
 Polytopes are given by integer points; facets come out of a double
-description run on the homogenization cone, lattice points out of a bounding
-box scan against the facet inequalities.  All derived data is cached on the
-polytope and immutable once computed.
+description run on the homogenization cone, lattice points fibre by fibre
+along the widest coordinate, each fibre cut to an exact interval by the
+facet inequalities.  All derived data is cached on the polytope and
+immutable once computed.
 """
 
 from __future__ import annotations
@@ -257,19 +258,44 @@ class Polytope:
         if self.dim == 0:
             return (self.vertices[0],)
         if self.is_full_dimensional:
-            pairs = self._facet_pairs
-            n = self.ambient_dim
-            lows = [min(v[i] for v in self.vertices) for i in range(n)]
-            highs = [max(v[i] for v in self.vertices) for i in range(n)]
-            pts = []
-            for z in itertools.product(
-                *(range(lo, hi + 1) for lo, hi in zip(lows, highs))
-            ):
-                if all(dot(a, z) >= b for a, b in pairs):
-                    pts.append(z)
-            return tuple(pts)
+            return self._fibre_lattice_points()
         model, embed = self._full_dim_model
         return tuple(sorted(embed.apply(z) for z in model.lattice_points))
+
+    def _fibre_lattice_points(self):
+        """Lattice points of a full-dimensional P, sorted, fibre by fibre.
+
+        The box is walked over every coordinate but the widest one, k (ties
+        go to the highest index); over each prefix the facet pairs cut the
+        line of z_k to an exact integer interval, whose points are all in
+        P.  The cost is the product of the other extents times the facet
+        count, plus the output.
+        """
+        n = self.ambient_dim
+        lows = [min(v[i] for v in self.vertices) for i in range(n)]
+        highs = [max(v[i] for v in self.vertices) for i in range(n)]
+        k = max(range(n), key=lambda i: (highs[i] - lows[i], i))
+        rest = [i for i in range(n) if i != k]
+        # a . z >= b reads a_k z_k >= b - s, where s = sum_{i != k} a_i z_i
+        forms = [(tuple(a[i] for i in rest), a[k], b) for a, b in self._facet_pairs]
+        pts = []
+        for prefix in itertools.product(*(range(lows[i], highs[i] + 1) for i in rest)):
+            lo, hi = lows[k], highs[k]
+            for coeffs, ak, b in forms:
+                r = sum(c * z for c, z in zip(coeffs, prefix)) - b
+                if ak > 0:
+                    lo = max(lo, -(r // ak))
+                elif ak < 0:
+                    hi = min(hi, r // -ak)
+                elif r < 0:
+                    break
+                if lo > hi:
+                    break
+            else:
+                head, tail = prefix[:k], prefix[k:]
+                pts.extend(head + (zk,) + tail for zk in range(lo, hi + 1))
+        pts.sort()
+        return tuple(pts)
 
     @cached_property
     def lattice_set(self):

@@ -84,6 +84,22 @@ def _hyperplane_normal(diffs, n):
     return tuple(v // g for v in ints)
 
 
+def box_scan_lattice_points(p):
+    """Lattice points of a full-dimensional polytope, in lexicographic
+    order, by testing every cell of the vertex bounding box against every
+    facet inequality."""
+    n = p.ambient_dim
+    lows = [min(v[i] for v in p.vertices) for i in range(n)]
+    highs = [max(v[i] for v in p.vertices) for i in range(n)]
+    return [
+        z
+        for z in itertools.product(
+            *(range(lo, hi + 1) for lo, hi in zip(lows, highs))
+        )
+        if all(dot(f.normal, z) >= f.offset for f in p.facets)
+    ]
+
+
 def literal_column_search(p):
     """Column vectors straight from the definition, no pruning at all.
 
@@ -107,6 +123,21 @@ def literal_column_search(p):
         elif len(bases) > 1:
             raise AssertionError(f"non-unique base facet for {v}")
     return found
+
+
+def random_unimodular_matrix(n, rng, shears=6, size=5):
+    """Seeded element of GL_n(Z): elementary shears, then a signed
+    permutation of the rows."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(shears if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        k = rng.randint(-size, size)
+        u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+    signed_rows = []
+    for r in rng.sample(range(n), n):
+        sign = rng.choice((1, -1))
+        signed_rows.append(tuple(sign * x for x in u[r]))
+    return tuple(signed_rows)
 
 
 def random_normalized_polytopes(seed, count, dims=(2, 3)):

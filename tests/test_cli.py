@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -78,6 +79,20 @@ def test_cli_analyze_pyramid(tmp_path, capsys):
     assert data["balanced"]["holds"] is True
     assert data["col_divisible"]["holds"] is False
     assert data["polygon_class"] is None
+
+
+def test_cli_analyze_large_coordinates(capsys, monkeypatch):
+    # the hexagon under U = ((1, 40), (40, 1601)), det 1: its bounding box
+    # holds about 6 * 10^5 cells, and it still has 19 lattice points
+    u = ((1, 40), (40, 1601))
+    hexagon = [(0, 0), (5, 0), (5, 2), (4, 3), (2, 3), (1, 2)]
+    image = [[u[0][0] * x + u[0][1] * y - 7, u[1][0] * x + u[1][1] * y + 3]
+             for x, y in hexagon]
+    assert max(abs(c) for row in u for c in row) > 10**3
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"vertices": image})))
+    code, out, _ = run_cli(capsys, "analyze", "-")
+    assert code == 0
+    assert json.loads(out)["lattice_point_count"] == 19
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
@@ -23,8 +24,14 @@ from polycol.columns import (
     weak_hull,
     weak_product,
 )
+from polycol.doubling import doubling_spectrum
 from polycol.exactmath import dot, vec_add, vec_sub
-from polycol.polytopes import normalize_full_dim, polytope_from_points
+from polycol.polytopes import (
+    linear_image,
+    normalize_full_dim,
+    polytope_from_points,
+    translate,
+)
 
 from .conftest import (
     SIMPLEX3,
@@ -37,7 +44,11 @@ from .conftest import (
     UNIT_SQUARE,
     WIDE_TRIANGLE,
 )
-from .helpers import literal_column_search, random_normalized_polytopes
+from .helpers import (
+    literal_column_search,
+    random_normalized_polytopes,
+    random_unimodular_matrix,
+)
 
 
 def cols_by_vector(p):
@@ -123,15 +134,39 @@ def test_column_base_uniqueness_and_height(corpus):
                     assert dot(f.normal, c.vector) >= 0
 
 
+def assert_column_searches_agree(q):
+    """Pruned search, unpruned search and the literal oracle agree on q."""
+    pruned = [(c.vector, c.base) for c in column_vectors(q)]
+    unpruned = [(c.vector, c.base) for c in column_vectors(q, pruned=False)]
+    assert pruned == unpruned == literal_column_search(q), q
+    return pruned
+
+
 def test_pruned_matches_literal_definition(corpus):
     for p in corpus:
         q, _ = normalize_full_dim(p)
-        if q.dim < 1:
-            continue
-        pruned = [(c.vector, c.base) for c in column_vectors(q)]
-        unpruned = [(c.vector, c.base) for c in column_vectors(q, pruned=False)]
-        oracle = literal_column_search(q)
-        assert pruned == unpruned == oracle, q.name
+        if q.dim >= 1:
+            assert_column_searches_agree(q)
+
+
+def test_column_candidates_on_sheared_corpus(corpus):
+    # sheared images have large coordinates but the same column structure
+    rng = random.Random(5)
+    for p in corpus:
+        for _ in range(3):
+            n = p.ambient_dim
+            u = random_unimodular_matrix(n, rng)
+            shift = tuple(rng.randint(-100, 100) for _ in range(n))
+            q, _ = normalize_full_dim(translate(linear_image(p, u), shift))
+            assert len(assert_column_searches_agree(q)) == len(column_vectors(p))
+
+
+def test_column_candidates_on_doubling_chain():
+    spectrum = doubling_spectrum(TRAPEZOID, 7)
+    chain = [spectrum.initial] + [step.result.doubled for step in spectrum.steps]
+    assert [q.ambient_dim for q in chain] == list(range(2, 10))
+    for q in chain:
+        assert_column_searches_agree(q)
 
 
 def test_columns_require_normalized():

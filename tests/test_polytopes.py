@@ -24,6 +24,7 @@ from polycol.scan import enumerate_polygons
 
 from .conftest import (
     BIG_TRAPEZOID,
+    CORPUS,
     HEXAGON,
     SEGMENT,
     SIMPLEX3,
@@ -34,7 +35,12 @@ from .conftest import (
     TRIANGLE2,
     UNIT_SQUARE,
 )
-from .helpers import brute_force_polygon_equivalent, facet_scan_oracle
+from .helpers import (
+    box_scan_lattice_points,
+    brute_force_polygon_equivalent,
+    facet_scan_oracle,
+    random_unimodular_matrix,
+)
 
 
 def test_constructor_validation():
@@ -116,22 +122,27 @@ def test_lattice_points():
 
 
 def test_lattice_points_box_oracle(corpus):
-    # independent enumeration: test every box point against every facet
-    for p in corpus:
-        if not p.is_full_dimensional:
-            continue
-        n = p.ambient_dim
-        lows = [min(v[i] for v in p.vertices) for i in range(n)]
-        highs = [max(v[i] for v in p.vertices) for i in range(n)]
-        expected = []
-        for z in itertools.product(
-            *(range(lo, hi + 1) for lo, hi in zip(lows, highs))
-        ):
-            if all(
-                dot(f.normal, z) >= f.offset for f in p.facets
-            ):
-                expected.append(z)
-        assert list(p.lattice_points) == expected
+    # independent enumeration: test every box point against every facet;
+    # the last three polytopes are widest along x, y and z in turn, so each
+    # coordinate serves as the fibre axis once
+    widest = [
+        polytope_from_points(verts)
+        for verts in (
+            [(0, 0, 0), (7, 1, 2), (1, 2, 0), (3, 0, 3)],
+            [(0, 0, 0), (1, 7, 2), (2, 1, 0), (0, 3, 3)],
+            [(0, 0, 0), (1, 2, 7), (2, 0, 1), (3, 3, 0)],
+        )
+    ]
+    for p in corpus + widest:
+        if p.is_full_dimensional:
+            assert list(p.lattice_points) == box_scan_lattice_points(p)
+
+
+def test_lattice_points_thin_triangle_with_huge_coordinates():
+    # a unimodular triangle whose bounding box holds about 10^10 cells
+    n = 10**5
+    verts = ((0, 0), (n, n + 1), (n + 1, n + 2))
+    assert polytope_from_points(verts).lattice_points == verts
 
 
 def test_hv_consistency(corpus):
@@ -466,6 +477,27 @@ def test_normal_form_invariant_under_unimodular_maps(points, steps, shift):
         assert amap.inverse.apply(amap.apply(v)) == v
     for w in q.lattice_points:
         assert amap.apply(amap.inverse.apply(w)) == w
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([p for p in CORPUS if p.ambient_dim in (2, 3)]),
+    st.randoms(use_true_random=False),
+    st.tuples(*[st.integers(-10**4, 10**4)] * 3),
+)
+def test_lattice_points_commute_with_unimodular_maps(p, rng, shift):
+    n = p.ambient_dim
+    u = random_unimodular_matrix(n, rng, shears=rng.randint(0, 6), size=6)
+    shift = shift[:n]
+    q = translate(linear_image(p, u), shift)
+    assert q.lattice_points == tuple(
+        sorted(vec_add(mat_vec(u, z), shift) for z in p.lattice_points)
+    )
+    box = 1
+    for i in range(n):
+        box *= max(v[i] for v in q.vertices) - min(v[i] for v in q.vertices) + 1
+    if box <= 20000:
+        assert list(q.lattice_points) == box_scan_lattice_points(q)
 
 
 def test_unimodular_frame_map():
