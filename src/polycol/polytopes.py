@@ -543,8 +543,8 @@ def integral_affine_equivalent(p, q):
     if {vec_add(v, shift) for v in p.vertices} == set(q.vertices):
         return AffineLatticeMap.translation_map(shift)
     if n == 2:
-        form_p, frame_p = _min_polygon_frame(p)
-        form_q, frame_q = _min_polygon_frame(q)
+        form_p, frame_p = min_polygon_frame(polygon_cycle(p))
+        form_q, frame_q = min_polygon_frame(polygon_cycle(q))
         if form_p != form_q:
             return None
         amap = unimodular_frame_map(frame_p, frame_q)
@@ -615,35 +615,36 @@ def polygon_normal_form(p):
     the frame map between two equal forms is an equivalence, which makes it
     complete.
     """
-    return _min_polygon_frame(p)[0]
+    return min_polygon_frame(polygon_cycle(p))[0]
 
 
-def _min_polygon_frame(p):
-    """(normal form, (v, a, b)) for the first frame reaching the minimum."""
-    cyc = polygon_cycle(p)
+def min_polygon_frame(cyc):
+    """(normal form, (v, a, b)) for the first frame reaching the minimum.
+
+    ``cyc`` is the polygon's vertex cycle: its vertices in cyclic order,
+    each one a vertex of the hull, such as ``polygon_cycle`` returns.  The
+    form does not depend on the start vertex or the direction; the frame
+    returned does.
+    """
     m = len(cyc)
     best = None
-    for i, v in enumerate(cyc):
-        prev, nxt = cyc[i - 1], cyc[(i + 1) % m]
-        for a, b in ((nxt, prev), (prev, nxt)):
-            (r0, r1), (s0, s1) = _frame_matrix(vec_sub(a, v), vec_sub(b, v))
-            form = tuple(sorted(
-                (r0 * (w[0] - v[0]) + r1 * (w[1] - v[1]),
-                 s0 * (w[0] - v[0]) + s1 * (w[1] - v[1]))
-                for w in cyc
-            ))
+    for i, (vx, vy) in enumerate(cyc):
+        rel = [(w[0] - vx, w[1] - vy) for w in cyc]
+        for j, k in (((i + 1) % m, i - 1), (i - 1, (i + 1) % m)):
+            (r0, r1), (s0, s1) = _frame_matrix(rel[j], rel[k])
+            form = tuple(sorted([(r0 * x + r1 * y, s0 * x + s1 * y) for x, y in rel]))
             if best is None or form < best[0]:
-                best = (form, (v, a, b))
+                best = (form, (cyc[i], cyc[j], cyc[k]))
     return best
 
 
 def _frame_matrix(ea, eb):
     """The U in GL2(Z) with U primitive(ea) = (1, 0) and U eb = (x, y),
     0 <= x < y; ea and eb must be linearly independent."""
-    dx, dy = primitive_part(ea)
-    _, x, y = extended_gcd(dx, dy)
-    # rows (x, y) and (-dy, dx) have determinant 1 and send (dx, dy) to (1, 0)
-    s0, s1 = -dy, dx
+    g, x, y = extended_gcd(ea[0], ea[1])
+    # with (dx, dy) = ea / g, rows (x, y) and (-dy, dx) have determinant 1
+    # and send (dx, dy) to (1, 0)
+    s0, s1 = -ea[1] // g, ea[0] // g
     height = s0 * eb[0] + s1 * eb[1]
     if height < 0:
         s0, s1, height = -s0, -s1, -height

@@ -2,11 +2,20 @@
 
 Convex polygons with vertices in the (box+1) x (box+1) grid are enumerated
 up to translation as closed edge-vector loops with strictly increasing
-directions; that yields every hull of a grid subset exactly once.  Balanced
-polygons are checked for Col-divisibility one by one, deduplicated up to
-integral-affine equivalence through a dict keyed by
-``polytopes.polygon_normal_form`` (the least vertex tuple represents its
-class), and the representatives are classified.
+directions; that yields every hull of a grid subset exactly once, as the
+counterclockwise cycle of its vertices.  A path is cut as soon as the
+directions left can no longer bring it back to the origin.
+
+The scan classifies first.  Each cycle's normal form
+(``polytopes.min_polygon_frame``) is computed straight from the cycle, and
+the cycles are grouped by it.  Balancedness, Col-divisibility, the column
+table and the class label are integral-affine invariants, so they are
+computed once per class, on a polytope built from the class's least sorted
+vertex tuple; counts of polygons are sums of class sizes.  Only the members
+of a class that fails Col-divisibility, and a seeded sample of balanced
+polygons, are built in full.  The sample is the runtime check of the
+invariance: each sampled polygon must match its class, and its pruned
+column search must match the unpruned one.
 """
 
 from __future__ import annotations
@@ -15,13 +24,19 @@ import random
 from math import gcd
 
 from .columns import (
+    UnclassifiablePolygonError,
     classify_balanced_polygon,
     column_vectors,
     is_balanced,
     is_col_divisible,
     product_table,
 )
-from .polytopes import angular_key, polygon_normal_form, polytope_from_points
+from .polytopes import (
+    InternalCheckError,
+    angular_key,
+    min_polygon_frame,
+    polytope_from_points,
+)
 
 MAX_BOX = 4
 
@@ -50,24 +65,36 @@ def enumerate_polygons(box):
         raise ValueError("box must be >= 1")
     dirs = _directions(box)
     nd = len(dirs)
+    ex, ey = dirs[-1]
+    # pointed[i]: dirs[i:] lie within a half-turn, so a path can still close
+    # only if -cur lies in the cone spanned by dirs[i] and dirs[-1]
+    pointed = [dx * ey - dy * ex > 0 for dx, dy in dirs]
     path = [(0, 0)]
     polys = []
 
     # lo_x..hi_y is the bounding box of path, carried down the recursion
     def rec(i, edges_used, lo_x, hi_x, lo_y, hi_y):
-        cur = path[-1]
-        if i == nd:
-            if cur == (0, 0) and edges_used >= 3:
+        cx, cy = path[-1]
+        if edges_used and cx == 0 and cy == 0:
+            # closed; the directions left turn less than a full circle, so
+            # they cannot close a second loop
+            if edges_used >= 3:
                 polys.append(tuple((x - lo_x, y - lo_y) for x, y in path[:-1]))
+            return
+        if i == nd:
+            return
+        dx, dy = dirs[i]
+        if pointed[i] and (dy * cx - dx * cy < 0 or ex * cy - ey * cx < 0):
             return
         # skip this direction entirely
         rec(i + 1, edges_used, lo_x, hi_x, lo_y, hi_y)
-        dx, dy = dirs[i]
         k = 1
         while True:
-            x, y = cur[0] + k * dx, cur[1] + k * dy
-            nlo_x, nhi_x = min(lo_x, x), max(hi_x, x)
-            nlo_y, nhi_y = min(lo_y, y), max(hi_y, y)
+            x, y = cx + k * dx, cy + k * dy
+            nlo_x = x if x < lo_x else lo_x
+            nhi_x = x if x > hi_x else hi_x
+            nlo_y = y if y < lo_y else lo_y
+            nhi_y = y if y > hi_y else hi_y
             if nhi_x - nlo_x > box or nhi_y - nlo_y > box:
                 break
             path.append((x, y))
@@ -82,46 +109,51 @@ def enumerate_polygons(box):
 def scan_polygons(box, seed=0, sample_rate=0.01):
     """Classify every balanced polygon in the box; summary dictionary.
 
-    Balanced polygons are deduplicated up to integral-affine equivalence by
-    their normal forms, so per-class counts are counts of equivalence
-    classes.  A seeded sample is re-verified with pruning disabled.
+    The column work runs once per integral-affine class (see the module
+    docstring), so the per-label counts are counts of classes and the
+    polygon counts are sums of class sizes.  The seeded sample is drawn over
+    the balanced polygons in enumeration order.
     """
     if box > MAX_BOX:
         raise ValueError(f"box sizes above {MAX_BOX} are not supported")
     if not 0 <= sample_rate <= 1:
         raise ValueError("sample rate must lie in [0, 1]")
     cycles = enumerate_polygons(box)
-    balanced_polys = []
-    scanned = 0
-    for cycle in cycles:
-        scanned += 1
-        p = polytope_from_points(cycle)
-        flag, _ = is_balanced(p)
-        if flag:
-            balanced_polys.append(p)
+    # every enumerated cycle is the counterclockwise vertex cycle of its hull
+    forms = [min_polygon_frame(cycle)[0] for cycle in cycles]
+    members = {}
+    for form, cycle in zip(forms, cycles):
+        members.setdefault(form, []).append(cycle)
 
-    # divisibility holds polygon by polygon, not just per class
+    reps = {}  # form of a balanced class -> its least sorted vertex tuple's polytope
+    invariants = {}  # form of a balanced class -> _invariants of its representative
+    for form, group in members.items():
+        rep = polytope_from_points(min(tuple(sorted(c)) for c in group))
+        inv = _invariants(rep)
+        if inv[0]:
+            reps[form], invariants[form] = rep, inv
+
+    # every member of a failing class, each with its own witness
+    failing = {form for form, inv in invariants.items() if not inv[1]}
     divisibility_failures = []
-    for p in balanced_polys:
-        ok, wit = is_col_divisible(p)
-        if not ok:
+    for form, cycle in zip(forms, cycles):
+        if form in failing:
+            ok, wit = is_col_divisible(polytope_from_points(cycle))
+            if ok:
+                raise InternalCheckError(
+                    f"Col-divisible member {sorted(cycle)} of a failing class"
+                )
             divisibility_failures.append(
-                {"vertices": [list(v) for v in p.vertices], "witness": repr(wit)}
+                {"vertices": [list(v) for v in sorted(cycle)], "witness": repr(wit)}
             )
-
-    # one representative per integral-affine class: the least vertex tuple
-    reps = {}
-    for p in sorted(balanced_polys, key=lambda q: q.vertices):
-        reps.setdefault(polygon_normal_form(p), p)
-    class_reps = list(reps.values())  # inserted in vertex order
 
     per_class = {}
     witnesses = {}
     unclassified = []
-    for p in class_reps:
+    for p in sorted(reps.values(), key=lambda q: q.vertices):
         try:
             cls = classify_balanced_polygon(p)
-        except Exception as exc:  # surfaced, never swallowed
+        except UnclassifiablePolygonError as exc:  # surfaced, never swallowed
             unclassified.append(
                 {"vertices": [list(v) for v in p.vertices], "error": str(exc)}
             )
@@ -133,20 +165,19 @@ def scan_polygons(box, seed=0, sample_rate=0.01):
     rng = random.Random(seed)
     sample_checked = 0
     sample_failures = []
-    for p in balanced_polys:
-        if rng.random() < sample_rate:
+    for form, cycle in zip(forms, cycles):
+        if form in reps and rng.random() < sample_rate:
             sample_checked += 1
-            if product_table(p).columns != column_vectors(p, pruned=False):
-                sample_failures.append([list(v) for v in p.vertices])
-            flag, _ = is_balanced(p)
-            if not flag:
+            p = polytope_from_points(cycle)
+            if (_invariants(p) != invariants[form]
+                    or product_table(p).columns != column_vectors(p, pruned=False)):
                 sample_failures.append([list(v) for v in p.vertices])
 
     return {
         "box": box,
-        "polygons_up_to_translation": scanned,
-        "balanced_polygons": len(balanced_polys),
-        "balanced_classes": len(class_reps),
+        "polygons_up_to_translation": len(cycles),
+        "balanced_polygons": sum(len(members[form]) for form in reps),
+        "balanced_classes": len(reps),
         "class_counts": dict(sorted(per_class.items())),
         "class_witnesses": dict(sorted(witnesses.items())),
         "absent_classes": sorted(set("abcdef") - set(per_class)),
@@ -157,3 +188,11 @@ def scan_polygons(box, seed=0, sample_rate=0.01):
             "failures": sample_failures,
         },
     }
+
+
+def _invariants(p):
+    """(balanced, Col-divisible or None, column count) of a polygon, all
+    invariant under integral-affine maps."""
+    flag, _ = is_balanced(p)
+    divisible = is_col_divisible(p)[0] if flag else None
+    return flag, divisible, len(product_table(p).columns)

@@ -1,15 +1,30 @@
 """Independent oracles used to cross-check the production algorithms.
 
 Everything here is deliberately brute force and shares no code path with
-the implementations under test.
+the implementations under test, except the slow paths kept for the polygon
+scan: they call the same column and normal-form functions, one polygon at a
+time, so they check the grouping and the pruning, not those functions.
 """
 
 import itertools
 import random
 from math import gcd
 
+from polycol.columns import (
+    UnclassifiablePolygonError,
+    classify_balanced_polygon,
+    column_vectors,
+    is_balanced,
+    is_col_divisible,
+    product_table,
+)
 from polycol.exactmath import dot, vec_add, vec_sub
-from polycol.polytopes import normalize_full_dim, polytope_from_points
+from polycol.polytopes import (
+    normalize_full_dim,
+    polygon_normal_form,
+    polytope_from_points,
+)
+from polycol.scan import _directions, enumerate_polygons
 
 
 def facet_scan_oracle(points, n):
@@ -216,3 +231,106 @@ def dense_ring_product(ring, a, b):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
+
+
+def unpruned_enumerate_polygons(box):
+    """``scan.enumerate_polygons`` without its closing-cone pruning: every
+    direction is tried at every step, and a path is kept only if it is back
+    at the origin after the last direction."""
+    dirs = _directions(box)
+    path = [(0, 0)]
+    polys = []
+
+    def rec(i, edges_used):
+        cur = path[-1]
+        if i == len(dirs):
+            xs = [x for x, _ in path]
+            ys = [y for _, y in path]
+            if cur == (0, 0) and edges_used >= 3:
+                polys.append(tuple((x - min(xs), y - min(ys)) for x, y in path[:-1]))
+            return
+        rec(i + 1, edges_used)
+        dx, dy = dirs[i]
+        k = 1
+        while True:
+            path.append((cur[0] + k * dx, cur[1] + k * dy))
+            xs = [x for x, _ in path]
+            ys = [y for _, y in path]
+            if max(xs) - min(xs) > box or max(ys) - min(ys) > box:
+                path.pop()
+                break
+            rec(i + 1, edges_used + 1)
+            path.pop()
+            k += 1
+
+    rec(0, 0)
+    return polys
+
+
+def per_polygon_scan(box, seed=0, sample_rate=0.01):
+    """``scan.scan_polygons`` polygon by polygon: a polytope, balancedness
+    and Col-divisibility for every enumerated polygon, dedupe of the
+    balanced ones by normal form afterwards."""
+    cycles = enumerate_polygons(box)
+    balanced_polys = []
+    for cycle in cycles:
+        p = polytope_from_points(cycle)
+        flag, _ = is_balanced(p)
+        if flag:
+            balanced_polys.append(p)
+
+    divisibility_failures = []
+    for p in balanced_polys:
+        ok, wit = is_col_divisible(p)
+        if not ok:
+            divisibility_failures.append(
+                {"vertices": [list(v) for v in p.vertices], "witness": repr(wit)}
+            )
+
+    reps = {}
+    for p in sorted(balanced_polys, key=lambda q: q.vertices):
+        reps.setdefault(polygon_normal_form(p), p)
+    class_reps = list(reps.values())
+
+    per_class = {}
+    witnesses = {}
+    unclassified = []
+    for p in class_reps:
+        try:
+            cls = classify_balanced_polygon(p)
+        except UnclassifiablePolygonError as exc:
+            unclassified.append(
+                {"vertices": [list(v) for v in p.vertices], "error": str(exc)}
+            )
+            continue
+        per_class[cls.label] = per_class.get(cls.label, 0) + 1
+        if cls.label not in witnesses:
+            witnesses[cls.label] = [list(v) for v in p.vertices]
+
+    rng = random.Random(seed)
+    sample_checked = 0
+    sample_failures = []
+    for p in balanced_polys:
+        if rng.random() < sample_rate:
+            sample_checked += 1
+            if product_table(p).columns != column_vectors(p, pruned=False):
+                sample_failures.append([list(v) for v in p.vertices])
+            flag, _ = is_balanced(p)
+            if not flag:
+                sample_failures.append([list(v) for v in p.vertices])
+
+    return {
+        "box": box,
+        "polygons_up_to_translation": len(cycles),
+        "balanced_polygons": len(balanced_polys),
+        "balanced_classes": len(class_reps),
+        "class_counts": dict(sorted(per_class.items())),
+        "class_witnesses": dict(sorted(witnesses.items())),
+        "absent_classes": sorted(set("abcdef") - set(per_class)),
+        "unclassified": unclassified,
+        "col_divisibility_failures": divisibility_failures,
+        "sample_recheck": {
+            "checked": sample_checked,
+            "failures": sample_failures,
+        },
+    }

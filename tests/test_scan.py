@@ -1,0 +1,160 @@
+"""The class-first polygon scan against its per-polygon slow paths."""
+
+import json
+
+import pytest
+
+from polycol import columns, scan
+from polycol.cli import main
+from polycol.columns import UnclassifiablePolygonError
+from polycol.polytopes import (
+    InternalCheckError,
+    min_polygon_frame,
+    polygon_cycle,
+    polygon_normal_form,
+    polytope_from_points,
+)
+from polycol.scan import enumerate_polygons, scan_polygons
+
+from . import helpers
+from .helpers import per_polygon_scan, unpruned_enumerate_polygons
+
+UNIT_TRIANGLE = polytope_from_points([(0, 0), (1, 0), (0, 1)])
+
+
+@pytest.mark.parametrize("box", [1, 2, 3])
+def test_enumeration_matches_unpruned_oracle(box):
+    # same polygons in the same order: the scan's sample draws follow it
+    assert enumerate_polygons(box) == unpruned_enumerate_polygons(box)
+
+
+@pytest.mark.parametrize("box", [2, 3])
+def test_cycles_are_hull_vertex_cycles(box):
+    for cycle in enumerate_polygons(box):
+        p = polytope_from_points(cycle)
+        assert tuple(sorted(cycle)) == p.vertices
+        ccw = polygon_cycle(p)
+        start = cycle.index(ccw[0])
+        assert cycle[start:] + cycle[:start] == ccw
+        form = polygon_normal_form(p)
+        for i in range(len(cycle)):
+            rotated = cycle[i:] + cycle[:i]
+            assert min_polygon_frame(rotated)[0] == form
+            assert min_polygon_frame(rotated[::-1])[0] == form
+
+
+@pytest.mark.parametrize(
+    "box, seed, rate",
+    [(1, 0, 0.01), (1, 7, 0.01), (2, 0, 0.01), (2, 7, 0.01),
+     (3, 0, 0.01), (3, 7, 0.01), (2, 0, 1.0)],
+)
+def test_scan_matches_per_polygon_oracle(box, seed, rate):
+    assert scan_polygons(box, seed, rate) == per_polygon_scan(box, seed, rate)
+
+
+def _members(box, form):
+    return [
+        c for c in enumerate_polygons(box)
+        if polygon_normal_form(polytope_from_points(c)) == form
+    ]
+
+
+def test_failing_class_lists_every_member(monkeypatch):
+    target = polygon_normal_form(UNIT_TRIANGLE)
+    real = columns.is_col_divisible
+
+    def patched(p):
+        if polygon_normal_form(p) == target:
+            return False, ("patched", p.vertices)
+        return real(p)
+
+    monkeypatch.setattr(scan, "is_col_divisible", patched)
+    monkeypatch.setattr(helpers, "is_col_divisible", patched)
+    members = _members(2, target)
+    assert len(members) > 1
+    summary = scan_polygons(2, seed=7)
+    assert summary["col_divisibility_failures"] == [
+        {"vertices": [list(v) for v in sorted(c)],
+         "witness": repr(("patched", tuple(sorted(c))))}
+        for c in members
+    ]
+    assert summary == per_polygon_scan(2, seed=7)
+
+
+def test_failing_representative_with_passing_member_is_a_broken_invariant(
+        monkeypatch):
+    rep = min(tuple(sorted(c))
+              for c in _members(2, polygon_normal_form(UNIT_TRIANGLE)))
+    real = columns.is_col_divisible
+
+    def patched(p):
+        return (False, "patched") if p.vertices == rep else real(p)
+
+    monkeypatch.setattr(scan, "is_col_divisible", patched)
+    with pytest.raises(InternalCheckError):
+        scan_polygons(2)
+
+
+def test_sample_recheck_reports_members_unlike_their_class(monkeypatch):
+    triangles = _members(1, polygon_normal_form(UNIT_TRIANGLE))
+    assert len(triangles) == 4
+    rep = min(tuple(sorted(c)) for c in triangles)
+    real = columns.is_col_divisible
+
+    def patched(p):
+        if len(p.vertices) == 3 and p.vertices != rep:
+            return False, "patched"
+        return real(p)
+
+    monkeypatch.setattr(scan, "is_col_divisible", patched)
+    summary = scan_polygons(1, sample_rate=1.0)
+    assert summary["sample_recheck"]["checked"] == 5
+    assert summary["col_divisibility_failures"] == []
+    # every triangle but the class representative differs from its class
+    assert summary["sample_recheck"]["failures"] == [
+        [list(v) for v in sorted(c)] for c in triangles if tuple(sorted(c)) != rep
+    ]
+
+
+def test_sample_recheck_compares_pruned_and_unpruned_columns(monkeypatch):
+    monkeypatch.setattr(scan, "column_vectors", lambda p, pruned=True: [])
+    summary = scan_polygons(1, sample_rate=1.0)
+    assert summary["sample_recheck"]["failures"] == [
+        [list(v) for v in sorted(c)] for c in enumerate_polygons(1)
+    ]
+
+
+def test_unclassifiable_polygon_is_listed_and_exits_1(monkeypatch, capsys):
+    real = columns.classify_balanced_polygon
+
+    def patched(p):
+        cls = real(p)
+        if cls.label == "e":
+            raise UnclassifiablePolygonError("patched")
+        return cls
+
+    monkeypatch.setattr(scan, "classify_balanced_polygon", patched)
+    code = main(["scan-polygons", "--box", "1"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["unclassified"] == [
+        {"vertices": [[0, 0], [0, 1], [1, 0], [1, 1]], "error": "patched"}
+    ]
+    assert out["class_counts"] == {"a": 1}
+
+
+@pytest.mark.parametrize(
+    "exc, prefix",
+    [(KeyError("patched"), "internal error: KeyError: "),
+     (InternalCheckError("patched"), "internal check failed: ")],
+)
+def test_other_classification_errors_exit_3(monkeypatch, capsys, exc, prefix):
+    def patched(p):
+        raise exc
+
+    monkeypatch.setattr(scan, "classify_balanced_polygon", patched)
+    code = main(["scan-polygons", "--box", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
