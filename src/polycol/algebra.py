@@ -235,10 +235,9 @@ def elementary_automorphism(p, col, lam, ring):
     if key not in table.index:
         raise ValueError(f"{key} is not a column vector")
     col = table.columns[table.index[key]]
-    facet = p.facets[col.base]
     pts = p.lattice_points
     index = {z: i for i, z in enumerate(pts)}
-    heights = [dot(facet.normal, x) - facet.offset for x in pts]
+    heights = p.facet_heights[col.base]
     powers = [ring.one]
     for _ in range(max(heights)):
         powers.append(powers[-1] * lam)
@@ -481,16 +480,13 @@ def column_inversion(p, col):
         raise ValueError("column inversion needs both v and -v as columns")
     cv = table.columns[table.index[key]]
     cnv = table.columns[table.index[neg]]
-    f_plus = p.facets[cv.base]
-    f_minus = p.facets[cnv.base]
+    h_plus = p.facet_heights[cv.base]
+    h_minus = p.facet_heights[cnv.base]
     pts = p.lattice_points
     index = {z: i for i, z in enumerate(pts)}
     perm = []
-    for x in pts:
-        t = (dot(f_plus.normal, x) - f_plus.offset) - (
-            dot(f_minus.normal, x) - f_minus.offset
-        )
-        y = vec_add(x, vec_scale(t, key))
+    for x, a, b in zip(pts, h_plus, h_minus):
+        y = vec_add(x, vec_scale(a - b, key))
         if y not in index:
             raise InternalCheckError("column inversion left the polytope")
         perm.append(index[y])

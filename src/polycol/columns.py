@@ -15,6 +15,15 @@ polytopal-algebra shears well defined and bounds the search: a column with
 base F carries a lattice point at height 1 over F onto F, so the candidates
 for F are the differences y - x0 from one such point x0 to the points y of
 F.
+
+Both the base test and the product test read only facet heights, through
+two integer matrices on the polytope: H[G][i], the height of lattice point
+i over facet G, and M[F][G], the least height over G of a lattice point off
+F.  Min-height rule: with c_G the height of v over G, v has base F exactly
+when M[F][G] >= -c_G for every G with c_G < 0, because x + v is in P iff
+H[G][x] + c_G >= 0 for every G.  Likewise u*v exists exactly when
+M[F_u][F_v] + c > 0 for c the height of u over F_v: the points x + u, x off
+F_u, then all stay off F_v.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .exactmath import (
@@ -47,6 +57,7 @@ from .polytopes import (
 class ColumnVector(NamedTuple):
     vector: tuple
     base: int  # index into the polytope's facet list
+    heights: tuple = ()  # normal_G . vector for every facet G, in facet order
 
     def __repr__(self):
         return f"Col({self.vector}, base={self.base})"
@@ -61,11 +72,20 @@ def column_vectors(p, pruned=True):
     This loses no column: a column v with base F has height -1 over F on
     normalized input, so x0 + v lies in P at height 0, that is on F; and
     shifting any point off F by v again and again passes through height 1.
+    Each candidate comes with its heights c_G = H[G][y] - H[G][x0] over
+    every facet G (H is ``p.facet_heights``), and the min-height rule
+    decides its base: F is a base of v exactly when M[F][G] >= -c_G for
+    every G with c_G < 0 (M is ``p.off_facet_minima``).  Proof: a lattice
+    point x lies in P iff H[G][x] >= 0 for all G, so x + v does iff
+    H[G][x] + c_G >= 0 for all G; over the points x off F the least H[G][x]
+    is M[F][G].
+
     Without ``pruned`` every difference of two lattice points is a
-    candidate.  Either way the literal definition is checked for every
-    candidate, so the two searches agree; ``--no-prune`` style runs exist
-    to double-check exactly that.  Callers that only need Col(P) read
-    ``product_table(p).columns``, which searches once per polytope object.
+    candidate, and each is checked literally, by shifting every lattice
+    point and looking the result up; ``--no-prune`` style runs use this
+    slow path to double-check the pruning and the min-height rule.  Callers
+    that only need Col(P) read ``product_table(p).columns``, which searches
+    once per polytope object.
     """
     if not p.is_normalized:
         raise ValueError(
@@ -73,36 +93,66 @@ def column_vectors(p, pruned=True):
         )
     if p.dim < 1:
         raise ValueError("column vectors need dimension >= 1")
+    found = _min_height_bases(p) if pruned else _literal_bases(p)
+    out = []
+    for v, heights, bases in found:
+        if not bases:
+            continue
+        if len(bases) > 1:
+            raise InternalCheckError(f"column vector {v} has several base facets")
+        base = bases[0]
+        if heights[base] != -1:
+            raise InternalCheckError(
+                f"column vector {v} has base height != -1 on normalized input"
+            )
+        out.append(ColumnVector(v, base, heights))
+    return tuple(out)
+
+
+def _min_height_bases(p):
+    """(v, heights, bases) for the pruned candidates, in sorted order, with
+    the bases decided by the min-height rule."""
+    pts = p.lattice_points
+    facet_heights = p.facet_heights
+    cands = {}
+    for f, row in zip(p.facets, facet_heights):
+        i0 = next((i for i, h in enumerate(row) if h == 1), None)
+        if i0 is None:
+            continue
+        x0 = pts[i0]
+        for j in f.on_facet:
+            v = vec_sub(pts[j], x0)
+            if v not in cands:
+                cands[v] = tuple(hg[j] - hg[i0] for hg in facet_heights)
+    minima = p.off_facet_minima
+    for v in sorted(cands):
+        heights = cands[v]
+        neg = [(g, -c) for g, c in enumerate(heights) if c < 0]
+        if not neg:
+            raise InternalCheckError(
+                f"{v} shifts every lattice point inside a bounded polytope"
+            )
+        bases = [
+            f for f, row in enumerate(minima) if all(row[g] >= c for g, c in neg)
+        ]
+        yield v, heights, bases
+
+
+def _literal_bases(p):
+    """(v, heights, bases) for every lattice-point difference, in sorted
+    order, with the bases decided by shifting every lattice point."""
     pts = p.lattice_points
     pset = p.lattice_set
     facets = p.facets
-    if pruned:
-        cands = set()
-        for f in facets:
-            x0 = next((x for x in pts if dot(f.normal, x) == f.offset + 1), None)
-            if x0 is not None:
-                cands.update(vec_sub(y, x0) for y in f.points_on)
-    else:
-        cands = {vec_sub(y, x) for x in pts for y in pts if y != x}
-    out = []
-    for v in sorted(cands):
+    for v in sorted({vec_sub(y, x) for x in pts for y in pts if y != x}):
         stuck = [x for x in pts if vec_add(x, v) not in pset]
         if not stuck:
             raise InternalCheckError(
                 f"{v} shifts every lattice point inside a bounded polytope"
             )
         bases = [i for i, f in enumerate(facets) if f.points_on.issuperset(stuck)]
-        if not bases:
-            continue
-        if len(bases) > 1:
-            raise InternalCheckError(f"column vector {v} has several base facets")
-        base = bases[0]
-        if dot(facets[base].normal, v) != -1:
-            raise InternalCheckError(
-                f"column vector {v} has base height != -1 on normalized input"
-            )
-        out.append(ColumnVector(v, base))
-    return tuple(out)
+        heights = tuple(dot(f.normal, v) for f in facets) if bases else None
+        yield v, heights, bases
 
 
 class ProductTable:
@@ -133,53 +183,76 @@ class ProductTable:
         entry = self.rows[self.index[u.vector]][self.index[v.vector]]
         return self.columns[entry[1]] if entry[0] == "product" else None
 
+    @cached_property
+    def balanced(self):
+        """(flag, witness) of ``is_balanced``."""
+        one_sided = True
+        absolute = True
+        witness = None
+        for u in self.columns:
+            g = u.base
+            for v in self.columns:
+                val = v.heights[g]
+                if val > 1:
+                    one_sided = False
+                    absolute = False
+                    if witness is None:
+                        witness = (u, v, val)
+                elif val < -1:
+                    absolute = False
+                    if witness is None:
+                        witness = (u, v, val)
+        if one_sided != absolute:
+            raise InternalCheckError(
+                "one-sided and absolute balancedness disagree"
+            )
+        return one_sided, witness
+
 
 def product_table(p):
     """Col(P) and its partial product, built once per polytope object.
 
-    The table is stored on ``p`` itself (next to its cached properties), so
-    it lives exactly as long as ``p`` and is never shared with an equal
-    polytope.
+    The product u*v of two columns exists when no lattice point x off the
+    base F_u of u is carried onto the base F_v of v by u.  Such an x + u
+    lies in P at height H[F_v][x] + c over F_v, where c = normal_{F_v} . u,
+    so the product exists exactly when M[F_u][F_v] + c > 0 (M is
+    ``p.off_facet_minima``): one comparison per entry, no lattice point
+    touched.  The table is stored on ``p`` itself (next to its cached
+    properties), so it lives exactly as long as ``p`` and is never shared
+    with an equal polytope.
     """
     table = p.__dict__.get("_product_table")
     if table is not None:
         return table
     cols = column_vectors(p)
-    facets = p.facets
-    pts = p.lattice_points
+    minima = p.off_facet_minima
     index = {c.vector: i for i, c in enumerate(cols)}
+    bases = [c.base for c in cols]
     rows = []
-    # precompute, per base facet, the points off the facet
-    off_facet = {}
-    for i, c in enumerate(cols):
-        if c.base not in off_facet:
-            on = facets[c.base].points_on
-            off_facet[c.base] = [x for x in pts if x not in on]
     for u in cols:
+        mins = minima[u.base]
+        heights = u.heights
+        opposite = index.get(vec_neg(u.vector))
         row = []
         rows.append(row)
-        for v in cols:
-            s = vec_add(u.vector, v.vector)
-            if not any(s):
+        for j, g in enumerate(bases):
+            if j == opposite:
                 row.append(("zero",))
-                continue
-            target = facets[v.base].points_on
-            exists = all(
-                vec_add(x, u.vector) not in target for x in off_facet[u.base]
-            )
-            if not exists:
+            elif mins[g] + heights[g] <= 0:
                 row.append(("none",))
-                continue
-            k = index.get(s)
-            if k is None:
-                raise InternalCheckError(
-                    f"product {u.vector}*{v.vector} exists but {s} is not a column"
-                )
-            if cols[k].base != u.base:
-                raise InternalCheckError(
-                    f"product {s} does not inherit the left base facet"
-                )
-            row.append(("product", k))
+            else:
+                s = vec_add(u.vector, cols[j].vector)
+                k = index.get(s)
+                if k is None:
+                    raise InternalCheckError(
+                        f"product {u.vector}*{cols[j].vector} exists but {s} "
+                        "is not a column"
+                    )
+                if bases[k] != u.base:
+                    raise InternalCheckError(
+                        f"product {s} does not inherit the left base facet"
+                    )
+                row.append(("product", k))
     table = p.__dict__["_product_table"] = ProductTable(cols, rows)
     return table
 
@@ -305,32 +378,10 @@ def is_balanced(p):
 
     Also evaluates the absolute-value variant and checks the two predicates
     agree, which they must since column vectors sit at height -1 over their
-    base and height >= 0 over every other facet.
+    base and height >= 0 over every other facet.  The values are the
+    columns' own heights, and the answer is kept with p's column table.
     """
-    table = product_table(p)
-    cols = table.columns
-    facets = p.facets
-    one_sided = True
-    absolute = True
-    witness = None
-    for u in cols:
-        normal = facets[u.base].normal
-        for v in cols:
-            val = dot(normal, v.vector)
-            if val > 1:
-                one_sided = False
-                absolute = False
-                if witness is None:
-                    witness = (u, v, val)
-            elif val < -1:
-                absolute = False
-                if witness is None:
-                    witness = (u, v, val)
-    if one_sided != absolute:
-        raise InternalCheckError(
-            "one-sided and absolute balancedness disagree"
-        )
-    return one_sided, witness
+    return product_table(p).balanced
 
 
 def is_col_divisible(p):
@@ -838,11 +889,9 @@ def check_k_morphism(p, q, mapping):
     if set(mu) != set(range(len(tp.columns))):
         raise ValueError("mapping must be total on Col(P)")
     violations = []
-    fp = p.facets
-    fq = q.facets
     for w, v in itertools.product(range(len(tp.columns)), repeat=2):
-        lhs = dot(fp[tp.columns[w].base].normal, tp.columns[v].vector)
-        rhs = dot(fq[tq.columns[mu[w]].base].normal, tq.columns[mu[v]].vector)
+        lhs = tp.columns[v].heights[tp.columns[w].base]
+        rhs = tq.columns[mu[v]].heights[tq.columns[mu[w]].base]
         if lhs != rhs:
             violations.append(
                 ("pairing", tp.columns[w], tp.columns[v], lhs, rhs)

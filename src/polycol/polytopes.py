@@ -302,11 +302,31 @@ class Polytope:
         return frozenset(self.lattice_points)
 
     @cached_property
+    def facet_heights(self):
+        """H[G][i] = normal_G . x_i - offset_G over the sorted lattice points."""
+        pts = self.lattice_points
+        return tuple(
+            tuple(dot(normal, z) - offset for z in pts)
+            for normal, offset in self._facet_pairs
+        )
+
+    @cached_property
+    def off_facet_minima(self):
+        """M[F][G] = min{H[G][i] : H[F][i] > 0}, the least height over G of
+        a lattice point off F; M[F][F] >= 1."""
+        heights = self.facet_heights
+        out = []
+        for row_f in heights:
+            off = [i for i, h in enumerate(row_f) if h > 0]
+            out.append(tuple(min([row_g[i] for i in off]) for row_g in heights))
+        return tuple(out)
+
+    @cached_property
     def facets(self):
         pts = self.lattice_points
         out = []
-        for normal, offset in self._facet_pairs:
-            idx = tuple(i for i, z in enumerate(pts) if dot(normal, z) == offset)
+        for (normal, offset), row in zip(self._facet_pairs, self.facet_heights):
+            idx = tuple(i for i, h in enumerate(row) if h == 0)
             points_on = frozenset(pts[i] for i in idx)
             out.append(FacetForm(normal, offset, idx, points_on))
         return tuple(out)

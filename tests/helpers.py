@@ -20,9 +20,11 @@ from polycol.columns import (
 )
 from polycol.exactmath import dot, vec_add, vec_sub
 from polycol.polytopes import (
+    linear_image,
     normalize_full_dim,
     polygon_normal_form,
     polytope_from_points,
+    translate,
 )
 from polycol.scan import _directions, enumerate_polygons
 
@@ -140,6 +142,44 @@ def literal_column_search(p):
     return found
 
 
+def literal_product_table(p):
+    """(columns, rows) of Col(P) and its partial product, from the
+    definitions: a column's base is the one facet holding every lattice
+    point the column shifts out of P, and u*v exists when no lattice point
+    off the base of u is shifted by u onto the base of v.
+
+    Columns are (vector, base) pairs in sorted order; rows hold the same
+    entries as ``product_table(p).rows``.  Facet point sets come from the
+    facet inequalities, not from the polytope's height matrix.
+    """
+    pts = p.lattice_points
+    pset = set(pts)
+    on = [frozenset(x for x in pts if dot(f.normal, x) == f.offset) for f in p.facets]
+    cols = []
+    for v in sorted({vec_sub(y, x) for x in pts for y in pts if y != x}):
+        stuck = {x for x in pts if vec_add(x, v) not in pset}
+        bases = [i for i, s in enumerate(on) if stuck <= s]
+        if len(bases) > 1:
+            raise AssertionError(f"non-unique base facet for {v}")
+        if bases:
+            cols.append((v, bases[0]))
+    index = {v: i for i, (v, _) in enumerate(cols)}
+    off_facet = [[x for x in pts if x not in s] for s in on]
+    rows = []
+    for u, base_u in cols:
+        row = []
+        for v, base_v in cols:
+            s = vec_add(u, v)
+            if not any(s):
+                row.append(("zero",))
+            elif all(vec_add(x, u) not in on[base_v] for x in off_facet[base_u]):
+                row.append(("product", index.get(s)))
+            else:
+                row.append(("none",))
+        rows.append(row)
+    return cols, rows
+
+
 def random_unimodular_matrix(n, rng, shears=6, size=5):
     """Seeded element of GL_n(Z): elementary shears, then a signed
     permutation of the rows."""
@@ -153,6 +193,18 @@ def random_unimodular_matrix(n, rng, shears=6, size=5):
         sign = rng.choice((1, -1))
         signed_rows.append(tuple(sign * x for x in u[r]))
     return tuple(signed_rows)
+
+
+def sheared_images(p, rng, count=3):
+    """``count`` normalized images of p under seeded unimodular maps and
+    translations: large coordinates, the same column structure."""
+    out = []
+    for _ in range(count):
+        n = p.ambient_dim
+        u = random_unimodular_matrix(n, rng)
+        shift = tuple(rng.randint(-100, 100) for _ in range(n))
+        out.append(normalize_full_dim(translate(linear_image(p, u), shift))[0])
+    return out
 
 
 def random_normalized_polytopes(seed, count, dims=(2, 3)):

@@ -26,12 +26,8 @@ from polycol.columns import (
 )
 from polycol.doubling import doubling_spectrum
 from polycol.exactmath import dot, vec_add, vec_sub
-from polycol.polytopes import (
-    linear_image,
-    normalize_full_dim,
-    polytope_from_points,
-    translate,
-)
+from polycol.polytopes import normalize_full_dim, polytope_from_points
+from polycol.scan import enumerate_polygons
 
 from .conftest import (
     SIMPLEX3,
@@ -46,8 +42,9 @@ from .conftest import (
 )
 from .helpers import (
     literal_column_search,
+    literal_product_table,
     random_normalized_polytopes,
-    random_unimodular_matrix,
+    sheared_images,
 )
 
 
@@ -135,10 +132,12 @@ def test_column_base_uniqueness_and_height(corpus):
 
 
 def assert_column_searches_agree(q):
-    """Pruned search, unpruned search and the literal oracle agree on q."""
-    pruned = [(c.vector, c.base) for c in column_vectors(q)]
-    unpruned = [(c.vector, c.base) for c in column_vectors(q, pruned=False)]
-    assert pruned == unpruned == literal_column_search(q), q
+    """Pruned search, unpruned search and the literal oracle agree on q,
+    the searches also on the column heights."""
+    cols = column_vectors(q)
+    assert cols == column_vectors(q, pruned=False), q
+    pruned = [(c.vector, c.base) for c in cols]
+    assert pruned == literal_column_search(q), q
     return pruned
 
 
@@ -153,20 +152,54 @@ def test_column_candidates_on_sheared_corpus(corpus):
     # sheared images have large coordinates but the same column structure
     rng = random.Random(5)
     for p in corpus:
-        for _ in range(3):
-            n = p.ambient_dim
-            u = random_unimodular_matrix(n, rng)
-            shift = tuple(rng.randint(-100, 100) for _ in range(n))
-            q, _ = normalize_full_dim(translate(linear_image(p, u), shift))
+        for q in sheared_images(p, rng):
             assert len(assert_column_searches_agree(q)) == len(column_vectors(p))
 
 
-def test_column_candidates_on_doubling_chain():
+def trapezoid_doubling_chain():
     spectrum = doubling_spectrum(TRAPEZOID, 7)
     chain = [spectrum.initial] + [step.result.doubled for step in spectrum.steps]
     assert [q.ambient_dim for q in chain] == list(range(2, 10))
-    for q in chain:
+    return chain
+
+
+def test_column_candidates_on_doubling_chain():
+    for q in trapezoid_doubling_chain():
         assert_column_searches_agree(q)
+
+
+def assert_table_matches_literal(q):
+    """product_table(q) equals the literal oracle, columns and rows."""
+    table = product_table(q)
+    cols, rows = literal_product_table(q)
+    assert [(c.vector, c.base) for c in table.columns] == cols, q
+    assert table.rows == rows, q
+
+
+def test_product_table_matches_literal_on_corpus(corpus):
+    for p in corpus:
+        q, _ = normalize_full_dim(p)
+        if q.dim >= 1:
+            assert_table_matches_literal(q)
+
+
+def test_product_table_matches_literal_on_sheared_corpus(corpus):
+    rng = random.Random(11)
+    for p in corpus:
+        for q in sheared_images(p, rng):
+            assert_table_matches_literal(q)
+
+
+def test_product_table_matches_literal_on_doubling_chain():
+    for q in trapezoid_doubling_chain():
+        assert_table_matches_literal(q)
+
+
+def test_product_table_matches_literal_on_box3_polygons():
+    polygons = [polytope_from_points(c) for c in enumerate_polygons(3)]
+    assert len(polygons) == 1633
+    for q in polygons:
+        assert_table_matches_literal(q)
 
 
 def test_columns_require_normalized():
@@ -271,6 +304,30 @@ def test_is_balanced():
     slant = STEEP_TRIANGLE.facets[slant_col.base]
     assert slant.key() == ((-1, -3), -3)
     assert dot(slant.normal, (0, -1)) == 3
+
+
+def literal_is_balanced(q):
+    """(flag, witness) of is_balanced, by dot products on Col(q)."""
+    cols = product_table(q).columns
+    flag, witness = True, None
+    for u in cols:
+        for v in cols:
+            val = dot(q.facets[u.base].normal, v.vector)
+            if val > 1:
+                flag = False
+            if abs(val) > 1 and witness is None:
+                witness = (u, v, val)
+    return flag, witness
+
+
+def test_is_balanced_matches_dot_products(corpus):
+    polygons = [polytope_from_points(c) for c in enumerate_polygons(2)]
+    for p in corpus + polygons:
+        q, _ = normalize_full_dim(p)
+        if q.dim < 1:
+            continue
+        assert is_balanced(q) == literal_is_balanced(q), q
+        assert is_balanced(q) is is_balanced(q)  # kept on the polytope
 
 
 def test_balanced_absolute_agreement(corpus):

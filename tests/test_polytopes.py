@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -39,7 +40,9 @@ from .helpers import (
     box_scan_lattice_points,
     brute_force_polygon_equivalent,
     facet_scan_oracle,
+    random_normalized_polytopes,
     random_unimodular_matrix,
+    sheared_images,
 )
 
 
@@ -101,6 +104,44 @@ def test_facets_against_scan_oracle_random():
             continue
         assert sorted((f.normal, f.offset) for f in p.facets) == \
             facet_scan_oracle(p.vertices, n)
+
+
+def height_test_polytopes():
+    """The CORPUS, three sheared, translated images of each polytope in it,
+    and seeded random polygons and 3-polytopes: small and large
+    coordinates."""
+    rng = random.Random(13)
+    out = [p for p in CORPUS if p.ambient_dim >= 1]
+    out += [q for p in CORPUS for q in sheared_images(p, rng)]
+    return out + random_normalized_polytopes(seed=3, count=20)
+
+
+def test_facet_heights_and_zero_sets():
+    for p in height_test_polytopes():
+        pts = p.lattice_points
+        assert p.facet_heights == tuple(
+            tuple(dot(f.normal, x) - f.offset for x in pts) for f in p.facets
+        ), p
+        for f, row in zip(p.facets, p.facet_heights):
+            assert f.on_facet == tuple(i for i, h in enumerate(row) if h == 0)
+            assert f.points_on == frozenset(pts[i] for i in f.on_facet)
+
+
+def test_off_facet_minima_brute_force():
+    for p in height_test_polytopes():
+        pts = p.lattice_points
+        expected = tuple(
+            tuple(
+                min(
+                    dot(g.normal, x) - g.offset
+                    for x in pts
+                    if dot(f.normal, x) != f.offset
+                )
+                for g in p.facets
+            )
+            for f in p.facets
+        )
+        assert p.off_facet_minima == expected, p
 
 
 def test_facets_require_full_dim():
