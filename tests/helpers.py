@@ -2,14 +2,17 @@
 
 Everything here is deliberately brute force and shares no code path with
 the implementations under test, except the slow paths kept for the polygon
-scan: they call the same column and normal-form functions, one polygon at a
-time, so they check the grouping and the pruning, not those functions.
+scan and the Steinberg check.  The scan ones call the same column and
+normal-form functions, one polygon at a time, so they check the grouping and
+the pruning, not those functions; the Steinberg one composes the same shears
+into literal four-fold commutators, so it checks the two-product identity.
 """
 
 import itertools
 import random
-from math import gcd
+from math import comb, gcd
 
+from polycol.algebra import elementary_automorphism
 from polycol.columns import (
     UnclassifiablePolygonError,
     classify_balanced_polygon,
@@ -18,7 +21,7 @@ from polycol.columns import (
     is_col_divisible,
     product_table,
 )
-from polycol.exactmath import dot, vec_add, vec_sub
+from polycol.exactmath import PolynomialRing, dot, vec_add, vec_scale, vec_sub
 from polycol.polytopes import (
     linear_image,
     normalize_full_dim,
@@ -283,6 +286,90 @@ def dense_ring_product(ring, a, b):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
+
+
+def elementary_closed_formula_image(p, col, lam, ring, z, degree):
+    """Binomial image of the degree-`degree` monomial at z, as a dict.
+
+    Independent of the column route: used to cross-check that the closed
+    formula and the multiplicative degree-one action agree.
+    """
+    table = product_table(p)
+    col = table.columns[table.index[col.vector]]
+    facet = p.facets[col.base]
+    h = dot(facet.normal, z) - degree * facet.offset
+    out = {}
+    for k in range(h + 1):
+        coeff = ring.from_int(comb(h, k))
+        for _ in range(k):
+            coeff = coeff * lam
+        out[vec_add(z, vec_scale(k, col.vector))] = coeff
+    return out
+
+
+def literal_steinberg_report(p, var_names=("a", "b")):
+    """``algebra.verify_steinberg_relations`` by the literal commutator: the
+    four-fold composite x_u(lam) x_v(mu) x_u(-lam) x_v(-mu) of every pair,
+    compared with the expected shear or the identity."""
+    balanced, _ = is_balanced(p)
+    ring = PolynomialRing(var_names)
+    lam = ring.var(var_names[0])
+    mu = ring.var(var_names[1])
+    table = product_table(p)
+    cols = table.columns
+    report = {"additivity": [], "pairs": [], "all_ok": True, "balanced": balanced}
+    # the four shears of every commutator, built once per column
+    by_lam, by_mu, by_neg_lam, by_neg_mu = [], [], [], []
+    for u in cols:
+        by_lam.append(elementary_automorphism(p, u, lam, ring))
+        by_mu.append(elementary_automorphism(p, u, mu, ring))
+        by_neg_lam.append(elementary_automorphism(p, u, -lam, ring))
+        by_neg_mu.append(elementary_automorphism(p, u, -mu, ring))
+        rhs = elementary_automorphism(p, u, lam + mu, ring)
+        ok = by_lam[-1].compose(by_mu[-1]).columns == rhs.columns
+        report["additivity"].append({"u": u.vector, "ok": ok})
+        if not ok:
+            report["all_ok"] = False
+    vecs = {c.vector for c in cols}
+
+    def commutator(i, j):
+        return (by_lam[i].compose(by_mu[j]).compose(by_neg_lam[i])
+                .compose(by_neg_mu[j]))
+
+    for i, u in enumerate(cols):
+        for j, v in enumerate(cols):
+            s = vec_add(u.vector, v.vector)
+            if not any(s):
+                continue
+            entry = table.entry(i, j)
+            if entry[0] == "product":
+                if not balanced:
+                    continue
+                w = cols[entry[1]]
+                expected = elementary_automorphism(p, w, -(lam * mu), ring)
+                ok = commutator(i, j).columns == expected.columns
+                report["pairs"].append(
+                    {"u": u.vector, "v": v.vector, "case": "product",
+                     "result": w.vector, "ok": ok}
+                )
+                if not ok:
+                    report["all_ok"] = False
+            elif s not in vecs:
+                if not balanced:
+                    continue
+                ok = commutator(i, j).is_identity()
+                report["pairs"].append(
+                    {"u": u.vector, "v": v.vector, "case": "commute", "ok": ok}
+                )
+                if not ok:
+                    report["all_ok"] = False
+            else:
+                report["pairs"].append(
+                    {"u": u.vector, "v": v.vector, "case": "skipped",
+                     "note": "sum is a column but the product does not exist",
+                     "commutes": commutator(i, j).is_identity(), "ok": None}
+                )
+    return report
 
 
 def unpruned_enumerate_polygons(box):

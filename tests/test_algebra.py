@@ -9,7 +9,6 @@ from polycol.algebra import (
     check_column_property,
     degree_consistency_violations,
     elementary_automorphism,
-    elementary_closed_formula_image,
     identity_automorphism,
     inversion_subgroup,
     lattice_symmetries,
@@ -27,22 +26,30 @@ from polycol.algebra import (
     _multiset_image,
     column_inversion,
 )
-from polycol.columns import column_vectors
+from polycol.cli import main
+from polycol.columns import column_vectors, is_balanced, product_table
 from polycol.exactmath import QQ, ZZ, IntegersMod, ModInt, PolynomialRing, dot
-from polycol.polytopes import dilate
+from polycol.polytopes import InternalCheckError, dilate
 
+from . import helpers
 from .conftest import (
+    CORPUS,
     HEXAGON,
     NON_NORMAL_SIMPLEX,
     SEGMENT,
     SIMPLEX3,
     SQUARE_PYRAMID,
+    STEEP_TRIANGLE,
     TRAPEZOID,
     TRIANGLE,
     UNIT_SQUARE,
     WIDE_TRIANGLE,
 )
-from .helpers import dense_ring_product
+from .helpers import (
+    dense_ring_product,
+    elementary_closed_formula_image,
+    literal_steinberg_report,
+)
 
 
 def col(p, vec):
@@ -384,6 +391,80 @@ def test_steinberg_skipped_pairs_logged():
     assert skipped, "triangle has composable sums without products"
     for e in skipped:
         assert "commutes" in e
+
+
+def test_steinberg_matches_literal_commutators():
+    balanced = [p for p in CORPUS if is_balanced(p)[0]]
+    assert SQUARE_PYRAMID in balanced
+    dilated = [dilate(TRIANGLE, k) for k in range(3, 9)]
+    for p in balanced + dilated:
+        assert verify_steinberg_relations(p) == literal_steinberg_report(p), p.name
+    # unbalanced: the product and commute pairs are left out, the skipped
+    # pairs are still composed
+    p = STEEP_TRIANGLE
+    assert not is_balanced(p)[0]
+    table = product_table(p)
+    n = len(table.columns)
+    assert any(table.entry(i, j)[0] == "product"
+               for i in range(n) for j in range(n))
+    report = verify_steinberg_relations(p)
+    assert report == literal_steinberg_report(p)
+    assert report["pairs"]
+    assert {e["case"] for e in report["pairs"]} == {"skipped"}
+
+
+def _patch_shears(monkeypatch, shear):
+    monkeypatch.setattr("polycol.algebra.elementary_automorphism", shear)
+    monkeypatch.setattr(helpers, "elementary_automorphism", shear)
+
+
+def test_steinberg_wrong_product_shear_fails_same_pairs(monkeypatch):
+    ring = PolynomialRing(("a", "b"))
+    lam_mu = ring.var("a") * ring.var("b")
+
+    def plus_lam_mu(p, c, t, rng):
+        return elementary_automorphism(p, c, lam_mu if t == -lam_mu else t, rng)
+
+    _patch_shears(monkeypatch, plus_lam_mu)
+    for p in [TRIANGLE, TRAPEZOID, SQUARE_PYRAMID, dilate(TRIANGLE, 3)]:
+        report = verify_steinberg_relations(p)
+        assert report == literal_steinberg_report(p), p.name
+        failed = [e for e in report["pairs"] if e["ok"] is False]
+        assert failed, p.name
+        assert all(e["case"] == "product" for e in failed)
+        assert len(failed) == sum(
+            e["case"] == "product" for e in report["pairs"]
+        )
+        assert not report["all_ok"]
+
+
+@pytest.mark.parametrize("var", ["a", "b"])
+def test_steinberg_non_inverse_shear_is_internal_error(
+    tmp_path, monkeypatch, capsys, var
+):
+    ring = PolynomialRing(("a", "b"))
+    negated = -ring.var(var)
+    broken = []
+
+    def first_not_inverse(p, c, t, rng):
+        if t == negated and not broken:
+            broken.append(c)
+            t = t + 1
+        return elementary_automorphism(p, c, t, rng)
+
+    _patch_shears(monkeypatch, first_not_inverse)
+    with pytest.raises(InternalCheckError):
+        verify_steinberg_relations(TRAPEZOID)
+    assert len(broken) == 1
+    broken.clear()
+    path = tmp_path / "trapezoid.json"
+    path.write_text('{"vertices": [[0, 0], [2, 0], [1, 1], [0, 1]]}')
+    code = main(["verify", str(path), "--which", "steinberg"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal check failed: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_additive_embedding_wide_triangle():

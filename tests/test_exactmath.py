@@ -143,6 +143,60 @@ def test_poly_basics():
     assert a != b
 
 
+def _stores_no_zero(p):
+    return all(c != 0 for c in p.terms.values())
+
+
+def test_poly_cancellation_stores_no_zero():
+    ring = PolynomialRing(("a", "b"))
+    a, b = ring.var("a"), ring.var("b")
+    s = a + b
+    for p in (
+        a + (-a),
+        s - s,
+        (a + b) * (a - b),
+        a * (b - b),
+        (a * b) * (a - a + 2 * b - 2 * b),
+        (a + 1) * (a - 1) + 1,
+    ):
+        assert _stores_no_zero(p), p
+    assert (a + (-a)).terms == {}
+    assert ((a + b) * (a - b)).terms == {(2, 0): 1, (0, 2): -1}
+    assert (a * (b - b)).terms == {}
+    assert ((a + 1) * (a - 1) + 1).terms == {(2, 0): 1}
+    # a monomial times a sum whose terms cancel among themselves
+    assert (a * b * (a - b + b - a)).terms == {}
+    assert (a * (a * b - b * a + 3)).terms == {(1, 0): 3}
+
+
+def test_poly_make_matches_public_constructor():
+    names = ("a", "b")
+    for terms in ({}, {(0, 0): 5}, {(1, 0): 2, (0, 3): -1}):
+        made = Poly._make(names, dict(terms))
+        # the public constructor copies the names and drops zero terms
+        public = Poly(list(names), {**terms, (2, 2): 0})
+        assert made == public and public == made
+        assert hash(made) == hash(public)
+        assert made.terms == public.terms and made.names == public.names
+
+
+def test_poly_constant_hashes_like_its_int():
+    names = ("a", "b")
+    five = Poly.const(names, 5)
+    assert five == 5
+    assert hash(five) == hash(5)
+    assert len({5, five}) == 1
+    zero = Poly.const(names, 0)
+    assert zero == 0 and hash(zero) == hash(0)
+    assert len({0, zero, Poly(names, {(0, 0): 0})}) == 1
+    # const truncates like int(), and a truncated zero is not stored
+    assert Poly.const(names, Fraction(1, 2)).terms == {}
+    assert Poly.const(names, Fraction(7, 2)) == 3
+    minus_one = Poly.const(names, -1)
+    assert hash(minus_one) == hash(-1)
+    assert len({Poly.variable(names, "a"), 1, five}) == 3
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_poly_ring_axioms(data):
