@@ -18,13 +18,14 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from .columns import ColumnVector, is_balanced, product_table
+from .columns import is_balanced, product_table
 from .exactmath import (
     QQ,
     ZZ,
     PolynomialRing,
     dot,
     vec_add,
+    vec_neg,
     vec_scale,
     vec_sub,
 )
@@ -52,13 +53,13 @@ def sp_membership(p, z, degree):
         raise ValueError("degree must be nonnegative")
     z = tuple(z)
     memo = p.__dict__.setdefault("_sp_memo", {})
-    pset = p.lattice_set
+    index = p.point_index
 
     def rec(z, d):
         if d == 0:
             return not any(z)
         if d == 1:
-            return z in pset
+            return z in index
         key = (z, d)
         if key in memo:
             return memo[key]
@@ -94,9 +95,7 @@ def check_column_property(p, col, max_degree=2):
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     table = product_table(p)
-    if col.vector not in table.index:
-        raise ValueError("not a column vector of this polytope")
-    col = table.columns[table.index[col.vector]]
+    col = table.columns[table.column(col)]
     facet = p.facets[col.base]
     violations = []
     for d in range(1, max_degree + 1):
@@ -144,14 +143,13 @@ class GradedAutomorphism:
         """self after other."""
         if self.polytope != other.polytope or self.ring is not other.ring:
             raise ValueError("automorphisms live on different algebras")
-        zero = self.ring.zero
         columns = []
         for col in other.columns:
             acc = {}
             for k, c in col.items():
                 for i, a in self.columns[k].items():
                     acc[i] = acc[i] + a * c if i in acc else a * c
-            columns.append({i: x for i, x in acc.items() if x != zero})
+            columns.append({i: x for i, x in acc.items() if x})
         return GradedAutomorphism(
             self.polytope,
             self.ring,
@@ -228,20 +226,13 @@ def elementary_automorphism(p, col, lam, ring):
     if not p.is_normalized:
         raise ValueError("elementary automorphisms need a normalized polytope")
     table = product_table(p)
-    if isinstance(col, ColumnVector):
-        key = col.vector
-    else:
-        key = tuple(col)
-    if key not in table.index:
-        raise ValueError(f"{key} is not a column vector")
-    col = table.columns[table.index[key]]
+    col = table.columns[table.column(col)]
     pts = p.lattice_points
-    index = {z: i for i, z in enumerate(pts)}
+    index = p.point_index
     heights = p.facet_heights[col.base]
     powers = [ring.one]
     for _ in range(max(heights)):
         powers.append(powers[-1] * lam)
-    zero = ring.zero
     columns = []
     for x, h in zip(pts, heights):
         column = {}
@@ -254,7 +245,7 @@ def elementary_automorphism(p, col, lam, ring):
             coeff = ring.from_int(comb(h, k))
             if k:
                 coeff = coeff * powers[k]
-            if coeff != zero:
+            if coeff:
                 column[index[target]] = coeff
         columns.append(column)
     word = (("elementary", col.vector, lam),)
@@ -357,7 +348,7 @@ def _multiset_image(auto, combo):
             for x, cx in col:
                 key = vec_add(z, x)
                 nxt[key] = nxt.get(key, zero) + c * cx
-        current = {k: v for k, v in nxt.items() if v != zero}
+        current = {k: v for k, v in nxt.items() if v}
     return current
 
 
@@ -400,10 +391,9 @@ def _vertex_signatures(p):
 
 
 def symmetry_permutation(p, amap):
-    pts = p.lattice_points
-    index = {z: i for i, z in enumerate(pts)}
+    index = p.point_index
     perm = []
-    for z in pts:
+    for z in p.lattice_points:
         img = amap.apply(z)
         if img not in index:
             raise InternalCheckError("symmetry does not permute lattice points")
@@ -431,17 +421,37 @@ def _perm_inverse(a):
     return tuple(out)
 
 
-def _closure(perms):
-    group = set(perms)
-    frontier = list(group)
+def symmetry_permutations(p):
+    """The lattice symmetries of p as permutations of its lattice points.
+
+    The set is computed once per polytope object and stored on ``p``, so
+    it lives exactly as long as ``p``.
+    """
+    perms = p.__dict__.get("_symmetry_permutations")
+    if perms is None:
+        perms = p.__dict__["_symmetry_permutations"] = frozenset(
+            symmetry_permutation(p, m) for m in lattice_symmetries(p)
+        )
+    return perms
+
+
+def _closure(gens, n):
+    """The group of permutations of range(n) generated by ``gens``.
+
+    Starting from the identity, each new element is composed with the
+    generators only; in a finite group that reaches every element.
+    """
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
     while frontier:
         nxt = []
         for g in frontier:
-            for h in list(group):
-                for candidate in (_perm_compose(g, h), _perm_compose(h, g)):
-                    if candidate not in group:
-                        group.add(candidate)
-                        nxt.append(candidate)
+            for h in gens:
+                candidate = _perm_compose(h, g)
+                if candidate not in group:
+                    group.add(candidate)
+                    nxt.append(candidate)
         frontier = nxt
     return group
 
@@ -453,27 +463,21 @@ def column_inversion(p, col):
     with mirrored heights over the two base facets.
     """
     table = product_table(p)
-    key = col.vector if isinstance(col, ColumnVector) else tuple(col)
-    if key not in table.index:
-        raise ValueError(f"{key} is not a column vector")
-    neg = tuple(-x for x in key)
-    if neg not in table.index:
+    cv = table.columns[table.column(col)]
+    neg = table.index.get(vec_neg(cv.vector))
+    if neg is None:
         raise ValueError("column inversion needs both v and -v as columns")
-    cv = table.columns[table.index[key]]
-    cnv = table.columns[table.index[neg]]
     h_plus = p.facet_heights[cv.base]
-    h_minus = p.facet_heights[cnv.base]
-    pts = p.lattice_points
-    index = {z: i for i, z in enumerate(pts)}
+    h_minus = p.facet_heights[table.columns[neg].base]
+    index = p.point_index
     perm = []
-    for x, a, b in zip(pts, h_plus, h_minus):
-        y = vec_add(x, vec_scale(a - b, key))
+    for x, a, b in zip(p.lattice_points, h_plus, h_minus):
+        y = vec_add(x, vec_scale(a - b, cv.vector))
         if y not in index:
             raise InternalCheckError("column inversion left the polytope")
         perm.append(index[y])
     perm = tuple(perm)
-    sym_perms = {symmetry_permutation(p, m) for m in lattice_symmetries(p)}
-    if perm not in sym_perms:
+    if perm not in symmetry_permutations(p):
         raise InternalCheckError("column inversion is not a lattice symmetry")
     return perm
 
@@ -481,22 +485,17 @@ def column_inversion(p, col):
 def inversion_subgroup(p):
     """Permutations generated by all column inversions."""
     table = product_table(p)
-    vecs = {c.vector for c in table.columns}
     gens = [
         column_inversion(p, c)
         for c in table.columns
-        if tuple(-x for x in c.vector) in vecs
+        if vec_neg(c.vector) in table.index
     ]
-    identity = tuple(range(len(p.lattice_points)))
-    if not gens:
-        return {identity}
-    return _closure(gens)
+    return _closure(gens, len(p.lattice_points))
 
 
 def symmetry_group_data(p):
     """Orders of the symmetry group, the inversion subgroup, and normality."""
-    sym = {symmetry_permutation(p, m) for m in lattice_symmetries(p)}
-    sym = _closure(sym) if sym else sym
+    sym = symmetry_permutations(p)
     inv = inversion_subgroup(p)
     normal = all(
         _perm_compose(_perm_compose(g, h), _perm_inverse(g)) in inv
@@ -559,46 +558,30 @@ def verify_steinberg_relations(p, var_names=("a", "b")):
         report["additivity"].append({"u": u.vector, "ok": ok})
         if not ok:
             report["all_ok"] = False
-    vecs = {c.vector for c in cols}
 
     def commute(i, j):
         return (by_lam[i].compose(by_mu[j]).columns
                 == by_mu[j].compose(by_lam[i]).columns)
 
-    for i, u in enumerate(cols):
-        for j, v in enumerate(cols):
-            s = vec_add(u.vector, v.vector)
-            if not any(s):
-                continue
-            entry = table.entry(i, j)
-            if entry[0] == "product":
-                if not balanced:
-                    continue
-                w = cols[entry[1]]
-                expected = elementary_automorphism(p, w, -(lam * mu), ring)
-                ok = (by_lam[i].compose(by_mu[j]).columns
-                      == expected.compose(by_mu[j].compose(by_lam[i])).columns)
-                report["pairs"].append(
-                    {"u": u.vector, "v": v.vector, "case": "product",
-                     "result": w.vector, "ok": ok}
-                )
-                if not ok:
-                    report["all_ok"] = False
-            elif s not in vecs:
-                if not balanced:
-                    continue
-                ok = commute(i, j)
-                report["pairs"].append(
-                    {"u": u.vector, "v": v.vector, "case": "commute", "ok": ok}
-                )
-                if not ok:
-                    report["all_ok"] = False
-            else:
-                report["pairs"].append(
-                    {"u": u.vector, "v": v.vector, "case": "skipped",
-                     "note": "sum is a column but the product does not exist",
-                     "commutes": commute(i, j), "ok": None}
-                )
+    for i, j, case, k in table.pair_cases():
+        pair = {"u": cols[i].vector, "v": cols[j].vector, "case": case}
+        if case == "skipped":
+            pair.update(note="sum is a column but the product does not exist",
+                        commutes=commute(i, j), ok=None)
+            report["pairs"].append(pair)
+            continue
+        if not balanced:
+            continue
+        if case == "product":
+            expected = elementary_automorphism(p, cols[k], -(lam * mu), ring)
+            rhs = expected.compose(by_mu[j].compose(by_lam[i]))
+            pair["result"] = cols[k].vector
+            pair["ok"] = by_lam[i].compose(by_mu[j]).columns == rhs.columns
+        else:
+            pair["ok"] = commute(i, j)
+        report["pairs"].append(pair)
+        if not pair["ok"]:
+            report["all_ok"] = False
     return report
 
 
@@ -673,65 +656,35 @@ def verify_additive_embedding(p, facet_index, grid=5):
 # presentation export
 
 
-def steinberg_presentation_lines(p):
+def steinberg_presentation_json(p):
     """Generator and relation schema of the column-shear presentation.
 
-    One generator family per column vector; additive relations per family;
-    commutator relations instantiated from the product table for the two
-    covered cases.  Pairs whose sum is a column without a product are left
-    out of the schema.
+    One generator per column vector; one additive relation per generator;
+    one commutator relation per ordered pair in the two covered cases of
+    ``ProductTable.pair_cases``, whose ``result`` is the product's index
+    (sign -1) or None when the shears commute.  Pairs whose sum is a column
+    without a product are left out of the schema and listed as skipped.
     """
     balanced, _ = is_balanced(p)
     if not balanced:
         raise ValueError("presentations are exported for balanced polytopes")
     table = product_table(p)
     cols = table.columns
-    vecs = {c.vector: i for i, c in enumerate(cols)}
-    lines = []
-    for i, c in enumerate(cols):
-        lines.append(f"GEN v{i} base={c.base}")
-    for i in range(len(cols)):
-        lines.append(f"REL add v{i}")
-    for i, u in enumerate(cols):
-        for j, v in enumerate(cols):
-            s = vec_add(u.vector, v.vector)
-            if not any(s):
-                continue
-            entry = table.entry(i, j)
-            if entry[0] == "product":
-                lines.append(f"REL comm v{i} v{j} -> v{entry[1]} sign=-1")
-            elif s not in vecs:
-                lines.append(f"REL comm v{i} v{j} -> 1")
-    return lines
-
-
-def steinberg_presentation_json(p):
-    table = product_table(p)
-    cols = table.columns
-    vecs = {c.vector: i for i, c in enumerate(cols)}
     generators = [
         {"index": i, "v": list(c.vector), "base": c.base}
         for i, c in enumerate(cols)
     ]
     relations = [{"kind": "add", "i": i} for i in range(len(cols))]
     skipped = []
-    for i, u in enumerate(cols):
-        for j, v in enumerate(cols):
-            s = vec_add(u.vector, v.vector)
-            if not any(s):
-                continue
-            entry = table.entry(i, j)
-            if entry[0] == "product":
-                relations.append(
-                    {"kind": "comm", "i": i, "j": j, "result": entry[1],
-                     "sign": -1}
-                )
-            elif s not in vecs:
-                relations.append(
-                    {"kind": "comm", "i": i, "j": j, "result": None}
-                )
-            else:
-                skipped.append({"i": i, "j": j})
+    for i, j, case, k in table.pair_cases():
+        if case == "product":
+            relations.append(
+                {"kind": "comm", "i": i, "j": j, "result": k, "sign": -1}
+            )
+        elif case == "commute":
+            relations.append({"kind": "comm", "i": i, "j": j, "result": None})
+        else:
+            skipped.append({"i": i, "j": j})
     return {
         "generators": generators,
         "relations": relations,
@@ -739,41 +692,41 @@ def steinberg_presentation_json(p):
     }
 
 
+def steinberg_presentation_lines(p):
+    """``steinberg_presentation_json`` as text lines."""
+    data = steinberg_presentation_json(p)
+    lines = [f"GEN v{g['index']} base={g['base']}" for g in data["generators"]]
+    for r in data["relations"]:
+        if r["kind"] == "add":
+            lines.append(f"REL add v{r['i']}")
+            continue
+        k = r["result"]
+        rhs = "1" if k is None else f"v{k} sign=-1"
+        lines.append(f"REL comm v{r['i']} v{r['j']} -> {rhs}")
+    return lines
+
+
 def steinberg_presentation_mod(p, modulus):
     """Fully finite presentation instantiated over the integers mod m."""
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
-    balanced, _ = is_balanced(p)
-    if not balanced:
-        raise ValueError("presentations are exported for balanced polytopes")
-    table = product_table(p)
-    cols = table.columns
-    vecs = {c.vector: i for i, c in enumerate(cols)}
+    data = steinberg_presentation_json(p)
+
+    def power(k, c):
+        return f"v{k}^{c}" if c else "1"
+
+    exponents = range(1, modulus)
     lines = [f"MOD {modulus}"]
-    for i, c in enumerate(cols):
-        for a in range(1, modulus):
-            lines.append(f"GEN v{i}^{a}")
-    for i in range(len(cols)):
-        for a in range(1, modulus):
-            for b in range(1, modulus):
-                c = (a + b) % modulus
-                rhs = f"v{i}^{c}" if c else "1"
+    for g in data["generators"]:
+        lines.extend(f"GEN v{g['index']}^{a}" for a in exponents)
+    for r in data["relations"]:
+        i = r["i"]
+        for a, b in itertools.product(exponents, repeat=2):
+            if r["kind"] == "add":
+                rhs = power(i, (a + b) % modulus)
                 lines.append(f"REL mul v{i}^{a} v{i}^{b} = {rhs}")
-    for i, u in enumerate(cols):
-        for j, v in enumerate(cols):
-            s = vec_add(u.vector, v.vector)
-            if not any(s):
-                continue
-            entry = table.entry(i, j)
-            if entry[0] == "product":
-                k = entry[1]
-                for a in range(1, modulus):
-                    for b in range(1, modulus):
-                        c = (-a * b) % modulus
-                        rhs = f"v{k}^{c}" if c else "1"
-                        lines.append(f"REL comm v{i}^{a} v{j}^{b} = {rhs}")
-            elif s not in vecs:
-                for a in range(1, modulus):
-                    for b in range(1, modulus):
-                        lines.append(f"REL comm v{i}^{a} v{j}^{b} = 1")
+            else:
+                k = r["result"]
+                rhs = "1" if k is None else power(k, (-a * b) % modulus)
+                lines.append(f"REL comm v{i}^{a} v{r['j']}^{b} = {rhs}")
     return lines

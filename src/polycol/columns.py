@@ -142,10 +142,10 @@ def _literal_bases(p):
     """(v, heights, bases) for every lattice-point difference, in sorted
     order, with the bases decided by shifting every lattice point."""
     pts = p.lattice_points
-    pset = p.lattice_set
+    index = p.point_index
     facets = p.facets
     for v in sorted({vec_sub(y, x) for x in pts for y in pts if y != x}):
-        stuck = [x for x in pts if vec_add(x, v) not in pset]
+        stuck = [x for x in pts if vec_add(x, v) not in index]
         if not stuck:
             raise InternalCheckError(
                 f"{v} shifts every lattice point inside a bounded polytope"
@@ -158,10 +158,9 @@ def _literal_bases(p):
 class ProductTable:
     """The finite partial product on Col(P).
 
-    For each ordered pair of column indices the entry is ("product", k),
-    ("zero",) when the vectors cancel, or ("none",).  ``rows[i][j]`` holds
-    it, at one pointer per entry: a table stays in memory for as long as
-    its polytope does.
+    ``rows[i][j]`` is the index k of the column u_i*u_j when that product
+    exists, and None otherwise (u + (-u) included), at one pointer per
+    entry: a table stays in memory for as long as its polytope does.
     """
 
     def __init__(self, columns, rows):
@@ -169,19 +168,44 @@ class ProductTable:
         self.index = {c.vector: i for i, c in enumerate(columns)}
         self.rows = rows
         self.products = tuple(
-            (i, j, entry[1])
+            (i, j, k)
             for i, row in enumerate(rows)
-            for j, entry in enumerate(row)
-            if entry[0] == "product"
+            for j, k in enumerate(row)
+            if k is not None
         )
 
-    def entry(self, i, j):
-        return self.rows[i][j]
+    def column(self, v):
+        """The index of a column, given as a ColumnVector or a vector."""
+        vec = v.vector if isinstance(v, ColumnVector) else tuple(v)
+        i = self.index.get(vec)
+        if i is None:
+            raise ValueError(f"{vec} is not a column vector of this polytope")
+        return i
 
     def product_of(self, u, v):
         """The column u*v for two columns of this table, or None."""
-        entry = self.rows[self.index[u.vector]][self.index[v.vector]]
-        return self.columns[entry[1]] if entry[0] == "product" else None
+        k = self.rows[self.index[u.vector]][self.index[v.vector]]
+        return None if k is None else self.columns[k]
+
+    def pair_cases(self):
+        """(i, j, case, k) for every ordered pair of columns with a nonzero
+        sum, in row order: the commutator case of x_{u_i} and x_{u_j}.
+
+        ``case`` is "product" when u_i*u_j exists (k is its index), so the
+        commutator is the shear along the product; "commute" when the sum is
+        not a column, so the shears commute; and "skipped" when the sum is a
+        column without a product, which neither case covers.  k is None for
+        the last two.
+        """
+        for i, (u, row) in enumerate(zip(self.columns, self.rows)):
+            for j, (v, k) in enumerate(zip(self.columns, row)):
+                if k is not None:
+                    yield i, j, "product", k
+                    continue
+                s = vec_add(u.vector, v.vector)
+                if any(s):
+                    case = "skipped" if s in self.index else "commute"
+                    yield i, j, case, None
 
     @cached_property
     def balanced(self):
@@ -236,10 +260,8 @@ def product_table(p):
         row = []
         rows.append(row)
         for j, g in enumerate(bases):
-            if j == opposite:
-                row.append(("zero",))
-            elif mins[g] + heights[g] <= 0:
-                row.append(("none",))
+            if j == opposite or mins[g] + heights[g] <= 0:
+                row.append(None)
             else:
                 s = vec_add(u.vector, cols[j].vector)
                 k = index.get(s)
@@ -252,26 +274,15 @@ def product_table(p):
                     raise InternalCheckError(
                         f"product {s} does not inherit the left base facet"
                     )
-                row.append(("product", k))
+                row.append(k)
     table = p.__dict__["_product_table"] = ProductTable(cols, rows)
     return table
-
-
-def _as_column(table, v):
-    if isinstance(v, ColumnVector):
-        vec = v.vector
-    else:
-        vec = tuple(v)
-    i = table.index.get(vec)
-    if i is None:
-        raise ValueError(f"{vec} is not a column vector of this polytope")
-    return i
 
 
 def product(p, u, v):
     """u*v = u+v with base P_u when the product exists, else None."""
     table = product_table(p)
-    u, v = (table.columns[_as_column(table, c)] for c in (u, v))
+    u, v = (table.columns[table.column(c)] for c in (u, v))
     return table.product_of(u, v)
 
 
@@ -282,7 +293,7 @@ def weak_product(p, vs):
     existence is searched, by interval dynamic programming.
     """
     table = product_table(p)
-    idx = [_as_column(table, v) for v in vs]
+    idx = [table.column(v) for v in vs]
     if not idx:
         raise ValueError("empty sequence")
     n = len(idx)
@@ -302,9 +313,8 @@ def weak_product(p, vs):
             right = exists(k + 1, j)
             if right is None:
                 continue
-            entry = table.entry(left, right)
-            if entry[0] == "product":
-                result = entry[1]
+            result = table.rows[left][right]
+            if result is not None:
                 break
         memo[(i, j)] = result
         return result
@@ -316,13 +326,13 @@ def weak_product(p, vs):
 def weak_hull(p, vectors):
     """Closure of the given columns under binary products."""
     table = product_table(p)
-    current = {_as_column(table, v) for v in vectors}
+    current = {table.column(v) for v in vectors}
     while True:
         new = set()
         for i, j in itertools.product(current, repeat=2):
-            entry = table.entry(i, j)
-            if entry[0] == "product" and entry[1] not in current:
-                new.add(entry[1])
+            k = table.rows[i][j]
+            if k is not None and k not in current:
+                new.add(k)
         if not new:
             break
         current |= new
@@ -338,7 +348,7 @@ def strict_hull(p, vectors):
     search space is finite.
     """
     table = product_table(p)
-    gens = sorted({_as_column(table, v) for v in vectors})
+    gens = sorted({table.column(v) for v in vectors})
     result = set(gens)
     # state: (last column index, frozenset of suffix sums, total sum)
     start = [(g, frozenset([table.columns[g].vector]), table.columns[g].vector)
@@ -348,8 +358,7 @@ def strict_hull(p, vectors):
     while stack:
         last, suffixes, total = stack.pop()
         for g in gens:
-            entry = table.entry(last, g)
-            if entry[0] != "product":
+            if table.rows[last][g] is None:
                 continue
             gvec = table.columns[g].vector
             shifted = [vec_add(s, gvec) for s in suffixes]
@@ -397,23 +406,16 @@ def is_col_divisible(p):
         raise ValueError("Col-divisibility is defined for balanced polytopes")
     table = product_table(p)
     cols = table.columns
-
-    def exists(i, j):
-        return table.entry(i, j)[0] == "product"
-
-    def prod_is(i, j, k):
-        e = table.entry(i, j)
-        return e[0] == "product" and e[1] == k
-
+    rows = table.rows
     m = len(cols)
     for a, b, c in itertools.product(range(m), repeat=3):
-        if a == b or not (exists(a, c) and exists(b, c)):
+        if a == b or rows[a][c] is None or rows[b][c] is None:
             continue
         d1 = table.index.get(vec_sub(cols[a].vector, cols[b].vector))
         d2 = table.index.get(vec_sub(cols[b].vector, cols[a].vector))
-        if d1 is not None and prod_is(d1, b, a):
+        if d1 is not None and rows[d1][b] == a:
             continue
-        if d2 is not None and prod_is(d2, a, b):
+        if d2 is not None and rows[d2][a] == b:
             continue
         return False, ("cd1", cols[a], cols[b], cols[c])
     for (a, b, k1) in table.products:
@@ -422,9 +424,9 @@ def is_col_divisible(p):
                 continue
             t1 = table.index.get(vec_sub(cols[c].vector, cols[a].vector))
             t2 = table.index.get(vec_sub(cols[a].vector, cols[c].vector))
-            if t1 is not None and prod_is(a, t1, c) and prod_is(t1, d, b):
+            if t1 is not None and rows[a][t1] == c and rows[t1][d] == b:
                 continue
-            if t2 is not None and prod_is(c, t2, a) and prod_is(t2, b, d):
+            if t2 is not None and rows[c][t2] == a and rows[t2][b] == d:
                 continue
             return False, ("cd2", cols[a], cols[b], cols[c], cols[d])
     return True, None
@@ -858,12 +860,12 @@ def verify_rigid_certificate(p, vectors, certificate):
     table = product_table(p)
     for a in hull:
         for b in hull:
-            e = table.entry(table.index[a.vector], table.index[b.vector])
+            k = table.rows[table.index[a.vector]][table.index[b.vector]]
             composable = label[a.vector][1] == label[b.vector][0]
-            if (e[0] == "product") != composable:
+            if (k is not None) != composable:
                 return False
-            if e[0] == "product":
-                r = table.columns[e[1]].vector
+            if k is not None:
+                r = table.columns[k].vector
                 if label[r] != (label[a.vector][0], label[b.vector][1]):
                     return False
     return True
@@ -883,9 +885,7 @@ def check_k_morphism(p, q, mapping):
     tq = product_table(q)
     mu = {}
     for src, dst in mapping.items():
-        i = _as_column(tp, src)
-        j = _as_column(tq, dst)
-        mu[i] = j
+        mu[tp.column(src)] = tq.column(dst)
     if set(mu) != set(range(len(tp.columns))):
         raise ValueError("mapping must be total on Col(P)")
     violations = []
@@ -897,8 +897,7 @@ def check_k_morphism(p, q, mapping):
                 ("pairing", tp.columns[w], tp.columns[v], lhs, rhs)
             )
     for (i, j, k) in tp.products:
-        e = tq.entry(mu[i], mu[j])
-        if e[0] != "product" or e[1] != mu[k]:
+        if tq.rows[mu[i]][mu[j]] != mu[k]:
             violations.append(
                 ("product", tp.columns[i], tp.columns[j], tp.columns[k])
             )

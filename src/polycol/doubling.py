@@ -26,10 +26,6 @@ class NoExtensionError(InternalCheckError):
     """A column vector failed to extend across a doubling."""
 
 
-class AmbiguousExtensionError(InternalCheckError):
-    """Several candidate extensions matched; the model is inconsistent."""
-
-
 @dataclass(frozen=True)
 class DoublingResult:
     doubled: Polytope
@@ -101,42 +97,35 @@ def double_along_facet(p, facet, section=None):
         facet.on_facet
     )
 
-    result = DoublingResult(
+    return DoublingResult(
         doubled=doubled,
         embed_base=embed_base,
         embed_copy=embed_copy,
-        col_inclusion={},
+        col_inclusion=extend_columns(p, doubled),
         section=w,
         facet=facet,
         count_identity_holds=count_identity,
     )
-    result.col_inclusion.update(extend_columns(p, result))
-    return result
 
 
-def extend_columns(p, result):
-    """Map each column vector of P to its image among the double's columns.
+def extend_columns(p, doubled):
+    """Map each column vector of P to its image among the doubled
+    polytope's columns.
 
     The natural inclusion appends a zero coordinate; the image must act on
     the base copy exactly as the original does, which pins it down, and it
-    must be verified as a genuine column vector of the double.
+    must be verified as a genuine column vector of the double.  Distinct
+    columns keep distinct images, so the map is injective.
     """
-    by_vector = {c.vector: c for c in product_table(result.doubled).columns}
+    table = product_table(doubled)
     mapping = {}
     for c in product_table(p).columns:
-        candidates = [c.vector + (0,)]
-        matches = [by_vector[v] for v in candidates if v in by_vector]
-        if not matches:
+        k = table.index.get(c.vector + (0,))
+        if k is None:
             raise NoExtensionError(
                 f"column {c.vector} has no image among the double's columns"
             )
-        if len(matches) > 1:
-            raise AmbiguousExtensionError(
-                f"column {c.vector} extends ambiguously"
-            )
-        mapping[c] = matches[0]
-    if len(set(mapping.values())) != len(mapping):
-        raise AmbiguousExtensionError("column inclusion is not injective")
+        mapping[c] = table.columns[k]
     return mapping
 
 

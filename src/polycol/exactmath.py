@@ -357,10 +357,6 @@ class Poly:
             return Poly.const(self.names, other)
         return NotImplemented
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -626,6 +622,9 @@ class ModInt:
         return ModInt(self.value * other.value, self.modulus)
 
     __rmul__ = __mul__
+
+    def __bool__(self):
+        return self.value != 0
 
     def __eq__(self, other):
         other = self._check(other)

@@ -298,8 +298,9 @@ class Polytope:
         return tuple(pts)
 
     @cached_property
-    def lattice_set(self):
-        return frozenset(self.lattice_points)
+    def point_index(self):
+        """{lattice point: its index in ``lattice_points``}."""
+        return {z: i for i, z in enumerate(self.lattice_points)}
 
     @cached_property
     def facet_heights(self):
@@ -342,7 +343,7 @@ class Polytope:
             return tuple(z) == self.vertices[0]
         if self.is_full_dimensional:
             return all(dot(a, z) >= b for a, b in self._facet_pairs)
-        return tuple(z) in self.lattice_set
+        return tuple(z) in self.point_index
 
     def height(self, facet, z, degree=1):
         """normal . z - degree * offset, for one of this polytope's facets."""

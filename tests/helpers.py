@@ -126,7 +126,7 @@ def literal_column_search(p):
     Tries every difference of lattice points against every facet.
     """
     pts = p.lattice_points
-    pset = p.lattice_set
+    pset = set(pts)
     facets = p.facets
     found = []
     for v in sorted({vec_sub(y, x) for x in pts for y in pts if y != x}):
@@ -152,8 +152,9 @@ def literal_product_table(p):
     off the base of u is shifted by u onto the base of v.
 
     Columns are (vector, base) pairs in sorted order; rows hold the same
-    entries as ``product_table(p).rows``.  Facet point sets come from the
-    facet inequalities, not from the polytope's height matrix.
+    entries as ``product_table(p).rows``: the index of u*v, or None.  Facet
+    point sets come from the facet inequalities, not from the polytope's
+    height matrix.  A product whose sum is not a column raises.
     """
     pts = p.lattice_points
     pset = set(pts)
@@ -173,12 +174,14 @@ def literal_product_table(p):
         row = []
         for v, base_v in cols:
             s = vec_add(u, v)
-            if not any(s):
-                row.append(("zero",))
-            elif all(vec_add(x, u) not in on[base_v] for x in off_facet[base_u]):
-                row.append(("product", index.get(s)))
+            if not any(s) or any(
+                vec_add(x, u) in on[base_v] for x in off_facet[base_u]
+            ):
+                row.append(None)
+            elif s in index:
+                row.append(index[s])
             else:
-                row.append(("none",))
+                raise AssertionError(f"product {u}*{v} exists but is not a column")
         rows.append(row)
     return cols, rows
 
@@ -341,11 +344,11 @@ def literal_steinberg_report(p, var_names=("a", "b")):
             s = vec_add(u.vector, v.vector)
             if not any(s):
                 continue
-            entry = table.entry(i, j)
-            if entry[0] == "product":
+            k = table.rows[i][j]
+            if k is not None:
                 if not balanced:
                     continue
-                w = cols[entry[1]]
+                w = cols[k]
                 expected = elementary_automorphism(p, w, -(lam * mu), ring)
                 ok = commutator(i, j).columns == expected.columns
                 report["pairs"].append(

@@ -28,8 +28,17 @@ from polycol.algebra import (
 )
 from polycol.cli import main
 from polycol.columns import column_vectors, is_balanced, product_table
-from polycol.exactmath import QQ, ZZ, IntegersMod, ModInt, PolynomialRing, dot
-from polycol.polytopes import InternalCheckError, dilate
+from polycol.exactmath import (
+    QQ,
+    ZZ,
+    IntegersMod,
+    ModInt,
+    PolynomialRing,
+    dot,
+    vec_add,
+)
+from polycol.polytopes import InternalCheckError, dilate, polytope_from_points
+from polycol.reports import analysis_report
 
 from . import helpers
 from .conftest import (
@@ -225,6 +234,17 @@ def test_elementary_stores_no_vanishing_coefficient():
         (2, 0): lam * lam * lam,
     }
     assert _no_stored_zero(e)
+    # 2 + 4 = 0 mod 6: every term of x_u(2) x_u(4) off the diagonal sums to
+    # zero, and the composite must keep none of them
+    ring = IntegersMod(6)
+    assert not ring.zero and ring.one and not ModInt(12, 6)
+    for p in [TRIANGLE, HEXAGON, SQUARE_PYRAMID]:
+        for c in column_vectors(p):
+            e = elementary_automorphism(p, c, ModInt(2, 6), ring).compose(
+                elementary_automorphism(p, c, ModInt(4, 6), ring)
+            )
+            assert _no_stored_zero(e)
+            assert e.columns == identity_automorphism(p, ring).columns
 
 
 def test_elementary_inverse():
@@ -343,6 +363,28 @@ def test_column_inversion_square_reflection():
     assert len(inversion_subgroup(TRIANGLE)) == 6  # all of Sigma
 
 
+def test_symmetries_searched_once_per_polytope(monkeypatch):
+    calls = []
+    search = lattice_symmetries
+
+    def counting(p):
+        calls.append(p)
+        return search(p)
+
+    monkeypatch.setattr("polycol.algebra.lattice_symmetries", counting)
+    # fresh objects: the corpus polytopes may already hold their symmetries
+    square = polytope_from_points(UNIT_SQUARE.vertices)
+    data = symmetry_group_data(square)
+    assert (data["symmetry_order"], data["inversion_order"]) == (8, 4)
+    assert len(inversion_subgroup(square)) == 4
+    assert calls == [square]
+    cube = polytope_from_points(list(itertools.product((0, 1), repeat=3)))
+    report = analysis_report(cube)
+    assert report["symmetry_order"] == 48
+    assert report["inversion_subgroup_order"] == 8
+    assert calls == [square, cube]
+
+
 def test_column_inversion_requires_pair():
     with pytest.raises(ValueError):
         column_inversion(TRAPEZOID, col(TRAPEZOID, (0, -1)))
@@ -405,7 +447,7 @@ def test_steinberg_matches_literal_commutators():
     assert not is_balanced(p)[0]
     table = product_table(p)
     n = len(table.columns)
-    assert any(table.entry(i, j)[0] == "product"
+    assert any(table.rows[i][j] is not None
                for i in range(n) for j in range(n))
     report = verify_steinberg_relations(p)
     assert report == literal_steinberg_report(p)
@@ -549,3 +591,58 @@ def test_presentation_requires_balanced():
 
     with pytest.raises(ValueError):
         steinberg_presentation_lines(STEEP_TRIANGLE)
+    with pytest.raises(ValueError):
+        steinberg_presentation_json(STEEP_TRIANGLE)
+    with pytest.raises(ValueError):
+        steinberg_presentation_mod(STEEP_TRIANGLE, 3)
+
+
+def test_presentations_match_literal_pair_cases(balanced_corpus):
+    # expected lines, relations and skipped pairs straight from the literal
+    # product table, rendered here without the production exporters
+    m = 3
+    exps = range(1, m)
+
+    def power(k, c):
+        return f"v{k}^{c}" if c else "1"
+
+    for p in balanced_corpus:
+        cols, rows = helpers.literal_product_table(p)
+        index = {v: i for i, (v, _) in enumerate(cols)}
+        n = len(cols)
+        lines = [f"GEN v{i} base={b}" for i, (_, b) in enumerate(cols)]
+        lines += [f"REL add v{i}" for i in range(n)]
+        relations = [{"kind": "add", "i": i} for i in range(n)]
+        skipped = []
+        mod_lines = [f"MOD {m}"] + [f"GEN v{i}^{a}" for i in range(n) for a in exps]
+        mod_lines += [
+            f"REL mul v{i}^{a} v{i}^{b} = {power(i, (a + b) % m)}"
+            for i in range(n) for a in exps for b in exps
+        ]
+        for i, j in itertools.product(range(n), repeat=2):
+            s = vec_add(cols[i][0], cols[j][0])
+            k = rows[i][j]
+            if not any(s):
+                continue
+            if k is not None:
+                lines.append(f"REL comm v{i} v{j} -> v{k} sign=-1")
+                relations.append(
+                    {"kind": "comm", "i": i, "j": j, "result": k, "sign": -1}
+                )
+                mod_lines += [
+                    f"REL comm v{i}^{a} v{j}^{b} = {power(k, -a * b % m)}"
+                    for a in exps for b in exps
+                ]
+            elif s not in index:
+                lines.append(f"REL comm v{i} v{j} -> 1")
+                relations.append({"kind": "comm", "i": i, "j": j, "result": None})
+                mod_lines += [
+                    f"REL comm v{i}^{a} v{j}^{b} = 1" for a in exps for b in exps
+                ]
+            else:
+                skipped.append({"i": i, "j": j})
+        assert steinberg_presentation_lines(p) == lines, p.name
+        data = steinberg_presentation_json(p)
+        assert data["relations"] == relations, p.name
+        assert data["skipped_pairs"] == skipped, p.name
+        assert steinberg_presentation_mod(p, m) == mod_lines, p.name

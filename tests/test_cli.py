@@ -196,6 +196,16 @@ def test_cli_export(tmp_path, capsys):
     assert len(data["skipped_pairs"]) == 2
 
 
+def test_cli_presentations_require_balanced(tmp_path, capsys):
+    path = write_poly(tmp_path, "steep", [[0, 0], [3, 0], [0, 1]])
+    for what in (["presentation"], ["presentation", "--modulus", "3"],
+                 ["presentation-json"]):
+        code, out, err = run_cli(capsys, "export", path, "--what", *what)
+        assert code == 2, what
+        assert out == ""
+        assert "balanced polytopes" in err
+
+
 @pytest.mark.parametrize("modulus", ["0", "1", "-3"])
 def test_cli_export_rejects_modulus_below_2(tmp_path, capsys, modulus):
     trap = write_poly(tmp_path, "trap", [[0, 0], [2, 0], [1, 1], [0, 1]])

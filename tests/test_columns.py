@@ -169,11 +169,22 @@ def test_column_candidates_on_doubling_chain():
 
 
 def assert_table_matches_literal(q):
-    """product_table(q) equals the literal oracle, columns and rows."""
+    """product_table(q) equals the literal oracle, columns and rows, and
+    its pair walk sorts every pair as the oracle's rows do."""
     table = product_table(q)
     cols, rows = literal_product_table(q)
     assert [(c.vector, c.base) for c in table.columns] == cols, q
     assert table.rows == rows, q
+    vecs = {v for v, _ in cols}
+    expected = []
+    for i, j in itertools.product(range(len(cols)), repeat=2):
+        s = vec_add(cols[i][0], cols[j][0])
+        k = rows[i][j]
+        if k is not None:
+            expected.append((i, j, "product", k))
+        elif any(s):
+            expected.append((i, j, "skipped" if s in vecs else "commute", None))
+    assert list(table.pair_cases()) == expected, q
 
 
 def test_product_table_matches_literal_on_corpus(corpus):
@@ -220,6 +231,15 @@ def test_product_closure(corpus):
             assert w.base == u.base
 
 
+def test_column_lookup():
+    table = product_table(SLANTED_QUAD)
+    for i, c in enumerate(table.columns):
+        assert table.column(c) == i
+        assert table.column(list(c.vector)) == i
+    with pytest.raises(ValueError, match="not a column vector"):
+        table.column((0, 1))
+
+
 def test_weak_product():
     cols = cols_by_vector(SLANTED_QUAD)
     u, v = cols[(0, -1)], cols[(-1, 0)]
@@ -242,8 +262,7 @@ def test_weak_product_bracketing_independent():
         idx = {c.vector: i for i, c in enumerate(cols)}
 
         def pair(i, j):
-            e = table.entry(i, j)
-            return e[1] if e[0] == "product" else None
+            return table.rows[i][j]
 
         for seq in itertools.product(range(len(cols)), repeat=3):
             a, b, c = seq
@@ -348,14 +367,13 @@ def test_col_divisible_pyramid():
         table = product_table(SQUARE_PYRAMID)
         idx = {col.vector: i for i, col in enumerate(table.columns)}
         # both products with the common right factor exist
-        assert table.entry(idx[a.vector], idx[c.vector])[0] == "product"
-        assert table.entry(idx[b.vector], idx[c.vector])[0] == "product"
+        assert table.rows[idx[a.vector]][idx[c.vector]] is not None
+        assert table.rows[idx[b.vector]][idx[c.vector]] is not None
         # and neither difference divides
         for d, tgt, other in ((vec_sub(a.vector, b.vector), a, b),
                               (vec_sub(b.vector, a.vector), b, a)):
             if d in idx:
-                e = table.entry(idx[d], idx[other.vector])
-                assert e != ("product", idx[tgt.vector])
+                assert table.rows[idx[d]][idx[other.vector]] != idx[tgt.vector]
 
 
 def test_col_divisible_simplices():
