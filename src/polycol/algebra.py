@@ -9,21 +9,21 @@ generators are carried along for provenance.
 
 Symbolic verification happens over a polynomial ring on integer
 coefficients: an identity of columns there holds over every commutative ring
-at once.
+at once.  Where the monomial grading pins each coefficient to a single term,
+the identity is checked over Z with every variable at 1 instead.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb
 
 from .columns import is_balanced, product_table
 from .exactmath import (
-    QQ,
     ZZ,
     PolynomialRing,
     dot,
+    rank_int,
     vec_add,
     vec_neg,
     vec_scale,
@@ -220,36 +220,37 @@ def elementary_automorphism(p, col, lam, ring):
 
     The column of x expands binomially through the points x + k v, all of
     which are lattice points because heights over the base facet drop by
-    exactly one per step.  Terms that vanish in the ring (lam = 0, or a
-    binomial coefficient divisible by the modulus) are not stored.
+    exactly one per step; they are walked one step of v at a time.  Terms
+    that vanish in the ring (lam = 0, or a binomial coefficient divisible by
+    the modulus) are not stored.
     """
     if not p.is_normalized:
         raise ValueError("elementary automorphisms need a normalized polytope")
     table = product_table(p)
     col = table.columns[table.column(col)]
-    pts = p.lattice_points
+    v = col.vector
     index = p.point_index
     heights = p.facet_heights[col.base]
-    powers = [ring.one]
+    one = ring.one
+    powers = [one]
     for _ in range(max(heights)):
         powers.append(powers[-1] * lam)
     columns = []
-    for x, h in zip(pts, heights):
+    for x, h in zip(p.lattice_points, heights):
         column = {}
+        target, coeff = x, one
         for k in range(h + 1):
-            target = vec_add(x, vec_scale(k, col.vector))
-            if target not in index:
-                raise InternalCheckError(
-                    f"{x} + {k}*{col.vector} escaped the polytope"
-                )
-            coeff = ring.from_int(comb(h, k))
             if k:
-                coeff = coeff * powers[k]
+                target = vec_add(target, v)
+                coeff = ring.from_int(comb(h, k)) * powers[k]
+            i = index.get(target)
+            if i is None:
+                raise InternalCheckError(f"{x} + {k}*{v} escaped the polytope")
             if coeff:
-                column[index[target]] = coeff
+                column[i] = coeff
         columns.append(column)
-    word = (("elementary", col.vector, lam),)
-    inverse_word = (("elementary", col.vector, _ring_neg(ring, lam)),)
+    word = (("elementary", v, lam),)
+    inverse_word = (("elementary", v, _ring_neg(ring, lam)),)
     return GradedAutomorphism(p, ring, columns, word, inverse_word)
 
 
@@ -525,14 +526,36 @@ def verify_steinberg_relations(p, var_names=("a", "b")):
     Pairs whose sum is a column without an existing product are outside
     both covered cases and reported as skipped.
 
-    Each commutator is checked with two products instead of three.  First
-    x_u(t) o x_u(-t) = 1 is certified for t = lam and t = mu on every column
-    u; a one-sided inverse of a square matrix over a commutative ring is
-    two-sided, so x_u(-t) is the inverse of x_u(t).  Then, for A = x_u(lam)
-    and B = x_v(mu), the commutator A B A^-1 B^-1 equals E exactly when
-    A B = E B A: multiply on the right by B A, or by its inverse.  So a pair
-    commutes iff x_u(lam) x_v(mu) = x_v(mu) x_u(lam), and the product case
-    holds iff x_u(lam) x_v(mu) = x_w(-lam mu) x_v(mu) x_u(lam).
+    Each commutator is checked with two products instead of three.  Once
+    x_u(-t) is known to invert x_u(t), the commutator A B A^-1 B^-1 of
+    A = x_u(lam) and B = x_v(mu) equals E exactly when A B = E B A:
+    multiply on the right by B A, or by its inverse.  So a pair commutes iff
+    x_u(lam) x_v(mu) = x_v(mu) x_u(lam), and the product case holds iff
+    x_u(lam) x_v(mu) = x_w(-lam mu) x_v(mu) x_u(lam), where w = u + v.
+
+    Most of these identities are checked over Z at lam = mu = 1, by the
+    monomial grading: give the monomial [x] degree x, lam degree -u and mu
+    degree -v.  Each shear along u or v, and x_w(-lam mu), maps [x] to a sum
+    of c lam^a mu^b [y] with y - a u - b v = x, so it preserves degree, and
+    so does every composite of them.  Both sides of each identity are then
+    homogeneous: the coefficient of [y] in the image of [x] is a sum of terms
+    c lam^a mu^b with a u + b v = y - x.  When u and v are linearly
+    independent, (a, b) is fixed by y - x, so that coefficient is a single
+    term, determined by its value at lam = mu = 1; two such composites are
+    equal over Z[lam, mu] iff they are equal at lam = mu = 1.  The same
+    argument with mu absent shows x_u(lam) x_u(-lam) = 1 iff
+    x_u(1) x_u(-1) = 1, so one check over Z per column certifies x_u(-t) as
+    the inverse of x_u(t) for t = lam and t = mu (a one-sided inverse of a
+    square matrix over a commutative ring is two-sided).  The product shear
+    x_w(-1) is then the certified inverse shear of w.
+
+    The grading does not separate lam from mu when u and v are parallel, nor
+    in the additivity identity, so those are composed over Z[lam, mu].  Two
+    columns are never parallel unless they are equal or opposite (each has
+    height -1 over its base facet), and opposite columns have sum zero, so
+    the only parallel pair is the diagonal (u, u), a commute pair since 2u
+    is not a column; it reuses the product x_u(lam) x_u(mu) of the
+    additivity check.
     """
     balanced, _ = is_balanced(p)
     ring = PolynomialRing(var_names)
@@ -541,44 +564,52 @@ def verify_steinberg_relations(p, var_names=("a", "b")):
     table = product_table(p)
     cols = table.columns
     report = {"additivity": [], "pairs": [], "all_ok": True, "balanced": balanced}
-    # the shears of every commutator, built and certified once per column
-    by_lam, by_mu = [], []
+    # per column: x_u(1) and its certified inverse x_u(-1) over Z, and
+    # x_u(lam), x_u(mu), x_u(lam) x_u(mu) over Z[lam, mu]
+    unit, inverse, by_lam, by_mu, lam_mu = [], [], [], [], []
     for u in cols:
-        by_lam.append(elementary_automorphism(p, u, lam, ring))
-        by_mu.append(elementary_automorphism(p, u, mu, ring))
-        neg_lam = elementary_automorphism(p, u, -lam, ring)
-        neg_mu = elementary_automorphism(p, u, -mu, ring)
-        if not (by_lam[-1].compose(neg_lam).is_identity()
-                and by_mu[-1].compose(neg_mu).is_identity()):
+        unit.append(elementary_automorphism(p, u, 1, ZZ))
+        inverse.append(elementary_automorphism(p, u, -1, ZZ))
+        if not unit[-1].compose(inverse[-1]).is_identity():
             raise InternalCheckError(
                 f"the shears along {u.vector} by -t do not invert those by t"
             )
+        by_lam.append(elementary_automorphism(p, u, lam, ring))
+        by_mu.append(elementary_automorphism(p, u, mu, ring))
+        lam_mu.append(by_lam[-1].compose(by_mu[-1]))
         rhs = elementary_automorphism(p, u, lam + mu, ring)
-        ok = by_lam[-1].compose(by_mu[-1]).columns == rhs.columns
+        ok = lam_mu[-1].columns == rhs.columns
         report["additivity"].append({"u": u.vector, "ok": ok})
         if not ok:
             report["all_ok"] = False
 
-    def commute(i, j):
-        return (by_lam[i].compose(by_mu[j]).columns
-                == by_mu[j].compose(by_lam[i]).columns)
+    def holds(i, j, k):
+        """x_u(lam) x_v(mu) = E x_v(mu) x_u(lam), with E = x_w(-lam mu) for
+        the product index k, and E = 1 when k is None."""
+        if rank_int([cols[i].vector, cols[j].vector]) == 2:
+            rhs = unit[j].compose(unit[i])
+            if k is not None:
+                rhs = inverse[k].compose(rhs)
+            return unit[i].compose(unit[j]).columns == rhs.columns
+        if i != j or k is not None:
+            raise InternalCheckError(
+                f"parallel columns {cols[i].vector}, {cols[j].vector} "
+                "in a commutator case"
+            )
+        return lam_mu[i].columns == by_mu[i].compose(by_lam[i]).columns
 
     for i, j, case, k in table.pair_cases():
         pair = {"u": cols[i].vector, "v": cols[j].vector, "case": case}
         if case == "skipped":
             pair.update(note="sum is a column but the product does not exist",
-                        commutes=commute(i, j), ok=None)
+                        commutes=holds(i, j, None), ok=None)
             report["pairs"].append(pair)
             continue
         if not balanced:
             continue
         if case == "product":
-            expected = elementary_automorphism(p, cols[k], -(lam * mu), ring)
-            rhs = expected.compose(by_mu[j].compose(by_lam[i]))
             pair["result"] = cols[k].vector
-            pair["ok"] = by_lam[i].compose(by_mu[j]).columns == rhs.columns
-        else:
-            pair["ok"] = commute(i, j)
+        pair["ok"] = holds(i, j, k)
         report["pairs"].append(pair)
         if not pair["ok"]:
             report["all_ok"] = False
@@ -588,9 +619,13 @@ def verify_steinberg_relations(p, var_names=("a", "b")):
 def verify_additive_embedding(p, facet_index, grid=5):
     """Same-base shears commute and assemble into an additive embedding.
 
-    Commutation and the homomorphism identity are symbolic; injectivity is
-    certified on a grid of distinct rational tuples whose images must be
-    pairwise distinct automorphisms.
+    The homomorphism identity is symbolic.  Commutation is checked at
+    scalar 1 over Z, by the grading argument of
+    ``verify_steinberg_relations``: two distinct columns on one base facet
+    both have height -1 over it, so they are never parallel.  Injectivity is
+    certified on a grid of distinct integer tuples whose images over Z must
+    be pairwise distinct automorphisms; Z embeds in Q compatibly with
+    composition, so that is the same count as over Q.
     """
     table = product_table(p)
     cols = [c for c in table.columns if c.base == facet_index]
@@ -610,11 +645,11 @@ def verify_additive_embedding(p, facet_index, grid=5):
             elementary_automorphism(p, c, lam, ring) for c, lam in zip(cols, values)
         ]
 
-    shears = shears_at(avars)
-    ok_comm = True
-    for ei, ej in itertools.combinations(shears, 2):
-        if ei.compose(ej).columns != ej.compose(ei).columns:
-            ok_comm = False
+    unit = [elementary_automorphism(p, c, 1, ZZ) for c in cols]
+    ok_comm = all(
+        ei.compose(ej).columns == ej.compose(ei).columns
+        for ei, ej in itertools.combinations(unit, 2)
+    )
     report["pairwise_commute"] = ok_comm
 
     def phi(factors, rng):
@@ -623,15 +658,16 @@ def verify_additive_embedding(p, facet_index, grid=5):
             out = out.compose(e)
         return out
 
+    shears = shears_at(avars)
     lhs = phi(shears_at([a + b for a, b in zip(avars, bvars)]), ring)
     rhs = phi(shears, ring).compose(phi(shears_at(bvars), ring))
     report["homomorphism"] = lhs.columns == rhs.columns
 
     # the grid varies the first two columns and keeps the rest at 0, so it
-    # needs one QQ shear per column and value
+    # needs one shear over Z per column and value
     grid_shears = [
         {
-            value: elementary_automorphism(p, c, Fraction(value), QQ)
+            value: elementary_automorphism(p, c, value, ZZ)
             for value in (range(grid) if k < 2 else (0,))
         }
         for k, c in enumerate(cols)
@@ -640,7 +676,7 @@ def verify_additive_embedding(p, facet_index, grid=5):
         (i, j) + (0,) * (s - 2) for i in range(grid) for j in range(grid)
     ]
     images = {
-        phi([grid_shears[k][value] for k, value in enumerate(pt)], QQ)
+        phi([grid_shears[k][value] for k, value in enumerate(pt)], ZZ)
         for pt in points
     }
     report["grid_points"] = len(points)

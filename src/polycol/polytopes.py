@@ -236,10 +236,19 @@ class Polytope:
 
     @cached_property
     def is_normalized(self):
-        """Full-dimensional, with lattice points affinely generating Z^n."""
+        """Full-dimensional, with lattice points affinely generating Z^n.
+
+        Up to dimension 2 that is every full-dimensional lattice polytope,
+        and no Hermite form is computed: a lattice segment holds two
+        consecutive integers, and a lattice polygon holds a unimodular
+        triangle, whose edge vectors are a basis of Z^2.  (Among the lattice
+        triangles inside the polygon, one of least area has no lattice point
+        but its vertices, or it would split into smaller ones; by Pick's
+        theorem its area is 1/2.)
+        """
         if not self.is_full_dimensional:
             return False
-        if self.ambient_dim == 0:
+        if self.ambient_dim <= 2:
             return True
         x0 = self.lattice_points[0]
         diffs = [vec_sub(z, x0) for z in self.lattice_points[1:]]

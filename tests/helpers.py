@@ -5,14 +5,17 @@ the implementations under test, except the slow paths kept for the polygon
 scan and the Steinberg check.  The scan ones call the same column and
 normal-form functions, one polygon at a time, so they check the grouping and
 the pruning, not those functions; the Steinberg one composes the same shears
-into literal four-fold commutators, so it checks the two-product identity.
+into literal four-fold commutators over Z[lam, mu], so it checks the
+two-product identity and the reduction to lam = mu = 1, and the embedding
+one composes them over Z[a, b] and Q, so it checks the reduction to Z.
 """
 
 import itertools
 import random
+from fractions import Fraction
 from math import comb, gcd
 
-from polycol.algebra import elementary_automorphism
+from polycol.algebra import elementary_automorphism, identity_automorphism
 from polycol.columns import (
     UnclassifiablePolygonError,
     classify_balanced_polygon,
@@ -21,7 +24,7 @@ from polycol.columns import (
     is_col_divisible,
     product_table,
 )
-from polycol.exactmath import PolynomialRing, dot, vec_add, vec_scale, vec_sub
+from polycol.exactmath import QQ, PolynomialRing, dot, vec_add, vec_scale, vec_sub
 from polycol.polytopes import (
     linear_image,
     normalize_full_dim,
@@ -372,6 +375,51 @@ def literal_steinberg_report(p, var_names=("a", "b")):
                      "note": "sum is a column but the product does not exist",
                      "commutes": commutator(i, j).is_identity(), "ok": None}
                 )
+    return report
+
+
+def literal_embedding_report(p, facet_index, grid=5):
+    """``algebra.verify_additive_embedding`` with every pair of same-base
+    shears commuted over Z[a0, ..., b(s-1)] and the injectivity grid
+    composed over Q."""
+    cols = [c for c in product_table(p).columns if c.base == facet_index]
+    s = len(cols)
+    report = {"facet": facet_index, "columns": [c.vector for c in cols]}
+    if s < 2:
+        report["status"] = "vacuous"
+        report["all_ok"] = True
+        return report
+    names = tuple(f"a{i}" for i in range(s)) + tuple(f"b{i}" for i in range(s))
+    ring = PolynomialRing(names)
+    avars = [ring.var(f"a{i}") for i in range(s)]
+    bvars = [ring.var(f"b{i}") for i in range(s)]
+
+    def shears_at(values, rng):
+        return [elementary_automorphism(p, c, t, rng) for c, t in zip(cols, values)]
+
+    def phi(factors, rng):
+        out = identity_automorphism(p, rng)
+        for e in factors:
+            out = out.compose(e)
+        return out
+
+    shears = shears_at(avars, ring)
+    report["pairwise_commute"] = all(
+        ei.compose(ej).columns == ej.compose(ei).columns
+        for ei, ej in itertools.combinations(shears, 2)
+    )
+    lhs = phi(shears_at([a + b for a, b in zip(avars, bvars)], ring), ring)
+    rhs = phi(shears, ring).compose(phi(shears_at(bvars, ring), ring))
+    report["homomorphism"] = lhs.columns == rhs.columns
+    points = [(i, j) + (0,) * (s - 2) for i in range(grid) for j in range(grid)]
+    images = {
+        phi(shears_at([Fraction(t) for t in pt], QQ), QQ) for pt in points
+    }
+    report["grid_points"] = len(points)
+    report["distinct_images"] = len(images)
+    report["injective_on_grid"] = len(images) == len(points)
+    report["all_ok"] = (report["pairwise_commute"] and report["homomorphism"]
+                        and report["injective_on_grid"])
     return report
 
 

@@ -23,6 +23,7 @@ from polycol.algebra import (
     torus_automorphism,
     verify_additive_embedding,
     verify_steinberg_relations,
+    GradedAutomorphism,
     _multiset_image,
     column_inversion,
 )
@@ -35,7 +36,10 @@ from polycol.exactmath import (
     ModInt,
     PolynomialRing,
     dot,
+    rank_int,
     vec_add,
+    vec_scale,
+    vec_sub,
 )
 from polycol.polytopes import InternalCheckError, dilate, polytope_from_points
 from polycol.reports import analysis_report
@@ -439,7 +443,9 @@ def test_steinberg_matches_literal_commutators():
     balanced = [p for p in CORPUS if is_balanced(p)[0]]
     assert SQUARE_PYRAMID in balanced
     dilated = [dilate(TRIANGLE, k) for k in range(3, 9)]
-    for p in balanced + dilated:
+    rng = random.Random(10)
+    sheared = [q for p in balanced for q in helpers.sheared_images(p, rng)]
+    for p in balanced + dilated + sheared:
         assert verify_steinberg_relations(p) == literal_steinberg_report(p), p.name
     # unbalanced: the product and commute pairs are left out, the skipped
     # pairs are still composed
@@ -461,11 +467,20 @@ def _patch_shears(monkeypatch, shear):
 
 
 def test_steinberg_wrong_product_shear_fails_same_pairs(monkeypatch):
+    # The literal oracle gets x_w(+lam mu) as the product shear.  The checked
+    # identities are built over Z at t = 1 and t = -1; negating every such t
+    # moves them to lam = mu = -1, where each x_u(-1) still inverts x_u(1)
+    # and the commute identities still hold, but the product slot then holds
+    # x_w(+1) = x_w(+lam mu) instead of x_w(-lam mu) = x_w(-1).
     ring = PolynomialRing(("a", "b"))
     lam_mu = ring.var("a") * ring.var("b")
 
     def plus_lam_mu(p, c, t, rng):
-        return elementary_automorphism(p, c, lam_mu if t == -lam_mu else t, rng)
+        if rng is ZZ:
+            t = -t
+        elif t == -lam_mu:
+            t = lam_mu
+        return elementary_automorphism(p, c, t, rng)
 
     _patch_shears(monkeypatch, plus_lam_mu)
     for p in [TRIANGLE, TRAPEZOID, SQUARE_PYRAMID, dilate(TRIANGLE, 3)]:
@@ -480,16 +495,16 @@ def test_steinberg_wrong_product_shear_fails_same_pairs(monkeypatch):
         assert not report["all_ok"]
 
 
-@pytest.mark.parametrize("var", ["a", "b"])
+@pytest.mark.parametrize("scalar", [1, -1], ids=["unit", "inverse"])
 def test_steinberg_non_inverse_shear_is_internal_error(
-    tmp_path, monkeypatch, capsys, var
+    tmp_path, monkeypatch, capsys, scalar
 ):
-    ring = PolynomialRing(("a", "b"))
-    negated = -ring.var(var)
+    # x_u(1) or x_u(-1) over Z, the pair that certifies x_u(-t) as the
+    # inverse of x_u(t) for t = lam and t = mu, is built at the wrong scalar
     broken = []
 
     def first_not_inverse(p, c, t, rng):
-        if t == negated and not broken:
+        if rng is ZZ and t == scalar and not broken:
             broken.append(c)
             t = t + 1
         return elementary_automorphism(p, c, t, rng)
@@ -507,6 +522,98 @@ def test_steinberg_non_inverse_shear_is_internal_error(
     assert out == ""
     assert err.startswith("internal check failed: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def _rank2_composites(p, i, j, k, ring):
+    """x_u(a) x_v(b), x_v(b) x_u(a) and, for a product index k,
+    x_w(-ab) x_v(b) x_u(a), over Z[a, b]."""
+    a, b = ring.var("a"), ring.var("b")
+    cols = product_table(p).columns
+    xu = elementary_automorphism(p, cols[i], a, ring)
+    xv = elementary_automorphism(p, cols[j], b, ring)
+    out = [xu.compose(xv), xv.compose(xu)]
+    if k is not None:
+        xw = elementary_automorphism(p, cols[k], -(a * b), ring)
+        out.append(xw.compose(out[1]))
+    return out
+
+
+def test_rank2_commutator_coefficients_are_single_terms(balanced_corpus):
+    # the lemma behind checking rank-2 pairs at lam = mu = 1: the coefficient
+    # of y in the image of x is one term c a^q b^p, and y - x = q u + p v
+    ring = PolynomialRing(("a", "b"))
+    dilated = [dilate(TRIANGLE, k) for k in range(3, 9)]
+    checked = 0
+    for p in balanced_corpus + dilated:
+        table = product_table(p)
+        pts = p.lattice_points
+        for i, j, case, k in table.pair_cases():
+            u, v = table.columns[i].vector, table.columns[j].vector
+            if rank_int([u, v]) < 2:
+                continue
+            for g in _rank2_composites(p, i, j, k, ring):
+                for x, column in zip(pts, g.columns):
+                    for r, coeff in column.items():
+                        assert len(coeff.terms) == 1, (p.name, u, v, case)
+                        (q, e), = coeff.terms
+                        assert vec_sub(pts[r], x) == vec_add(
+                            vec_scale(q, u), vec_scale(e, v)
+                        ), (p.name, u, v, case)
+                        checked += 1
+    assert checked > 1000
+
+
+def test_steinberg_symbolic_compositions(monkeypatch):
+    # over Z[a, b]: x_u(a) x_u(b) per column, reused by the diagonal pair,
+    # and x_u(b) x_u(a) per parallel pair; everything else is over Z
+    p = dilate(TRIANGLE, 4)
+    calls = Counter()
+    compose = GradedAutomorphism.compose
+
+    def counted(self, other):
+        calls["ZZ" if self.ring is ZZ else "symbolic"] += 1
+        return compose(self, other)
+
+    monkeypatch.setattr(GradedAutomorphism, "compose", counted)
+    report = verify_steinberg_relations(p)
+    assert report["all_ok"]
+    ncols = len(report["additivity"])
+    parallel = [e for e in report["pairs"] if rank_int([e["u"], e["v"]]) < 2]
+    assert len(parallel) == ncols
+    assert all(e["u"] == e["v"] for e in parallel)
+    products = sum(e["case"] == "product" for e in report["pairs"])
+    assert calls["symbolic"] == ncols + len(parallel)
+    # one inverse certificate per column, two products per rank-2 pair and
+    # a third for the product shear
+    rank2 = len(report["pairs"]) - len(parallel)
+    assert calls["ZZ"] == ncols + 2 * rank2 + products
+
+
+def test_additive_embedding_matches_literal(corpus):
+    rng = random.Random(12)
+    checked = 0
+    for p in corpus:
+        for q in [p] + helpers.sheared_images(p, rng, count=1):
+            for f in range(len(q.facets)):
+                report = verify_additive_embedding(q, f)
+                assert report == helpers.literal_embedding_report(q, f), p.name
+                checked += "status" not in report
+    assert checked >= 6
+
+
+def test_additive_embedding_reports_non_commuting_shears(monkeypatch):
+    # in place of x_(1,-1)(1), the shear along (1, 0): its commutator with
+    # the shear along (0, -1) is the shear along their product (1, -1)
+    def swapped(p, c, t, rng):
+        if rng is ZZ and t == 1 and c.vector == (1, -1):
+            c = col(p, (1, 0))
+        return elementary_automorphism(p, c, t, rng)
+
+    monkeypatch.setattr("polycol.algebra.elementary_automorphism", swapped)
+    report = verify_additive_embedding(TRAPEZOID, col(TRAPEZOID, (0, -1)).base)
+    assert report["columns"] == [(0, -1), (1, -1)]
+    assert report["pairwise_commute"] is False
+    assert not report["all_ok"]
 
 
 def test_additive_embedding_wide_triangle():

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polycol.exactmath import dot, mat_mul, mat_vec, rank_int, vec_add, vec_sub
+from polycol.exactmath import (
+    dot,
+    lattice_index_is_full,
+    mat_mul,
+    mat_vec,
+    rank_int,
+    vec_add,
+    vec_sub,
+)
 from polycol.polytopes import (
     dilate,
     integral_affine_equivalent,
@@ -279,6 +287,48 @@ def test_normalize_sublattice():
     assert q.ambient_dim == 1
     assert len(q.lattice_points) == 3
     assert max(v[0] for v in q.vertices) - min(v[0] for v in q.vertices) == 2
+
+
+def _hnf_is_normalized(p):
+    """``Polytope.is_normalized`` by the Hermite form in every dimension."""
+    if not p.is_full_dimensional:
+        return False
+    if p.ambient_dim == 0:
+        return True
+    x0 = p.lattice_points[0]
+    diffs = [vec_sub(z, x0) for z in p.lattice_points[1:]]
+    return lattice_index_is_full(diffs, p.ambient_dim)
+
+
+def test_is_normalized_matches_hermite_form(monkeypatch):
+    hnf_calls = []
+
+    def counted(rows, n):
+        hnf_calls.append(n)
+        return lattice_index_is_full(rows, n)
+
+    monkeypatch.setattr("polycol.polytopes.lattice_index_is_full", counted)
+    rng = random.Random(14)
+    vertex_lists = list(enumerate_polygons(3))
+    assert len(vertex_lists) == 1633
+    vertex_lists += [p.vertices for p in CORPUS]
+    vertex_lists += [q.vertices for p in CORPUS for q in sheared_images(p, rng)]
+    vertex_lists.append([(0, 0), (2, 2)])
+    for vertices in vertex_lists:
+        p = polytope_from_points(vertices)
+        hnf_calls.clear()
+        assert p.is_normalized == _hnf_is_normalized(p), vertices
+        # a Hermite form only above dimension 2
+        hermite = p.is_full_dimensional and p.ambient_dim > 2
+        assert hnf_calls == ([p.ambient_dim] if hermite else [])
+    # the Reeve tetrahedron: its lattice points are its vertices, and they
+    # span an index-3 sublattice
+    reeve = polytope_from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)])
+    assert len(reeve.lattice_points) == 4
+    hnf_calls.clear()
+    assert not reeve.is_normalized
+    assert hnf_calls == [3]
+    assert not _hnf_is_normalized(reeve)
 
 
 def test_normalize_empty_simplex():
