@@ -1,10 +1,13 @@
 """Exact integer, rational and polynomial arithmetic kernels.
 
-Everything in this package computes over Python ints, ``fractions.Fraction``
-and sparse integer polynomials; there is no floating point anywhere.  Vectors
-are plain tuples of ints, matrices are tuples of row tuples.  The canonical
-order on integer vectors is coordinate-lexicographic (= tuple order), and all
-set-valued results elsewhere in the package are emitted sorted in that order.
+Everything in this package is exact; there is no floating point anywhere.
+Geometry and coordinate maps are integer-only: a rational matrix travels as an
+integer matrix with one common denominator (``mat_inverse_frac``), and
+``fractions.Fraction`` appears only as the element type of the ``QQ``
+coefficient ring.  Vectors are plain tuples of ints, matrices are tuples of
+row tuples.  The canonical order on integer vectors is coordinate-lexicographic
+(= tuple order), and all set-valued results elsewhere in the package are
+emitted sorted in that order.
 """
 
 from __future__ import annotations
@@ -259,49 +262,41 @@ def lattice_index_is_full(rows, n):
 
 
 def solve_int(m, rhs):
-    """Solve m @ x = rhs exactly; returns a Fraction tuple or None."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(m, rhs)]
-    cols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if a[i][cols] != 0:
+    """The integer x with m @ x = rhs, or None if there is none.
+
+    The columns of m must be linearly independent.  With h = u @ m the
+    Hermite form, m @ x = rhs iff h @ x = u @ rhs: the rows of u @ rhs below
+    the pivot block must vanish, and back substitution on the triangular
+    pivot block must divide exactly.
+    """
+    h, u = hermite_normal_form(m)
+    c = len(m[0])
+    if len(h) < c or any(h[i][i] == 0 for i in range(c)):
+        raise ValueError("solve_int needs linearly independent columns")
+    w = mat_vec(u, rhs)
+    if any(w[c:]):
+        return None
+    x = [0] * c
+    for i in reversed(range(c)):
+        x[i], rem = divmod(w[i] - dot(h[i][i + 1:c], x[i + 1:]), h[i][i])
+        if rem:
             return None
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = a[i][cols]
     return tuple(x)
 
 
 def mat_inverse_frac(m):
-    """Exact inverse of a square matrix, entries returned as Fractions."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        a[c] = [x / a[c][c] for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(tuple(row[n:]) for row in a)
+    """The inverse of a square integer matrix as one fraction (a, d).
+
+    a is an integer matrix and d > 0 with m @ a = d * I, so m^-1 = a / d;
+    d is |det m|.  Raises ValueError on a singular matrix.
+    """
+    det = det_int(m)
+    if det == 0:
+        raise ValueError("matrix is singular")
+    adj = adjugate_int(m)
+    if det < 0:
+        return tuple(tuple(-x for x in row) for row in adj), -det
+    return adj, det
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
 from .exactmath import (
-    adjugate_int,
     det_int,
     dot,
     extended_gcd,
     hermite_normal_form,
     identity_matrix,
-    kernel_basis_int,
     lattice_index_is_full,
     mat_inverse_frac,
     mat_mul,
@@ -69,18 +66,22 @@ class FacetForm:
 
 
 class AffineLatticeMap:
-    """x -> matrix @ x + translation, with the exact inverse when available.
+    """x -> (matrix @ x + translation) / denominator, with the exact inverse
+    when available.
 
-    Entries may be Fractions (lattice rebasing); applying the map to a point
-    must nevertheless produce integers, anything else is an internal error.
+    Matrix and translation hold ints, and the denominator is an int >= 1; it
+    exceeds 1 only when a polytope is rebased onto the lattice its own points
+    generate.  Applying the map to a point must nevertheless produce
+    integers: a remainder is an internal error.
     """
 
-    __slots__ = ("matrix", "translation", "inverse")
+    __slots__ = ("matrix", "translation", "inverse", "denominator")
 
-    def __init__(self, matrix, translation, inverse=None):
+    def __init__(self, matrix, translation, inverse=None, denominator=1):
         self.matrix = tuple(tuple(row) for row in matrix)
         self.translation = tuple(translation)
         self.inverse = inverse
+        self.denominator = denominator
 
     @classmethod
     def identity(cls, n):
@@ -96,14 +97,15 @@ class AffineLatticeMap:
         return fwd
 
     def apply(self, point):
+        d = self.denominator
         out = []
         for row, c in zip(self.matrix, self.translation):
-            v = Fraction(sum(a * x for a, x in zip(row, point)) + c)
-            if v.denominator != 1:
+            v, rem = divmod(sum(a * x for a, x in zip(row, point)) + c, d)
+            if rem:
                 raise InternalCheckError(
-                    f"affine lattice map produced non-integer {v} at {point}"
+                    f"affine lattice map produced a non-integer at {point}"
                 )
-            out.append(int(v))
+            out.append(v)
         return tuple(out)
 
     def key(self):
@@ -137,12 +139,11 @@ def dual_description(rows):
     if len(basis) < d:
         raise ValueError("generators do not span the space (cone not pointed)")
 
-    det = det_int(basis)
-    adj = adjugate_int(basis)
-    sign = 1 if det > 0 else -1
+    # {y : B y >= 0} for the square basis B is spanned by the columns of B^-1
+    inv, _ = mat_inverse_frac(basis)
     rays = []
     for j in range(d):
-        col = tuple(sign * adj[i][j] for i in range(d))
+        col = tuple(inv[i][j] for i in range(d))
         mask = 0
         for i in range(d):
             if i != j:
@@ -363,21 +364,25 @@ class Polytope:
     def _full_dim_model(self):
         """(Q, embed): Q full-dimensional over the saturated coordinate
         lattice of aff(P), embed carrying Q's points back into Z^n."""
-        x0 = min(self.vertices)
-        diffs = [vec_sub(v, x0) for v in self.vertices if v != x0]
-        if not diffs:
+        if len(self.vertices) == 1:
             raise InternalCheckError("no full-dimensional model for a point")
-        basis = saturation_basis(diffs)
-        bt = transpose(basis)
-        new_verts = []
-        for v in self.vertices:
-            sol = solve_int(bt, vec_sub(v, x0))
-            if sol is None or any(c.denominator != 1 for c in sol):
-                raise InternalCheckError("vertex outside the saturated lattice")
-            new_verts.append(tuple(int(c) for c in sol))
-        q = Polytope(new_verts, len(basis), name=self.name)
-        embed = AffineLatticeMap(bt, x0)
-        return q, embed
+        coords, embed = _saturated_chart(self.vertices)
+        return Polytope(coords, len(coords[0]), name=self.name), embed
+
+
+def _saturated_chart(points):
+    """(coords, embed) for distinct integer points, at least two: their
+    coordinates over a basis of the saturated lattice aff(points) & Z^n,
+    based at the least point, and the map carrying coordinates back."""
+    x0 = min(points)
+    bt = transpose(saturation_basis([vec_sub(p, x0) for p in points if p != x0]))
+    coords = []
+    for p in points:
+        x = solve_int(bt, vec_sub(p, x0))
+        if x is None:
+            raise InternalCheckError("point outside the saturated lattice")
+        coords.append(x)
+    return coords, AffineLatticeMap(bt, x0)
 
 
 def polytope_from_points(points, name=None):
@@ -407,15 +412,9 @@ def polytope_from_points(points, name=None):
         # vertices, so the double description need not run again
         p._facet_pairs = tuple(pairs)
         return p
-    basis = saturation_basis(diffs)
-    bt = transpose(basis)
-    coords = []
-    for p in pts:
-        sol = solve_int(bt, vec_sub(p, x0))
-        coords.append(tuple(int(c) for c in sol))
+    coords, embed = _saturated_chart(pts)
     pairs = facet_inequalities(coords)
     verts_low = _extreme_points(coords, pairs, d)
-    embed = AffineLatticeMap(bt, x0)
     return Polytope([embed.apply(v) for v in verts_low], n, name=name)
 
 
@@ -454,21 +453,17 @@ def normalize_full_dim(p):
     h, _ = hermite_normal_form([vec_sub(z, x0) for z in pts[1:]])
     basis = tuple(r for r in h if any(r))
     r = len(basis)
-    bt = transpose(basis)
-    if r == n:
-        fwd_matrix = mat_inverse_frac(bt)
-    else:
-        # left inverse (B^T B)^{-1} B^T of the n x r basis matrix; exact on
-        # the affine lattice x0 + rowspan(basis), which contains L_P
-        btb = tuple(tuple(dot(basis[i], basis[j]) for j in range(r)) for i in range(r))
-        btb_inv = mat_inverse_frac(btb)
-        fwd_matrix = tuple(
-            tuple(sum(btb_inv[i][k] * basis[k][j] for k in range(r)) for j in range(n))
-            for i in range(r)
-        )
-    t = tuple(-sum(row[j] * x0[j] for j in range(n)) for row in fwd_matrix)
-    fwd = AffineLatticeMap(fwd_matrix, t)
-    fwd.inverse = AffineLatticeMap(bt, x0, fwd)
+    # the Gram left inverse G^-1 B of the r x n basis matrix B, G = B B^T,
+    # is exact on the affine lattice x0 + rowspan(B), which contains L_P;
+    # it is carried as the integer matrix adj(G) B over det(G), both divided
+    # by the gcd of all entries
+    gram_inv, det = mat_inverse_frac(mat_mul(basis, transpose(basis)))
+    num = mat_mul(gram_inv, basis)
+    g = gcd(det, *(x for row in num for x in row))
+    fwd_matrix = tuple(tuple(x // g for x in row) for row in num)
+    t = tuple(-dot(row, x0) for row in fwd_matrix)
+    fwd = AffineLatticeMap(fwd_matrix, t, denominator=det // g)
+    fwd.inverse = AffineLatticeMap(transpose(basis), x0, fwd)
     q = Polytope([fwd.apply(v) for v in p.vertices], r, name=p.name)
     if not q.is_normalized:
         raise InternalCheckError("normalization did not reach the full lattice")
@@ -517,13 +512,16 @@ def dilate(p, k):
 
 
 def normalized_volume(p):
-    """dim! times the euclidean volume, an integral-affine invariant."""
+    """dim! times the euclidean volume, an integral-affine invariant.
+
+    A lower-dimensional P is measured over the saturated lattice
+    aff(P) & Z^n, so the value does not depend on the embedding.
+    """
     if p.dim == 0:
         return 1
     if p.is_full_dimensional:
         return _nvol_full(p)
-    q, _ = normalize_full_dim(p)
-    return _nvol_full(q)
+    return _nvol_full(p._full_dim_model[0])
 
 
 def _nvol_full(p):
@@ -536,17 +534,9 @@ def _nvol_full(p):
     total = 0
     for normal, offset in p._facet_pairs:
         height = dot(normal, v0) - offset
-        if height == 0:
-            continue
-        facet_verts = [v for v in p.vertices if dot(normal, v) == offset]
-        basis = kernel_basis_int([normal])
-        bt = transpose(basis)
-        anchor = facet_verts[0]
-        proj = []
-        for v in facet_verts:
-            sol = solve_int(bt, vec_sub(v, anchor))
-            proj.append(tuple(int(c) for c in sol))
-        total += height * _nvol_full(Polytope(proj, n - 1))
+        if height:
+            facet = Polytope([v for v in p.vertices if dot(normal, v) == offset], n)
+            total += height * _nvol_full(facet._full_dim_model[0])
     return total
 
 
@@ -594,23 +584,23 @@ def unimodular_frame_map(frame, image):
     """The lattice-affine map sending the affinely spanning point tuple
     ``frame`` onto ``image`` in order, or None if it is not unimodular.
 
-    The linear part is W adj(V) / det(V), where the columns of V and W are
-    the differences to the first point of each tuple.
+    The linear part is W V^-1, where the columns of V and W are the
+    differences to the first point of each tuple.  Images with
+    |det W| != |det V| are rejected before any inverse is formed, since the
+    frame search tries many of them.
     """
     v0, w0 = frame[0], image[0]
     vmat = transpose([vec_sub(v, v0) for v in frame[1:]])
     wmat = transpose([vec_sub(w, w0) for w in image[1:]])
-    det = det_int(vmat)
-    det_w = det_int(wmat)
-    if abs(det_w) != abs(det):
+    if abs(det_int(wmat)) != abs(det_int(vmat)):
         return None
-    prod = mat_mul(wmat, adjugate_int(vmat))
+    vinv, det = mat_inverse_frac(vmat)
+    prod = mat_mul(wmat, vinv)
     if any(x % det for row in prod for x in row):
         return None
     u = tuple(tuple(x // det for x in row) for row in prod)
-    # det(u) = det_w / det is a unit, so u's inverse is det(u) adj(u)
-    unit = det_w // det
-    uinv = tuple(tuple(unit * x for x in row) for row in adjugate_int(u))
+    # |det u| = |det W| / |det V| = 1, so u's inverse has denominator 1
+    uinv, _ = mat_inverse_frac(u)
     fwd = AffineLatticeMap(u, vec_sub(w0, mat_vec(u, v0)))
     fwd.inverse = AffineLatticeMap(uinv, vec_sub(v0, mat_vec(uinv, w0)), fwd)
     return fwd

@@ -25,6 +25,11 @@ SQUARE_PYRAMID = _p(
 NON_NORMAL_SIMPLEX = _p(
     [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)], "non-normal simplex"
 )
+# empty simplices whose lattice points span sublattices of index 3 and 2
+REEVE_TETRAHEDRON = _p(
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)], "Reeve tetrahedron"
+)
+EMPTY_SIMPLEX = _p([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)], "empty simplex")
 
 # normalized full-dimensional polytopes used for corpus-wide invariants
 CORPUS = [

@@ -204,16 +204,51 @@ def random_unimodular_matrix(n, rng, shears=6, size=5):
     return tuple(signed_rows)
 
 
-def sheared_images(p, rng, count=3):
-    """``count`` normalized images of p under seeded unimodular maps and
-    translations: large coordinates, the same column structure."""
+def unimodular_images(p, rng, count=3):
+    """``count`` images of p under seeded unimodular maps and translations,
+    as they come: large coordinates, the same lattice geometry."""
     out = []
     for _ in range(count):
         n = p.ambient_dim
         u = random_unimodular_matrix(n, rng)
         shift = tuple(rng.randint(-100, 100) for _ in range(n))
-        out.append(normalize_full_dim(translate(linear_image(p, u), shift))[0])
+        out.append(translate(linear_image(p, u), shift))
     return out
+
+
+def sheared_images(p, rng, count=3):
+    """``count`` normalized images of p under seeded unimodular maps and
+    translations: large coordinates, the same column structure."""
+    return [normalize_full_dim(q)[0] for q in unimodular_images(p, rng, count)]
+
+
+def rational_solve(m, rhs):
+    """Solve m @ x = rhs by Gaussian elimination over Q; a Fraction tuple
+    (free unknowns set to 0) or None when the system has no solution."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(m, rhs)]
+    cols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(n):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, n):
+        if a[i][cols] != 0:
+            return None
+    x = [Fraction(0)] * cols
+    for i, c in enumerate(pivots):
+        x[c] = a[i][cols]
+    return tuple(x)
 
 
 def random_normalized_polytopes(seed, count, dims=(2, 3)):

@@ -367,6 +367,30 @@ def test_column_inversion_square_reflection():
     assert len(inversion_subgroup(TRIANGLE)) == 6  # all of Sigma
 
 
+def test_frame_search_inverts_only_found_maps(monkeypatch):
+    # a symmetry costs two adjugates, of the anchor frame and of the map;
+    # the other 5^5 - 120 candidate images must fall to determinants alone
+    from polycol import exactmath, polytopes
+
+    adjugate = exactmath.adjugate_int
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return adjugate(m)
+
+    simplex = polytope_from_points(
+        [tuple(int(i == j) for j in range(4)) for i in range(4)] + [(0,) * 4]
+    )
+    simplex.facets  # the facet search inverts a basis of its own
+    for module in (exactmath, polytopes):
+        if hasattr(module, "adjugate_int"):
+            monkeypatch.setattr(module, "adjugate_int", counting)
+    group = lattice_symmetries(simplex)
+    assert len(group) == 120
+    assert 0 < len(calls) <= 2 * len(group)
+
+
 def test_symmetries_searched_once_per_polytope(monkeypatch):
     calls = []
     search = lattice_symmetries

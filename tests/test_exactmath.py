@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polycol.exactmath import (
@@ -18,11 +18,17 @@ from polycol.exactmath import (
     identity_matrix,
     integral_section,
     kernel_basis_int,
+    mat_inverse_frac,
     mat_mul,
+    mat_vec,
     primitive_part,
     rank_int,
     saturation_basis,
+    solve_int,
+    transpose,
 )
+
+from .helpers import rational_solve
 
 
 def test_primitive_part_examples():
@@ -129,6 +135,83 @@ def test_kernel_and_saturation():
     # saturation of a finite-index sublattice is the whole lattice
     h, _ = hermite_normal_form(sat)
     assert h == identity_matrix(2)
+
+
+def _independent_columns(data, nr, nc):
+    m = tuple(
+        tuple(data.draw(st.integers(-6, 6)) for _ in range(nc))
+        for _ in range(nr)
+    )
+    assume(rank_int(transpose(m)) == nc)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_solve_int_matches_rational_oracle(nr, data):
+    nc = data.draw(st.integers(1, nr))
+    m = _independent_columns(data, nr, nc)
+    y = tuple(data.draw(st.integers(-9, 9)) for _ in range(nc))
+    kind = data.draw(st.sampled_from(["lattice", "span", "outside"]))
+    if kind == "lattice":
+        rhs = mat_vec(m, y)
+    elif kind == "span":
+        # scaling column j by k leaves m @ y in the column span but puts the
+        # solution's coordinate j at y_j / k
+        j = data.draw(st.integers(0, nc - 1))
+        k = data.draw(st.integers(2, 4))
+        assume(y[j] % k)
+        rhs = mat_vec(m, y)
+        m = tuple(
+            tuple(k * x if c == j else x for c, x in enumerate(row)) for row in m
+        )
+    else:
+        rhs = tuple(data.draw(st.integers(-9, 9)) for _ in range(nr))
+        assume(rank_int(transpose(m) + (rhs,)) > nc)
+    oracle = rational_solve(m, rhs)
+    got = solve_int(m, rhs)
+    if kind == "lattice":
+        assert got == y == oracle
+    elif kind == "span":
+        assert got is None
+        assert any(c.denominator != 1 for c in oracle)
+    else:
+        assert got is None is oracle
+
+
+def test_solve_int_examples():
+    assert solve_int(((2,), (4,)), (6, 12)) == (3,)
+    assert solve_int(((2,), (4,)), (1, 2)) is None
+    assert solve_int(((2,), (4,)), (6, 13)) is None
+    assert solve_int(((1, 0), (0, 3)), (5, -6)) == (5, -2)
+    with pytest.raises(ValueError):
+        solve_int(((1, 2), (2, 4)), (1, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_mat_inverse_frac_is_one_fraction(n, data):
+    m = tuple(
+        tuple(data.draw(st.integers(-6, 6)) for _ in range(n)) for _ in range(n)
+    )
+    det = det_int(m)
+    if det == 0:
+        with pytest.raises(ValueError):
+            mat_inverse_frac(m)
+        return
+    a, d = mat_inverse_frac(m)
+    assert d == abs(det) > 0
+    assert mat_mul(m, a) == tuple(
+        tuple(d * x for x in row) for row in identity_matrix(n)
+    )
+
+
+def test_mat_inverse_frac_singular():
+    for m in (((0,),), ((1, 2), (2, 4)), ((1, 0, 1), (0, 1, 1), (1, 1, 2))):
+        with pytest.raises(ValueError):
+            mat_inverse_frac(m)
+    assert mat_inverse_frac(((0, 1), (1, 0))) == (((0, 1), (1, 0)), 1)
+    assert mat_inverse_frac(((2, 1), (0, -1))) == (((1, 1), (0, -2)), 2)
 
 
 def test_poly_basics():

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import random
 
@@ -14,7 +16,9 @@ from polycol.exactmath import (
     vec_add,
     vec_sub,
 )
+from polycol import polytopes
 from polycol.polytopes import (
+    InternalCheckError,
     dilate,
     integral_affine_equivalent,
     is_unimodular_simplex,
@@ -34,7 +38,10 @@ from polycol.scan import enumerate_polygons
 from .conftest import (
     BIG_TRAPEZOID,
     CORPUS,
+    EMPTY_SIMPLEX,
     HEXAGON,
+    NON_NORMAL_SIMPLEX,
+    REEVE_TETRAHEDRON,
     SEGMENT,
     SIMPLEX3,
     SLANTED_QUAD,
@@ -51,6 +58,7 @@ from .helpers import (
     random_normalized_polytopes,
     random_unimodular_matrix,
     sheared_images,
+    unimodular_images,
 )
 
 
@@ -331,6 +339,40 @@ def test_is_normalized_matches_hermite_form(monkeypatch):
     assert not _hnf_is_normalized(reeve)
 
 
+def test_normalize_round_trip_with_denominators():
+    rng = random.Random(12)
+    inputs = [
+        polytope_from_points([(0, 0), (4, 2)]),
+        polytope_from_points([(0, 0, 0), (2, 4, 6)]),
+        EMPTY_SIMPLEX,
+        REEVE_TETRAHEDRON,
+        NON_NORMAL_SIMPLEX,
+    ]
+    for p in inputs:
+        for x in [p] + unimodular_images(p, rng) + sheared_images(p, rng):
+            q, carry = normalize_full_dim(x)
+            images = [carry.apply(z) for z in x.lattice_points]
+            assert sorted(images) == list(q.lattice_points), x.vertices
+            for z, img in zip(x.lattice_points, images):
+                assert carry.inverse.apply(img) == z
+    _, carry = normalize_full_dim(REEVE_TETRAHEDRON)
+    assert carry.denominator > 1
+    # (0, 0, 1) lies in aff(P) but off the lattice that L_P generates
+    with pytest.raises(InternalCheckError):
+        carry.apply((0, 0, 1))
+
+
+def test_polytopes_module_imports_no_fractions():
+    tree = ast.parse(inspect.getsource(polytopes))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+    assert "fractions" not in modules
+
+
 def test_normalize_empty_simplex():
     # lattice points generate an index-2 sublattice; heights halve
     p = polytope_from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)])
@@ -391,6 +433,19 @@ def test_normalized_volume():
     assert normalized_volume(SIMPLEX3) == 1
     assert normalized_volume(SEGMENT) == 1
     assert normalized_volume(SQUARE_PYRAMID) == 2
+    assert normalized_volume(NON_NORMAL_SIMPLEX) == 2
+    assert normalized_volume(REEVE_TETRAHEDRON) == 3
+    assert normalized_volume(EMPTY_SIMPLEX) == 2
+
+
+def test_normalized_volume_ignores_the_embedding():
+    # a lower-dimensional P is measured over aff(P) & Z^n, so embedding it
+    # as (x, 0) and shearing by a unimodular map of Z^(n+1) keeps the value
+    rng = random.Random(11)
+    for p in CORPUS + [NON_NORMAL_SIMPLEX, REEVE_TETRAHEDRON, EMPTY_SIMPLEX]:
+        flat = polytope_from_points([v + (0,) for v in p.vertices])
+        for q in [flat] + unimodular_images(flat, rng, 2):
+            assert normalized_volume(q) == normalized_volume(p), (p.name, q)
 
 
 def test_normal_fan():
