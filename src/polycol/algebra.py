@@ -34,7 +34,7 @@ from .polytopes import (
     InternalCheckError,
     _spanning_tuple,
     dilate,
-    unimodular_frame_map,
+    unimodular_frame_maps,
 )
 
 
@@ -365,6 +365,7 @@ def lattice_symmetries(p):
     if not p.is_full_dimensional:
         raise ValueError("symmetries need a full-dimensional polytope")
     anchor = _spanning_tuple(p)
+    frame_map = unimodular_frame_maps(anchor)
     vert_set = set(verts)
     sigs = _vertex_signatures(p)
     candidates = [
@@ -373,7 +374,7 @@ def lattice_symmetries(p):
     # a map is pinned by the image of the anchor, so no map is found twice
     maps = []
     for image in itertools.product(*candidates):
-        amap = unimodular_frame_map(anchor, image)
+        amap = frame_map(image)
         if amap is not None and {amap.apply(v) for v in verts} == vert_set:
             maps.append(amap)
     maps.sort(key=lambda m: m.key())

@@ -50,7 +50,7 @@ from .polytopes import (
     polygon_cycle,
     polytope_from_points,
     projectively_equivalent,
-    unimodular_frame_map,
+    unimodular_frame_maps,
 )
 
 
@@ -543,11 +543,11 @@ def _fan_witness(p, ref):
         nxt = cyc[(i + 1) % len(cyc)]
         return primitive_part(vec_sub(prev, v)), primitive_part(vec_sub(nxt, v))
 
-    frame = ((0, 0),) + edge_dirs(cyc_p, 0)
+    frame_map = unimodular_frame_maps(((0, 0),) + edge_dirs(cyc_p, 0))
     for i in range(len(cyc_r)):
         e1, e2 = edge_dirs(cyc_r, i)
         for image in (((0, 0), e1, e2), ((0, 0), e2, e1)):
-            amap = unimodular_frame_map(frame, image)
+            amap = frame_map(image)
             if amap is not None and projectively_equivalent(
                 linear_image(p, amap.matrix), ref
             ):

@@ -2,12 +2,14 @@
 
 Everything in this package is exact; there is no floating point anywhere.
 Geometry and coordinate maps are integer-only: a rational matrix travels as an
-integer matrix with one common denominator (``mat_inverse_frac``), and
-``fractions.Fraction`` appears only as the element type of the ``QQ``
-coefficient ring.  Vectors are plain tuples of ints, matrices are tuples of
-row tuples.  The canonical order on integer vectors is coordinate-lexicographic
-(= tuple order), and all set-valued results elsewhere in the package are
-emitted sorted in that order.
+integer matrix with one common denominator, and ``fractions.Fraction`` appears
+only as the element type of the ``QQ`` coefficient ring.  ``det_int`` and
+``mat_inverse_frac`` are fraction-free (Bareiss) eliminations in O(n^3) integer
+operations whose intermediate entries are minors of the input; ``rank_int``
+and ``independent_rows`` share one echelon pass over primitive rows.  Vectors
+are plain tuples of ints, matrices are tuples of row tuples.  The canonical
+order on integer vectors is coordinate-lexicographic (= tuple order), and all
+set-valued results elsewhere in the package are emitted sorted in that order.
 """
 
 from __future__ import annotations
@@ -163,27 +165,34 @@ def hermite_normal_form(m):
     return h, tuple(tuple(row) for row in u)
 
 
+def independent_rows(rows, limit):
+    """Indices of the greedy first basis of the rows: each row is kept when
+    it is independent of the rows kept before it, until ``limit`` are kept.
+
+    One echelon pass: a row is reduced against the kept rows' primitive
+    echelon forms, and it is independent exactly when something is left;
+    the primitive parts keep the entries small.
+    """
+    kept, echelon = [], []
+    for i, r in enumerate(rows):
+        for c, e in echelon:
+            f, p = r[c], e[c]
+            if f:
+                r = [p * x - f * y for x, y in zip(r, e)]
+        # lists, not primitive_part's tuples, which fill the tuple free lists
+        g = gcd_list(r)
+        if g:
+            r = [x // g for x in r]
+            echelon.append((next(c for c, x in enumerate(r) if x), r))
+            kept.append(i)
+            if len(kept) == limit:
+                break
+    return kept
+
+
 def rank_int(rows):
-    """Rank of an integer matrix (exact, fraction-free elimination)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    for c in range(nc):
-        piv = next((i for i in range(rank, nr) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for i in range(rank + 1, nr):
-            if m[i][c] != 0:
-                f = m[i][c]
-                p = m[rank][c]
-                m[i] = [p * x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+    """Rank of an integer matrix (exact, one echelon pass)."""
+    return len(independent_rows(rows, len(rows[0]))) if rows else 0
 
 
 def det_int(m):
@@ -207,23 +216,6 @@ def det_int(m):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def adjugate_int(m):
-    """Adjugate of a square integer matrix: m @ adj = det * I."""
-    n = len(m)
-    if n == 1:
-        return ((1,),)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [m[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            adj[j][i] = (-1) ** (i + j) * det_int(minor)
-    return tuple(tuple(r) for r in adj)
 
 
 def kernel_basis_int(rows):
@@ -261,27 +253,32 @@ def lattice_index_is_full(rows, n):
     )
 
 
-def solve_int(m, rhs):
-    """The integer x with m @ x = rhs, or None if there is none.
+def solve_int(m, rhss):
+    """The integer x with m @ x = rhs for each rhs in rhss, None where there
+    is none.
 
     The columns of m must be linearly independent.  With h = u @ m the
-    Hermite form, m @ x = rhs iff h @ x = u @ rhs: the rows of u @ rhs below
-    the pivot block must vanish, and back substitution on the triangular
-    pivot block must divide exactly.
+    Hermite form, computed once for all right-hand sides, m @ x = rhs iff
+    h @ x = u @ rhs: the rows of u @ rhs below the pivot block must vanish,
+    and back substitution on the triangular pivot block must divide exactly.
     """
     h, u = hermite_normal_form(m)
     c = len(m[0])
     if len(h) < c or any(h[i][i] == 0 for i in range(c)):
         raise ValueError("solve_int needs linearly independent columns")
-    w = mat_vec(u, rhs)
-    if any(w[c:]):
-        return None
-    x = [0] * c
-    for i in reversed(range(c)):
-        x[i], rem = divmod(w[i] - dot(h[i][i + 1:c], x[i + 1:]), h[i][i])
-        if rem:
+
+    def solve(rhs):
+        w = mat_vec(u, rhs)
+        if any(w[c:]):
             return None
-    return tuple(x)
+        x = [0] * c
+        for i in reversed(range(c)):
+            x[i], rem = divmod(w[i] - dot(h[i][i + 1:c], x[i + 1:]), h[i][i])
+            if rem:
+                return None
+        return tuple(x)
+
+    return [solve(rhs) for rhs in rhss]
 
 
 def mat_inverse_frac(m):
@@ -289,14 +286,34 @@ def mat_inverse_frac(m):
 
     a is an integer matrix and d > 0 with m @ a = d * I, so m^-1 = a / d;
     d is |det m|.  Raises ValueError on a singular matrix.
+
+    One fraction-free Gauss-Jordan elimination on [m | I] (Bareiss 1968):
+    pivot p replaces every other row by (p * row - f * pivot row) / p', f
+    its entry in the pivot column and p' the previous pivot, after a zero
+    pivot is swapped with a lower row.  The division is exact by Sylvester's
+    identity: after k pivots entry (i, j) is the minor of [m | I] (rows in
+    swapped order) on rows and columns 1..k, with column j in place of
+    column i if i <= k, or with row i and column j added if i > k.  So the
+    row operations turn m into d' I, d' = +-det m the last pivot, and I
+    into d' m^-1.  Pivot columns, zero off the pivot, are dropped.
     """
-    det = det_int(m)
-    if det == 0:
-        raise ValueError("matrix is singular")
-    adj = adjugate_int(m)
-    if det < 0:
-        return tuple(tuple(-x for x in row) for row in adj), -det
-    return adj, det
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][0]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        a[k], a[piv] = a[piv], a[k]
+        p, top = a[k][0], a[k][1:]
+        a = [
+            top if i == k
+            else [(p * x - row[0] * y) // prev for x, y in zip(row[1:], top)]
+            for i, row in enumerate(a)
+        ]
+        prev = p
+    s = 1 if prev > 0 else -1
+    return tuple(tuple(s * x for x in row) for row in a), s * prev
 
 
 # ---------------------------------------------------------------------------

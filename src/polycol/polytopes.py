@@ -20,6 +20,7 @@ from .exactmath import (
     extended_gcd,
     hermite_normal_form,
     identity_matrix,
+    independent_rows,
     lattice_index_is_full,
     mat_inverse_frac,
     mat_mul,
@@ -128,16 +129,10 @@ def dual_description(rows):
     """
     rows = sorted(set(rows))
     d = len(rows[0])
-    basis_idx = []
-    basis = []
-    for i, r in enumerate(rows):
-        if rank_int(basis + [r]) > len(basis):
-            basis_idx.append(i)
-            basis.append(r)
-        if len(basis) == d:
-            break
-    if len(basis) < d:
+    basis_idx = independent_rows(rows, d)
+    if len(basis_idx) < d:
         raise ValueError("generators do not span the space (cone not pointed)")
+    basis = [rows[i] for i in basis_idx]
 
     # {y : B y >= 0} for the square basis B is spanned by the columns of B^-1
     inv, _ = mat_inverse_frac(basis)
@@ -226,8 +221,6 @@ class Polytope:
 
     @cached_property
     def dim(self):
-        if len(self.vertices) == 1:
-            return 0
         v0 = self.vertices[0]
         return rank_int([vec_sub(v, v0) for v in self.vertices[1:]])
 
@@ -376,12 +369,9 @@ def _saturated_chart(points):
     based at the least point, and the map carrying coordinates back."""
     x0 = min(points)
     bt = transpose(saturation_basis([vec_sub(p, x0) for p in points if p != x0]))
-    coords = []
-    for p in points:
-        x = solve_int(bt, vec_sub(p, x0))
-        if x is None:
-            raise InternalCheckError("point outside the saturated lattice")
-        coords.append(x)
+    coords = solve_int(bt, [vec_sub(p, x0) for p in points])
+    if None in coords:
+        raise InternalCheckError("point outside the saturated lattice")
     return coords, AffineLatticeMap(bt, x0)
 
 
@@ -480,20 +470,15 @@ def is_unimodular_simplex(p):
     if len(verts) != p.dim + 1:
         return False
     v0 = verts[0]
+    # dim edges at v0, so independent; a direct summand iff the gcd of their
+    # maximal minors is 1
     diffs = [vec_sub(v, v0) for v in verts[1:]]
-    if rank_int(diffs) != len(diffs):
-        return False
-    h, _ = hermite_normal_form(diffs)
-    rows = [row for row in h if any(row)]
-    r = len(rows)
-    # direct summand iff the gcd of all maximal minors is 1
     g = 0
-    for colset in itertools.combinations(range(p.ambient_dim), r):
-        sub = [[row[c] for c in colset] for row in rows]
-        g = gcd(g, abs(det_int(sub)))
+    for colset in itertools.combinations(range(p.ambient_dim), len(diffs)):
+        g = gcd(g, det_int([[row[c] for c in colset] for row in diffs]))
         if g == 1:
             return True
-    return g == 1
+    return False
 
 
 def translate(p, t):
@@ -567,60 +552,56 @@ def integral_affine_equivalent(p, q):
         form_q, frame_q = min_polygon_frame(polygon_cycle(q))
         if form_p != form_q:
             return None
-        amap = unimodular_frame_map(frame_p, frame_q)
+        amap = unimodular_frame_maps(frame_p)(frame_q)
         if amap is None:
             raise InternalCheckError("equal normal forms without a frame map")
         return amap
-    anchor = _spanning_tuple(p)
+    frame_map = unimodular_frame_maps(_spanning_tuple(p))
     q_vert_set = set(q.vertices)
     for image in itertools.permutations(q.vertices, n + 1):
-        amap = unimodular_frame_map(anchor, image)
+        amap = frame_map(image)
         if amap is not None and {amap.apply(v) for v in p.vertices} == q_vert_set:
             return amap
     return None
 
 
-def unimodular_frame_map(frame, image):
-    """The lattice-affine map sending the affinely spanning point tuple
-    ``frame`` onto ``image`` in order, or None if it is not unimodular.
+def unimodular_frame_maps(frame):
+    """The function sending a point tuple to the lattice-affine map that
+    carries the affinely spanning tuple ``frame`` onto it in order, or to
+    None if that map is not unimodular.
 
-    The linear part is W V^-1, where the columns of V and W are the
-    differences to the first point of each tuple.  Images with
-    |det W| != |det V| are rejected before any inverse is formed, since the
-    frame search tries many of them.
+    The linear part is W V^-1, with the differences to the first point of
+    each tuple as the columns of V and W.  V is inverted once per frame, and
+    an image with |det W| != |det V| is refused before any inverse.
     """
-    v0, w0 = frame[0], image[0]
-    vmat = transpose([vec_sub(v, v0) for v in frame[1:]])
-    wmat = transpose([vec_sub(w, w0) for w in image[1:]])
-    if abs(det_int(wmat)) != abs(det_int(vmat)):
-        return None
-    vinv, det = mat_inverse_frac(vmat)
-    prod = mat_mul(wmat, vinv)
-    if any(x % det for row in prod for x in row):
-        return None
-    u = tuple(tuple(x // det for x in row) for row in prod)
-    # |det u| = |det W| / |det V| = 1, so u's inverse has denominator 1
-    uinv, _ = mat_inverse_frac(u)
-    fwd = AffineLatticeMap(u, vec_sub(w0, mat_vec(u, v0)))
-    fwd.inverse = AffineLatticeMap(uinv, vec_sub(v0, mat_vec(uinv, w0)), fwd)
-    return fwd
+    v0 = frame[0]
+    vinv, det = mat_inverse_frac(transpose([vec_sub(v, v0) for v in frame[1:]]))
+
+    def frame_map(image):
+        w0 = image[0]
+        wmat = transpose([vec_sub(w, w0) for w in image[1:]])
+        if abs(det_int(wmat)) != det:
+            return None
+        prod = mat_mul(wmat, vinv)
+        if any(x % det for row in prod for x in row):
+            return None
+        u = tuple(tuple(x // det for x in row) for row in prod)
+        # |det u| = |det W| / |det V| = 1, so u's inverse has denominator 1
+        uinv, _ = mat_inverse_frac(u)
+        fwd = AffineLatticeMap(u, vec_sub(w0, mat_vec(u, v0)))
+        fwd.inverse = AffineLatticeMap(uinv, vec_sub(v0, mat_vec(uinv, w0)), fwd)
+        return fwd
+
+    return frame_map
 
 
 def _spanning_tuple(p):
     """The first affinely spanning vertex tuple in vertex order."""
-    n = p.ambient_dim
-    chosen = [p.vertices[0]]
-    diffs = []
-    for v in p.vertices[1:]:
-        cand = diffs + [vec_sub(v, chosen[0])]
-        if rank_int(cand) > len(diffs):
-            chosen.append(v)
-            diffs = cand
-        if len(chosen) == n + 1:
-            break
-    if len(chosen) < n + 1:
+    v0, *rest = p.vertices
+    idx = independent_rows([vec_sub(v, v0) for v in rest], p.ambient_dim)
+    if len(idx) < p.ambient_dim:
         raise InternalCheckError("could not span a full-dimensional polytope")
-    return tuple(chosen)
+    return (v0,) + tuple(rest[i] for i in idx)
 
 
 def polygon_normal_form(p):

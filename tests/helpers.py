@@ -8,6 +8,8 @@ the pruning, not those functions; the Steinberg one composes the same shears
 into literal four-fold commutators over Z[lam, mu], so it checks the
 two-product identity and the reduction to lam = mu = 1, and the embedding
 one composes them over Z[a, b] and Q, so it checks the reduction to Z.
+The cofactor adjugate calls ``det_int``, which shares no code with the
+Gauss-Jordan inverse it checks.
 """
 
 import itertools
@@ -24,7 +26,15 @@ from polycol.columns import (
     is_col_divisible,
     product_table,
 )
-from polycol.exactmath import QQ, PolynomialRing, dot, vec_add, vec_scale, vec_sub
+from polycol.exactmath import (
+    QQ,
+    PolynomialRing,
+    det_int,
+    dot,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
 from polycol.polytopes import (
     linear_image,
     normalize_full_dim,
@@ -249,6 +259,53 @@ def rational_solve(m, rhs):
     for i, c in enumerate(pivots):
         x[c] = a[i][cols]
     return tuple(x)
+
+
+def adjugate_int(m):
+    """Adjugate of a square integer matrix by cofactors: m @ adj = det * I."""
+    n = len(m)
+    if n == 1:
+        return ((1,),)
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [m[r][c] for c in range(n) if c != j]
+                for r in range(n)
+                if r != i
+            ]
+            adj[j][i] = (-1) ** (i + j) * det_int(minor)
+    return tuple(tuple(r) for r in adj)
+
+
+def rational_rank(rows):
+    """Rank of an integer matrix by Gaussian elimination over Q."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][c] / a[rank][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def rank_loop_basis(rows, limit):
+    """Indices of the greedy first basis of the rows, ranking every
+    candidate basis from scratch."""
+    basis_idx = []
+    basis = []
+    for i, r in enumerate(rows):
+        if rational_rank(basis + [r]) > len(basis):
+            basis_idx.append(i)
+            basis.append(r)
+        if len(basis) == limit:
+            break
+    return basis_idx
 
 
 def random_normalized_polytopes(seed, count, dims=(2, 3)):

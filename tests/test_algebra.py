@@ -368,27 +368,58 @@ def test_column_inversion_square_reflection():
 
 
 def test_frame_search_inverts_only_found_maps(monkeypatch):
-    # a symmetry costs two adjugates, of the anchor frame and of the map;
-    # the other 5^5 - 120 candidate images must fall to determinants alone
+    # the anchor frame is inverted once and each symmetry once more; the
+    # other 5^5 - 120 candidate images must fall to determinants alone
     from polycol import exactmath, polytopes
 
-    adjugate = exactmath.adjugate_int
+    inverse = exactmath.mat_inverse_frac
     calls = []
 
     def counting(m):
         calls.append(m)
-        return adjugate(m)
+        return inverse(m)
 
     simplex = polytope_from_points(
         [tuple(int(i == j) for j in range(4)) for i in range(4)] + [(0,) * 4]
     )
     simplex.facets  # the facet search inverts a basis of its own
     for module in (exactmath, polytopes):
-        if hasattr(module, "adjugate_int"):
-            monkeypatch.setattr(module, "adjugate_int", counting)
+        monkeypatch.setattr(module, "mat_inverse_frac", counting)
     group = lattice_symmetries(simplex)
     assert len(group) == 120
-    assert 0 < len(calls) <= 2 * len(group)
+    assert 0 < len(calls) <= len(group) + 1
+
+
+def test_frame_searches_invert_their_anchor_once(monkeypatch):
+    # each search fixes one anchor frame and sets it up once for all images
+    from polycol import algebra, columns, polytopes
+
+    made = []
+    maps = polytopes.unimodular_frame_maps
+
+    def counting(frame):
+        made.append(frame)
+        return maps(frame)
+
+    for module in (algebra, columns, polytopes):
+        monkeypatch.setattr(module, "unimodular_frame_maps", counting)
+    simplex3 = polytope_from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    sheared = polytopes.linear_image(simplex3, ((1, 2, 0), (0, 1, 0), (0, 3, 1)))
+    searches = [
+        lambda: lattice_symmetries(simplex3),
+        lambda: polytopes.integral_affine_equivalent(simplex3, sheared),
+        lambda: polytopes.integral_affine_equivalent(simplex3, NON_NORMAL_SIMPLEX),
+        lambda: columns._fan_witness(
+            polytopes.linear_image(UNIT_SQUARE, ((1, 1), (0, 1))), UNIT_SQUARE
+        ),
+    ]
+    found = []
+    for search in searches:
+        del made[:]
+        found.append(search())
+        assert len(made) == 1
+    assert len(found[0]) == 24
+    assert found[1] is not None and found[2] is None and found[3] is not None
 
 
 def test_symmetries_searched_once_per_polytope(monkeypatch):

@@ -16,6 +16,7 @@ from polycol.exactmath import (
     extended_gcd,
     hermite_normal_form,
     identity_matrix,
+    independent_rows,
     integral_section,
     kernel_basis_int,
     mat_inverse_frac,
@@ -28,7 +29,8 @@ from polycol.exactmath import (
     transpose,
 )
 
-from .helpers import rational_solve
+from .conftest import CORPUS
+from .helpers import adjugate_int, rank_loop_basis, rational_rank, rational_solve
 
 
 def test_primitive_part_examples():
@@ -169,7 +171,7 @@ def test_solve_int_matches_rational_oracle(nr, data):
         rhs = tuple(data.draw(st.integers(-9, 9)) for _ in range(nr))
         assume(rank_int(transpose(m) + (rhs,)) > nc)
     oracle = rational_solve(m, rhs)
-    got = solve_int(m, rhs)
+    (got,) = solve_int(m, [rhs])
     if kind == "lattice":
         assert got == y == oracle
     elif kind == "span":
@@ -180,20 +182,35 @@ def test_solve_int_matches_rational_oracle(nr, data):
 
 
 def test_solve_int_examples():
-    assert solve_int(((2,), (4,)), (6, 12)) == (3,)
-    assert solve_int(((2,), (4,)), (1, 2)) is None
-    assert solve_int(((2,), (4,)), (6, 13)) is None
-    assert solve_int(((1, 0), (0, 3)), (5, -6)) == (5, -2)
+    assert solve_int(((2,), (4,)), [(6, 12), (1, 2), (6, 13)]) == [(3,), None, None]
+    assert solve_int(((1, 0), (0, 3)), [(5, -6)]) == [(5, -2)]
+    assert solve_int(((1, 0), (0, 3)), []) == []
     with pytest.raises(ValueError):
-        solve_int(((1, 2), (2, 4)), (1, 2))
+        solve_int(((1, 2), (2, 4)), [(1, 2)])
+
+
+def _square_matrices(draw, n):
+    # small entries make zero pivots and singular matrices likely, huge ones
+    # test the growth of the intermediate minors
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["free", "zero-pivots", "singular"]))
+    if shape == "zero-pivots" and n > 1:
+        # the leading k x k block vanishes, so the first k pivots need swaps
+        k = draw(st.integers(1, n // 2))
+        for i in range(k):
+            m[i][:k] = [0] * k
+    elif shape == "singular":
+        # the last row is an integer combination of the others
+        coeffs = [draw(st.integers(-3, 3)) for _ in range(n - 1)]
+        m[-1] = [sum(c * m[i][j] for i, c in enumerate(coeffs)) for j in range(n)]
+    return tuple(tuple(row) for row in m)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 4), st.data())
+@given(st.integers(1, 8), st.data())
 def test_mat_inverse_frac_is_one_fraction(n, data):
-    m = tuple(
-        tuple(data.draw(st.integers(-6, 6)) for _ in range(n)) for _ in range(n)
-    )
+    m = _square_matrices(data.draw, n)
     det = det_int(m)
     if det == 0:
         with pytest.raises(ValueError):
@@ -204,6 +221,61 @@ def test_mat_inverse_frac_is_one_fraction(n, data):
     assert mat_mul(m, a) == tuple(
         tuple(d * x for x in row) for row in identity_matrix(n)
     )
+    sign = 1 if det > 0 else -1
+    assert a == tuple(tuple(sign * x for x in row) for row in adjugate_int(m))
+
+
+def test_mat_inverse_frac_takes_no_determinant(monkeypatch):
+    from polycol import exactmath
+
+    calls = []
+    monkeypatch.setattr(exactmath, "det_int", lambda m: calls.append(m))
+    assert mat_inverse_frac(((0, 2, 1), (1, 0, 0), (3, 1, 5))) == (
+        ((0, 9, 0), (5, 3, -1), (-1, -6, 2)),
+        9,
+    )
+    assert mat_inverse_frac(()) == ((), 1)
+    with pytest.raises(ValueError):
+        mat_inverse_frac(((1, 2), (2, 4)))
+    assert calls == []
+
+
+def test_independent_rows_match_rank_loop_in_facets_and_frames(monkeypatch):
+    from polycol import polytopes
+
+    seen = []
+    pick = polytopes.independent_rows
+
+    def recording(rows, limit):
+        seen.append((list(rows), limit))
+        return pick(rows, limit)
+
+    monkeypatch.setattr(polytopes, "independent_rows", recording)
+    rng = random.Random(12)
+    point_sets = [p.vertices for p in CORPUS]
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        point_sets.append(
+            [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n + 4)]
+        )
+    for pts in point_sets:
+        p = polytopes.polytope_from_points(pts)
+        if p.is_full_dimensional:
+            polytopes._spanning_tuple(p)
+    assert len(seen) > len(point_sets)
+    for rows, limit in seen:
+        assert independent_rows(rows, limit) == rank_loop_basis(rows, limit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 8), st.data())
+def test_independent_rows_match_rank_loop(d, count, data):
+    rows = [
+        tuple(data.draw(st.integers(-3, 3)) for _ in range(d)) for _ in range(count)
+    ]
+    limit = data.draw(st.integers(1, d))
+    assert independent_rows(rows, limit) == rank_loop_basis(rows, limit)
+    assert rank_int(rows) == rational_rank(rows)
 
 
 def test_mat_inverse_frac_singular():

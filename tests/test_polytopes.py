@@ -31,7 +31,7 @@ from polycol.polytopes import (
     polytope_from_points,
     projectively_equivalent,
     translate,
-    unimodular_frame_map,
+    unimodular_frame_maps,
 )
 from polycol.scan import enumerate_polygons
 
@@ -448,6 +448,28 @@ def test_normalized_volume_ignores_the_embedding():
             assert normalized_volume(q) == normalized_volume(p), (p.name, q)
 
 
+def test_saturated_chart_takes_three_hermite_forms(monkeypatch):
+    # saturation_basis takes two (the kernel and the kernel of the kernel)
+    # and solve_int one for all the points, however many there are
+    from polycol import exactmath
+
+    hermite = exactmath.hermite_normal_form
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return hermite(m)
+
+    monkeypatch.setattr(exactmath, "hermite_normal_form", counting)
+    for k in (2, 5, 9):
+        # 2k points of the plane x + y + 2z = 3 in Z^3
+        points = [(3 - x - 2 * z, x, z) for x in range(k) for z in range(2)]
+        del calls[:]
+        coords, embed = polytopes._saturated_chart(points)
+        assert len(calls) == 3
+        assert [embed.apply(c) for c in coords] == points
+
+
 def test_normal_fan():
     fan = normal_fan(UNIT_SQUARE)
     assert len(fan.cones) == 4
@@ -648,13 +670,14 @@ def test_lattice_points_commute_with_unimodular_maps(p, rng, shift):
 
 def test_unimodular_frame_map():
     frame = ((1, 1), (2, 1), (1, 2))
-    amap = unimodular_frame_map(frame, ((0, 0), (1, 1), (0, 1)))
+    frame_map = unimodular_frame_maps(frame)
+    amap = frame_map(((0, 0), (1, 1), (0, 1)))
     assert amap.matrix == ((1, 0), (1, 1))
     assert amap.translation == (-1, -2)
     assert [amap.apply(v) for v in frame] == [(0, 0), (1, 1), (0, 1)]
     assert amap.inverse.apply((1, 1)) == (2, 1)
     # index 2 images and non-integral maps are refused
-    assert unimodular_frame_map(frame, ((0, 0), (2, 0), (0, 1))) is None
-    assert unimodular_frame_map(
-        ((0, 0), (2, 0), (0, 1)), ((0, 0), (1, 1), (0, 2))
+    assert frame_map(((0, 0), (2, 0), (0, 1))) is None
+    assert unimodular_frame_maps(((0, 0), (2, 0), (0, 1)))(
+        ((0, 0), (1, 1), (0, 2))
     ) is None
