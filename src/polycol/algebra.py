@@ -11,6 +11,9 @@ Symbolic verification happens over a polynomial ring on integer
 coefficients: an identity of columns there holds over every commutative ring
 at once.  Where the monomial grading pins each coefficient to a single term,
 the identity is checked over Z with every variable at 1 instead.
+
+The graded semigroup is held slice by slice, each built once from the one
+below it and stored on the polytope.
 """
 
 from __future__ import annotations
@@ -27,13 +30,11 @@ from .exactmath import (
     vec_add,
     vec_neg,
     vec_scale,
-    vec_sub,
 )
 from .polytopes import (
     AffineLatticeMap,
     InternalCheckError,
     _spanning_tuple,
-    dilate,
     unimodular_frame_maps,
 )
 
@@ -45,45 +46,34 @@ from .polytopes import (
 def sp_membership(p, z, degree):
     """Is (z, degree) a sum of `degree` degree-one generators?
 
-    The semigroup can miss integral points of the cone over P, so this is
-    a genuine recursion, not a cone test.  Its memo is stored on ``p`` and
-    lives as long as ``p`` does.
+    The semigroup can miss integral points of the cone over P, so this reads
+    the graded semigroup itself, slice by slice: S_0 = {0} and
+    S_d = S_{d-1} + L_P, since a sum of d generators is a sum of d - 1
+    generators plus one lattice point.  The slices are stored on ``p`` and
+    live as long as ``p`` does.
     """
+    return tuple(z) in _semigroup_slice(p, degree)
+
+
+def _semigroup_slice(p, degree):
+    """S_degree, the degree-th slice of the graded semigroup, as a set."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    z = tuple(z)
-    memo = p.__dict__.setdefault("_sp_memo", {})
-    index = p.point_index
+    slices = p.__dict__.get("_semigroup_slices")
+    if slices is None:
+        slices = p.__dict__["_semigroup_slices"] = [{(0,) * p.ambient_dim}]
+    while len(slices) <= degree:
+        slices.append(_next_slice(slices[-1], p.lattice_points))
+    return slices[degree]
 
-    def rec(z, d):
-        if d == 0:
-            return not any(z)
-        if d == 1:
-            return z in index
-        key = (z, d)
-        if key in memo:
-            return memo[key]
-        # quick cone bound: z must lie in d*P
-        if not all(dot(a, z) >= d * b for a, b in p._facet_pairs):
-            memo[key] = False
-            return False
-        result = any(rec(vec_sub(z, x), d - 1) for x in p.lattice_points)
-        memo[key] = result
-        return result
 
-    return rec(z, degree)
+def _next_slice(previous, points):
+    return {vec_add(a, x) for a in previous for x in points}
 
 
 def monomials_of_degree(p, degree):
     """All (z, degree) in the graded semigroup, canonically sorted."""
-    if degree == 0:
-        return (((0,) * p.ambient_dim, 0),)
-    scaled = dilate(p, degree) if degree > 1 else p
-    return tuple(
-        (z, degree)
-        for z in scaled.lattice_points
-        if sp_membership(p, z, degree)
-    )
+    return tuple((z, degree) for z in sorted(_semigroup_slice(p, degree)))
 
 
 def check_column_property(p, col, max_degree=2):
@@ -100,10 +90,8 @@ def check_column_property(p, col, max_degree=2):
     violations = []
     for d in range(1, max_degree + 1):
         for z, _ in monomials_of_degree(p, d):
-            height = dot(facet.normal, z) - d * facet.offset
-            if height == 0:
-                continue
-            if not sp_membership(p, vec_add(z, col.vector), d):
+            off_face = dot(facet.normal, z) != d * facet.offset
+            if off_face and not sp_membership(p, vec_add(z, col.vector), d):
                 violations.append((z, d))
     return (not violations), violations
 
@@ -557,6 +545,11 @@ def verify_steinberg_relations(p, var_names=("a", "b")):
     the only parallel pair is the diagonal (u, u), a commute pair since 2u
     is not a column; it reuses the product x_u(lam) x_u(mu) of the
     additivity check.
+
+    A rank-2 pair (u, v) and its mirror (v, u) need the same two products,
+    x_u(1) x_v(1) and x_v(1) x_u(1), with the sides swapped.  Each is
+    composed once, when the first of the two pairs is checked, and dropped
+    once the second has used it.
     """
     balanced, _ = is_balanced(p)
     ring = PolynomialRing(var_names)
@@ -584,14 +577,22 @@ def verify_steinberg_relations(p, var_names=("a", "b")):
         if not ok:
             report["all_ok"] = False
 
+    cases = list(table.pair_cases())
+    checked = {(i, j) for i, j, case, _ in cases if balanced or case == "skipped"}
+    pending = {}  # (v, u) -> (x_v(1) x_u(1), x_u(1) x_v(1)), made for (u, v)
+
     def holds(i, j, k):
         """x_u(lam) x_v(mu) = E x_v(mu) x_u(lam), with E = x_w(-lam mu) for
         the product index k, and E = 1 when k is None."""
         if rank_int([cols[i].vector, cols[j].vector]) == 2:
-            rhs = unit[j].compose(unit[i])
-            if k is not None:
-                rhs = inverse[k].compose(rhs)
-            return unit[i].compose(unit[j]).columns == rhs.columns
+            if (i, j) in pending:
+                uv, vu = pending.pop((i, j))
+            else:
+                uv, vu = unit[i].compose(unit[j]), unit[j].compose(unit[i])
+                if (j, i) in checked:
+                    pending[(j, i)] = (vu, uv)
+            rhs = vu if k is None else inverse[k].compose(vu)
+            return uv.columns == rhs.columns
         if i != j or k is not None:
             raise InternalCheckError(
                 f"parallel columns {cols[i].vector}, {cols[j].vector} "
@@ -599,7 +600,7 @@ def verify_steinberg_relations(p, var_names=("a", "b")):
             )
         return lam_mu[i].columns == by_mu[i].compose(by_lam[i]).columns
 
-    for i, j, case, k in table.pair_cases():
+    for i, j, case, k in cases:
         pair = {"u": cols[i].vector, "v": cols[j].vector, "case": case}
         if case == "skipped":
             pair.update(note="sum is a column but the product does not exist",
@@ -653,15 +654,14 @@ def verify_additive_embedding(p, facet_index, grid=5):
     )
     report["pairwise_commute"] = ok_comm
 
-    def phi(factors, rng):
-        out = identity_automorphism(p, rng)
-        for e in factors:
+    def phi(factors):
+        out = factors[0]
+        for e in factors[1:]:
             out = out.compose(e)
         return out
 
-    shears = shears_at(avars)
-    lhs = phi(shears_at([a + b for a, b in zip(avars, bvars)]), ring)
-    rhs = phi(shears, ring).compose(phi(shears_at(bvars), ring))
+    lhs = phi(shears_at([a + b for a, b in zip(avars, bvars)]))
+    rhs = phi(shears_at(avars)).compose(phi(shears_at(bvars)))
     report["homomorphism"] = lhs.columns == rhs.columns
 
     # the grid varies the first two columns and keeps the rest at 0, so it
@@ -677,7 +677,7 @@ def verify_additive_embedding(p, facet_index, grid=5):
         (i, j) + (0,) * (s - 2) for i in range(grid) for j in range(grid)
     ]
     images = {
-        phi([grid_shears[k][value] for k, value in enumerate(pt)], ZZ)
+        phi([grid_shears[k][value] for k, value in enumerate(pt)])
         for pt in points
     }
     report["grid_points"] = len(points)

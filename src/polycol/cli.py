@@ -121,6 +121,12 @@ def _verify_columns_property(q, args):
 def _verify_doubling(q, args):
     results = []
     ok = True
+    simplex = None
+    if is_unimodular_simplex(q):
+        # a doubled unimodular n-simplex is the unit (n + 1)-simplex
+        m = q.dim + 1
+        units = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+        simplex = polytope_from_points([(0,) * m] + units)
     for f in q.facets:
         r = double_along_facet(q, f)
         entry = {
@@ -129,15 +135,7 @@ def _verify_doubling(q, args):
             "lattice_count_identity": r.count_identity_holds,
             "columns_extend": len(r.col_inclusion) == len(product_table(q).columns),
         }
-        if is_unimodular_simplex(q):
-            n = q.dim
-            simplex = polytope_from_points(
-                [tuple(0 for _ in range(n + 1))]
-                + [
-                    tuple(1 if i == j else 0 for j in range(n + 1))
-                    for i in range(n + 1)
-                ]
-            )
+        if simplex is not None:
             nz, _ = normalize_full_dim(r.doubled)
             entry["unimodular_simplex_step"] = (
                 integral_affine_equivalent(nz, simplex) is not None

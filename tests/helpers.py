@@ -9,7 +9,9 @@ into literal four-fold commutators over Z[lam, mu], so it checks the
 two-product identity and the reduction to lam = mu = 1, and the embedding
 one composes them over Z[a, b] and Q, so it checks the reduction to Z.
 The cofactor adjugate calls ``det_int``, which shares no code with the
-Gauss-Jordan inverse it checks.
+Gauss-Jordan inverse it checks.  The graded-semigroup oracles recurse over
+the last summand inside a dilation of P, where the production code builds
+the semigroup slice by slice.
 """
 
 import itertools
@@ -36,6 +38,7 @@ from polycol.exactmath import (
     vec_sub,
 )
 from polycol.polytopes import (
+    dilate,
     linear_image,
     normalize_full_dim,
     polygon_normal_form,
@@ -369,6 +372,44 @@ def brute_force_polygon_equivalent(p_vertices, q_vertices):
         if image == qs:
             return True
     return False
+
+
+def recursive_sp_membership(p, z, degree, memo=None):
+    """Is (z, degree) a sum of ``degree`` lattice points of P?
+
+    Recursion on the last summand, with a pre-test that z lies in degree*P;
+    ``memo`` may be shared by calls on one polytope.
+    """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    memo = {} if memo is None else memo
+
+    def rec(z, d):
+        if d == 0:
+            return not any(z)
+        if d == 1:
+            return z in p.point_index
+        key = (z, d)
+        if key not in memo:
+            memo[key] = all(
+                dot(a, z) >= d * b for a, b in p._facet_pairs
+            ) and any(rec(vec_sub(z, x), d - 1) for x in p.lattice_points)
+        return memo[key]
+
+    return rec(tuple(z), degree)
+
+
+def dilation_monomials_of_degree(p, degree):
+    """The lattice points of degree*P that pass ``recursive_sp_membership``."""
+    if degree == 0:
+        return (((0,) * p.ambient_dim, 0),)
+    scaled = dilate(p, degree) if degree > 1 else p
+    memo = {}
+    return tuple(
+        (z, degree)
+        for z in scaled.lattice_points
+        if recursive_sp_membership(p, z, degree, memo)
+    )
 
 
 def dense_ring_product(ring, a, b):

@@ -1,9 +1,12 @@
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycol.algebra import (
     check_column_property,
@@ -25,6 +28,7 @@ from polycol.algebra import (
     verify_steinberg_relations,
     GradedAutomorphism,
     _multiset_image,
+    _next_slice,
     column_inversion,
 )
 from polycol.cli import main
@@ -41,14 +45,21 @@ from polycol.exactmath import (
     vec_scale,
     vec_sub,
 )
-from polycol.polytopes import InternalCheckError, dilate, polytope_from_points
+from polycol.polytopes import (
+    InternalCheckError,
+    dilate,
+    dual_description,
+    polytope_from_points,
+)
 from polycol.reports import analysis_report
 
 from . import helpers
 from .conftest import (
     CORPUS,
+    EMPTY_SIMPLEX,
     HEXAGON,
     NON_NORMAL_SIMPLEX,
+    REEVE_TETRAHEDRON,
     SEGMENT,
     SIMPLEX3,
     SQUARE_PYRAMID,
@@ -93,6 +104,77 @@ def test_monomials_of_degree():
     assert ((1, 1, 1), 2) not in mons
     assert ((2, 2, 0), 2) in mons
     assert len(monomials_of_degree(TRIANGLE, 2)) == 6
+
+
+# the CORPUS is normal; these three are not, and the empty simplices have
+# no lattice points but their vertices
+SEMIGROUP_CORPUS = CORPUS + [NON_NORMAL_SIMPLEX, REEVE_TETRAHEDRON, EMPTY_SIMPLEX]
+
+
+def test_semigroup_slices_match_recursive_oracle():
+    for p in SEMIGROUP_CORPUS:
+        for d in range(4):
+            mons = monomials_of_degree(p, d)
+            assert mons == helpers.dilation_monomials_of_degree(p, d), (p.name, d)
+            scaled = dilate(p, d).lattice_points if d else ((0,) * p.ambient_dim,)
+            memo = {}
+            for z in scaled:
+                assert sp_membership(p, z, d) == helpers.recursive_sp_membership(
+                    p, z, d, memo
+                ), (p.name, z, d)
+    assert ((1, 1, 1), 2) not in monomials_of_degree(NON_NORMAL_SIMPLEX, 2)
+    assert len(monomials_of_degree(EMPTY_SIMPLEX, 2)) == 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SEMIGROUP_CORPUS), st.integers(0, 3), st.data())
+def test_sp_membership_matches_oracle_inside_and_outside(p, degree, data):
+    n = p.ambient_dim
+    # a lattice point of degree*P, then one of a box two wider on each side
+    if degree:
+        inside = data.draw(st.sampled_from(dilate(p, degree).lattice_points))
+        assert sp_membership(p, inside, degree) == helpers.recursive_sp_membership(
+            p, inside, degree
+        )
+    box = [
+        st.integers(degree * min(v[i] for v in p.vertices) - 2,
+                    degree * max(v[i] for v in p.vertices) + 2)
+        for i in range(n)
+    ]
+    z = data.draw(st.tuples(*box))
+    assert sp_membership(p, z, degree) == helpers.recursive_sp_membership(
+        p, z, degree
+    )
+
+
+def test_columns_property_builds_no_dilation_and_each_slice_once(
+    tmp_path, capsys, monkeypatch
+):
+    calls = Counter()
+
+    def counted_dual(rows):
+        calls["dual_description"] += 1
+        return dual_description(rows)
+
+    def counted_slice(previous, points):
+        calls["slices"] += 1
+        return _next_slice(previous, points)
+
+    monkeypatch.setattr("polycol.polytopes.dual_description", counted_dual)
+    monkeypatch.setattr("polycol.algebra._next_slice", counted_slice)
+    vertices = [[0, 0], [5, 0], [0, 5]]
+    q = polytope_from_points(vertices)
+    q.facets
+    build = calls["dual_description"]
+    calls.clear()
+    path = tmp_path / "triangle5.json"
+    path.write_text(json.dumps({"vertices": vertices}))
+    code = main(["verify", str(path), "--which", "columns-property",
+                 "--max-degree", "5"])
+    assert code == 0
+    assert len(json.loads(capsys.readouterr().out)["columns"]) == 6
+    assert calls["dual_description"] <= build
+    assert calls["slices"] == 5
 
 
 def test_column_property():
@@ -639,9 +721,9 @@ def test_steinberg_symbolic_compositions(monkeypatch):
     products = sum(e["case"] == "product" for e in report["pairs"])
     assert calls["symbolic"] == ncols + len(parallel)
     # one inverse certificate per column, two products per rank-2 pair and
-    # a third for the product shear
+    # its mirror, shared by both, and a third for the product shear
     rank2 = len(report["pairs"]) - len(parallel)
-    assert calls["ZZ"] == ncols + 2 * rank2 + products
+    assert calls["ZZ"] == ncols + rank2 + products
 
 
 def test_additive_embedding_matches_literal(corpus):

@@ -159,6 +159,33 @@ def test_cli_verify_commands(tmp_path, capsys):
     assert all(f["unimodular_simplex_step"] for f in data["facets"])
 
 
+def test_cli_verify_doubling_tests_the_simplex_once(tmp_path, capsys,
+                                                    monkeypatch):
+    import polycol.cli
+
+    calls = {"is_unimodular_simplex": 0, "polytope_from_points": 0}
+
+    def counting(name):
+        original = getattr(polycol.cli, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(polycol.cli, name, counted)
+
+    counting("is_unimodular_simplex")
+    counting("polytope_from_points")
+    unit = [[0] * 4] + [[int(i == j) for j in range(4)] for i in range(4)]
+    path = write_poly(tmp_path, "simplex4", unit)
+    code, out, _ = run_cli(capsys, "verify", path, "--which", "doubling")
+    assert code == 0
+    facets = json.loads(out)["facets"]
+    assert len(facets) == 5
+    assert all(f["unimodular_simplex_step"] for f in facets)
+    assert calls == {"is_unimodular_simplex": 1, "polytope_from_points": 1}
+
+
 def test_cli_verify_steinberg_unbalanced(tmp_path, capsys):
     path = write_poly(tmp_path, "steep", [[0, 0], [3, 0], [0, 1]])
     code, out, _ = run_cli(capsys, "verify", path, "--which", "steinberg")
