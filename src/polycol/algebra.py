@@ -31,12 +31,7 @@ from .exactmath import (
     vec_neg,
     vec_scale,
 )
-from .polytopes import (
-    AffineLatticeMap,
-    InternalCheckError,
-    _spanning_tuple,
-    unimodular_frame_maps,
-)
+from .polytopes import AffineLatticeMap, InternalCheckError, lattice_equivalences
 
 
 # ---------------------------------------------------------------------------
@@ -346,38 +341,12 @@ def _multiset_image(auto, combo):
 
 
 def lattice_symmetries(p):
-    """All affine lattice self-maps of P, as AffineLatticeMaps."""
-    verts = p.vertices
+    """All affine lattice self-maps of P, as AffineLatticeMaps sorted by key."""
     if p.ambient_dim == 0:
         return [AffineLatticeMap.identity(0)]
     if not p.is_full_dimensional:
         raise ValueError("symmetries need a full-dimensional polytope")
-    anchor = _spanning_tuple(p)
-    frame_map = unimodular_frame_maps(anchor)
-    vert_set = set(verts)
-    sigs = _vertex_signatures(p)
-    candidates = [
-        [w for w in verts if sigs[w] == sigs[a]] for a in anchor
-    ]
-    # a map is pinned by the image of the anchor, so no map is found twice
-    maps = []
-    for image in itertools.product(*candidates):
-        amap = frame_map(image)
-        if amap is not None and {amap.apply(v) for v in verts} == vert_set:
-            maps.append(amap)
-    maps.sort(key=lambda m: m.key())
-    return maps
-
-
-def _vertex_signatures(p):
-    facets = p.facets
-    sig = {}
-    for v in p.vertices:
-        active = sorted(
-            len(f.on_facet) for f in facets if dot(f.normal, v) == f.offset
-        )
-        sig[v] = tuple(active)
-    return sig
+    return sorted(lattice_equivalences(p, p), key=AffineLatticeMap.key)
 
 
 def symmetry_permutation(p, amap):
@@ -392,10 +361,11 @@ def symmetry_permutation(p, amap):
 
 
 def sigma_group(p, ring=ZZ):
-    """The symmetry group as permutation-matrix automorphisms."""
+    """The stored symmetry group as permutation-matrix automorphisms, in
+    sorted permutation order (no report depends on the order)."""
     return [
-        _symmetry_from_permutation(p, ring, symmetry_permutation(p, m))
-        for m in lattice_symmetries(p)
+        _symmetry_from_permutation(p, ring, perm)
+        for perm in sorted(symmetry_permutations(p))
     ]
 
 
@@ -472,25 +442,33 @@ def column_inversion(p, col):
     return perm
 
 
-def inversion_subgroup(p):
-    """Permutations generated by all column inversions."""
+def _inversion_generators(p):
+    """The column inversions, one per column v with -v also a column."""
     table = product_table(p)
-    gens = [
+    return [
         column_inversion(p, c)
         for c in table.columns
         if vec_neg(c.vector) in table.index
     ]
-    return _closure(gens, len(p.lattice_points))
+
+
+def inversion_subgroup(p):
+    """Permutations generated by all column inversions."""
+    return _closure(_inversion_generators(p), len(p.lattice_points))
 
 
 def symmetry_group_data(p):
-    """Orders of the symmetry group, the inversion subgroup, and normality."""
+    """Orders of the symmetry group G and the inversion subgroup H = <S>,
+    and whether H is normal in G, tested as g s g^-1 in H for all g in G
+    and s in S.  That suffices: conjugation by g is an automorphism, so
+    g H g^-1 = <g S g^-1> lies in H, and both are finite of equal order."""
     sym = symmetry_permutations(p)
-    inv = inversion_subgroup(p)
+    gens = _inversion_generators(p)
+    inv = _closure(gens, len(p.lattice_points))
     normal = all(
-        _perm_compose(_perm_compose(g, h), _perm_inverse(g)) in inv
+        _perm_compose(_perm_compose(g, s), _perm_inverse(g)) in inv
         for g in sym
-        for h in inv
+        for s in gens
     )
     if len(sym) % len(inv) != 0:
         raise InternalCheckError("inversion subgroup order must divide")

@@ -20,7 +20,13 @@ from .algebra import (
     verify_additive_embedding,
     verify_steinberg_relations,
 )
-from .columns import column_vectors, columns_dot, is_balanced, product_table
+from .columns import (
+    column_vectors,
+    columns_dot,
+    columns_json_data,
+    is_balanced,
+    product_table,
+)
 from .doubling import double_along_facet, doubling_spectrum, spectrum_report
 from .exactmath import dot
 from .polytopes import (
@@ -32,7 +38,6 @@ from .polytopes import (
 )
 from .reports import (
     analysis_report,
-    columns_report_json,
     normal_fan_json,
     parse_polytope_json,
     to_json,
@@ -178,7 +183,7 @@ def cmd_export(args):
     elif args.what == "fan":
         _emit(to_json(normal_fan_json(q)), args.output)
     elif args.what == "columns-json":
-        _emit(to_json(columns_report_json(q)), args.output)
+        _emit(to_json(columns_json_data(q)), args.output)
     else:
         raise ValueError(f"unsupported export target {args.what}")
     return 0

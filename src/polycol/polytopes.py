@@ -528,11 +528,11 @@ def _nvol_full(p):
 def integral_affine_equivalent(p, q):
     """A lattice-affine bijection carrying P onto Q, or None.
 
-    Pure translations are tried first.  Polygons are compared by their
-    normal forms, and the map is the one between the two frames that reach
-    the minimum.  In other dimensions a canonical affinely spanning vertex
-    tuple of P is sent to every ordered vertex tuple of Q in turn;
-    deterministic first-found under canonical order.
+    Pure translations are tried first, so lower-dimensional translates get
+    their shift map; other lower-dimensional pairs are a ValueError.
+    Polygons are compared by their normal forms, and the map is the one
+    between the two frames that reach the minimum.  In other dimensions it
+    is the first map ``lattice_equivalences`` finds.
     """
     if p.ambient_dim != q.ambient_dim or p.dim != q.dim:
         return None
@@ -540,14 +540,14 @@ def integral_affine_equivalent(p, q):
         return None
     if len(p.lattice_points) != len(q.lattice_points):
         return None
-    n = p.ambient_dim
-    if n == 0:
-        return AffineLatticeMap.identity(0)
-    # pure translations first, so equal-up-to-shift inputs get the shift map
+    # pure translations first, so equal-up-to-shift inputs (and Z^0) get
+    # the shift map
     shift = vec_sub(min(q.vertices), min(p.vertices))
     if {vec_add(v, shift) for v in p.vertices} == set(q.vertices):
         return AffineLatticeMap.translation_map(shift)
-    if n == 2:
+    if not p.is_full_dimensional:
+        raise ValueError("integral-affine equivalence needs full-dimensional polytopes")
+    if p.ambient_dim == 2:
         form_p, frame_p = min_polygon_frame(polygon_cycle(p))
         form_q, frame_q = min_polygon_frame(polygon_cycle(q))
         if form_p != form_q:
@@ -556,13 +556,35 @@ def integral_affine_equivalent(p, q):
         if amap is None:
             raise InternalCheckError("equal normal forms without a frame map")
         return amap
-    frame_map = unimodular_frame_maps(_spanning_tuple(p))
+    return next(lattice_equivalences(p, q), None)
+
+
+def lattice_equivalences(p, q):
+    """Every lattice-affine bijection carrying the full-dimensional P onto Q.
+
+    Each vertex of the anchor ``_spanning_tuple(p)`` goes only to vertices
+    of Q with its signature, which such a map keeps, so maps come in the
+    order ``itertools.permutations(q.vertices, n + 1)`` reaches their images.
+    """
+    anchor = _spanning_tuple(p)
+    frame_map = unimodular_frame_maps(anchor)
+    sig_p, sig_q = _vertex_signatures(p), _vertex_signatures(q)
+    candidates = [[w for w in q.vertices if sig_q[w] == sig_p[a]] for a in anchor]
     q_vert_set = set(q.vertices)
-    for image in itertools.permutations(q.vertices, n + 1):
+    for image in itertools.product(*candidates):
+        if len(set(image)) < len(image):
+            continue
         amap = frame_map(image)
         if amap is not None and {amap.apply(v) for v in p.vertices} == q_vert_set:
-            return amap
-    return None
+            yield amap
+
+
+def _vertex_signatures(p):
+    """{vertex: the sorted lattice-point counts of the facets through it}."""
+    return {
+        v: sorted(len(f.on_facet) for f in p.facets if dot(f.normal, v) == f.offset)
+        for v in p.vertices
+    }
 
 
 def unimodular_frame_maps(frame):

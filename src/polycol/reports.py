@@ -11,7 +11,6 @@ import json
 from .algebra import symmetry_group_data
 from .columns import (
     classify_balanced_polygon,
-    columns_json_data,
     is_balanced,
     is_col_divisible,
     product_table,
@@ -148,17 +147,11 @@ def _divisibility_witness(witness):
 
 
 def normal_fan_json(p):
-    q, _ = normalize_full_dim(p)
-    fan = normal_fan(q)
+    fan = normal_fan(p)
     return {
-        "dim": q.dim,
+        "dim": p.dim,
         "cones": [
             {"vertex": list(v), "generators": [list(g) for g in gens]}
             for v, gens in sorted(fan.cones)
         ],
     }
-
-
-def columns_report_json(p):
-    q, _ = normalize_full_dim(p)
-    return columns_json_data(q)

@@ -11,7 +11,9 @@ one composes them over Z[a, b] and Q, so it checks the reduction to Z.
 The cofactor adjugate calls ``det_int``, which shares no code with the
 Gauss-Jordan inverse it checks.  The graded-semigroup oracles recurse over
 the last summand inside a dilation of P, where the production code builds
-the semigroup slice by slice.
+the semigroup slice by slice.  The unpruned equivalence search sends the
+same anchor frame through the same frame maps as the production search, so
+it checks the signature filter and the search order, not the frame maps.
 """
 
 import itertools
@@ -38,12 +40,14 @@ from polycol.exactmath import (
     vec_sub,
 )
 from polycol.polytopes import (
+    _spanning_tuple,
     dilate,
     linear_image,
     normalize_full_dim,
     polygon_normal_form,
     polytope_from_points,
     translate,
+    unimodular_frame_maps,
 )
 from polycol.scan import _directions, enumerate_polygons
 
@@ -372,6 +376,37 @@ def brute_force_polygon_equivalent(p_vertices, q_vertices):
         if image == qs:
             return True
     return False
+
+
+def unpruned_lattice_equivalences(p, q):
+    """Every lattice-affine bijection carrying the full-dimensional P onto
+    Q, in search order: P's anchor tuple is sent to every ordered vertex
+    tuple of Q in turn, with no signature filter."""
+    frame_map = unimodular_frame_maps(_spanning_tuple(p))
+    q_vert_set = set(q.vertices)
+    maps = []
+    for image in itertools.permutations(q.vertices, p.ambient_dim + 1):
+        amap = frame_map(image)
+        if amap is not None and {amap.apply(v) for v in p.vertices} == q_vert_set:
+            maps.append(amap)
+    return maps
+
+
+def conjugation_normal(group, subgroup):
+    """Whether the permutation ``subgroup`` is normal in ``group``, by
+    conjugating every element of it by every element of the group."""
+
+    def compose(a, b):  # b first, then a
+        return tuple(a[i] for i in b)
+
+    def inverse(a):
+        return tuple(sorted(range(len(a)), key=a.__getitem__))
+
+    return all(
+        compose(compose(g, h), inverse(g)) in subgroup
+        for g in group
+        for h in subgroup
+    )
 
 
 def recursive_sp_membership(p, z, degree, memo=None):

@@ -23,6 +23,7 @@ from polycol.algebra import (
     steinberg_presentation_mod,
     symmetry_group_data,
     symmetry_permutation,
+    symmetry_permutations,
     torus_automorphism,
     verify_additive_embedding,
     verify_steinberg_relations,
@@ -70,6 +71,7 @@ from .conftest import (
     WIDE_TRIANGLE,
 )
 from .helpers import (
+    conjugation_normal,
     dense_ring_product,
     elementary_closed_formula_image,
     literal_steinberg_report,
@@ -429,14 +431,31 @@ def test_sigma_group_closure():
     assert all(len(m.matrix) == 4 for m in mats)
 
 
-def test_inversions_normal(corpus):
+def test_inversions_normal(corpus, monkeypatch):
+    # normality is tested on generators; the oracle conjugates every element
+    from polycol import algebra
     from polycol.polytopes import normalize_full_dim
 
-    for p in corpus:
+    simplex4 = polytope_from_points(
+        [(0,) * 4] + [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    )
+    for p in corpus + [simplex4]:
         q, _ = normalize_full_dim(p)
         if q.dim < 1:
             continue
         assert symmetry_group_data(q)["inversions_normal"], q.name
+        assert conjugation_normal(symmetry_permutations(q), inversion_subgroup(q))
+    # in the symmetric group on the unit triangle's three points, a
+    # transposition generates a subgroup that is not normal, a 3-cycle one
+    # that is
+    for gens, normal in (([(1, 0, 2)], False), ([(1, 2, 0)], True)):
+        monkeypatch.setattr(algebra, "_inversion_generators", lambda p: gens)
+        triangle = polytope_from_points(TRIANGLE.vertices)
+        data = symmetry_group_data(triangle)
+        assert data["symmetry_order"] == 6
+        assert data["inversions_normal"] is normal
+        sub = inversion_subgroup(triangle)
+        assert conjugation_normal(symmetry_permutations(triangle), sub) is normal
 
 
 def test_column_inversion_square_reflection():
@@ -474,7 +493,7 @@ def test_frame_search_inverts_only_found_maps(monkeypatch):
 
 def test_frame_searches_invert_their_anchor_once(monkeypatch):
     # each search fixes one anchor frame and sets it up once for all images
-    from polycol import algebra, columns, polytopes
+    from polycol import columns, polytopes
 
     made = []
     maps = polytopes.unimodular_frame_maps
@@ -483,7 +502,7 @@ def test_frame_searches_invert_their_anchor_once(monkeypatch):
         made.append(frame)
         return maps(frame)
 
-    for module in (algebra, columns, polytopes):
+    for module in (columns, polytopes):
         monkeypatch.setattr(module, "unimodular_frame_maps", counting)
     simplex3 = polytope_from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     sheared = polytopes.linear_image(simplex3, ((1, 2, 0), (0, 1, 0), (0, 3, 1)))
@@ -518,6 +537,7 @@ def test_symmetries_searched_once_per_polytope(monkeypatch):
     data = symmetry_group_data(square)
     assert (data["symmetry_order"], data["inversion_order"]) == (8, 4)
     assert len(inversion_subgroup(square)) == 4
+    assert len(sigma_group(square)) == 8
     assert calls == [square]
     cube = polytope_from_points(list(itertools.product((0, 1), repeat=3)))
     report = analysis_report(cube)

@@ -22,6 +22,7 @@ from polycol.polytopes import (
     dilate,
     integral_affine_equivalent,
     is_unimodular_simplex,
+    lattice_equivalences,
     linear_image,
     normal_fan,
     normalize_full_dim,
@@ -59,6 +60,7 @@ from .helpers import (
     random_unimodular_matrix,
     sheared_images,
     unimodular_images,
+    unpruned_lattice_equivalences,
 )
 
 
@@ -424,6 +426,49 @@ def test_iae_invariants():
         assert len(p.lattice_points) == len(q.lattice_points)
         assert len(p.facets) == len(q.facets)
         assert normalized_volume(p) == normalized_volume(q)
+
+
+def test_iae_refuses_lower_dimensional_non_translates():
+    pairs = [
+        ([(0, 0, 0), (1, 1, 0)], [(0, 0, 0), (0, 1, 1)]),
+        ([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 0, 0), (1, 0, 0), (0, 0, 1)]),
+        ([(0, 0), (1, 1)], [(0, 0), (0, 1)]),
+    ]
+    for a, b in pairs:
+        p, q = polytope_from_points(a), polytope_from_points(b)
+        with pytest.raises(ValueError, match="full-dimensional polytopes"):
+            integral_affine_equivalent(p, q)
+    segment = polytope_from_points([(0, 0, 0), (1, 1, 0)])
+    m = integral_affine_equivalent(segment, translate(segment, (2, -3, 4)))
+    assert m.key() == (((1, 0, 0), (0, 1, 0), (0, 0, 1)), (2, -3, 4))
+    point = polytope_from_points([()])
+    assert integral_affine_equivalent(point, point).key() == ((), ())
+
+
+def _keys(maps):
+    return {m.key() for m in maps}
+
+
+def test_lattice_equivalences_match_unpruned_search():
+    simplex4 = polytope_from_points(
+        [(0,) * 4] + [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    )
+    polys = CORPUS + [NON_NORMAL_SIMPLEX, REEVE_TETRAHEDRON, EMPTY_SIMPLEX, simplex4]
+    for p in polys:
+        assert _keys(lattice_equivalences(p, p)) == _keys(
+            unpruned_lattice_equivalences(p, p)
+        ), p.name
+    rng = random.Random(14)
+    for p in polys:
+        if p.dim not in (2, 3):
+            continue
+        for q in unimodular_images(p, rng, 2):
+            oracle = unpruned_lattice_equivalences(p, q)
+            assert oracle, p.name
+            assert _keys(lattice_equivalences(p, q)) == _keys(oracle), p.name
+            shift = vec_sub(q.vertices[0], p.vertices[0])
+            if p.dim >= 3 and translate(p, shift) != q:
+                assert integral_affine_equivalent(p, q).key() == oracle[0].key()
 
 
 def test_normalized_volume():
