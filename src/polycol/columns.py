@@ -36,7 +36,6 @@ from typing import NamedTuple, Optional
 
 from .exactmath import (
     dot,
-    primitive_part,
     vec_add,
     vec_neg,
     vec_sub,
@@ -44,13 +43,10 @@ from .exactmath import (
 from .polytopes import (
     InternalCheckError,
     dilate,
-    integral_affine_equivalent,
-    linear_image,
+    fan_normal_form,
     normalized_volume,
-    polygon_cycle,
+    polygon_normal_form,
     polytope_from_points,
-    projectively_equivalent,
-    unimodular_frame_maps,
 )
 
 
@@ -441,7 +437,6 @@ class PolygonClassification:
     label: str
     vectors: dict
     same_base_count: Optional[int] = None
-    witness: Optional[object] = None
 
 
 class UnclassifiablePolygonError(InternalCheckError):
@@ -457,11 +452,11 @@ def classify_balanced_polygon(p):
     """Class label a-f for a balanced polygon, from its column signature.
 
     Signature order tests the negation-closed families first.  Classes a, b
-    and e additionally carry the reference-polygon witness (an equivalence
-    to a triangle multiple, a fan match with the standard trapezoid, or a
-    fan match with the unit square).  A signature mismatch, or a matched
-    signature whose witness cannot be realized, raises: every balanced
-    polygon must land in exactly one class.
+    and e are also checked against their reference polygons by normal
+    forms: a triangle multiple by ``polygon_normal_form``, a fan match with
+    the standard trapezoid or the unit square by ``fan_normal_form``.  A
+    signature mismatch, or a matched signature whose check fails, raises:
+    every balanced polygon must land in exactly one class.
     """
     if p.dim != 2:
         raise ValueError("polygon classification needs dimension 2")
@@ -478,35 +473,27 @@ def classify_balanced_polygon(p):
         if n_products == 6 and _triangle_relations(table):
             k = math.isqrt(normalized_volume(p))
             ref = dilate(polytope_from_points(UNIT_TRIANGLE_VERTICES), k)
-            amap = integral_affine_equivalent(p, ref)
-            if k * k != normalized_volume(p) or amap is None:
+            if polygon_normal_form(p) != polygon_normal_form(ref):
                 raise UnclassifiablePolygonError(
                     f"class-a signature but not a triangle multiple: {p.vertices}"
                 )
-            return PolygonClassification(
-                "a", {"columns": cols},
-                witness=("triangle_multiple", k, amap.key()),
-            )
+            return PolygonClassification("a", {"columns": cols})
     if len(cols) == 4 and len(pairs) == 2:
         labeled = _match_trapezoid_relations(table)
         if labeled is not None:
-            u = _fan_witness(p, polytope_from_points(TRAPEZOID_VERTICES))
-            if u is None:
+            ref = polytope_from_points(TRAPEZOID_VERTICES)
+            if fan_normal_form(p) != fan_normal_form(ref):
                 raise UnclassifiablePolygonError(
                     f"class-b signature but no trapezoid fan match: {p.vertices}"
                 )
-            return PolygonClassification(
-                "b", labeled, witness=("fan_match_trapezoid", u)
-            )
+            return PolygonClassification("b", labeled)
     if len(cols) == 4 and len(pairs) == 4 and n_products == 0:
-        u = _fan_witness(p, polytope_from_points(UNIT_SQUARE_VERTICES))
-        if u is None:
+        ref = polytope_from_points(UNIT_SQUARE_VERTICES)
+        if fan_normal_form(p) != fan_normal_form(ref):
             raise UnclassifiablePolygonError(
                 f"class-e signature but no square fan match: {p.vertices}"
             )
-        return PolygonClassification(
-            "e", {"columns": cols}, witness=("fan_match_square", u)
-        )
+        return PolygonClassification("e", {"columns": cols})
     if len(cols) == 3 and not pairs and n_products == 1:
         i, j, k = table.products[0]
         return PolygonClassification(
@@ -523,36 +510,6 @@ def classify_balanced_polygon(p):
         f"balanced polygon {p.vertices} fits no class: "
         f"{len(cols)} columns, {len(pairs)} paired, {n_products} products"
     )
-
-
-def _fan_witness(p, ref):
-    """A unimodular matrix carrying the fan of p onto the fan of ref.
-
-    Fan equality matches vertex tangent cones, so the matrix is pinned by
-    sending the edge directions at one vertex of p to the edge directions
-    at some vertex of ref; all images are tried.
-    """
-    cyc_p = polygon_cycle(p)
-    cyc_r = polygon_cycle(ref)
-    if len(cyc_p) != len(cyc_r):
-        return None
-
-    def edge_dirs(cyc, i):
-        v = cyc[i]
-        prev = cyc[i - 1]
-        nxt = cyc[(i + 1) % len(cyc)]
-        return primitive_part(vec_sub(prev, v)), primitive_part(vec_sub(nxt, v))
-
-    frame_map = unimodular_frame_maps(((0, 0),) + edge_dirs(cyc_p, 0))
-    for i in range(len(cyc_r)):
-        e1, e2 = edge_dirs(cyc_r, i)
-        for image in (((0, 0), e1, e2), ((0, 0), e2, e1)):
-            amap = frame_map(image)
-            if amap is not None and projectively_equivalent(
-                linear_image(p, amap.matrix), ref
-            ):
-                return amap.matrix
-    return None
 
 
 def _triangle_relations(table):

@@ -529,10 +529,9 @@ def integral_affine_equivalent(p, q):
     """A lattice-affine bijection carrying P onto Q, or None.
 
     Pure translations are tried first, so lower-dimensional translates get
-    their shift map; other lower-dimensional pairs are a ValueError.
-    Polygons are compared by their normal forms, and the map is the one
-    between the two frames that reach the minimum.  In other dimensions it
-    is the first map ``lattice_equivalences`` finds.
+    their shift map; other lower-dimensional pairs are a ValueError.  In
+    every dimension the map is otherwise the first one
+    ``lattice_equivalences`` finds.
     """
     if p.ambient_dim != q.ambient_dim or p.dim != q.dim:
         return None
@@ -547,15 +546,6 @@ def integral_affine_equivalent(p, q):
         return AffineLatticeMap.translation_map(shift)
     if not p.is_full_dimensional:
         raise ValueError("integral-affine equivalence needs full-dimensional polytopes")
-    if p.ambient_dim == 2:
-        form_p, frame_p = min_polygon_frame(polygon_cycle(p))
-        form_q, frame_q = min_polygon_frame(polygon_cycle(q))
-        if form_p != form_q:
-            return None
-        amap = unimodular_frame_maps(frame_p)(frame_q)
-        if amap is None:
-            raise InternalCheckError("equal normal forms without a frame map")
-        return amap
     return next(lattice_equivalences(p, q), None)
 
 
@@ -638,16 +628,15 @@ def polygon_normal_form(p):
     the frame map between two equal forms is an equivalence, which makes it
     complete.
     """
-    return min_polygon_frame(polygon_cycle(p))[0]
+    return cycle_normal_form(polygon_cycle(p))
 
 
-def min_polygon_frame(cyc):
-    """(normal form, (v, a, b)) for the first frame reaching the minimum.
+def cycle_normal_form(cyc):
+    """``polygon_normal_form`` of the polygon with vertex cycle ``cyc``.
 
-    ``cyc`` is the polygon's vertex cycle: its vertices in cyclic order,
-    each one a vertex of the hull, such as ``polygon_cycle`` returns.  The
-    form does not depend on the start vertex or the direction; the frame
-    returned does.
+    ``cyc`` lists the polygon's vertices in cyclic order, each one a vertex
+    of the hull, such as ``polygon_cycle`` returns.  The form does not
+    depend on the start vertex or the direction.
     """
     m = len(cyc)
     best = None
@@ -656,9 +645,33 @@ def min_polygon_frame(cyc):
         for j, k in (((i + 1) % m, i - 1), (i - 1, (i + 1) % m)):
             (r0, r1), (s0, s1) = _frame_matrix(rel[j], rel[k])
             form = tuple(sorted([(r0 * x + r1 * y, s0 * x + s1 * y) for x, y in rel]))
-            if best is None or form < best[0]:
-                best = (form, (cyc[i], cyc[j], cyc[k]))
+            if best is None or form < best:
+                best = form
     return best
+
+
+def fan_normal_form(p):
+    """Canonical tuple, shared by two polygons exactly when some U in GL2(Z)
+    carries the normal fan of one onto the normal fan of the other.
+
+    D is the set of primitive edge directions of the counterclockwise
+    vertex cycle; the fan is the set of edge normals, so fan(U P) = fan(R)
+    iff U' D(P) = D(R) for U' = U, or U' = -U when det U = -1 (U P then
+    lists its edges clockwise).  Each cyclically adjacent pair (a, b) of D,
+    in either order, pins one U in GL2(Z) by ``_frame_matrix``; consecutive
+    edges of a convex polygon are never parallel.  The form is the least
+    sorted tuple of U e over e in D.  A linear map keeps or reverses the
+    cyclic order of D, so it carries adjacent pairs to adjacent pairs, and
+    the argument of ``polygon_normal_form`` gives invariance and
+    completeness.
+    """
+    cyc = polygon_cycle(p)
+    dirs = [primitive_part(vec_sub(w, v)) for v, w in zip(cyc, cyc[1:] + cyc[:1])]
+    return min(
+        tuple(sorted((r0 * x + r1 * y, s0 * x + s1 * y) for x, y in dirs))
+        for a, b in zip(dirs, dirs[1:] + dirs[:1])
+        for (r0, r1), (s0, s1) in (_frame_matrix(a, b), _frame_matrix(b, a))
+    )
 
 
 def _frame_matrix(ea, eb):

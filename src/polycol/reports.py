@@ -69,7 +69,10 @@ def parse_polytope_json(text):
             if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError(f"non-integral coordinate {c!r}")
         pts.append(tuple(v))
-    return polytope_from_points(pts, name=data.get("name"))
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ValueError(f"name must be a string or null, not {name!r}")
+    return polytope_from_points(pts, name=name)
 
 
 def analysis_report(p):

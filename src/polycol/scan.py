@@ -7,7 +7,7 @@ counterclockwise cycle of its vertices.  A path is cut as soon as the
 directions left can no longer bring it back to the origin.
 
 The scan classifies first.  Each cycle's normal form
-(``polytopes.min_polygon_frame``) is computed straight from the cycle, and
+(``polytopes.cycle_normal_form``) is computed straight from the cycle, and
 the cycles are grouped by it.  Balancedness, Col-divisibility, the column
 table and the class label are integral-affine invariants, so they are
 computed once per class, on a polytope built from the class's least sorted
@@ -34,7 +34,7 @@ from .columns import (
 from .polytopes import (
     InternalCheckError,
     angular_key,
-    min_polygon_frame,
+    cycle_normal_form,
     polytope_from_points,
 )
 
@@ -120,7 +120,7 @@ def scan_polygons(box, seed=0, sample_rate=0.01):
         raise ValueError("sample rate must lie in [0, 1]")
     cycles = enumerate_polygons(box)
     # every enumerated cycle is the counterclockwise vertex cycle of its hull
-    forms = [min_polygon_frame(cycle)[0] for cycle in cycles]
+    forms = [cycle_normal_form(cycle) for cycle in cycles]
     members = {}
     for form, cycle in zip(forms, cycles):
         members.setdefault(form, []).append(cycle)

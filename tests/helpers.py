@@ -14,6 +14,11 @@ the last summand inside a dilation of P, where the production code builds
 the semigroup slice by slice.  The unpruned equivalence search sends the
 same anchor frame through the same frame maps as the production search, so
 it checks the signature filter and the search order, not the frame maps.
+The fan-witness oracle searches frame maps and tests each image by facet
+normals and incidences, where ``fan_normal_form`` compares sorted edge
+directions; the frame-form list reuses the frame matrix of
+``cycle_normal_form``, so it checks the count of minimal frames, not the
+frames.
 """
 
 import itertools
@@ -35,17 +40,22 @@ from polycol.exactmath import (
     PolynomialRing,
     det_int,
     dot,
+    mat_vec,
+    primitive_part,
     vec_add,
     vec_scale,
     vec_sub,
 )
 from polycol.polytopes import (
+    _frame_matrix,
     _spanning_tuple,
     dilate,
     linear_image,
     normalize_full_dim,
+    polygon_cycle,
     polygon_normal_form,
     polytope_from_points,
+    projectively_equivalent,
     translate,
     unimodular_frame_maps,
 )
@@ -390,6 +400,49 @@ def unpruned_lattice_equivalences(p, q):
         if amap is not None and {amap.apply(v) for v in p.vertices} == q_vert_set:
             maps.append(amap)
     return maps
+
+
+def fan_witness(p, ref):
+    """A unimodular matrix carrying the fan of p onto the fan of ref.
+
+    Fan equality matches vertex tangent cones, so the matrix is pinned by
+    sending the edge directions at one vertex of p to the edge directions
+    at some vertex of ref; all images are tried.
+    """
+    cyc_p = polygon_cycle(p)
+    cyc_r = polygon_cycle(ref)
+    if len(cyc_p) != len(cyc_r):
+        return None
+
+    def edge_dirs(cyc, i):
+        v = cyc[i]
+        prev = cyc[i - 1]
+        nxt = cyc[(i + 1) % len(cyc)]
+        return primitive_part(vec_sub(prev, v)), primitive_part(vec_sub(nxt, v))
+
+    frame_map = unimodular_frame_maps(((0, 0),) + edge_dirs(cyc_p, 0))
+    for i in range(len(cyc_r)):
+        e1, e2 = edge_dirs(cyc_r, i)
+        for image in (((0, 0), e1, e2), ((0, 0), e2, e1)):
+            amap = frame_map(image)
+            if amap is not None and projectively_equivalent(
+                linear_image(p, amap.matrix), ref
+            ):
+                return amap.matrix
+    return None
+
+
+def frame_forms(cyc):
+    """The form of each of the 2m frames of a polygon's vertex cycle, in the
+    sense of ``polygon_normal_form``; the least of them is the normal form."""
+    m = len(cyc)
+    forms = []
+    for i, v in enumerate(cyc):
+        rel = [vec_sub(w, v) for w in cyc]
+        for a, b in ((rel[(i + 1) % m], rel[i - 1]), (rel[i - 1], rel[(i + 1) % m])):
+            u = _frame_matrix(a, b)
+            forms.append(tuple(sorted(mat_vec(u, z) for z in rel)))
+    return forms
 
 
 def conjugation_normal(group, subgroup):

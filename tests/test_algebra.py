@@ -493,7 +493,7 @@ def test_frame_search_inverts_only_found_maps(monkeypatch):
 
 def test_frame_searches_invert_their_anchor_once(monkeypatch):
     # each search fixes one anchor frame and sets it up once for all images
-    from polycol import columns, polytopes
+    from polycol import polytopes
 
     made = []
     maps = polytopes.unimodular_frame_maps
@@ -502,15 +502,14 @@ def test_frame_searches_invert_their_anchor_once(monkeypatch):
         made.append(frame)
         return maps(frame)
 
-    for module in (columns, polytopes):
-        monkeypatch.setattr(module, "unimodular_frame_maps", counting)
+    monkeypatch.setattr(polytopes, "unimodular_frame_maps", counting)
     simplex3 = polytope_from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     sheared = polytopes.linear_image(simplex3, ((1, 2, 0), (0, 1, 0), (0, 3, 1)))
     searches = [
         lambda: lattice_symmetries(simplex3),
         lambda: polytopes.integral_affine_equivalent(simplex3, sheared),
         lambda: polytopes.integral_affine_equivalent(simplex3, NON_NORMAL_SIMPLEX),
-        lambda: columns._fan_witness(
+        lambda: polytopes.integral_affine_equivalent(
             polytopes.linear_image(UNIT_SQUARE, ((1, 1), (0, 1))), UNIT_SQUARE
         ),
     ]

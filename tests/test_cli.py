@@ -119,6 +119,8 @@ MALFORMED_INPUTS = (
     '{"vertices": [[0,0],[1]]}',
     '{"vertices": [[1.5,0]]}',
     '{"vertices": "x"}',
+    '{"name": 1.5, "vertices": [[0,0],[1,0],[0,1]]}',
+    '{"name": [1, {"a": 2.5}], "vertices": [[0,0],[1,0],[0,1]]}',
 )
 
 

@@ -17,9 +17,12 @@ from polycol.exactmath import (
     vec_sub,
 )
 from polycol import polytopes
+from polycol.algebra import lattice_symmetries
 from polycol.polytopes import (
     InternalCheckError,
+    cycle_normal_form,
     dilate,
+    fan_normal_form,
     integral_affine_equivalent,
     is_unimodular_simplex,
     lattice_equivalences,
@@ -56,6 +59,8 @@ from .helpers import (
     box_scan_lattice_points,
     brute_force_polygon_equivalent,
     facet_scan_oracle,
+    fan_witness,
+    frame_forms,
     random_normalized_polytopes,
     random_unimodular_matrix,
     sheared_images,
@@ -467,7 +472,7 @@ def test_lattice_equivalences_match_unpruned_search():
             assert oracle, p.name
             assert _keys(lattice_equivalences(p, q)) == _keys(oracle), p.name
             shift = vec_sub(q.vertices[0], p.vertices[0])
-            if p.dim >= 3 and translate(p, shift) != q:
+            if translate(p, shift) != q:
                 assert integral_affine_equivalent(p, q).key() == oracle[0].key()
 
 
@@ -647,6 +652,47 @@ def test_near_miss_is_the_only_one_in_box2():
         groups.setdefault(key, set()).add(polygon_normal_form(p))
     clashes = [forms for forms in groups.values() if len(forms) > 1]
     assert clashes == [{polygon_normal_form(p) for p in NEAR_MISS}]
+
+
+def _box3_class_representatives():
+    reps = {}
+    for cycle in enumerate_polygons(3):
+        reps.setdefault(cycle_normal_form(cycle), cycle)
+    assert len(reps) == 148
+    return reps
+
+
+def test_minimal_frames_are_one_symmetry_orbit():
+    # Aut(P) acts freely on the 2m frames, and the frames reaching the
+    # normal form are the images of one of them
+    for form, cycle in _box3_class_representatives().items():
+        forms = frame_forms(cycle)
+        assert min(forms) == form
+        p = polytope_from_points(cycle)
+        assert forms.count(form) == len(lattice_symmetries(p)), cycle
+
+
+def test_fan_normal_form_matches_fan_witness_oracle():
+    refs = [TRAPEZOID, UNIT_SQUARE, TRIANGLE]
+    ref_forms = [fan_normal_form(r) for r in refs]
+    rng = random.Random(15)
+    matches = 0
+    for cycle in _box3_class_representatives().values():
+        p = polytope_from_points(cycle)
+        form = fan_normal_form(p)
+        for ref, ref_form in zip(refs, ref_forms):
+            same = form == ref_form
+            assert same == (fan_witness(p, ref) is not None), (cycle, ref)
+            matches += same
+        (q,) = unimodular_images(p, rng, 1)
+        assert fan_normal_form(q) == form
+        assert fan_witness(q, p) is not None
+    assert matches > 0
+
+
+def test_fan_normal_form_examples():
+    assert fan_normal_form(HEXAGON) == fan_normal_form(dilate(HEXAGON, 2))
+    assert fan_normal_form(TRAPEZOID) != fan_normal_form(UNIT_SQUARE)
 
 
 # generators of GL2(Z) with a shear size

@@ -9,7 +9,7 @@ from polycol.cli import main
 from polycol.columns import UnclassifiablePolygonError
 from polycol.polytopes import (
     InternalCheckError,
-    min_polygon_frame,
+    cycle_normal_form,
     polygon_cycle,
     polygon_normal_form,
     polytope_from_points,
@@ -39,8 +39,8 @@ def test_cycles_are_hull_vertex_cycles(box):
         form = polygon_normal_form(p)
         for i in range(len(cycle)):
             rotated = cycle[i:] + cycle[:i]
-            assert min_polygon_frame(rotated)[0] == form
-            assert min_polygon_frame(rotated[::-1])[0] == form
+            assert cycle_normal_form(rotated) == form
+            assert cycle_normal_form(rotated[::-1]) == form
 
 
 @pytest.mark.parametrize(
