@@ -1,7 +1,6 @@
 """Exact computations for lattice polytopes and their column structures."""
 
 from .exactmath import (
-    QQ,
     ZZ,
     IntegersMod,
     Poly,
@@ -23,12 +22,10 @@ from .polytopes import (
     normalize_full_dim,
     normalized_volume,
     polytope_from_points,
-    projectively_equivalent,
     translate,
 )
 
 __all__ = [
-    "QQ",
     "ZZ",
     "IntegersMod",
     "Poly",
@@ -48,6 +45,5 @@ __all__ = [
     "normalize_full_dim",
     "normalized_volume",
     "polytope_from_points",
-    "projectively_equivalent",
     "translate",
 ]

@@ -287,56 +287,6 @@ def _symmetry_from_permutation(p, ring, perm):
 
 
 # ---------------------------------------------------------------------------
-# degree consistency and monomial actions
-
-
-def degree_consistency_violations(auto, max_degree=3):
-    """Check the degree-one action extends to a well-defined graded map.
-
-    Monomial multisets of equal coordinate sum must receive equal images up
-    to the degree bound.  Passing is necessary for automorphy, not a proof;
-    every generator built here is an automorphism on theoretical grounds.
-    """
-    p = auto.polytope
-    pts = p.lattice_points
-    violations = []
-    for d in range(2, max_degree + 1):
-        groups = {}
-        for combo in itertools.combinations_with_replacement(range(len(pts)), d):
-            total = pts[combo[0]]
-            for i in combo[1:]:
-                total = vec_add(total, pts[i])
-            groups.setdefault(total, []).append(combo)
-        for total, combos in groups.items():
-            if len(combos) < 2:
-                continue
-            images = [
-                _multiset_image(auto, combo) for combo in combos
-            ]
-            for other in images[1:]:
-                if other != images[0]:
-                    violations.append((total, d))
-                    break
-    return violations
-
-
-def _multiset_image(auto, combo):
-    """Image of a product of degree-one monomials, as a dict point -> coeff."""
-    pts = auto.polytope.lattice_points
-    zero = auto.ring.zero
-    current = {(0,) * auto.polytope.ambient_dim: auto.ring.one}
-    for i in combo:
-        col = [(pts[r], c) for r, c in auto.columns[i].items()]
-        nxt = {}
-        for z, c in current.items():
-            for x, cx in col:
-                key = vec_add(z, x)
-                nxt[key] = nxt.get(key, zero) + c * cx
-        current = {k: v for k, v in nxt.items() if v}
-    return current
-
-
-# ---------------------------------------------------------------------------
 # lattice symmetries
 
 

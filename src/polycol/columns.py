@@ -4,9 +4,8 @@ A nonzero integer vector v is a column vector when some facet F exists such
 that every lattice point off F is carried back into the polytope by v; that
 facet is the (unique) base facet.  This module computes the set of column
 vectors, the partial product, strict and weak hulls, balancedness,
-Col-divisibility, the classification of balanced polygons, rigid systems of
-column vectors, and the compatibility predicate for maps between column
-structures.
+Col-divisibility, the classification of balanced polygons and rigid systems
+of column vectors.
 
 All operations require a normalized full-dimensional polytope: with the
 lattice points affinely generating the ambient lattice, the base-facet form
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -282,43 +280,6 @@ def product(p, u, v):
     return table.product_of(u, v)
 
 
-def weak_product(p, vs):
-    """Product of a sequence under some bracketing, or None.
-
-    The value never depends on the bracketing (it is the plain sum), so only
-    existence is searched, by interval dynamic programming.
-    """
-    table = product_table(p)
-    idx = [table.column(v) for v in vs]
-    if not idx:
-        raise ValueError("empty sequence")
-    n = len(idx)
-    memo = {}
-
-    def exists(i, j):
-        if (i, j) in memo:
-            return memo[(i, j)]
-        if i == j:
-            memo[(i, j)] = idx[i]
-            return idx[i]
-        result = None
-        for k in range(i, j):
-            left = exists(i, k)
-            if left is None:
-                continue
-            right = exists(k + 1, j)
-            if right is None:
-                continue
-            result = table.rows[left][right]
-            if result is not None:
-                break
-        memo[(i, j)] = result
-        return result
-
-    k = exists(0, n - 1)
-    return table.columns[k] if k is not None else None
-
-
 def weak_hull(p, vectors):
     """Closure of the given columns under binary products."""
     table = product_table(p)
@@ -432,8 +393,7 @@ def is_col_divisible(p):
 # balanced polygon classification
 
 
-@dataclass(frozen=True)
-class PolygonClassification:
+class PolygonClassification(NamedTuple):
     label: str
     vectors: dict
     same_base_count: Optional[int] = None
@@ -543,8 +503,7 @@ def _match_trapezoid_relations(table):
 # rigid systems
 
 
-@dataclass(frozen=True)
-class DirectedGraph:
+class DirectedGraph(NamedTuple):
     """Finite digraph: no isolated vertices, no multiedges or loops, and an
     edge never shadows another directed path with the same endpoints."""
 
@@ -594,25 +553,21 @@ class DirectedGraph:
         return frozenset(k for k, c in self._path_counts().items() if c > 0)
 
 
-@dataclass(frozen=True)
-class RigidCertificate:
+class RigidCertificate(NamedTuple):
     graph: DirectedGraph
     labeling: tuple  # pairs (column vector, (start, end))
 
 
-@dataclass(frozen=True)
-class Rigid:
+class Rigid(NamedTuple):
     certificate: RigidCertificate
 
 
-@dataclass(frozen=True)
-class NotRigid:
+class NotRigid(NamedTuple):
     reason: str
     detail: object = None
 
 
-@dataclass(frozen=True)
-class RigidUnknown:
+class RigidUnknown(NamedTuple):
     reason: str
 
 
@@ -826,39 +781,6 @@ def verify_rigid_certificate(p, vectors, certificate):
                 if label[r] != (label[a.vector][0], label[b.vector][1]):
                     return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# maps between column structures
-
-
-def check_k_morphism(p, q, mapping):
-    """Check compatibility of a map Col(P) -> Col(Q).
-
-    Condition one: base-facet pairings are preserved exactly; condition two:
-    existing products map to existing products.  Returns (flag, violations).
-    """
-    tp = product_table(p)
-    tq = product_table(q)
-    mu = {}
-    for src, dst in mapping.items():
-        mu[tp.column(src)] = tq.column(dst)
-    if set(mu) != set(range(len(tp.columns))):
-        raise ValueError("mapping must be total on Col(P)")
-    violations = []
-    for w, v in itertools.product(range(len(tp.columns)), repeat=2):
-        lhs = tp.columns[v].heights[tp.columns[w].base]
-        rhs = tq.columns[mu[v]].heights[tq.columns[mu[w]].base]
-        if lhs != rhs:
-            violations.append(
-                ("pairing", tp.columns[w], tp.columns[v], lhs, rhs)
-            )
-    for (i, j, k) in tp.products:
-        if tq.rows[mu[i]][mu[j]] != mu[k]:
-            violations.append(
-                ("product", tp.columns[i], tp.columns[j], tp.columns[k])
-            )
-    return (not violations), violations
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ sections give integral-affinely equivalent results.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple
 
 from .columns import product_table
 from .exactmath import dot, integral_section, vec_scale, vec_sub
@@ -26,8 +25,7 @@ class NoExtensionError(InternalCheckError):
     """A column vector failed to extend across a doubling."""
 
 
-@dataclass(frozen=True)
-class DoublingResult:
+class DoublingResult(NamedTuple):
     doubled: Polytope
     embed_base: AffineLatticeMap
     embed_copy: AffineLatticeMap
@@ -133,21 +131,23 @@ def extend_columns(p, doubled):
 # doubling chains with a fair first-in-first-out schedule
 
 
-@dataclass
 class TrackedColumn:
-    ident: int
-    birth_vector: tuple
-    birth_step: int
-    enqueue_position: int
-    decomposed_step: Optional[int] = None
+    """A column followed along a doubling chain; ``decomposed_step`` is set
+    by the step that doubles along its base facet."""
+
+    def __init__(self, ident, birth_vector, birth_step, enqueue_position):
+        self.ident = ident
+        self.birth_vector = birth_vector
+        self.birth_step = birth_step
+        self.enqueue_position = enqueue_position
+        self.decomposed_step = None
 
     def vector_at(self, ambient_dim):
         pad = ambient_dim - len(self.birth_vector)
         return self.birth_vector + (0,) * pad
 
 
-@dataclass
-class SpectrumStep:
+class SpectrumStep(NamedTuple):
     index: int
     chosen: TrackedColumn
     chosen_vector: tuple
@@ -157,12 +157,11 @@ class SpectrumStep:
     queue_after: list
 
 
-@dataclass
-class DoublingSpectrum:
+class DoublingSpectrum(NamedTuple):
     initial: Polytope
-    steps: list = field(default_factory=list)
-    tracked: dict = field(default_factory=dict)
-    final: Optional[Polytope] = None
+    steps: list
+    tracked: dict
+    final: Polytope
 
 
 def doubling_spectrum(p, steps):
@@ -181,7 +180,8 @@ def doubling_spectrum(p, steps):
     if not initial_cols:
         raise ValueError("doubling spectra need a polytope with columns")
 
-    spectrum = DoublingSpectrum(initial=p)
+    steps_done = []
+    tracked = {}
     queue = deque()
     next_id = 0
     for c in initial_cols:
@@ -192,13 +192,13 @@ def doubling_spectrum(p, steps):
             enqueue_position=len(queue) + 1,
         )
         next_id += 1
-        spectrum.tracked[tc.ident] = tc
+        tracked[tc.ident] = tc
         queue.append(tc.ident)
 
     current = p
     for step_index in range(1, steps + 1):
         ident = queue.popleft()
-        tc = spectrum.tracked[ident]
+        tc = tracked[ident]
         vec = tc.vector_at(current.ambient_dim)
         cols = {c.vector: c for c in product_table(current).columns}
         if vec not in cols:
@@ -210,7 +210,7 @@ def doubling_spectrum(p, steps):
         result = double_along_facet(current, facet)
 
         decomposed_now = []
-        for other in spectrum.tracked.values():
+        for other in tracked.values():
             if other.decomposed_step is not None:
                 continue
             ovec = other.vector_at(current.ambient_dim)
@@ -222,7 +222,7 @@ def doubling_spectrum(p, steps):
         current = result.doubled
         new_cols = product_table(current).columns
         known = {
-            t.vector_at(current.ambient_dim) for t in spectrum.tracked.values()
+            t.vector_at(current.ambient_dim) for t in tracked.values()
         }
         for c in new_cols:
             if c.vector in known:
@@ -234,11 +234,11 @@ def doubling_spectrum(p, steps):
                 enqueue_position=len(queue) + 1,
             )
             next_id += 1
-            spectrum.tracked[tc_new.ident] = tc_new
+            tracked[tc_new.ident] = tc_new
             queue.append(tc_new.ident)
             known.add(c.vector)
 
-        spectrum.steps.append(
+        steps_done.append(
             SpectrumStep(
                 index=step_index,
                 chosen=tc,
@@ -249,8 +249,7 @@ def doubling_spectrum(p, steps):
                 queue_after=list(queue),
             )
         )
-    spectrum.final = current
-    return spectrum
+    return DoublingSpectrum(p, steps_done, tracked, current)
 
 
 def spectrum_report(spectrum):

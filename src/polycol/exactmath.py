@@ -1,20 +1,19 @@
 """Exact integer, rational and polynomial arithmetic kernels.
 
 Everything in this package is exact; there is no floating point anywhere.
-Geometry and coordinate maps are integer-only: a rational matrix travels as an
-integer matrix with one common denominator, and ``fractions.Fraction`` appears
-only as the element type of the ``QQ`` coefficient ring.  ``det_int`` and
-``mat_inverse_frac`` are fraction-free (Bareiss) eliminations in O(n^3) integer
-operations whose intermediate entries are minors of the input; ``rank_int``
-and ``independent_rows`` share one echelon pass over primitive rows.  Vectors
-are plain tuples of ints, matrices are tuples of row tuples.  The canonical
-order on integer vectors is coordinate-lexicographic (= tuple order), and all
-set-valued results elsewhere in the package are emitted sorted in that order.
+Arithmetic is integer-only: a rational matrix travels as an integer matrix
+with one common denominator, and the coefficient rings are Z, Z[x1, ..., xk]
+and Z/m.  ``det_int`` and ``mat_inverse_frac`` are fraction-free (Bareiss)
+eliminations in O(n^3) integer operations whose intermediate entries are
+minors of the input; ``rank_int`` and ``independent_rows`` share one echelon
+pass over primitive rows.  Vectors are plain tuples of ints, matrices are
+tuples of row tuples.  The canonical order on integer vectors is
+coordinate-lexicographic (= tuple order), and all set-valued results
+elsewhere in the package are emitted sorted in that order.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import add
 
@@ -539,24 +538,6 @@ class IntegerRing(CoefficientRing):
         return x
 
 
-class RationalRing(CoefficientRing):
-    name = "QQ"
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def is_unit(self, x):
-        return x != 0
-
-    def inverse(self, x):
-        if x == 0:
-            raise ValueError("0 is not a unit in QQ")
-        return 1 / Fraction(x)
-
-
 class PolynomialRing(CoefficientRing):
     """Z[x1, ..., xk] for a fixed tuple of variable names."""
 
@@ -679,4 +660,3 @@ class IntegersMod(CoefficientRing):
 
 
 ZZ = IntegerRing()
-QQ = RationalRing()

@@ -485,11 +485,6 @@ def translate(p, t):
     return Polytope([vec_add(v, t) for v in p.vertices], p.ambient_dim, name=p.name)
 
 
-def linear_image(p, u):
-    """Image of P under an integer matrix (tuple of rows) acting on points."""
-    return Polytope([mat_vec(u, v) for v in p.vertices], len(u), name=p.name)
-
-
 def dilate(p, k):
     if k < 1:
         raise ValueError("dilation factor must be >= 1")
@@ -637,17 +632,35 @@ def cycle_normal_form(cyc):
     ``cyc`` lists the polygon's vertices in cyclic order, each one a vertex
     of the hull, such as ``polygon_cycle`` returns.  The form does not
     depend on the start vertex or the direction.
+
+    Only the frames reaching the least second entry are sorted.  In the
+    frame (v; a, b), U(a - v) = (l, 0) and U(b - v) = (x, y) with
+    0 <= x < y span the cone at v, so every image has X, Y >= 0 and v goes
+    to (0, 0), the first entry of every form.  The second entry is
+    min((l, 0), (x, y)): X is least at v and rises weakly along both
+    boundary chains from v, so any other vertex w has X(w) >= l (chain
+    through a) or X(w) >= x (chain through b).  If X(w) = l on the a side,
+    then Y(w) > 0 as w != a.  If X(w) = x on the b side, w and b span an
+    edge on the level line X = x, which holds no third vertex; it misses v,
+    so x > 0 makes it the maximal level, and it misses a, so l < x.
     """
     m = len(cyc)
-    best = None
+    frames = []
     for i, (vx, vy) in enumerate(cyc):
-        rel = [(w[0] - vx, w[1] - vy) for w in cyc]
         for j, k in (((i + 1) % m, i - 1), (i - 1, (i + 1) % m)):
-            (r0, r1), (s0, s1) = _frame_matrix(rel[j], rel[k])
-            form = tuple(sorted([(r0 * x + r1 * y, s0 * x + s1 * y) for x, y in rel]))
-            if best is None or form < best:
-                best = form
-    return best
+            ax, ay = cyc[j][0] - vx, cyc[j][1] - vy
+            bx, by = cyc[k][0] - vx, cyc[k][1] - vy
+            (r0, r1), (s0, s1) = _frame_matrix((ax, ay), (bx, by))
+            second = min((r0 * ax + r1 * ay, 0), (r0 * bx + r1 * by, s0 * bx + s1 * by))
+            c0, c1 = r0 * vx + r1 * vy, s0 * vx + s1 * vy
+            frames.append((second, r0, r1, s0, s1, c0, c1))
+    least = min(frames)[0]
+    # U(w - v) = U w - U v, with U v = (c0, c1)
+    return min(
+        tuple(sorted([(r0 * x + r1 * y - c0, s0 * x + s1 * y - c1) for x, y in cyc]))
+        for second, r0, r1, s0, s1, c0, c1 in frames
+        if second == least
+    )
 
 
 def fan_normal_form(p):
@@ -719,7 +732,7 @@ def polygon_cycle(p):
 
 
 # ---------------------------------------------------------------------------
-# normal fans and projective equivalence
+# normal fans
 
 
 class NormalFan:
@@ -775,24 +788,3 @@ def normal_fan(p):
         gens = tuple(sorted(primitive_part(vec_sub(v, w)) for w in adj[v]))
         cones.append((v, gens))
     return NormalFan(cones)
-
-
-def projectively_equivalent(p, q):
-    """Equality of normal fans, via facet normals plus incidence matching."""
-    if p.ambient_dim != q.ambient_dim:
-        return False
-    if not (p.is_full_dimensional and q.is_full_dimensional):
-        raise ValueError("projective equivalence requires full-dimensional input")
-    if set(f.normal for f in p.facets) != set(f.normal for f in q.facets):
-        return False
-    if len(p.vertices) != len(q.vertices):
-        return False
-    p_incidence = {
-        frozenset(f.normal for f in p.facets if dot(f.normal, v) == f.offset)
-        for v in p.vertices
-    }
-    q_incidence = {
-        frozenset(f.normal for f in q.facets if dot(f.normal, v) == f.offset)
-        for v in q.vertices
-    }
-    return p_incidence == q_incidence

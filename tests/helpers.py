@@ -18,7 +18,11 @@ The fan-witness oracle searches frame maps and tests each image by facet
 normals and incidences, where ``fan_normal_form`` compares sorted edge
 directions; the frame-form list reuses the frame matrix of
 ``cycle_normal_form``, so it checks the count of minimal frames, not the
-frames.
+frames, and its least form is the all-frames normal form that the pruned
+``cycle_normal_form`` is checked against.  The column-table functions
+(weak products, the column-map check) and the degree-consistency check
+read the production product table and lattice points; no command needs
+them, and ``QQ`` is the rational ring of the ring-generic tests.
 """
 
 import itertools
@@ -36,7 +40,7 @@ from polycol.columns import (
     product_table,
 )
 from polycol.exactmath import (
-    QQ,
+    CoefficientRing,
     PolynomialRing,
     det_int,
     dot,
@@ -47,19 +51,41 @@ from polycol.exactmath import (
     vec_sub,
 )
 from polycol.polytopes import (
+    Polytope,
     _frame_matrix,
     _spanning_tuple,
     dilate,
-    linear_image,
     normalize_full_dim,
     polygon_cycle,
     polygon_normal_form,
     polytope_from_points,
-    projectively_equivalent,
     translate,
     unimodular_frame_maps,
 )
 from polycol.scan import _directions, enumerate_polygons
+
+
+class RationalRing(CoefficientRing):
+    """Q, with ``fractions.Fraction`` elements."""
+
+    name = "QQ"
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def from_int(self, n):
+        return Fraction(n)
+
+    def is_unit(self, x):
+        return x != 0
+
+    def inverse(self, x):
+        if x == 0:
+            raise ValueError("0 is not a unit in QQ")
+        return 1 / Fraction(x)
+
+
+QQ = RationalRing()
 
 
 def facet_scan_oracle(points, n):
@@ -214,6 +240,11 @@ def literal_product_table(p):
                 raise AssertionError(f"product {u}*{v} exists but is not a column")
         rows.append(row)
     return cols, rows
+
+
+def linear_image(p, u):
+    """Image of P under an integer matrix (tuple of rows) acting on points."""
+    return Polytope([mat_vec(u, v) for v in p.vertices], len(u), name=p.name)
 
 
 def random_unimodular_matrix(n, rng, shears=6, size=5):
@@ -402,6 +433,27 @@ def unpruned_lattice_equivalences(p, q):
     return maps
 
 
+def projectively_equivalent(p, q):
+    """Equality of normal fans, via facet normals plus incidence matching."""
+    if p.ambient_dim != q.ambient_dim:
+        return False
+    if not (p.is_full_dimensional and q.is_full_dimensional):
+        raise ValueError("projective equivalence requires full-dimensional input")
+    if set(f.normal for f in p.facets) != set(f.normal for f in q.facets):
+        return False
+    if len(p.vertices) != len(q.vertices):
+        return False
+    p_incidence = {
+        frozenset(f.normal for f in p.facets if dot(f.normal, v) == f.offset)
+        for v in p.vertices
+    }
+    q_incidence = {
+        frozenset(f.normal for f in q.facets if dot(f.normal, v) == f.offset)
+        for v in q.vertices
+    }
+    return p_incidence == q_incidence
+
+
 def fan_witness(p, ref):
     """A unimodular matrix carrying the fan of p onto the fan of ref.
 
@@ -443,6 +495,11 @@ def frame_forms(cyc):
             u = _frame_matrix(a, b)
             forms.append(tuple(sorted(mat_vec(u, z) for z in rel)))
     return forms
+
+
+def all_frames_cycle_normal_form(cyc):
+    """``cycle_normal_form`` by sorting the images under all 2m frames."""
+    return min(frame_forms(cyc))
 
 
 def conjugation_normal(group, subgroup):
@@ -745,3 +802,115 @@ def per_polygon_scan(box, seed=0, sample_rate=0.01):
             "failures": sample_failures,
         },
     }
+
+
+def weak_product(p, vs):
+    """Product of a sequence under some bracketing, or None.
+
+    The value never depends on the bracketing (it is the plain sum), so only
+    existence is searched, by interval dynamic programming.
+    """
+    table = product_table(p)
+    idx = [table.column(v) for v in vs]
+    if not idx:
+        raise ValueError("empty sequence")
+    n = len(idx)
+    memo = {}
+
+    def exists(i, j):
+        if (i, j) in memo:
+            return memo[(i, j)]
+        if i == j:
+            memo[(i, j)] = idx[i]
+            return idx[i]
+        result = None
+        for k in range(i, j):
+            left = exists(i, k)
+            if left is None:
+                continue
+            right = exists(k + 1, j)
+            if right is None:
+                continue
+            result = table.rows[left][right]
+            if result is not None:
+                break
+        memo[(i, j)] = result
+        return result
+
+    k = exists(0, n - 1)
+    return table.columns[k] if k is not None else None
+
+
+def check_k_morphism(p, q, mapping):
+    """Check compatibility of a map Col(P) -> Col(Q).
+
+    Condition one: base-facet pairings are preserved exactly; condition two:
+    existing products map to existing products.  Returns (flag, violations).
+    """
+    tp = product_table(p)
+    tq = product_table(q)
+    mu = {}
+    for src, dst in mapping.items():
+        mu[tp.column(src)] = tq.column(dst)
+    if set(mu) != set(range(len(tp.columns))):
+        raise ValueError("mapping must be total on Col(P)")
+    violations = []
+    for w, v in itertools.product(range(len(tp.columns)), repeat=2):
+        lhs = tp.columns[v].heights[tp.columns[w].base]
+        rhs = tq.columns[mu[v]].heights[tq.columns[mu[w]].base]
+        if lhs != rhs:
+            violations.append(
+                ("pairing", tp.columns[w], tp.columns[v], lhs, rhs)
+            )
+    for (i, j, k) in tp.products:
+        if tq.rows[mu[i]][mu[j]] != mu[k]:
+            violations.append(
+                ("product", tp.columns[i], tp.columns[j], tp.columns[k])
+            )
+    return (not violations), violations
+
+
+def degree_consistency_violations(auto, max_degree=3):
+    """Check the degree-one action extends to a well-defined graded map.
+
+    Monomial multisets of equal coordinate sum must receive equal images up
+    to the degree bound.  Passing is necessary for automorphy, not a proof;
+    every generator built here is an automorphism on theoretical grounds.
+    """
+    p = auto.polytope
+    pts = p.lattice_points
+    violations = []
+    for d in range(2, max_degree + 1):
+        groups = {}
+        for combo in itertools.combinations_with_replacement(range(len(pts)), d):
+            total = pts[combo[0]]
+            for i in combo[1:]:
+                total = vec_add(total, pts[i])
+            groups.setdefault(total, []).append(combo)
+        for total, combos in groups.items():
+            if len(combos) < 2:
+                continue
+            images = [
+                _multiset_image(auto, combo) for combo in combos
+            ]
+            for other in images[1:]:
+                if other != images[0]:
+                    violations.append((total, d))
+                    break
+    return violations
+
+
+def _multiset_image(auto, combo):
+    """Image of a product of degree-one monomials, as a dict point -> coeff."""
+    pts = auto.polytope.lattice_points
+    zero = auto.ring.zero
+    current = {(0,) * auto.polytope.ambient_dim: auto.ring.one}
+    for i in combo:
+        col = [(pts[r], c) for r, c in auto.columns[i].items()]
+        nxt = {}
+        for z, c in current.items():
+            for x, cx in col:
+                key = vec_add(z, x)
+                nxt[key] = nxt.get(key, zero) + c * cx
+        current = {k: v for k, v in nxt.items() if v}
+    return current

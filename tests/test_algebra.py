@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from polycol.algebra import (
     check_column_property,
-    degree_consistency_violations,
     elementary_automorphism,
     identity_automorphism,
     inversion_subgroup,
@@ -28,14 +27,12 @@ from polycol.algebra import (
     verify_additive_embedding,
     verify_steinberg_relations,
     GradedAutomorphism,
-    _multiset_image,
     _next_slice,
     column_inversion,
 )
 from polycol.cli import main
 from polycol.columns import column_vectors, is_balanced, product_table
 from polycol.exactmath import (
-    QQ,
     ZZ,
     IntegersMod,
     ModInt,
@@ -71,7 +68,10 @@ from .conftest import (
     WIDE_TRIANGLE,
 )
 from .helpers import (
+    QQ,
+    _multiset_image,
     conjugation_normal,
+    degree_consistency_violations,
     dense_ring_product,
     elementary_closed_formula_image,
     literal_steinberg_report,
@@ -504,13 +504,13 @@ def test_frame_searches_invert_their_anchor_once(monkeypatch):
 
     monkeypatch.setattr(polytopes, "unimodular_frame_maps", counting)
     simplex3 = polytope_from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    sheared = polytopes.linear_image(simplex3, ((1, 2, 0), (0, 1, 0), (0, 3, 1)))
+    sheared = helpers.linear_image(simplex3, ((1, 2, 0), (0, 1, 0), (0, 3, 1)))
     searches = [
         lambda: lattice_symmetries(simplex3),
         lambda: polytopes.integral_affine_equivalent(simplex3, sheared),
         lambda: polytopes.integral_affine_equivalent(simplex3, NON_NORMAL_SIMPLEX),
         lambda: polytopes.integral_affine_equivalent(
-            polytopes.linear_image(UNIT_SQUARE, ((1, 1), (0, 1))), UNIT_SQUARE
+            helpers.linear_image(UNIT_SQUARE, ((1, 1), (0, 1))), UNIT_SQUARE
         ),
     ]
     found = []

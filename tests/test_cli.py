@@ -1,8 +1,12 @@
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polycol
 from polycol.cli import main
 from polycol.reports import analysis_report, parse_polytope_json, to_json
 from polycol.scan import enumerate_polygons, scan_polygons
@@ -20,6 +24,24 @@ def write_poly(tmp_path, name, vertices):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps({"name": name, "vertices": vertices}))
     return str(path)
+
+
+def test_cli_import_loads_no_unused_stdlib_modules():
+    # every CLI call pays for its imports; none of these is used by a command
+    src = str(Path(polycol.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "before = set(sys.modules)\n"
+        "import polycol.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    added = set(out.split())
+    assert "polycol.cli" in added
+    assert added.isdisjoint({"dataclasses", "fractions", "decimal", "inspect"})
 
 
 def test_parse_rejects_bad_input():

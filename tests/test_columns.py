@@ -9,7 +9,6 @@ from polycol.algebra import sp_membership
 from polycol.columns import (
     NotRigid,
     Rigid,
-    check_k_morphism,
     classify_balanced_polygon,
     column_vectors,
     columns_dot,
@@ -22,7 +21,6 @@ from polycol.columns import (
     strict_hull,
     verify_rigid_certificate,
     weak_hull,
-    weak_product,
 )
 from polycol.doubling import doubling_spectrum
 from polycol.exactmath import dot, vec_add, vec_sub
@@ -41,10 +39,12 @@ from .conftest import (
     WIDE_TRIANGLE,
 )
 from .helpers import (
+    check_k_morphism,
     literal_column_search,
     literal_product_table,
     random_normalized_polytopes,
     sheared_images,
+    weak_product,
 )
 
 

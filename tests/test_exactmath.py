@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polycol.exactmath import (
-    QQ,
     ZZ,
     IntegersMod,
     Poly,
@@ -30,7 +29,13 @@ from polycol.exactmath import (
 )
 
 from .conftest import CORPUS
-from .helpers import adjugate_int, rank_loop_basis, rational_rank, rational_solve
+from .helpers import (
+    QQ,
+    adjugate_int,
+    rank_loop_basis,
+    rational_rank,
+    rational_solve,
+)
 
 
 def test_primitive_part_examples():

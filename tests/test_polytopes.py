@@ -26,14 +26,12 @@ from polycol.polytopes import (
     integral_affine_equivalent,
     is_unimodular_simplex,
     lattice_equivalences,
-    linear_image,
     normal_fan,
     normalize_full_dim,
     normalized_volume,
     polygon_cycle,
     polygon_normal_form,
     polytope_from_points,
-    projectively_equivalent,
     translate,
     unimodular_frame_maps,
 )
@@ -56,11 +54,14 @@ from .conftest import (
     UNIT_SQUARE,
 )
 from .helpers import (
+    all_frames_cycle_normal_form,
     box_scan_lattice_points,
     brute_force_polygon_equivalent,
     facet_scan_oracle,
     fan_witness,
     frame_forms,
+    linear_image,
+    projectively_equivalent,
     random_normalized_polytopes,
     random_unimodular_matrix,
     sheared_images,
@@ -660,6 +661,21 @@ def _box3_class_representatives():
         reps.setdefault(cycle_normal_form(cycle), cycle)
     assert len(reps) == 148
     return reps
+
+
+def test_cycle_normal_form_matches_all_frames_oracle():
+    # the pruned form sorts only the frames reaching the least second
+    # entry; the oracle sorts all 2m frames
+    cycles = enumerate_polygons(3)
+    assert len(cycles) == 1633
+    for cycle in cycles:
+        assert cycle_normal_form(cycle) == all_frames_cycle_normal_form(cycle)
+    rng = random.Random(16)
+    for form, cycle in _box3_class_representatives().items():
+        for q in unimodular_images(polytope_from_points(cycle), rng, 2):
+            image = polygon_cycle(q)
+            assert cycle_normal_form(image) == all_frames_cycle_normal_form(image)
+            assert cycle_normal_form(image) == form
 
 
 def test_minimal_frames_are_one_symmetry_orbit():
