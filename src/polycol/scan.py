@@ -6,14 +6,14 @@ directions; that yields every hull of a grid subset exactly once, as the
 counterclockwise cycle of its vertices.  A path is cut as soon as the
 directions left can no longer bring it back to the origin.
 
-The scan classifies first.  Each cycle's normal form
-(``polytopes.cycle_normal_form``) is computed straight from the cycle, and
-the cycles are grouped by it.  Balancedness, Col-divisibility, the column
-table and the class label are integral-affine invariants, so they are
-computed once per class, on a polytope built from the class's least sorted
-vertex tuple; counts of polygons are sums of class sizes.  Only the members
-of a class that fails Col-divisibility, and a seeded sample of balanced
-polygons, are built in full.  The sample is the runtime check of the
+The scan classifies first.  The normal form (``polytopes.cycle_normal_form``)
+is computed straight from a cycle, once per orbit of the eight symmetries of
+the box, and the cycles are grouped by it.  Balancedness, Col-divisibility,
+the column table and the class label are integral-affine invariants, so they
+are computed once per class, on a polytope built from the class's least
+sorted vertex tuple; counts of polygons are sums of class sizes.  Only the
+members of a class that fails Col-divisibility, and a seeded sample of
+balanced polygons, are built in full.  The sample is the runtime check of the
 invariance: each sampled polygon must match its class, and its pruned
 column search must match the unpruned one.
 """
@@ -56,8 +56,8 @@ def _directions(box):
 def enumerate_polygons(box):
     """All convex lattice polygons fitting in [0, box]^2, up to translation.
 
-    Yields vertex tuples in counterclockwise order with the bounding box
-    pinned at the origin.  Each polygon appears exactly once because its
+    Returns a list of vertex tuples in counterclockwise order, each pinned
+    to min x = min y = 0.  Each polygon appears exactly once because its
     edge vectors, one per direction in angular order, are a canonical
     representation.
     """
@@ -119,16 +119,15 @@ def scan_polygons(box, seed=0, sample_rate=0.01):
     if not 0 <= sample_rate <= 1:
         raise ValueError("sample rate must lie in [0, 1]")
     cycles = enumerate_polygons(box)
-    # every enumerated cycle is the counterclockwise vertex cycle of its hull
-    forms = [cycle_normal_form(cycle) for cycle in cycles]
-    members = {}
-    for form, cycle in zip(forms, cycles):
-        members.setdefault(form, []).append(cycle)
+    keys, forms = _cycle_forms(cycles)
+    members = {}  # form -> sorted vertex tuples of its members
+    for form, key in zip(forms, keys):
+        members.setdefault(form, []).append(key)
 
     reps = {}  # form of a balanced class -> its least sorted vertex tuple's polytope
     invariants = {}  # form of a balanced class -> _invariants of its representative
     for form, group in members.items():
-        rep = polytope_from_points(min(tuple(sorted(c)) for c in group))
+        rep = polytope_from_points(min(group))
         inv = _invariants(rep)
         if inv[0]:
             reps[form], invariants[form] = rep, inv
@@ -136,15 +135,15 @@ def scan_polygons(box, seed=0, sample_rate=0.01):
     # every member of a failing class, each with its own witness
     failing = {form for form, inv in invariants.items() if not inv[1]}
     divisibility_failures = []
-    for form, cycle in zip(forms, cycles):
+    for form, key in zip(forms, keys):
         if form in failing:
-            ok, wit = is_col_divisible(polytope_from_points(cycle))
+            ok, wit = is_col_divisible(polytope_from_points(key))
             if ok:
                 raise InternalCheckError(
-                    f"Col-divisible member {sorted(cycle)} of a failing class"
+                    f"Col-divisible member {list(key)} of a failing class"
                 )
             divisibility_failures.append(
-                {"vertices": [list(v) for v in sorted(cycle)], "witness": repr(wit)}
+                {"vertices": [list(v) for v in key], "witness": repr(wit)}
             )
 
     per_class = {}
@@ -165,10 +164,10 @@ def scan_polygons(box, seed=0, sample_rate=0.01):
     rng = random.Random(seed)
     sample_checked = 0
     sample_failures = []
-    for form, cycle in zip(forms, cycles):
+    for form, key in zip(forms, keys):
         if form in reps and rng.random() < sample_rate:
             sample_checked += 1
-            p = polytope_from_points(cycle)
+            p = polytope_from_points(key)
             if (_invariants(p) != invariants[form]
                     or product_table(p).columns != column_vectors(p, pruned=False)):
                 sample_failures.append([list(v) for v in p.vertices])
@@ -188,6 +187,51 @@ def scan_polygons(box, seed=0, sample_rate=0.01):
             "failures": sample_failures,
         },
     }
+
+
+def _box_images(cycle):
+    """Sorted vertex tuples of the images of a pinned cycle under the seven
+    symmetries other than the identity of its box [0, w] x [0, h]."""
+    w = max(x for x, _ in cycle)
+    h = max(y for _, y in cycle)
+    return [tuple(sorted(image)) for image in (
+        [(w - x, y) for x, y in cycle],
+        [(x, h - y) for x, y in cycle],
+        [(w - x, h - y) for x, y in cycle],
+        [(y, x) for x, y in cycle],
+        [(h - y, x) for x, y in cycle],
+        [(y, w - x) for x, y in cycle],
+        [(h - y, w - x) for x, y in cycle],
+    )]
+
+
+def _cycle_forms(cycles):
+    """Sorted vertex tuple and ``cycle_normal_form`` of each enumerated
+    cycle, the form computed once per orbit of the box's symmetries.
+
+    Each symmetry is in GL2(Z) x Z^2, so keeps the form, and keeps the box,
+    so carries a pinned polygon to one the enumeration lists exactly once.
+    The first member of an orbit stores its form under the keys of the
+    others, and each of them pops it; a key left over is a broken invariant.
+    """
+    # every enumerated cycle is the counterclockwise vertex cycle of its hull
+    known = {}
+    keys, forms = [], []
+    for cycle in cycles:
+        key = tuple(sorted(cycle))
+        form = known.pop(key, None)
+        if form is None:
+            form = cycle_normal_form(cycle)
+            for image in _box_images(cycle):
+                if image != key:
+                    known[image] = form
+        keys.append(key)
+        forms.append(form)
+    if known:
+        raise InternalCheckError(
+            f"box image {list(min(known))} of a polygon was not enumerated"
+        )
+    return keys, forms
 
 
 def _invariants(p):

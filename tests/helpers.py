@@ -19,10 +19,12 @@ normals and incidences, where ``fan_normal_form`` compares sorted edge
 directions; the frame-form list reuses the frame matrix of
 ``cycle_normal_form``, so it checks the count of minimal frames, not the
 frames, and its least form is the all-frames normal form that the pruned
-``cycle_normal_form`` is checked against.  The column-table functions
-(weak products, the column-map check) and the degree-consistency check
-read the production product table and lattice points; no command needs
-them, and ``QQ`` is the rational ring of the ring-generic tests.
+``cycle_normal_form`` is checked against.  The box-orbit oracle applies
+the eight signed permutation matrices and translates each image back, where
+the scan writes out the seven images of a pinned cycle.  The column-table
+functions (weak products, the column-map check) and the degree-consistency
+check read the production product table and lattice points; no command
+needs them, and ``QQ`` is the rational ring of the ring-generic tests.
 """
 
 import itertools
@@ -733,6 +735,26 @@ def unpruned_enumerate_polygons(box):
 
     rec(0, 0)
     return polys
+
+
+def box_symmetry_orbits(cycles):
+    """Orbits of the polygons ``cycles`` under the eight signed permutation
+    matrices, each image translated back to min x = min y = 0: a set of
+    orbits, each a frozenset of vertex frozensets."""
+    mats = [
+        [[s * (c == r) for c in range(2)] for r, s in zip(perm, signs)]
+        for perm in itertools.permutations(range(2))
+        for signs in itertools.product((1, -1), repeat=2)
+    ]
+    orbits = set()
+    for cycle in cycles:
+        orbit = set()
+        for u in mats:
+            image = [mat_vec(u, v) for v in cycle]
+            lo = [min(z[i] for z in image) for i in range(2)]
+            orbit.add(frozenset(tuple(vec_sub(z, lo)) for z in image))
+        orbits.add(frozenset(orbit))
+    return orbits
 
 
 def per_polygon_scan(box, seed=0, sample_rate=0.01):

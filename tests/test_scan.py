@@ -52,6 +52,57 @@ def test_scan_matches_per_polygon_oracle(box, seed, rate):
     assert scan_polygons(box, seed, rate) == per_polygon_scan(box, seed, rate)
 
 
+@pytest.mark.parametrize("box", [1, 2, 3])
+def test_box_images_are_the_orbit_oracle(box):
+    cycles = enumerate_polygons(box)
+    orbit_of = {
+        member: orbit
+        for orbit in helpers.box_symmetry_orbits(cycles) for member in orbit
+    }
+    for cycle in cycles:
+        images = {frozenset(image) for image in scan._box_images(cycle)}
+        assert images | {frozenset(cycle)} == orbit_of[frozenset(cycle)]
+
+
+@pytest.mark.parametrize("box, orbits", [(1, 2), (2, 25), (3, 248)])
+def test_scan_computes_one_normal_form_per_box_orbit(monkeypatch, box, orbits):
+    calls = []
+
+    def counting(cyc):
+        calls.append(cyc)
+        return cycle_normal_form(cyc)
+
+    monkeypatch.setattr(scan, "cycle_normal_form", counting)
+    scan_polygons(box)
+    assert len(calls) == orbits
+    assert len(helpers.box_symmetry_orbits(enumerate_polygons(box))) == orbits
+
+
+@pytest.mark.parametrize("box", [1, 2, 3])
+def test_cycle_forms_match_cycle_normal_form(box):
+    cycles = enumerate_polygons(box)
+    keys, forms = scan._cycle_forms(cycles)
+    assert keys == [tuple(sorted(c)) for c in cycles]
+    assert forms == [cycle_normal_form(c) for c in cycles]
+
+
+@pytest.mark.parametrize("drop", [0, 1])
+def test_polygon_missing_from_its_box_orbit_exits_3(monkeypatch, capsys, drop):
+    cycles = enumerate_polygons(2)
+    orbit = max(helpers.box_symmetry_orbits(cycles), key=len)
+    members = [c for c in cycles if frozenset(c) in orbit]
+    assert len(members) > 1
+    # dropping the first member moves the form computation to the second
+    kept = [c for c in cycles if c != members[drop]]
+    monkeypatch.setattr(scan, "enumerate_polygons", lambda box: kept)
+    code = main(["scan-polygons", "--box", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal check failed: ")
+    assert captured.err.count("\n") == 1
+
+
 def _members(box, form):
     return [
         c for c in enumerate_polygons(box)
