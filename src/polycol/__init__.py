@@ -2,7 +2,6 @@
 
 from .exactmath import (
     ZZ,
-    IntegersMod,
     Poly,
     PolynomialRing,
     hermite_normal_form,
@@ -22,12 +21,10 @@ from .polytopes import (
     normalize_full_dim,
     normalized_volume,
     polytope_from_points,
-    translate,
 )
 
 __all__ = [
     "ZZ",
-    "IntegersMod",
     "Poly",
     "PolynomialRing",
     "hermite_normal_form",
@@ -45,5 +42,4 @@ __all__ = [
     "normalize_full_dim",
     "normalized_volume",
     "polytope_from_points",
-    "translate",
 ]

@@ -4,8 +4,8 @@ The algebra is the semigroup ring of the monoid generated by (z, 1) for the
 lattice points z, graded so every lattice point sits in degree one.  Graded
 automorphisms are represented faithfully by their sparse degree-one columns:
 the image of each degree-one monomial, in canonical lattice-point order, with
-its nonzero coefficients only.  Words in elementary, torus and symmetry
-generators are carried along for provenance.
+its nonzero coefficients only.  Every automorphism a command builds is a
+composite of elementary column shears.
 
 Symbolic verification happens over a polynomial ring on integer
 coefficients: an identity of columns there holds over every commutative ring
@@ -105,12 +105,10 @@ class GradedAutomorphism:
     automorphisms.
     """
 
-    def __init__(self, polytope, ring, columns, word, inverse_word):
+    def __init__(self, polytope, ring, columns):
         self.polytope = polytope
         self.ring = ring
         self.columns = tuple(columns)
-        self.word = tuple(word)
-        self.inverse_word = tuple(inverse_word)
 
     @property
     def matrix(self):
@@ -133,21 +131,7 @@ class GradedAutomorphism:
                 for i, a in self.columns[k].items():
                     acc[i] = acc[i] + a * c if i in acc else a * c
             columns.append({i: x for i, x in acc.items() if x})
-        return GradedAutomorphism(
-            self.polytope,
-            self.ring,
-            columns,
-            self.word + other.word,
-            other.inverse_word + self.inverse_word,
-        )
-
-    def inverse(self):
-        inv = automorphism_from_word(
-            self.polytope, self.ring, self.inverse_word
-        )
-        if not self.compose(inv).is_identity():
-            raise InternalCheckError("inverse word does not invert the columns")
-        return inv
+        return GradedAutomorphism(self.polytope, self.ring, columns)
 
     def is_identity(self):
         one = self.ring.one
@@ -173,29 +157,7 @@ class GradedAutomorphism:
         ))
 
     def __repr__(self):
-        return f"GradedAutomorphism({self.word})"
-
-
-def identity_automorphism(p, ring):
-    one = ring.one
-    columns = [{j: one} for j in range(len(p.lattice_points))]
-    return GradedAutomorphism(p, ring, columns, (), ())
-
-
-def automorphism_from_word(p, ring, word):
-    out = identity_automorphism(p, ring)
-    for gen in word:
-        kind = gen[0]
-        if kind == "elementary":
-            g = elementary_automorphism(p, gen[1], gen[2], ring)
-        elif kind == "torus":
-            g = torus_automorphism(p, gen[1], ring)
-        elif kind == "symmetry":
-            g = _symmetry_from_permutation(p, ring, gen[1])
-        else:
-            raise ValueError(f"unknown generator {gen!r}")
-        out = out.compose(g)
-    return out
+        return f"GradedAutomorphism({self.ring!r}, {self.columns})"
 
 
 def elementary_automorphism(p, col, lam, ring):
@@ -204,8 +166,8 @@ def elementary_automorphism(p, col, lam, ring):
     The column of x expands binomially through the points x + k v, all of
     which are lattice points because heights over the base facet drop by
     exactly one per step; they are walked one step of v at a time.  Terms
-    that vanish in the ring (lam = 0, or a binomial coefficient divisible by
-    the modulus) are not stored.
+    that vanish in the ring (lam = 0, or over Z/m a binomial coefficient
+    divisible by m) are not stored.
     """
     if not p.is_normalized:
         raise ValueError("elementary automorphisms need a normalized polytope")
@@ -232,58 +194,7 @@ def elementary_automorphism(p, col, lam, ring):
             if coeff:
                 column[i] = coeff
         columns.append(column)
-    word = (("elementary", v, lam),)
-    inverse_word = (("elementary", v, _ring_neg(ring, lam)),)
-    return GradedAutomorphism(p, ring, columns, word, inverse_word)
-
-
-def _ring_pow(ring, x, k):
-    out = ring.one
-    for _ in range(k):
-        out = out * x
-    return out
-
-
-def _ring_neg(ring, x):
-    return ring.zero - x
-
-
-def torus_automorphism(p, units, ring):
-    """Diagonal action: the monomial at z scales by the unit monomial in z.
-
-    There are ambient_dim + 1 units, the last one acting through the
-    grading; negative coordinates use ring inverses.
-    """
-    n = p.ambient_dim
-    units = tuple(units)
-    if len(units) != n + 1:
-        raise ValueError("need ambient_dim + 1 units")
-    for u in units:
-        if not ring.is_unit(u):
-            raise ValueError(f"{u!r} is not a unit")
-    columns = []
-    for j, z in enumerate(p.lattice_points):
-        val = units[n]
-        for i, zi in enumerate(z):
-            if zi >= 0:
-                val = val * _ring_pow(ring, units[i], zi)
-            else:
-                val = val * _ring_pow(ring, ring.inverse(units[i]), -zi)
-        columns.append({j: val})
-    word = (("torus", units),)
-    inverse_word = (("torus", tuple(ring.inverse(u) for u in units)),)
-    return GradedAutomorphism(p, ring, columns, word, inverse_word)
-
-
-def _symmetry_from_permutation(p, ring, perm):
-    one = ring.one
-    return GradedAutomorphism(
-        p,
-        ring,
-        [{i: one} for i in perm],
-        (("symmetry", tuple(perm)),),
-        (("symmetry", _perm_inverse(perm)),),
-    )
+    return GradedAutomorphism(p, ring, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +219,6 @@ def symmetry_permutation(p, amap):
             raise InternalCheckError("symmetry does not permute lattice points")
         perm.append(index[img])
     return tuple(perm)
-
-
-def sigma_group(p, ring=ZZ):
-    """The stored symmetry group as permutation-matrix automorphisms, in
-    sorted permutation order (no report depends on the order)."""
-    return [
-        _symmetry_from_permutation(p, ring, perm)
-        for perm in sorted(symmetry_permutations(p))
-    ]
 
 
 def _perm_compose(a, b):
@@ -400,11 +302,6 @@ def _inversion_generators(p):
         for c in table.columns
         if vec_neg(c.vector) in table.index
     ]
-
-
-def inversion_subgroup(p):
-    """Permutations generated by all column inversions."""
-    return _closure(_inversion_generators(p), len(p.lattice_points))
 
 
 def symmetry_group_data(p):

@@ -473,9 +473,10 @@ def classify_balanced_polygon(p):
 
 
 def _triangle_relations(table):
-    # the six products must compose like oriented edges of a triangle:
-    # every product's value is again a column, bases chain accordingly,
-    # and each column occurs exactly twice as a left factor
+    # the six products must compose like oriented edges of a triangle: each
+    # of the six columns is the left factor of exactly one product (that
+    # every product is a column on its left factor's base is already
+    # enforced by product_table)
     left_counts = {}
     for (i, j, k) in table.products:
         left_counts[i] = left_counts.get(i, 0) + 1
@@ -619,7 +620,7 @@ def is_rigid(p, vectors):
                 parent[_find(parent, (e, "h"))] = _find(parent, (f, "t"))
 
     outcome = _try_graph(elems, irreducibles, prods, parent, ports)
-    if isinstance(outcome, Rigid) or isinstance(outcome, NotRigid):
+    if outcome is not None:
         return outcome
     # fallback: enumerate legal extra gluings of the forced partition
     return _coarsening_search(elems, irreducibles, prods, parent, ports)
@@ -735,11 +736,10 @@ def _coarsening_search(elems, irreducibles, prods, parent, ports):
         if seen > _FALLBACK_CAP:
             return RigidUnknown("coarsening search cap exceeded")
         merged_parent = {}
-        for bi, block in enumerate(current):
+        for block in current:
             for pt in block:
-                merged_parent[pt] = pt if pt == block[0] else block[0]
-        outcome = _try_graph(elems, irreducibles, prods,
-                             dict(merged_parent), ports)
+                merged_parent[pt] = block[0]
+        outcome = _try_graph(elems, irreducibles, prods, merged_parent, ports)
         if isinstance(outcome, Rigid):
             return outcome
         for i, j in itertools.combinations(range(len(current)), 2):

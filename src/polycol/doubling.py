@@ -12,7 +12,15 @@ from collections import deque
 from typing import NamedTuple
 
 from .columns import product_table
-from .exactmath import dot, integral_section, vec_scale, vec_sub
+from .exactmath import (
+    dot,
+    identity_matrix,
+    integral_section,
+    mat_vec,
+    vec_neg,
+    vec_scale,
+    vec_sub,
+)
 from .polytopes import (
     AffineLatticeMap,
     InternalCheckError,
@@ -78,18 +86,15 @@ def double_along_facet(p, facet, section=None):
     if len(doubled.facets) != len(p.facets) + 1:
         raise InternalCheckError("doubling must add exactly one facet")
 
-    base_matrix = tuple(
-        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-    ) + ((0,) * n,)
-    base_translation = tuple(-c for c in z0) + (0,)
-    embed_base = AffineLatticeMap(base_matrix, base_translation)
+    eye = identity_matrix(n)
+    base_matrix = eye + ((0,) * n,)
+    embed_base = AffineLatticeMap(base_matrix, mat_vec(base_matrix, vec_neg(z0)))
 
     copy_matrix = tuple(
-        tuple((1 if i == j else 0) - w[i] * a[j] for j in range(n))
-        for i in range(n)
+        tuple(e - w[i] * a[j] for j, e in enumerate(row))
+        for i, row in enumerate(eye)
     ) + (a,)
-    mz0 = [sum(copy_matrix[i][j] * (-z0[j]) for j in range(n)) for i in range(n + 1)]
-    embed_copy = AffineLatticeMap(copy_matrix, tuple(mz0))
+    embed_copy = AffineLatticeMap(copy_matrix, mat_vec(copy_matrix, vec_neg(z0)))
 
     count_identity = len(doubled.lattice_points) == 2 * len(p.lattice_points) - len(
         facet.on_facet

@@ -2,12 +2,12 @@
 
 Everything in this package is exact; there is no floating point anywhere.
 Arithmetic is integer-only: a rational matrix travels as an integer matrix
-with one common denominator, and the coefficient rings are Z, Z[x1, ..., xk]
-and Z/m.  ``det_int`` and ``mat_inverse_frac`` are fraction-free (Bareiss)
-eliminations in O(n^3) integer operations whose intermediate entries are
-minors of the input; ``rank_int`` and ``independent_rows`` share one echelon
-pass over primitive rows.  Vectors are plain tuples of ints, matrices are
-tuples of row tuples.  The canonical order on integer vectors is
+with one common denominator, and the coefficient rings are Z and
+Z[x1, ..., xk].  ``det_int`` and ``mat_inverse_frac`` are fraction-free
+(Bareiss) eliminations in O(n^3) integer operations whose intermediate
+entries are minors of the input; ``rank_int`` and ``independent_rows`` share
+one echelon pass over primitive rows.  Vectors are plain tuples of ints,
+matrices are tuples of row tuples.  The canonical order on integer vectors is
 coordinate-lexicographic (= tuple order), and all set-valued results
 elsewhere in the package are emitted sorted in that order.
 """
@@ -344,11 +344,8 @@ class Poly:
 
     @classmethod
     def const(cls, names, c):
-        names = tuple(names)
-        if c == 0:
-            return cls._make(names, {})
         c = int(c)
-        return cls._make(names, {(0,) * len(names): c} if c else {})
+        return cls._make(tuple(names), {(0,) * len(names): c} if c else {})
 
     @classmethod
     def variable(cls, names, name):
@@ -489,38 +486,13 @@ class Poly:
 
 # ---------------------------------------------------------------------------
 # coefficient rings
-
-class CoefficientRing:
-    """Commutative ring interface used by the graded-automorphism matrices.
-
-    Elements are plain Python objects carrying the arithmetic operators;
-    the ring object supplies the constants and unit handling.
-    """
-
-    name = "?"
-
-    @property
-    def zero(self):
-        raise NotImplementedError
-
-    @property
-    def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n):
-        raise NotImplementedError
-
-    def is_unit(self, x):
-        raise NotImplementedError
-
-    def inverse(self, x):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return self.name
+#
+# A ring object names its ring and supplies the constants the graded
+# automorphisms need; the elements are plain Python objects carrying the
+# arithmetic operators.  ``repr`` of a ring is its name.
 
 
-class IntegerRing(CoefficientRing):
+class IntegerRing:
     name = "ZZ"
 
     zero = 0
@@ -529,16 +501,11 @@ class IntegerRing(CoefficientRing):
     def from_int(self, n):
         return int(n)
 
-    def is_unit(self, x):
-        return x in (1, -1)
-
-    def inverse(self, x):
-        if not self.is_unit(x):
-            raise ValueError(f"{x} is not a unit in ZZ")
-        return x
+    def __repr__(self):
+        return self.name
 
 
-class PolynomialRing(CoefficientRing):
+class PolynomialRing:
     """Z[x1, ..., xk] for a fixed tuple of variable names."""
 
     def __init__(self, names):
@@ -559,104 +526,8 @@ class PolynomialRing(CoefficientRing):
     def from_int(self, n):
         return Poly.const(self.names, n)
 
-    def is_unit(self, x):
-        return x == 1 or x == -1
-
-    def inverse(self, x):
-        if x == 1:
-            return self.one
-        if x == -1:
-            return -self.one
-        raise ValueError(f"{x!r} is not a unit in {self.name}")
-
-
-class ModInt:
-    """Element of Z/m, hashable and immutable."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value, modulus):
-        self.value = value % modulus
-        self.modulus = modulus
-
-    def _check(self, other):
-        if isinstance(other, int):
-            return ModInt(other, self.modulus)
-        if isinstance(other, ModInt):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ModInt(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ModInt(-self.value, self.modulus)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ModInt(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ModInt(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
     def __repr__(self):
-        return f"{self.value} (mod {self.modulus})"
-
-
-class IntegersMod(CoefficientRing):
-    def __init__(self, modulus):
-        if modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        self.modulus = modulus
-        self.name = f"ZZ/{modulus}"
-
-    @property
-    def zero(self):
-        return ModInt(0, self.modulus)
-
-    @property
-    def one(self):
-        return ModInt(1, self.modulus)
-
-    def from_int(self, n):
-        return ModInt(n, self.modulus)
-
-    def is_unit(self, x):
-        return gcd(x.value, self.modulus) == 1
-
-    def inverse(self, x):
-        if not self.is_unit(x):
-            raise ValueError(f"{x!r} is not a unit in {self.name}")
-        return ModInt(pow(x.value, -1, self.modulus), self.modulus)
+        return self.name
 
 
 ZZ = IntegerRing()

@@ -341,18 +341,6 @@ class Polytope:
                 return i
         raise ValueError("facet form does not belong to this polytope")
 
-    def contains(self, z):
-        if self.dim == 0:
-            return tuple(z) == self.vertices[0]
-        if self.is_full_dimensional:
-            return all(dot(a, z) >= b for a, b in self._facet_pairs)
-        return tuple(z) in self.point_index
-
-    def height(self, facet, z, degree=1):
-        """normal . z - degree * offset, for one of this polytope's facets."""
-        self.facet_index(facet)
-        return dot(facet.normal, z) - degree * facet.offset
-
     @cached_property
     def _full_dim_model(self):
         """(Q, embed): Q full-dimensional over the saturated coordinate
@@ -479,10 +467,6 @@ def is_unimodular_simplex(p):
         if g == 1:
             return True
     return False
-
-
-def translate(p, t):
-    return Polytope([vec_add(v, t) for v in p.vertices], p.ambient_dim, name=p.name)
 
 
 def dilate(p, k):

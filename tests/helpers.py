@@ -23,8 +23,12 @@ frames, and its least form is the all-frames normal form that the pruned
 the eight signed permutation matrices and translates each image back, where
 the scan writes out the seven images of a pinned cycle.  The column-table
 functions (weak products, the column-map check) and the degree-consistency
-check read the production product table and lattice points; no command
-needs them, and ``QQ`` is the rational ring of the ring-generic tests.
+check read the production product table and lattice points.
+
+The test rings and generators live here because no command needs them: Q
+and Z/m with the unit inverses the torus reads, the identity, torus and
+symmetry-group automorphisms, the inversion subgroup, and a polytope's point
+test, facet height and translation.
 """
 
 import itertools
@@ -32,7 +36,12 @@ import random
 from fractions import Fraction
 from math import comb, gcd
 
-from polycol.algebra import elementary_automorphism, identity_automorphism
+from polycol import algebra
+from polycol.algebra import (
+    GradedAutomorphism,
+    elementary_automorphism,
+    symmetry_permutations,
+)
 from polycol.columns import (
     UnclassifiablePolygonError,
     classify_balanced_polygon,
@@ -42,7 +51,7 @@ from polycol.columns import (
     product_table,
 )
 from polycol.exactmath import (
-    CoefficientRing,
+    ZZ,
     PolynomialRing,
     det_int,
     dot,
@@ -61,13 +70,12 @@ from polycol.polytopes import (
     polygon_cycle,
     polygon_normal_form,
     polytope_from_points,
-    translate,
     unimodular_frame_maps,
 )
 from polycol.scan import _directions, enumerate_polygons
 
 
-class RationalRing(CoefficientRing):
+class RationalRing:
     """Q, with ``fractions.Fraction`` elements."""
 
     name = "QQ"
@@ -78,16 +86,179 @@ class RationalRing(CoefficientRing):
     def from_int(self, n):
         return Fraction(n)
 
-    def is_unit(self, x):
-        return x != 0
-
     def inverse(self, x):
         if x == 0:
             raise ValueError("0 is not a unit in QQ")
         return 1 / Fraction(x)
 
+    def __repr__(self):
+        return self.name
+
 
 QQ = RationalRing()
+
+
+class ModInt:
+    """Element of Z/m, hashable and immutable."""
+
+    __slots__ = ("value", "modulus")
+
+    def __init__(self, value, modulus):
+        self.value = value % modulus
+        self.modulus = modulus
+
+    def _check(self, other):
+        if isinstance(other, int):
+            return ModInt(other, self.modulus)
+        if isinstance(other, ModInt):
+            if other.modulus != self.modulus:
+                raise ValueError("mixed moduli")
+            return other
+        return NotImplemented
+
+    def __add__(self, other):
+        other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return ModInt(self.value + other.value, self.modulus)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ModInt(-self.value, self.modulus)
+
+    def __sub__(self, other):
+        other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return ModInt(self.value - other.value, self.modulus)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return ModInt(self.value * other.value, self.modulus)
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return self.value != 0
+
+    def __eq__(self, other):
+        other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value, self.modulus))
+
+    def __repr__(self):
+        return f"{self.value} (mod {self.modulus})"
+
+
+class IntegersMod:
+    """Z/m, with ``ModInt`` elements."""
+
+    def __init__(self, modulus):
+        if modulus < 2:
+            raise ValueError("modulus must be >= 2")
+        self.modulus = modulus
+        self.name = f"ZZ/{modulus}"
+
+    @property
+    def zero(self):
+        return ModInt(0, self.modulus)
+
+    @property
+    def one(self):
+        return ModInt(1, self.modulus)
+
+    def from_int(self, n):
+        return ModInt(n, self.modulus)
+
+    def inverse(self, x):
+        if gcd(x.value, self.modulus) != 1:
+            raise ValueError(f"{x!r} is not a unit in {self.name}")
+        return ModInt(pow(x.value, -1, self.modulus), self.modulus)
+
+    def __repr__(self):
+        return self.name
+
+
+def unit_inverse(ring, u):
+    """u^-1 in ``ring``, or ValueError; the units of Z and Z[x...] are +-1."""
+    if hasattr(ring, "inverse"):
+        return ring.inverse(u)
+    if u == 1 or u == -1:
+        return u
+    raise ValueError(f"{u!r} is not a unit in {ring!r}")
+
+
+def identity_automorphism(p, ring):
+    return GradedAutomorphism(
+        p, ring, [{j: ring.one} for j in range(len(p.lattice_points))]
+    )
+
+
+def torus_automorphism(p, units, ring):
+    """Diagonal action: the monomial at z scales by the unit monomial in z.
+
+    There are ambient_dim + 1 units, the last one acting through the
+    grading; negative coordinates use the inverse units.
+    """
+    n = p.ambient_dim
+    units = tuple(units)
+    if len(units) != n + 1:
+        raise ValueError("need ambient_dim + 1 units")
+    inverses = [unit_inverse(ring, u) for u in units]
+    columns = []
+    for j, z in enumerate(p.lattice_points):
+        val = units[n]
+        for u, u_inv, zi in zip(units, inverses, z):
+            for _ in range(abs(zi)):
+                val = val * (u if zi >= 0 else u_inv)
+        columns.append({j: val})
+    return GradedAutomorphism(p, ring, columns)
+
+
+def sigma_group(p, ring=ZZ):
+    """The stored symmetry group as permutation-matrix automorphisms, in
+    sorted permutation order."""
+    return [
+        GradedAutomorphism(p, ring, [{i: ring.one} for i in perm])
+        for perm in sorted(symmetry_permutations(p))
+    ]
+
+
+def inversion_subgroup(p):
+    """Permutations generated by all column inversions.  The generators are
+    read through the module, so a test may patch them there."""
+    return algebra._closure(
+        algebra._inversion_generators(p), len(p.lattice_points)
+    )
+
+
+def contains(p, z):
+    """Is the integer point z in P?"""
+    if p.dim == 0:
+        return tuple(z) == p.vertices[0]
+    if p.is_full_dimensional:
+        return all(dot(a, z) >= b for a, b in p._facet_pairs)
+    return tuple(z) in p.point_index
+
+
+def height(p, facet, z, degree=1):
+    """normal . z - degree * offset, for one of P's facets."""
+    p.facet_index(facet)
+    return dot(facet.normal, z) - degree * facet.offset
+
+
+def translate(p, t):
+    return Polytope([vec_add(v, t) for v in p.vertices], p.ambient_dim, name=p.name)
 
 
 def facet_scan_oracle(points, n):

@@ -11,11 +11,8 @@ from hypothesis import strategies as st
 from polycol.algebra import (
     check_column_property,
     elementary_automorphism,
-    identity_automorphism,
-    inversion_subgroup,
     lattice_symmetries,
     monomials_of_degree,
-    sigma_group,
     sp_membership,
     steinberg_presentation_json,
     steinberg_presentation_lines,
@@ -23,7 +20,6 @@ from polycol.algebra import (
     symmetry_group_data,
     symmetry_permutation,
     symmetry_permutations,
-    torus_automorphism,
     verify_additive_embedding,
     verify_steinberg_relations,
     GradedAutomorphism,
@@ -34,8 +30,6 @@ from polycol.cli import main
 from polycol.columns import column_vectors, is_balanced, product_table
 from polycol.exactmath import (
     ZZ,
-    IntegersMod,
-    ModInt,
     PolynomialRing,
     dot,
     rank_int,
@@ -69,12 +63,18 @@ from .conftest import (
 )
 from .helpers import (
     QQ,
+    IntegersMod,
+    ModInt,
     _multiset_image,
     conjugation_normal,
     degree_consistency_violations,
     dense_ring_product,
     elementary_closed_formula_image,
+    identity_automorphism,
+    inversion_subgroup,
     literal_steinberg_report,
+    sigma_group,
+    torus_automorphism,
 )
 
 
@@ -336,11 +336,14 @@ def test_elementary_stores_no_vanishing_coefficient():
 
 
 def test_elementary_inverse():
+    # x_u(-lam) inverts x_u(lam) on both sides
     ring = PolynomialRing(("a",))
     lam = ring.var("a")
-    e = elementary_automorphism(HEXAGON, col(HEXAGON, (0, -1)), lam, ring)
-    assert e.compose(e.inverse()).is_identity()
-    assert e.inverse().compose(e).is_identity()
+    c = col(HEXAGON, (0, -1))
+    e = elementary_automorphism(HEXAGON, c, lam, ring)
+    e_inv = elementary_automorphism(HEXAGON, c, -lam, ring)
+    assert e.compose(e_inv).is_identity()
+    assert e_inv.compose(e).is_identity()
 
 
 def test_compose_word_algebra():
@@ -349,12 +352,28 @@ def test_compose_word_algebra():
     cols = column_vectors(TRAPEZOID)
     g = elementary_automorphism(TRAPEZOID, cols[0], lam, ring)
     h = elementary_automorphism(TRAPEZOID, cols[1], mu, ring)
+    g_inv = elementary_automorphism(TRAPEZOID, cols[0], -lam, ring)
+    h_inv = elementary_automorphism(TRAPEZOID, cols[1], -mu, ring)
     ident = identity_automorphism(TRAPEZOID, ring)
     assert ident.compose(g) == g
-    # (gh)^-1 = h^-1 g^-1
+    # (gh)^-1 = h^-1 g^-1, as a two-sided inverse of gh
     gh = g.compose(h)
-    assert gh.compose(gh.inverse()).is_identity()
-    assert gh.inverse() == h.inverse().compose(g.inverse())
+    gh_inv = h_inv.compose(g_inv)
+    assert gh.compose(gh_inv).is_identity()
+    assert gh_inv.compose(gh).is_identity()
+
+
+def test_compose_rejects_different_algebras():
+    # another polytope, or an equal ring held by another object
+    c = col(TRAPEZOID, (0, -1))
+    g = elementary_automorphism(TRAPEZOID, c, 1, ZZ)
+    square = elementary_automorphism(UNIT_SQUARE, col(UNIT_SQUARE, (1, 0)), 1, ZZ)
+    rings = [PolynomialRing(("a",)) for _ in range(2)]
+    h, twin = (elementary_automorphism(TRAPEZOID, c, r.var("a"), r) for r in rings)
+    assert h.columns == twin.columns
+    for x, y in ((g, square), (square, g), (h, twin), (twin, h)):
+        with pytest.raises(ValueError, match="different algebras"):
+            x.compose(y)
 
 
 def test_degree_consistency(corpus):
@@ -400,7 +419,8 @@ def test_torus():
     # scaling through the grading only: a scalar matrix
     c = torus_automorphism(TRIANGLE, (Fraction(1), Fraction(1), Fraction(5)), ring)
     assert all(c.matrix[i][i] == Fraction(5) for i in range(3))
-    assert t.compose(t.inverse()).is_identity()
+    t_inv = torus_automorphism(SEGMENT, (Fraction(1, 2), Fraction(1, 3)), ring)
+    assert t.compose(t_inv).is_identity()
     with pytest.raises(ValueError):
         torus_automorphism(TRIANGLE, (Fraction(0), Fraction(1), Fraction(1)), ring)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import subprocess
@@ -181,6 +182,28 @@ def test_cli_verify_commands(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert all(f["unimodular_simplex_step"] for f in data["facets"])
+
+
+def test_cli_output_unchanged_under_the_benchmark_tracer(tmp_path, capsys):
+    # the harness's shear hook unpacks (p, col, lam, ring) and keys on
+    # repr(ring); a signature it cannot read would exit 3 under the tracer
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    trap = write_poly(tmp_path, "trapezoid", [[0, 0], [2, 0], [1, 1], [0, 1]])
+    square = write_poly(tmp_path, "square", [[0, 0], [1, 0], [0, 1], [1, 1]])
+    commands = [("verify", trap, "--which", "steinberg"),
+                ("verify", trap, "--which", "embedding"), ("analyze", square)]
+    untraced = [run_cli(capsys, *argv) for argv in commands]
+    tracer = tracer_module.Tracer("test")
+    tracer.install()
+    try:
+        traced = [run_cli(capsys, *argv) for argv in commands]
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert tracer.metrics()["algebra.elementary_automorphism.calls"] > 0
 
 
 def test_cli_verify_doubling_tests_the_simplex_once(tmp_path, capsys,

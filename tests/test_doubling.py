@@ -26,6 +26,7 @@ from .conftest import (
     TRIANGLE,
     UNIT_SQUARE,
 )
+from .helpers import contains
 
 
 def unit_simplex(n):
@@ -85,8 +86,8 @@ def test_doubling_structure(corpus):
             for v in q.vertices:
                 b = r.embed_base.apply(v)
                 c = r.embed_copy.apply(v)
-                assert r.doubled.contains(b)
-                assert r.doubled.contains(c)
+                assert contains(r.doubled, b)
+                assert contains(r.doubled, c)
                 assert c[-1] == dot(f.normal, v) - f.offset
             # the copy embedding maps Z^n onto a direct summand: the gcd of
             # the maximal minors of its linear part is 1

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from polycol.exactmath import (
     ZZ,
-    IntegersMod,
     Poly,
     PolynomialRing,
     det_int,
@@ -31,10 +30,12 @@ from polycol.exactmath import (
 from .conftest import CORPUS
 from .helpers import (
     QQ,
+    IntegersMod,
     adjugate_int,
     rank_loop_basis,
     rational_rank,
     rational_solve,
+    unit_inverse,
 )
 
 
@@ -377,14 +378,18 @@ def test_poly_ring_axioms(data):
 
 
 def test_coefficient_rings():
-    assert ZZ.is_unit(-1) and not ZZ.is_unit(2)
-    assert QQ.inverse(Fraction(3, 4)) == Fraction(4, 3)
+    assert unit_inverse(ZZ, -1) == -1
+    with pytest.raises(ValueError):
+        unit_inverse(ZZ, 2)
+    assert unit_inverse(QQ, Fraction(3, 4)) == Fraction(4, 3)
     m5 = IntegersMod(5)
     x = m5.from_int(3)
-    assert m5.inverse(x) * x == m5.one
+    assert unit_inverse(m5, x) * x == m5.one
     assert m5.from_int(8) == m5.from_int(3)
     with pytest.raises(ValueError):
-        IntegersMod(6).inverse(IntegersMod(6).from_int(2))
+        unit_inverse(IntegersMod(6), IntegersMod(6).from_int(2))
     ring = PolynomialRing(("t",))
+    assert unit_inverse(ring, -ring.one) == -ring.one
     with pytest.raises(ValueError):
-        ring.inverse(ring.var("t"))
+        unit_inverse(ring, ring.var("t"))
+    assert [repr(r) for r in (ZZ, ring, QQ, m5)] == ["ZZ", "ZZ[t]", "QQ", "ZZ/5"]

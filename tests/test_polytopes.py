@@ -32,7 +32,6 @@ from polycol.polytopes import (
     polygon_cycle,
     polygon_normal_form,
     polytope_from_points,
-    translate,
     unimodular_frame_maps,
 )
 from polycol.scan import enumerate_polygons
@@ -60,11 +59,13 @@ from .helpers import (
     facet_scan_oracle,
     fan_witness,
     frame_forms,
+    height,
     linear_image,
     projectively_equivalent,
     random_normalized_polytopes,
     random_unimodular_matrix,
     sheared_images,
+    translate,
     unimodular_images,
     unpruned_lattice_equivalences,
 )
@@ -255,16 +256,16 @@ def test_facet_minimality(corpus):
 
 def test_height():
     bottom = next(f for f in HEXAGON.facets if f.key() == ((0, 1), 0))
-    assert HEXAGON.height(bottom, (1, 1), 1) == 1
-    assert HEXAGON.height(bottom, (3, 0), 1) == 0
-    assert HEXAGON.height(bottom, (0, -1), 0) == -1
+    assert height(HEXAGON, bottom, (1, 1), 1) == 1
+    assert height(HEXAGON, bottom, (3, 0), 1) == 0
+    assert height(HEXAGON, bottom, (0, -1), 0) == -1
     for z in HEXAGON.lattice_points:
-        h = HEXAGON.height(bottom, z, 1)
+        h = height(HEXAGON, bottom, z, 1)
         assert h >= 0
         assert (h == 0) == (z in bottom.points_on)
     foreign = UNIT_SQUARE.facets[0]
     with pytest.raises(ValueError):
-        SLANTED_QUAD.height(foreign, (0, 0), 1)
+        height(SLANTED_QUAD, foreign, (0, 0), 1)
 
 
 def test_normalize_segment_in_plane():
