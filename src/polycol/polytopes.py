@@ -1,10 +1,11 @@
 """Exact lattice-polytope geometry.
 
-Polytopes are given by integer points; facets come out of a double
-description run on the homogenization cone, lattice points fibre by fibre
-along the widest coordinate, each fibre cut to an exact interval by the
-facet inequalities.  All derived data is cached on the polytope and
-immutable once computed.
+Polytopes are given by integer points.  A polygon's vertices and facets
+come out of one monotone-chain pass over its points; in other dimensions
+the facets come out of a double description run on the homogenization
+cone.  Lattice points are found fibre by fibre along the widest
+coordinate, each fibre cut to an exact interval by the facet inequalities.
+All derived data is cached on the polytope and immutable once computed.
 """
 
 from __future__ import annotations
@@ -254,6 +255,8 @@ class Polytope:
             raise ValueError("facets require a full-dimensional polytope")
         if self.ambient_dim == 0:
             return ()
+        if self.ambient_dim == 2:
+            return _cycle_facet_pairs(_convex_cycle(self.vertices))
         return tuple(facet_inequalities(self.vertices))
 
     @cached_property
@@ -364,7 +367,14 @@ def _saturated_chart(points):
 
 
 def polytope_from_points(points, name=None):
-    """Hull of the given integer points: vertex set plus cached geometry."""
+    """Hull of the given integer points: vertex set plus cached geometry.
+
+    Points spanning Z^2 take the vertices and facets of their polygon from
+    one monotone-chain pass, with no rank computed; collinear ones fall
+    through to the rank test.  Points spanning a plane in Z^n take their
+    vertices from the same pass over their chart coordinates.  Double
+    description serves the other dimensions.
+    """
     pts = [tuple(p) for p in points]
     if not pts:
         raise ValueError("a polytope needs at least one point")
@@ -378,6 +388,13 @@ def polytope_from_points(points, name=None):
     pts = sorted(set(pts))
     if n == 0:
         return Polytope([()], 0, name=name)
+    if n == 2:
+        cycle = _convex_cycle(pts)
+        if len(cycle) >= 3:
+            p = Polytope(cycle, 2, name=name)
+            p.dim = 2
+            p._facet_pairs = _cycle_facet_pairs(cycle)
+            return p
     x0 = pts[0]
     diffs = [vec_sub(p, x0) for p in pts[1:]]
     d = rank_int(diffs) if diffs else 0
@@ -391,9 +408,43 @@ def polytope_from_points(points, name=None):
         p._facet_pairs = tuple(pairs)
         return p
     coords, embed = _saturated_chart(pts)
-    pairs = facet_inequalities(coords)
-    verts_low = _extreme_points(coords, pairs, d)
+    if d == 2:
+        verts_low = _convex_cycle(sorted(coords))
+    else:
+        verts_low = _extreme_points(coords, facet_inequalities(coords), d)
     return Polytope([embed.apply(v) for v in verts_low], n, name=name)
+
+
+def _convex_cycle(pts):
+    """Vertices of the hull of sorted distinct points in Z^2, in
+    counterclockwise order from the least one (Andrew's monotone chain).
+
+    Only strict left turns are kept, so points inside an edge drop out, and
+    fewer than three vertices come back exactly when the points are
+    collinear.
+    """
+    lower, upper = [], []
+    for chain, seq in ((lower, pts), (upper, reversed(pts))):
+        for x, y in seq:
+            while len(chain) >= 2:
+                (ax, ay), (bx, by) = chain[-2], chain[-1]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
+                    break
+                chain.pop()
+            chain.append((x, y))
+    return lower[:-1] + upper[:-1]
+
+
+def _cycle_facet_pairs(cycle):
+    """Sorted facet pairs of the polygon with counterclockwise vertex cycle
+    ``cycle``: the edge from a with direction (dx, dy) has the inner normal
+    primitive (-dy, dx) and the offset normal . a."""
+    pairs = []
+    for (ax, ay), (bx, by) in zip(cycle, cycle[1:] + cycle[:1]):
+        g = gcd(bx - ax, by - ay)
+        nx, ny = (ay - by) // g, (bx - ax) // g
+        pairs.append(((nx, ny), nx * ax + ny * ay))
+    return tuple(sorted(pairs))
 
 
 def _extreme_points(pts, facet_pairs, n):

@@ -72,35 +72,40 @@ def enumerate_polygons(box):
     path = [(0, 0)]
     polys = []
 
-    # lo_x..hi_y is the bounding box of path, carried down the recursion
+    # one call per path node; lo_x..hi_y is the bounding box of path
     def rec(i, edges_used, lo_x, hi_x, lo_y, hi_y):
         cx, cy = path[-1]
-        if edges_used and cx == 0 and cy == 0:
-            # closed; the directions left turn less than a full circle, so
-            # they cannot close a second loop
-            if edges_used >= 3:
-                polys.append(tuple((x - lo_x, y - lo_y) for x, y in path[:-1]))
-            return
-        if i == nd:
-            return
-        dx, dy = dirs[i]
-        if pointed[i] and (dy * cx - dx * cy < 0 or ex * cy - ey * cx < 0):
-            return
-        # skip this direction entirely
-        rec(i + 1, edges_used, lo_x, hi_x, lo_y, hi_y)
-        k = 1
-        while True:
-            x, y = cx + k * dx, cy + k * dy
-            nlo_x = x if x < lo_x else lo_x
-            nhi_x = x if x > hi_x else hi_x
-            nlo_y = y if y < lo_y else lo_y
-            nhi_y = y if y > hi_y else hi_y
-            if nhi_x - nlo_x > box or nhi_y - nlo_y > box:
+        # from the first index stop that fails the cone test, dirs[stop:]
+        # cannot bring the path back, so the next edge takes a direction j
+        # in [i, stop)
+        stop = i
+        while stop < nd:
+            dx, dy = dirs[stop]
+            if pointed[stop] and (dy * cx - dx * cy < 0 or ex * cy - ey * cx < 0):
                 break
-            path.append((x, y))
-            rec(i + 1, edges_used + 1, nlo_x, nhi_x, nlo_y, nhi_y)
-            path.pop()
-            k += 1
+            stop += 1
+        # the paths that skip the most directions come first
+        for j in range(stop - 1, i - 1, -1):
+            dx, dy = dirs[j]
+            k = 1
+            while True:
+                x, y = cx + k * dx, cy + k * dy
+                nlo_x = x if x < lo_x else lo_x
+                nhi_x = x if x > hi_x else hi_x
+                nlo_y = y if y < lo_y else lo_y
+                nhi_y = y if y > hi_y else hi_y
+                if nhi_x - nlo_x > box or nhi_y - nlo_y > box:
+                    break
+                if x == 0 and y == 0:
+                    # closed; the directions left turn less than a full
+                    # circle, so they cannot close a second loop
+                    if edges_used >= 2:
+                        polys.append(tuple((px - lo_x, py - lo_y) for px, py in path))
+                else:
+                    path.append((x, y))
+                    rec(j + 1, edges_used + 1, nlo_x, nhi_x, nlo_y, nhi_y)
+                    path.pop()
+                k += 1
 
     rec(0, 0, 0, 0, 0, 0)
     return polys

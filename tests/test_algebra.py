@@ -39,8 +39,8 @@ from polycol.exactmath import (
 )
 from polycol.polytopes import (
     InternalCheckError,
+    Polytope,
     dilate,
-    dual_description,
     polytope_from_points,
 )
 from polycol.reports import analysis_report
@@ -152,22 +152,24 @@ def test_sp_membership_matches_oracle_inside_and_outside(p, degree, data):
 def test_columns_property_builds_no_dilation_and_each_slice_once(
     tmp_path, capsys, monkeypatch
 ):
+    # a dilation of the triangle would be one more polytope built
     calls = Counter()
+    polytope_init = Polytope.__init__
 
-    def counted_dual(rows):
-        calls["dual_description"] += 1
-        return dual_description(rows)
+    def counted_init(self, *args, **kwargs):
+        calls["polytopes"] += 1
+        polytope_init(self, *args, **kwargs)
 
     def counted_slice(previous, points):
         calls["slices"] += 1
         return _next_slice(previous, points)
 
-    monkeypatch.setattr("polycol.polytopes.dual_description", counted_dual)
+    monkeypatch.setattr(Polytope, "__init__", counted_init)
     monkeypatch.setattr("polycol.algebra._next_slice", counted_slice)
     vertices = [[0, 0], [5, 0], [0, 5]]
     q = polytope_from_points(vertices)
     q.facets
-    build = calls["dual_description"]
+    build = calls["polytopes"]
     calls.clear()
     path = tmp_path / "triangle5.json"
     path.write_text(json.dumps({"vertices": vertices}))
@@ -175,7 +177,7 @@ def test_columns_property_builds_no_dilation_and_each_slice_once(
                  "--max-degree", "5"])
     assert code == 0
     assert len(json.loads(capsys.readouterr().out)["columns"]) == 6
-    assert calls["dual_description"] <= build
+    assert calls["polytopes"] <= build
     assert calls["slices"] == 5
 
 

@@ -1,0 +1,83 @@
+"""Byte-identity of the CLI against committed digests.
+
+Each command runs in process with its polytope on stdin; the digest is the
+sha256 of the JSON list [exit code, stdout, stderr].  ``golden_cli.json``
+holds the digests.  A change that alters some output on purpose rewrites
+the file with
+
+    PYTHONPATH=src python -m tests.test_golden_cli
+
+and says in its description which commands changed and why.
+"""
+
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from polycol.cli import main
+
+from .conftest import CORPUS, EMPTY_SIMPLEX, NON_NORMAL_SIMPLEX, REEVE_TETRAHEDRON
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+FORMS = (
+    ("analyze",),
+    ("verify", "--which", "steinberg"),
+    ("verify", "--which", "embedding"),
+    ("verify", "--which", "heights"),
+    ("verify", "--which", "columns-property"),
+    ("verify", "--which", "doubling"),
+    ("export", "--what", "dot"),
+    ("export", "--what", "presentation"),
+    ("export", "--what", "presentation-json"),
+    ("export", "--what", "fan"),
+    ("export", "--what", "columns-json"),
+    ("spectrum", "--steps", "3"),
+)
+
+
+def golden_commands():
+    """{label: (argv, stdin text)} for every form on every test polytope,
+    numbered since two share a name, and the polygon scans of boxes 1-3 at
+    seed 7."""
+    commands = {}
+    polytopes = CORPUS + [REEVE_TETRAHEDRON, EMPTY_SIMPLEX, NON_NORMAL_SIMPLEX]
+    for i, p in enumerate(polytopes):
+        text = json.dumps({"name": p.name, "vertices": [list(v) for v in p.vertices]})
+        for sub, *rest in FORMS:
+            commands[" ".join([sub, *rest, f"{i:02d}", p.name])] = ([sub, "-", *rest], text)
+    for box in (1, 2, 3):
+        argv = ["scan-polygons", "--box", str(box), "--seed", "7"]
+        commands[" ".join(argv)] = (argv, "")
+    return commands
+
+
+def digest(argv, text):
+    """sha256 of [exit code, stdout, stderr] of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    payload = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def test_cli_outputs_match_golden_digests():
+    golden = json.loads(GOLDEN.read_text())
+    commands = golden_commands()
+    assert sorted(commands) == sorted(golden)
+    changed = [label for label, (argv, text) in commands.items()
+               if digest(argv, text) != golden[label]]
+    assert changed == []
+
+
+if __name__ == "__main__":
+    digests = {label: digest(argv, text)
+               for label, (argv, text) in golden_commands().items()}
+    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")

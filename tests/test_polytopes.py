@@ -131,6 +131,58 @@ def test_facets_against_scan_oracle_random():
             facet_scan_oracle(p.vertices, n)
 
 
+def assert_planar_hull_matches_slow_paths(points, oracle_pairs):
+    p = polytope_from_points(points)
+    # the general path: double description, then the points with two
+    # independent active facets
+    pts = sorted(set(points))
+    pairs = polytopes.facet_inequalities(pts)
+    assert p.vertices == tuple(polytopes._extreme_points(pts, pairs, 2))
+    assert list(p._facet_pairs) == pairs == oracle_pairs
+    assert p.dim == rank_int([vec_sub(v, p.vertices[0]) for v in p.vertices])
+    # a polygon built from its vertices alone takes the same facets
+    assert polytopes.Polytope(p.vertices, 2)._facet_pairs == p._facet_pairs
+
+
+def test_planar_hull_matches_double_description_on_box3():
+    # every enumerated cycle, and every polygon's lattice points, which add
+    # points inside edges and in the interior
+    for cycle in enumerate_polygons(3):
+        oracle_pairs = facet_scan_oracle(cycle, 2)
+        assert_planar_hull_matches_slow_paths(cycle, oracle_pairs)
+        points = polytope_from_points(cycle).lattice_points
+        assert_planar_hull_matches_slow_paths(points, oracle_pairs)
+
+
+_COORD = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=9),
+    st.tuples(_COORD, _COORD),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=6),
+)
+def test_planar_hull_matches_double_description_random(points, base, step, ts):
+    # random points, with repeats, and points on one line through base
+    line = [vec_add(base, (t * step[0], t * step[1])) for t in ts]
+    for pts in (points + points[:2], line, line + points[:1]):
+        if rank_int([vec_sub(z, pts[0]) for z in pts]) == 2:
+            assert_planar_hull_matches_slow_paths(pts, facet_scan_oracle(pts, 2))
+            # its image on a plane in Z^3 takes the path through the chart
+            def lift(z):
+                return (z[0] + 2 * z[1], z[1] - 2 * z[0], 3 * z[0] - z[1])
+
+            assert polytope_from_points(map(lift, pts)).vertices == tuple(
+                sorted(map(lift, polytope_from_points(pts).vertices))
+            )
+        else:
+            assert len(polytopes._convex_cycle(sorted(set(pts)))) < 3
+            ends = [min(pts), max(pts)]
+            assert polytope_from_points(pts).vertices == tuple(sorted(set(ends)))
+
+
 def height_test_polytopes():
     """The CORPUS, three sheared, translated images of each polytope in it,
     and seeded random polygons and 3-polytopes: small and large
