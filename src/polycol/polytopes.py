@@ -10,7 +10,6 @@ All derived data is cached on the polytope and immutable once computed.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from functools import cached_property
 from math import gcd
@@ -68,47 +67,22 @@ class FacetForm:
 
 
 class AffineLatticeMap:
-    """x -> (matrix @ x + translation) / denominator, with the exact inverse
-    when available.
+    """x -> matrix @ x + translation, with an integer matrix and translation."""
 
-    Matrix and translation hold ints, and the denominator is an int >= 1; it
-    exceeds 1 only when a polytope is rebased onto the lattice its own points
-    generate.  Applying the map to a point must nevertheless produce
-    integers: a remainder is an internal error.
-    """
+    __slots__ = ("matrix", "translation")
 
-    __slots__ = ("matrix", "translation", "inverse", "denominator")
-
-    def __init__(self, matrix, translation, inverse=None, denominator=1):
+    def __init__(self, matrix, translation):
         self.matrix = tuple(tuple(row) for row in matrix)
         self.translation = tuple(translation)
-        self.inverse = inverse
-        self.denominator = denominator
 
     @classmethod
     def identity(cls, n):
-        m = cls(identity_matrix(n), (0,) * n)
-        m.inverse = m
-        return m
-
-    @classmethod
-    def translation_map(cls, t):
-        n = len(t)
-        fwd = cls(identity_matrix(n), t)
-        fwd.inverse = cls(identity_matrix(n), tuple(-x for x in t), fwd)
-        return fwd
+        return cls(identity_matrix(n), (0,) * n)
 
     def apply(self, point):
-        d = self.denominator
-        out = []
-        for row, c in zip(self.matrix, self.translation):
-            v, rem = divmod(sum(a * x for a, x in zip(row, point)) + c, d)
-            if rem:
-                raise InternalCheckError(
-                    f"affine lattice map produced a non-integer at {point}"
-                )
-            out.append(v)
-        return tuple(out)
+        return tuple(
+            dot(row, point) + c for row, c in zip(self.matrix, self.translation)
+        )
 
     def key(self):
         return (self.matrix, self.translation)
@@ -355,14 +329,21 @@ class Polytope:
 
 
 def _saturated_chart(points):
-    """(coords, embed) for distinct integer points, at least two: their
-    coordinates over a basis of the saturated lattice aff(points) & Z^n,
-    based at the least point, and the map carrying coordinates back."""
+    """``_chart`` over a basis of the saturated lattice aff(points) & Z^n,
+    for distinct integer points, at least two."""
     x0 = min(points)
-    bt = transpose(saturation_basis([vec_sub(p, x0) for p in points if p != x0]))
+    return _chart(points, saturation_basis([vec_sub(p, x0) for p in points if p != x0]))
+
+
+def _chart(points, basis):
+    """(coords, embed): the coordinates of the integer points over the rows
+    of ``basis``, based at the least point, and the map carrying coordinates
+    back.  A point off that lattice is an internal error."""
+    x0 = min(points)
+    bt = transpose(basis)
     coords = solve_int(bt, [vec_sub(p, x0) for p in points])
     if None in coords:
-        raise InternalCheckError("point outside the saturated lattice")
+        raise InternalCheckError("point off the lattice of the chart basis")
     return coords, AffineLatticeMap(bt, x0)
 
 
@@ -463,40 +444,25 @@ def _extreme_points(pts, facet_pairs, n):
 def normalize_full_dim(p):
     """Rewrite P so its lattice points affinely generate Z^dim(P).
 
-    Returns (Q, carry) where carry maps points of P onto points of Q and
-    carry.inverse embeds Q's points back into the original coordinates.
-    Uses the Hermite basis of the difference lattice of all of L_P, not just
-    the vertices.  Idempotent: normalized input comes back unchanged with
-    the identity map.
+    Returns (Q, embed): Q's points are the coordinates of P's points over
+    the Hermite basis of the difference lattice of all of L_P, not just of
+    the vertices, based at the least lattice point, and embed carries Q's
+    points back into P's coordinates.  Idempotent: normalized input comes
+    back unchanged with the identity map.
     """
     if p.is_normalized:
         return p, AffineLatticeMap.identity(p.ambient_dim)
     pts = p.lattice_points
-    n = p.ambient_dim
     if len(pts) == 1:
-        x0 = pts[0]
-        fwd = AffineLatticeMap((), ())
-        fwd.inverse = AffineLatticeMap(tuple(() for _ in range(n)), x0, fwd)
-        return Polytope([()], 0, name=p.name), fwd
+        embed = AffineLatticeMap(((),) * p.ambient_dim, pts[0])
+        return Polytope([()], 0, name=p.name), embed
     x0 = pts[0]
     h, _ = hermite_normal_form([vec_sub(z, x0) for z in pts[1:]])
-    basis = tuple(r for r in h if any(r))
-    r = len(basis)
-    # the Gram left inverse G^-1 B of the r x n basis matrix B, G = B B^T,
-    # is exact on the affine lattice x0 + rowspan(B), which contains L_P;
-    # it is carried as the integer matrix adj(G) B over det(G), both divided
-    # by the gcd of all entries
-    gram_inv, det = mat_inverse_frac(mat_mul(basis, transpose(basis)))
-    num = mat_mul(gram_inv, basis)
-    g = gcd(det, *(x for row in num for x in row))
-    fwd_matrix = tuple(tuple(x // g for x in row) for row in num)
-    t = tuple(-dot(row, x0) for row in fwd_matrix)
-    fwd = AffineLatticeMap(fwd_matrix, t, denominator=det // g)
-    fwd.inverse = AffineLatticeMap(transpose(basis), x0, fwd)
-    q = Polytope([fwd.apply(v) for v in p.vertices], r, name=p.name)
+    coords, embed = _chart(p.vertices, [r for r in h if any(r)])
+    q = Polytope(coords, len(coords[0]), name=p.name)
     if not q.is_normalized:
         raise InternalCheckError("normalization did not reach the full lattice")
-    return q, fwd
+    return q, embed
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +539,7 @@ def integral_affine_equivalent(p, q):
     # the shift map
     shift = vec_sub(min(q.vertices), min(p.vertices))
     if {vec_add(v, shift) for v in p.vertices} == set(q.vertices):
-        return AffineLatticeMap.translation_map(shift)
+        return AffineLatticeMap(identity_matrix(p.ambient_dim), shift)
     if not p.is_full_dimensional:
         raise ValueError("integral-affine equivalence needs full-dimensional polytopes")
     return next(lattice_equivalences(p, q), None)
@@ -613,8 +579,9 @@ def unimodular_frame_maps(frame):
     None if that map is not unimodular.
 
     The linear part is W V^-1, with the differences to the first point of
-    each tuple as the columns of V and W.  V is inverted once per frame, and
-    an image with |det W| != |det V| is refused before any inverse.
+    each tuple as the columns of V and W.  V is inverted once per frame and
+    nothing else is: an image with |det W| != |det V| is refused before any
+    product.
     """
     v0 = frame[0]
     vinv, det = mat_inverse_frac(transpose([vec_sub(v, v0) for v in frame[1:]]))
@@ -628,11 +595,7 @@ def unimodular_frame_maps(frame):
         if any(x % det for row in prod for x in row):
             return None
         u = tuple(tuple(x // det for x in row) for row in prod)
-        # |det u| = |det W| / |det V| = 1, so u's inverse has denominator 1
-        uinv, _ = mat_inverse_frac(u)
-        fwd = AffineLatticeMap(u, vec_sub(w0, mat_vec(u, v0)))
-        fwd.inverse = AffineLatticeMap(uinv, vec_sub(v0, mat_vec(uinv, w0)), fwd)
-        return fwd
+        return AffineLatticeMap(u, vec_sub(w0, mat_vec(u, v0)))
 
     return frame_map
 
@@ -736,34 +699,12 @@ def _frame_matrix(ea, eb):
     return (x - k * s0, y - k * s1), (s0, s1)
 
 
-def _half_plane(v):
-    return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-
-def _angular_cmp(a, b):
-    ha, hb = _half_plane(a), _half_plane(b)
-    if ha != hb:
-        return -1 if ha < hb else 1
-    cross = a[0] * b[1] - a[1] * b[0]
-    return (cross < 0) - (cross > 0)
-
-
-# orders nonzero integer vectors counterclockwise, starting at direction (1, 0)
-angular_key = functools.cmp_to_key(_angular_cmp)
-
-
 def polygon_cycle(p):
-    """Vertices of a polygon in counterclockwise cyclic order, by angle
-    around the centroid (scaled by the vertex count to stay integral)."""
-    if p.dim != 2 or p.ambient_dim != 2:
+    """Vertices of a polygon in counterclockwise order from the least one."""
+    cycle = _convex_cycle(p.vertices) if p.ambient_dim == 2 else []
+    if len(cycle) < 3:
         raise ValueError("polygon_cycle needs a full-dimensional polygon")
-    verts = p.vertices
-    m = len(verts)
-    sx = sum(v[0] for v in verts)
-    sy = sum(v[1] for v in verts)
-    return tuple(
-        sorted(verts, key=lambda v: angular_key((m * v[0] - sx, m * v[1] - sy)))
-    )
+    return tuple(cycle)
 
 
 # ---------------------------------------------------------------------------

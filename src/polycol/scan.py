@@ -21,6 +21,7 @@ column search must match the unpruned one.
 from __future__ import annotations
 
 import random
+from functools import cmp_to_key
 from math import gcd
 
 from .columns import (
@@ -33,12 +34,27 @@ from .columns import (
 )
 from .polytopes import (
     InternalCheckError,
-    angular_key,
     cycle_normal_form,
     polytope_from_points,
 )
 
 MAX_BOX = 4
+
+
+def _half_plane(v):
+    return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+
+
+def _angular_cmp(a, b):
+    ha, hb = _half_plane(a), _half_plane(b)
+    if ha != hb:
+        return -1 if ha < hb else 1
+    cross = a[0] * b[1] - a[1] * b[0]
+    return (cross < 0) - (cross > 0)
+
+
+# orders nonzero integer vectors counterclockwise, starting at direction (1, 0)
+angular_key = cmp_to_key(_angular_cmp)
 
 
 def _directions(box):

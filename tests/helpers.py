@@ -21,7 +21,10 @@ directions; the frame-form list reuses the frame matrix of
 frames, and its least form is the all-frames normal form that the pruned
 ``cycle_normal_form`` is checked against.  The box-orbit oracle applies
 the eight signed permutation matrices and translates each image back, where
-the scan writes out the seven images of a pinned cycle.  The column-table
+the scan writes out the seven images of a pinned cycle.  The Gram-inverse
+chart maps a polytope onto its normalized model by the left inverse of its
+Hermite basis, where ``normalize_full_dim`` solves over that basis by back
+substitution.  The column-table
 functions (weak products, the column-map check) and the degree-consistency
 check read the production product table and lattice points.
 
@@ -55,8 +58,12 @@ from polycol.exactmath import (
     PolynomialRing,
     det_int,
     dot,
+    hermite_normal_form,
+    mat_inverse_frac,
+    mat_mul,
     mat_vec,
     primitive_part,
+    transpose,
     vec_add,
     vec_scale,
     vec_sub,
@@ -451,6 +458,40 @@ def sheared_images(p, rng, count=3):
     """``count`` normalized images of p under seeded unimodular maps and
     translations: large coordinates, the same column structure."""
     return [normalize_full_dim(q)[0] for q in unimodular_images(p, rng, count)]
+
+
+def gram_inverse_chart(p):
+    """(chart, denominator): the map of P's points onto the points of its
+    normalized model by the Gram left inverse, the way ``normalize_full_dim``
+    once computed it.
+
+    A normalized P keeps its coordinates.  Otherwise, with B the r x n
+    Hermite basis of the differences of L_P from its least point x0 and
+    G = B B^T, x -> G^-1 B (x - x0) is exact on x0 + rowspan(B), which holds
+    L_P; it is carried as the integer matrix adj(G) B over det(G), both
+    divided by the gcd of all entries.  A remainder fails an assertion.
+    """
+    if p.is_normalized:
+        return (lambda x: tuple(x)), 1
+    pts = p.lattice_points
+    x0 = pts[0]
+    h, _ = hermite_normal_form([vec_sub(z, x0) for z in pts[1:]])
+    basis = [r for r in h if any(r)]
+    gram_inv, det = mat_inverse_frac(mat_mul(basis, transpose(basis)))
+    num = mat_mul(gram_inv, basis)
+    g = gcd(det, *(x for row in num for x in row))
+    matrix = [[x // g for x in row] for row in num]
+    d = det // g
+
+    def chart(x):
+        out = []
+        for row in matrix:
+            c, rem = divmod(dot(row, vec_sub(x, x0)), d)
+            assert rem == 0, (x, p.vertices)
+            out.append(c)
+        return tuple(out)
+
+    return chart, d
 
 
 def rational_solve(m, rhs):

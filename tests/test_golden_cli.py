@@ -12,12 +12,14 @@ and says in its description which commands changed and why.
 
 import hashlib
 import io
+import itertools
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from polycol.cli import main
+from polycol.polytopes import polytope_from_points
 
 from .conftest import CORPUS, EMPTY_SIMPLEX, NON_NORMAL_SIMPLEX, REEVE_TETRAHEDRON
 
@@ -38,16 +40,33 @@ FORMS = (
     ("spectrum", "--steps", "3"),
 )
 
+# the equivalence search beyond polygons: its symmetry groups and the
+# doubling check's unimodular-simplex test
+SEARCH_POLYTOPES = [
+    polytope_from_points(list(itertools.product((0, 1), repeat=3)), name="3-cube"),
+    polytope_from_points(
+        [(x, y, z) for x, y in ((0, 0), (1, 0), (0, 1)) for z in (0, 1)],
+        name="triangle x segment",
+    ),
+    polytope_from_points(
+        [tuple(int(i == j) for j in range(4)) for i in range(4)] + [(0,) * 4],
+        name="unit 4-simplex",
+    ),
+]
+SEARCH_FORMS = (("analyze",), ("verify", "--which", "doubling"))
+
 
 def golden_commands():
     """{label: (argv, stdin text)} for every form on every test polytope,
-    numbered since two share a name, and the polygon scans of boxes 1-3 at
-    seed 7."""
+    numbered since two share a name, the search forms on the search
+    polytopes, and the polygon scans of boxes 1-3 at seed 7."""
     commands = {}
-    polytopes = CORPUS + [REEVE_TETRAHEDRON, EMPTY_SIMPLEX, NON_NORMAL_SIMPLEX]
-    for i, p in enumerate(polytopes):
+    polytopes = [
+        (p, FORMS) for p in CORPUS + [REEVE_TETRAHEDRON, EMPTY_SIMPLEX, NON_NORMAL_SIMPLEX]
+    ] + [(p, SEARCH_FORMS) for p in SEARCH_POLYTOPES]
+    for i, (p, forms) in enumerate(polytopes):
         text = json.dumps({"name": p.name, "vertices": [list(v) for v in p.vertices]})
-        for sub, *rest in FORMS:
+        for sub, *rest in forms:
             commands[" ".join([sub, *rest, f"{i:02d}", p.name])] = ([sub, "-", *rest], text)
     for box in (1, 2, 3):
         argv = ["scan-polygons", "--box", str(box), "--seed", "7"]

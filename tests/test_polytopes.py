@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from polycol.exactmath import (
     dot,
+    hermite_normal_form,
     lattice_index_is_full,
     mat_mul,
     mat_vec,
@@ -59,6 +60,7 @@ from .helpers import (
     facet_scan_oracle,
     fan_witness,
     frame_forms,
+    gram_inverse_chart,
     height,
     linear_image,
     projectively_equivalent,
@@ -322,13 +324,11 @@ def test_height():
 
 def test_normalize_segment_in_plane():
     p = polytope_from_points([(0, 0), (2, 0)])
-    q, carry = normalize_full_dim(p)
+    q, embed = normalize_full_dim(p)
     assert q.ambient_dim == 1
     assert q.vertices == ((0,), (2,))
     assert q.lattice_points == ((0,), (1,), (2,))
-    for z in q.lattice_points:
-        back = carry.inverse.apply(z)
-        assert carry.apply(back) == z
+    assert sorted(embed.apply(z) for z in q.lattice_points) == list(p.lattice_points)
 
 
 def test_normalize_idempotent(corpus):
@@ -409,18 +409,28 @@ def test_normalize_round_trip_with_denominators():
         REEVE_TETRAHEDRON,
         NON_NORMAL_SIMPLEX,
     ]
+    # embed carries L_Q onto L_P, and Q is the image of P under the
+    # Gram-inverse chart, whose denominators the back substitution avoids
     for p in inputs:
         for x in [p] + unimodular_images(p, rng) + sheared_images(p, rng):
-            q, carry = normalize_full_dim(x)
-            images = [carry.apply(z) for z in x.lattice_points]
-            assert sorted(images) == list(q.lattice_points), x.vertices
-            for z, img in zip(x.lattice_points, images):
-                assert carry.inverse.apply(img) == z
-    _, carry = normalize_full_dim(REEVE_TETRAHEDRON)
-    assert carry.denominator > 1
+            q, embed = normalize_full_dim(x)
+            images = sorted(embed.apply(z) for z in q.lattice_points)
+            assert images == list(x.lattice_points), x.vertices
+            chart, _ = gram_inverse_chart(x)
+            assert q.vertices == tuple(sorted(chart(v) for v in x.vertices))
+    _, denominator = gram_inverse_chart(REEVE_TETRAHEDRON)
+    assert denominator > 1
+
+
+def test_chart_refuses_a_point_off_its_lattice():
     # (0, 0, 1) lies in aff(P) but off the lattice that L_P generates
+    pts = REEVE_TETRAHEDRON.lattice_points
+    h, _ = hermite_normal_form([vec_sub(z, pts[0]) for z in pts[1:]])
+    basis = [r for r in h if any(r)]
+    coords, embed = polytopes._chart(pts, basis)
+    assert [embed.apply(c) for c in coords] == list(pts)
     with pytest.raises(InternalCheckError):
-        carry.apply((0, 0, 1))
+        polytopes._chart(pts + ((0, 0, 1),), basis)
 
 
 def test_polytopes_module_imports_no_fractions():
@@ -655,12 +665,14 @@ def test_polygon_cycle():
         assert a[0] * b[1] - a[1] * b[0] > 0
 
 
-def test_polygon_cycle_starts_at_angle_zero():
-    # counterclockwise around the centroid (2/3, 2/3), from the first vertex
-    # whose direction lies in [0, pi)
+def test_polygon_cycle_starts_at_least_vertex():
+    # counterclockwise from the least vertex, as the monotone chain gives it
     cyc = polygon_cycle(polytope_from_points([(0, 0), (2, 1), (0, 1)]))
-    assert cyc == ((2, 1), (0, 1), (0, 0))
-    assert polygon_cycle(HEXAGON)[0] == (5, 2)
+    assert cyc == ((0, 0), (2, 1), (0, 1))
+    assert polygon_cycle(HEXAGON)[0] == (0, 0)
+    for p in (polytope_from_points([(0, 0), (2, 1)]), SIMPLEX3):
+        with pytest.raises(ValueError):
+            polygon_cycle(p)
 
 
 def _box2_polygons():
@@ -801,10 +813,7 @@ def test_normal_form_invariant_under_unimodular_maps(points, steps, shift):
     amap = integral_affine_equivalent(p, q)
     assert amap is not None
     assert {amap.apply(v) for v in p.vertices} == set(q.vertices)
-    for v in p.lattice_points:
-        assert amap.inverse.apply(amap.apply(v)) == v
-    for w in q.lattice_points:
-        assert amap.apply(amap.inverse.apply(w)) == w
+    assert sorted(amap.apply(z) for z in p.lattice_points) == list(q.lattice_points)
 
 
 @settings(max_examples=200, deadline=None)
@@ -835,7 +844,13 @@ def test_unimodular_frame_map():
     assert amap.matrix == ((1, 0), (1, 1))
     assert amap.translation == (-1, -2)
     assert [amap.apply(v) for v in frame] == [(0, 0), (1, 1), (0, 1)]
-    assert amap.inverse.apply((1, 1)) == (2, 1)
+    assert amap.apply((2, 1)) == (1, 1)
+    # the frame's double goes onto the image's double, point for point
+    source = polytope_from_points([(1, 1), (3, 1), (1, 3)])
+    target = polytope_from_points([(0, 0), (2, 2), (0, 2)])
+    assert sorted(amap.apply(z) for z in source.lattice_points) == list(
+        target.lattice_points
+    )
     # index 2 images and non-integral maps are refused
     assert frame_map(((0, 0), (2, 0), (0, 1))) is None
     assert unimodular_frame_maps(((0, 0), (2, 0), (0, 1)))(
