@@ -61,10 +61,10 @@ def golden_commands():
     numbered since two share a name, the search forms on the search
     polytopes, and the polygon scans of boxes 1-3 at seed 7."""
     commands = {}
-    polytopes = [
-        (p, FORMS) for p in CORPUS + [REEVE_TETRAHEDRON, EMPTY_SIMPLEX, NON_NORMAL_SIMPLEX]
-    ] + [(p, SEARCH_FORMS) for p in SEARCH_POLYTOPES]
-    for i, (p, forms) in enumerate(polytopes):
+    polytopes = CORPUS + [REEVE_TETRAHEDRON, EMPTY_SIMPLEX, NON_NORMAL_SIMPLEX]
+    jobs = [(p, FORMS) for p in polytopes]
+    jobs += [(p, SEARCH_FORMS) for p in SEARCH_POLYTOPES]
+    for i, (p, forms) in enumerate(jobs):
         text = json.dumps({"name": p.name, "vertices": [list(v) for v in p.vertices]})
         for sub, *rest in forms:
             commands[" ".join([sub, *rest, f"{i:02d}", p.name])] = ([sub, "-", *rest], text)
