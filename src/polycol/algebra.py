@@ -202,12 +202,13 @@ def elementary_automorphism(p, col, lam, ring):
 
 
 def lattice_symmetries(p):
-    """All affine lattice self-maps of P, as AffineLatticeMaps sorted by key."""
+    """All affine lattice self-maps of P, as AffineLatticeMaps sorted by
+    matrix, then translation."""
     if p.ambient_dim == 0:
         return [AffineLatticeMap.identity(0)]
     if not p.is_full_dimensional:
         raise ValueError("symmetries need a full-dimensional polytope")
-    return sorted(lattice_equivalences(p, p), key=AffineLatticeMap.key)
+    return sorted(lattice_equivalences(p, p), key=lambda m: (m.matrix, m.translation))
 
 
 def symmetry_permutation(p, amap):

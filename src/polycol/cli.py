@@ -132,8 +132,8 @@ def _verify_doubling(q, args):
         m = q.dim + 1
         units = [tuple(int(i == j) for j in range(m)) for i in range(m)]
         simplex = polytope_from_points([(0,) * m] + units)
-    for f in q.facets:
-        r = double_along_facet(q, f)
+    for i, f in enumerate(q.facets):
+        r = double_along_facet(q, i)
         entry = {
             "facet": {"normal": list(f.normal), "offset": f.offset},
             "facet_count_delta": len(r.doubled.facets) - len(q.facets),

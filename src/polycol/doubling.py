@@ -21,12 +21,7 @@ from .exactmath import (
     vec_scale,
     vec_sub,
 )
-from .polytopes import (
-    AffineLatticeMap,
-    InternalCheckError,
-    Polytope,
-    polytope_from_points,
-)
+from .polytopes import AffineLatticeMap, InternalCheckError, Polytope
 
 
 class NoExtensionError(InternalCheckError):
@@ -43,17 +38,37 @@ class DoublingResult(NamedTuple):
     count_identity_holds: bool
 
 
-def double_along_facet(p, facet, section=None):
-    """conv of P x {0} and the sheared copy, as a polytope in Z^(n+1).
+def double_along_facet(p, index, section=None):
+    """conv of P x {0} and the sheared copy, as a polytope D in Z^(n+1).
 
-    The polytope is translated so the chosen facet passes through the
-    origin; the copy of x sits at height ht(x) over the base.  The base
-    copy and the sheared copy are both facets of the result, and the
-    reference lattice is all of Z^(n+1) because the section w maps to
-    (0, 1).
+    F = ``p.facets[index]`` reads a . x >= b; w is the section, z0 the
+    least lattice point of F and ht(x) = a . x - b.  The base copy of x is
+    (x - z0, 0), the sheared copy (x - z0 - ht(x) w, ht(x)); w maps to
+    (0, 1), so the reference lattice is all of Z^(n+1).
+
+    D inherits its geometry from P.  At (y, t) = (x - z0 - t w, t),
+    ht(x) = a . y + t, so D = {(y, t) : x in P, 0 <= t <= ht(x)} is cut out
+    by t >= 0 (the base copy), (a, 0) . (y, t) >= 0 (the sheared copy) and,
+    for each facet (g, c) != F of P, the lift ((g, g . w), c - g . z0),
+    which reads g . x - c whatever t is.  So the facets are these
+    |F(P)| + 1 pairs, sorted as ``facet_inequalities`` sorts, and the
+    vertices are the two copies of P's vertices.  The slice at height t is
+    {x in P : ht(x) >= t} - z0 - t w, so the lattice points are
+    (x - z0 - t w, t) for x in L_P and 0 <= t <= ht(x); there a lifted G
+    reads P's row H[G] at x, the base copy t and the sheared copy
+    ht(x) - t.  For x in L_P off F, (x - z0, 0) and (x - z0 - w, 1) are
+    both in L_D, so its difference lattice is {(y - t w, t) : y in
+    Lambda_P}, of P's index: D is normalized exactly when P is.
+
+    A certificate with no rank checks the seeded pairs on the vertices:
+    each holds at all of them; a lifted G is tight at the base copies of
+    P's G-tight vertices, an (n - 1)-face, and at some vertex with t > 0,
+    off that face's hyperplane; the base and sheared pairs are tight at
+    every base and sheared copy.
     """
-    idx = p.facet_index(facet)
-    facet = p.facets[idx]
+    if not 0 <= index < len(p.facets):
+        raise ValueError(f"facet index {index} out of range")
+    facet = p.facets[index]
     a = facet.normal
     n = p.ambient_dim
     if section is None:
@@ -63,28 +78,61 @@ def double_along_facet(p, facet, section=None):
         if dot(a, w) != 1:
             raise ValueError("section must pair to 1 with the facet normal")
     z0 = min(facet.points_on)
+    heights = p.facet_heights
+    ht = heights[index]
 
-    def base_point(x):
-        return vec_sub(x, z0) + (0,)
+    def lift(x, t):
+        return vec_sub(vec_sub(x, z0), vec_scale(t, w)) + (t,)
 
-    def copy_point(x):
-        shifted = vec_sub(x, z0)
-        h = dot(a, shifted)
-        return vec_sub(shifted, vec_scale(h, w)) + (h,)
-
-    points = sorted(
-        {base_point(v) for v in p.vertices} | {copy_point(v) for v in p.vertices}
+    base = {lift(v, 0) for v in p.vertices}
+    sheared = {lift(v, dot(a, v) - facet.offset) for v in p.vertices}
+    verts = base | sheared
+    # each pair with its source: a facet index of P, "base" or "sheared"
+    seeded = sorted(
+        [((g + (dot(g, w),), b - dot(g, z0)), i)
+         for i, (g, b) in enumerate(p._facet_pairs) if i != index]
+        + [(((0,) * n + (1,), 0), "base"), ((a + (0,), 0), "sheared")],
+        key=lambda e: e[0],
     )
-    doubled = polytope_from_points(points, name=f"{p.name or 'P'} doubled")
-
     # the two copies must come back as facets
-    keys = {f.key() for f in doubled.facets}
+    keys = {pair for pair, _ in seeded}
     if ((0,) * n + (1,), 0) not in keys:
         raise InternalCheckError("base copy is not a facet of the double")
     if (a + (0,), 0) not in keys:
         raise InternalCheckError("sheared copy is not a facet of the double")
-    if len(doubled.facets) != len(p.facets) + 1:
+    if len(keys) != len(p.facets) + 1:
         raise InternalCheckError("doubling must add exactly one facet")
+    for (g, b), src in seeded:
+        vals = {u: dot(g, u) - b for u in verts}
+        tight = {u for u, h in vals.items() if h == 0}
+        if src == "base":
+            ok = base <= tight
+        elif src == "sheared":
+            ok = sheared <= tight
+        else:
+            on_g = p.facets[src].points_on
+            ok = sum(u[-1] == 0 for u in tight) == sum(
+                v in on_g for v in p.vertices
+            ) and any(u[-1] > 0 for u in tight)
+        if not ok or min(vals.values()) < 0:
+            raise InternalCheckError(f"seeded pair {(g, b)} is no facet of the double")
+
+    lattice = sorted(
+        (lift(x, t), i)
+        for i, x in enumerate(p.lattice_points)
+        for t in range(ht[i] + 1)
+    )
+    doubled = Polytope(verts, n + 1, name=f"{p.name or 'P'} doubled")
+    doubled.dim = n + 1
+    doubled.is_normalized = p.is_normalized
+    doubled._facet_pairs = tuple(pair for pair, _ in seeded)
+    doubled.lattice_points = tuple(z for z, _ in lattice)
+    doubled.facet_heights = tuple(
+        tuple(z[-1] for z, _ in lattice) if src == "base"
+        else tuple(ht[i] - z[-1] for z, i in lattice) if src == "sheared"
+        else tuple(heights[src][i] for _, i in lattice)
+        for _, src in seeded
+    )
 
     eye = identity_matrix(n)
     base_matrix = eye + ((0,) * n,)
@@ -211,8 +259,7 @@ def doubling_spectrum(p, steps):
                 f"tracked column {vec} vanished from the chain"
             )
         chosen = cols[vec]
-        facet = current.facets[chosen.base]
-        result = double_along_facet(current, facet)
+        result = double_along_facet(current, chosen.base)
 
         decomposed_now = []
         for other in tracked.values():
@@ -248,7 +295,7 @@ def doubling_spectrum(p, steps):
                 index=step_index,
                 chosen=tc,
                 chosen_vector=vec,
-                facet_key=facet.key(),
+                facet_key=result.facet.key(),
                 result=result,
                 decomposed=decomposed_now,
                 queue_after=list(queue),

@@ -84,9 +84,6 @@ class AffineLatticeMap:
             dot(row, point) + c for row, c in zip(self.matrix, self.translation)
         )
 
-    def key(self):
-        return (self.matrix, self.translation)
-
     def __repr__(self):
         return f"AffineLatticeMap({self.matrix}, {self.translation})"
 
@@ -311,12 +308,6 @@ class Polytope:
             points_on = frozenset(pts[i] for i in idx)
             out.append(FacetForm(normal, offset, idx, points_on))
         return tuple(out)
-
-    def facet_index(self, facet):
-        for i, f in enumerate(self.facets):
-            if f.key() == facet.key():
-                return i
-        raise ValueError("facet form does not belong to this polytope")
 
     @cached_property
     def _full_dim_model(self):

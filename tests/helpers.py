@@ -258,9 +258,17 @@ def contains(p, z):
     return tuple(z) in p.point_index
 
 
+def facet_index(p, facet):
+    """The index of the facet form among P's facets."""
+    for i, f in enumerate(p.facets):
+        if f.key() == facet.key():
+            return i
+    raise ValueError("facet form does not belong to this polytope")
+
+
 def height(p, facet, z, degree=1):
     """normal . z - degree * offset, for one of P's facets."""
-    p.facet_index(facet)
+    facet_index(p, facet)
     return dot(facet.normal, z) - degree * facet.offset
 
 

@@ -182,8 +182,8 @@ def test_criterion_6_doubling_chain():
     for n in (1, 2, 3):
         p = unit_simplex(n)
         target = unit_simplex(n + 1)
-        for f in p.facets:
-            r = double_along_facet(p, f)
+        for i in range(len(p.facets)):
+            r = double_along_facet(p, i)
             q, _ = normalize_full_dim(r.doubled)
             ok = ok and is_unimodular_simplex(r.doubled)
             ok = ok and integral_affine_equivalent(q, target) is not None
@@ -195,10 +195,10 @@ def test_criterion_6_doubling_chain():
     cases = []
     for p in [TRIANGLE, UNIT_SQUARE, TRAPEZOID, SIMPLEX3, SLANTED_QUAD,
               WIDE_TRIANGLE]:
-        for f in p.facets:
-            cases.append((p, f))
+        for i, f in enumerate(p.facets):
+            cases.append((p, i, f))
     done = 0
-    for p, f in cases:
+    for p, i, f in cases:
         if done >= 20:
             break
         w = integral_section(f.normal)
@@ -209,8 +209,8 @@ def test_criterion_6_doubling_chain():
             w2 = tuple(a + c * b for a, b in zip(w2, row))
         if w2 == w:
             w2 = tuple(a + b for a, b in zip(w, kernel[0]))
-        q1, _ = normalize_full_dim(double_along_facet(p, f, section=w).doubled)
-        q2, _ = normalize_full_dim(double_along_facet(p, f, section=w2).doubled)
+        q1, _ = normalize_full_dim(double_along_facet(p, i, section=w).doubled)
+        q2, _ = normalize_full_dim(double_along_facet(p, i, section=w2).doubled)
         ok = ok and integral_affine_equivalent(q1, q2) is not None
         done += 1
     ok = ok and done == 20

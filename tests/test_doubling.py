@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from polycol import doubling
 from polycol.columns import column_vectors
 from polycol.doubling import (
     double_along_facet,
@@ -11,6 +12,8 @@ from polycol.doubling import (
 )
 from polycol.exactmath import dot, kernel_basis_int, vec_scale, vec_sub
 from polycol.polytopes import (
+    InternalCheckError,
+    Polytope,
     integral_affine_equivalent,
     is_unimodular_simplex,
     normalize_full_dim,
@@ -19,6 +22,9 @@ from polycol.polytopes import (
 
 from .conftest import (
     BIG_TRAPEZOID,
+    EMPTY_SIMPLEX,
+    NON_NORMAL_SIMPLEX,
+    REEVE_TETRAHEDRON,
     SEGMENT,
     SIMPLEX3,
     SLANTED_QUAD,
@@ -26,7 +32,7 @@ from .conftest import (
     TRIANGLE,
     UNIT_SQUARE,
 )
-from .helpers import contains
+from .helpers import contains, facet_index
 
 
 def unit_simplex(n):
@@ -38,7 +44,7 @@ def unit_simplex(n):
 
 def test_segment_doubles_to_triangle():
     f0 = next(f for f in SEGMENT.facets if f.key() == ((1,), 0))
-    r = double_along_facet(SEGMENT, f0)
+    r = double_along_facet(SEGMENT, facet_index(SEGMENT, f0))
     assert r.doubled.vertices == ((0, 0), (0, 1), (1, 0))
     assert r.count_identity_holds
     # the inward column extends to (-1, 0); its sheared sibling (0, -1)
@@ -54,8 +60,8 @@ def test_simplex_chain():
     for n in (1, 2, 3):
         p = unit_simplex(n)
         target = unit_simplex(n + 1)
-        for f in p.facets:
-            r = double_along_facet(p, f)
+        for i in range(len(p.facets)):
+            r = double_along_facet(p, i)
             assert is_unimodular_simplex(r.doubled)
             q, _ = normalize_full_dim(r.doubled)
             assert integral_affine_equivalent(q, target) is not None
@@ -63,7 +69,7 @@ def test_simplex_chain():
 
 def test_square_doubles_to_prism():
     f = next(f for f in UNIT_SQUARE.facets if f.key() == ((0, 1), 0))
-    r = double_along_facet(UNIT_SQUARE, f)
+    r = double_along_facet(UNIT_SQUARE, facet_index(UNIT_SQUARE, f))
     assert len(r.doubled.lattice_points) == 6
     assert len(r.doubled.facets) == 5
     assert r.count_identity_holds
@@ -74,8 +80,8 @@ def test_doubling_structure(corpus):
         q, _ = normalize_full_dim(p)
         if q.dim < 1 or len(column_vectors(q)) == 0:
             continue
-        for f in q.facets[:2]:
-            r = double_along_facet(q, f)
+        for i, f in enumerate(q.facets[:2]):
+            r = double_along_facet(q, i)
             n = q.ambient_dim
             # base copy is the facet at the new coordinate's zero level
             keys = {g.key() for g in r.doubled.facets}
@@ -107,8 +113,8 @@ def test_doubling_structure(corpus):
 def test_doubled_lattice_points_match_segment_model():
     # lattice points of the double = pairs (x - s*w, s), 0 <= s <= height(x)
     for p in [TRIANGLE, UNIT_SQUARE, TRAPEZOID]:
-        for f in p.facets:
-            r = double_along_facet(p, f)
+        for i, f in enumerate(p.facets):
+            r = double_along_facet(p, i)
             z0 = min(f.points_on)
             expected = set()
             for x in p.lattice_points:
@@ -120,10 +126,60 @@ def test_doubled_lattice_points_match_segment_model():
             assert set(r.doubled.lattice_points) == expected
 
 
+def _assert_matches_rebuilt(d):
+    """The geometry a double inherits from P equals its rebuild from D's
+    vertices by double description and the fibre walk."""
+    r = polytope_from_points(d.vertices)
+    assert d.vertices == r.vertices
+    assert d._facet_pairs == r._facet_pairs
+    assert d.lattice_points == r.lattice_points
+    assert d.facet_heights == r.facet_heights
+    assert d.off_facet_minima == r.off_facet_minima
+    assert d.is_normalized == r.is_normalized
+
+
+def test_seeded_double_matches_rebuild_along_the_chain():
+    chain = doubling_spectrum(TRAPEZOID, 11)
+    assert [st.result.doubled.dim for st in chain.steps] == list(range(3, 14))
+    for st in chain.steps:
+        _assert_matches_rebuilt(st.result.doubled)
+
+
+def test_seeded_double_matches_rebuild_on_column_facets(corpus):
+    done = 0
+    for p in corpus:
+        q, _ = normalize_full_dim(p)
+        for base in sorted({c.base for c in column_vectors(q)}):
+            _assert_matches_rebuilt(double_along_facet(q, base).doubled)
+            done += 1
+    assert done == 39
+
+
+def test_seeded_double_of_a_non_normalized_polytope(monkeypatch):
+    # the column inclusion refuses P, so the geometry is checked without it
+    with pytest.raises(ValueError, match="normalized"):
+        double_along_facet(REEVE_TETRAHEDRON, 0)
+    monkeypatch.setattr(doubling, "extend_columns", lambda p, d: {})
+    for p in (NON_NORMAL_SIMPLEX, REEVE_TETRAHEDRON, EMPTY_SIMPLEX):
+        for i in range(len(p.facets)):
+            d = double_along_facet(p, i).doubled
+            assert not d.is_normalized
+            _assert_matches_rebuilt(d)
+
+
+def test_certificate_refuses_a_supporting_line_posed_as_a_facet():
+    # x + y >= 0 meets the unit square only at the origin, on the bottom
+    # edge, so its lift is tight at no vertex above the base copy
+    sq = Polytope(UNIT_SQUARE.vertices, 2)
+    sq._facet_pairs = tuple(sorted(UNIT_SQUARE._facet_pairs + (((1, 1), 0),)))
+    with pytest.raises(InternalCheckError, match="no facet"):
+        double_along_facet(sq, sq._facet_pairs.index(((0, 1), 0)))
+
+
 def test_count_identity_flag():
     # heights above 1 create interior points between the copies
     bottom = next(f for f in SLANTED_QUAD.facets if f.key() == ((0, 1), 0))
-    r = double_along_facet(SLANTED_QUAD, bottom)
+    r = double_along_facet(SLANTED_QUAD, facet_index(SLANTED_QUAD, bottom))
     assert not r.count_identity_holds
     assert len(r.doubled.lattice_points) == sum(
         1 + dot(bottom.normal, x) for x in SLANTED_QUAD.lattice_points
@@ -138,8 +194,7 @@ def test_column_extension_total(corpus):
         cols = column_vectors(q)
         if not cols:
             continue
-        f = q.facets[cols[0].base]
-        r = double_along_facet(q, f)
+        r = double_along_facet(q, cols[0].base)
         assert set(r.col_inclusion) == set(cols)
         doubled_cols = set(column_vectors(r.doubled))
         for src, dst in r.col_inclusion.items():
@@ -148,8 +203,8 @@ def test_column_extension_total(corpus):
 
 
 def test_extension_composes_injectively():
-    r1 = double_along_facet(TRIANGLE, TRIANGLE.facets[0])
-    r2 = double_along_facet(r1.doubled, r1.doubled.facets[0])
+    r1 = double_along_facet(TRIANGLE, 0)
+    r2 = double_along_facet(r1.doubled, 0)
     composed = {}
     for src, mid in r1.col_inclusion.items():
         if mid in r2.col_inclusion:
@@ -162,10 +217,10 @@ def test_section_independence():
     cases = []
     for p in [TRIANGLE, UNIT_SQUARE, TRAPEZOID, SIMPLEX3, SLANTED_QUAD,
               BIG_TRAPEZOID]:
-        for f in p.facets:
-            cases.append((p, f))
+        for i, f in enumerate(p.facets):
+            cases.append((p, i, f))
     done = 0
-    for p, f in cases:
+    for p, i, f in cases:
         if done >= 20:
             break
         from polycol.exactmath import integral_section
@@ -178,8 +233,8 @@ def test_section_independence():
             w2 = tuple(a + c * b for a, b in zip(w2, row))
         if w2 == w:
             w2 = tuple(a + b for a, b in zip(w, kernel[0]))
-        r1 = double_along_facet(p, f, section=w)
-        r2 = double_along_facet(p, f, section=w2)
+        r1 = double_along_facet(p, i, section=w)
+        r2 = double_along_facet(p, i, section=w2)
         q1, _ = normalize_full_dim(r1.doubled)
         q2, _ = normalize_full_dim(r2.doubled)
         assert integral_affine_equivalent(q1, q2) is not None
@@ -188,14 +243,14 @@ def test_section_independence():
 
 
 def test_bad_section_rejected():
-    f = TRIANGLE.facets[0]
     with pytest.raises(ValueError):
-        double_along_facet(TRIANGLE, f, section=(5, 5))
+        double_along_facet(TRIANGLE, 0, section=(5, 5))
 
 
-def test_foreign_facet_rejected():
-    with pytest.raises(ValueError):
-        double_along_facet(TRIANGLE, UNIT_SQUARE.facets[0])
+def test_out_of_range_facet_index_rejected():
+    for index in (-1, len(TRIANGLE.facets)):
+        with pytest.raises(ValueError):
+            double_along_facet(TRIANGLE, index)
 
 
 def test_spectrum_requires_columns():

@@ -333,11 +333,11 @@ def test_normalize_segment_in_plane():
 
 def test_normalize_idempotent(corpus):
     for p in corpus:
-        q, carry = normalize_full_dim(p)
+        q, embed = normalize_full_dim(p)
         assert q.is_normalized
-        q2, carry2 = normalize_full_dim(q)
+        q2, embed2 = normalize_full_dim(q)
         assert q2 is q
-        assert carry2.matrix == tuple(
+        assert embed2.matrix == tuple(
             tuple(1 if i == j else 0 for j in range(q.ambient_dim))
             for i in range(q.ambient_dim)
         )
@@ -345,14 +345,14 @@ def test_normalize_idempotent(corpus):
 
 def test_normalize_already_normalized_translated():
     p = translate(TRIANGLE2, (5, -7))
-    q, carry = normalize_full_dim(p)
+    q, embed = normalize_full_dim(p)
     assert q is p  # unchanged, including the translation
 
 
 def test_normalize_sublattice():
     # the coarse lattice on a line gets rescaled to unit steps
     p = polytope_from_points([(0, 0), (4, 2)])
-    q, carry = normalize_full_dim(p)
+    q, embed = normalize_full_dim(p)
     assert q.ambient_dim == 1
     assert len(q.lattice_points) == 3
     assert max(v[0] for v in q.vertices) - min(v[0] for v in q.vertices) == 2
@@ -509,13 +509,15 @@ def test_iae_refuses_lower_dimensional_non_translates():
             integral_affine_equivalent(p, q)
     segment = polytope_from_points([(0, 0, 0), (1, 1, 0)])
     m = integral_affine_equivalent(segment, translate(segment, (2, -3, 4)))
-    assert m.key() == (((1, 0, 0), (0, 1, 0), (0, 0, 1)), (2, -3, 4))
+    assert m.matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert m.translation == (2, -3, 4)
     point = polytope_from_points([()])
-    assert integral_affine_equivalent(point, point).key() == ((), ())
+    m = integral_affine_equivalent(point, point)
+    assert (m.matrix, m.translation) == ((), ())
 
 
 def _keys(maps):
-    return {m.key() for m in maps}
+    return {(m.matrix, m.translation) for m in maps}
 
 
 def test_lattice_equivalences_match_unpruned_search():
@@ -537,7 +539,10 @@ def test_lattice_equivalences_match_unpruned_search():
             assert _keys(lattice_equivalences(p, q)) == _keys(oracle), p.name
             shift = vec_sub(q.vertices[0], p.vertices[0])
             if translate(p, shift) != q:
-                assert integral_affine_equivalent(p, q).key() == oracle[0].key()
+                m = integral_affine_equivalent(p, q)
+                assert (m.matrix, m.translation) == (
+                    oracle[0].matrix, oracle[0].translation
+                )
 
 
 def test_normalized_volume():
