@@ -31,10 +31,8 @@ from .doubling import double_along_facet, doubling_spectrum, spectrum_report
 from .exactmath import dot
 from .polytopes import (
     InternalCheckError,
-    integral_affine_equivalent,
     is_unimodular_simplex,
     normalize_full_dim,
-    polytope_from_points,
 )
 from .reports import (
     analysis_report,
@@ -126,12 +124,11 @@ def _verify_columns_property(q, args):
 def _verify_doubling(q, args):
     results = []
     ok = True
-    simplex = None
-    if is_unimodular_simplex(q):
-        # a doubled unimodular n-simplex is the unit (n + 1)-simplex
-        m = q.dim + 1
-        units = [tuple(int(i == j) for j in range(m)) for i in range(m)]
-        simplex = polytope_from_points([(0,) * m] + units)
+    # the step asks whether the double is the unit (n + 1)-simplex up to
+    # lattice equivalence; the double is full-dimensional, and such a
+    # simplex is exactly when its edges at a vertex form a lattice basis,
+    # which is what is_unimodular_simplex tests
+    simplex = is_unimodular_simplex(q)
     for i, f in enumerate(q.facets):
         r = double_along_facet(q, i)
         entry = {
@@ -140,11 +137,8 @@ def _verify_doubling(q, args):
             "lattice_count_identity": r.count_identity_holds,
             "columns_extend": len(r.col_inclusion) == len(product_table(q).columns),
         }
-        if simplex is not None:
-            nz, _ = normalize_full_dim(r.doubled)
-            entry["unimodular_simplex_step"] = (
-                integral_affine_equivalent(nz, simplex) is not None
-            )
+        if simplex:
+            entry["unimodular_simplex_step"] = is_unimodular_simplex(r.doubled)
             ok = ok and entry["unimodular_simplex_step"]
         ok = ok and entry["facet_count_delta"] == 1 and entry["columns_extend"]
         results.append(entry)

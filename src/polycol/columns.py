@@ -568,22 +568,44 @@ class NotRigid(NamedTuple):
     detail: object = None
 
 
-class RigidUnknown(NamedTuple):
-    reason: str
-
-
-_FALLBACK_CAP = 50000
-
-
 def is_rigid(p, vectors):
-    """Decide rigidity of a set of column vectors.
+    """Decide rigidity of a set of column vectors: Rigid or NotRigid.
 
-    Checks the negation-free and hull-equality clauses directly, then
-    builds the forced graph whose edges are the irreducible elements of the
-    strict hull, with head-tail gluing exactly where products exist.  Extra
-    endpoint identifications (head-head or tail-tail) are the only freedom
-    any valid graph has, so a bounded enumeration of those coarsenings is a
-    complete fallback; Unknown appears only if that enumeration is cut off.
+    The strict hull must hold no vector with its negative and must equal
+    the weak hull, so it is closed under products.  The rest is decided
+    without a search, from the forced gluing.  Every hull element c has a
+    start and an end, and every product a*b in the hull glues end(a) to
+    start(b), start(a*b) to start(a) and end(a*b) to end(b).  One
+    union-find pass over the starts and ends gives the least partition with
+    these gluings.  The ports are the starts (tails) and ends (heads) of the
+    irreducible elements.  The blocks holding ports are the vertices, named
+    n0, n1, ... in the order of their least ports, the irreducible elements
+    are the edges, and each element is labeled (block of its start, block
+    of its end).
+
+    Proof that the forced certificate is valid whenever any certificate
+    (G, L) is.  (1) In G an edge is the only path between its endpoints,
+    so no element labeled by an edge factors, while a longer path
+    u -> v -> w splits into two path classes whose elements compose to the
+    one labeled (u, w): the edges are the labels of the irreducible
+    elements.  (2) An element whose path starts with edge e factors as e
+    times the rest, so its start is glued to a tail; likewise its end to a
+    head.  An element whose start or end block holds no port is reached by
+    no factorization, and no certificate exists.  (3) L satisfies every
+    gluing, so it maps the forced blocks onto the vertices of G and its
+    partition coarsens the forced one.  It never joins a block holding the
+    head of a to another block holding the tail of b: a and b would be
+    composable in G, so a*b would exist and force that join.  So every path
+    of G lifts to exactly one path of the forced graph with the same edges.
+    (4) Hence the forced graph has no multiple edge, loop, cycle or
+    shadowed edge; by induction on path length the forced label of an
+    element is the pair of ends of its lifted path, so the labels are the
+    path classes, one per element; and a pair composable in the forced
+    graph is composable in G, so it has a product.  The joins a
+    certificate may add, of blocks without heads or of blocks without
+    tails, add no path and no composable pair, so they repair no defect:
+    the forced graph is the certificate, or no certificate exists.  It is
+    still handed to ``verify_rigid_certificate``, which gives the verdict.
     """
     table = product_table(p)
     hull = strict_hull(p, vectors)
@@ -596,34 +618,38 @@ def is_rigid(p, vectors):
         return NotRigid("strict hull differs from weak hull",
                         tuple(sorted(c.vector for c in wh ^ hull)))
 
-    elems = sorted(hull, key=lambda c: c.vector)
-    eidx = {c: i for i, c in enumerate(elems)}
-
-    prods = {}
+    elems = sorted(hull_vecs)
+    parent = {(c, kind): (c, kind) for c in elems for kind in "ht"}
+    reducible = set()
     for a in elems:
+        row = table.rows[table.index[a]]
         for b in elems:
-            r = table.product_of(a, b)
-            if r is not None:
-                if r not in eidx:
-                    return NotRigid("products escape the hull", (a, b, r))
-                prods[(a, b)] = r
-    reducible = set(prods.values())
+            k = row[table.index[b]]
+            if k is not None:
+                r = table.columns[k].vector
+                reducible.add(r)
+                for x, y in (((a, "h"), (b, "t")), ((r, "t"), (a, "t")),
+                             ((r, "h"), (b, "h"))):
+                    parent[_find(parent, x)] = _find(parent, y)
     irreducibles = [c for c in elems if c not in reducible]
-
-    # forced gluing of ports: head(e) ~ tail(f) exactly when e*f exists
-    ports = [(c, "t") for c in irreducibles] + [(c, "h") for c in irreducibles]
-    parent = {pt: pt for pt in ports}
-
-    for e in irreducibles:
-        for f in irreducibles:
-            if (e, f) in prods:
-                parent[_find(parent, (e, "h"))] = _find(parent, (f, "t"))
-
-    outcome = _try_graph(elems, irreducibles, prods, parent, ports)
-    if outcome is not None:
-        return outcome
-    # fallback: enumerate legal extra gluings of the forced partition
-    return _coarsening_search(elems, irreducibles, prods, parent, ports)
+    name = {}
+    for port in sorted(itertools.product(irreducibles, "ht")):
+        name.setdefault(_find(parent, port), f"n{len(name)}")
+    label = {}
+    for c in elems:
+        ends = tuple(name.get(_find(parent, (c, kind))) for kind in "th")
+        if None in ends:
+            return NotRigid("element reached by no factorization", c)
+        label[c] = ends
+    graph = DirectedGraph(tuple(name.values()),
+                          tuple(label[c] for c in irreducibles))
+    defect = graph.check_conditions()
+    if defect is not None:
+        return NotRigid(f"forced graph defect: {defect}", graph)
+    cert = RigidCertificate(graph, tuple(sorted(label.items())))
+    if not verify_rigid_certificate(p, vectors, cert):
+        return NotRigid("forced certificate fails verification", cert)
+    return Rigid(cert)
 
 
 def _find(parent, x):
@@ -632,128 +658,6 @@ def _find(parent, x):
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
-
-
-def _build_graph(irreducibles, class_of):
-    verts = tuple(sorted({class_of[(c, "t")] for c in irreducibles}
-                         | {class_of[(c, "h")] for c in irreducibles}))
-    edges = tuple((class_of[(c, "t")], class_of[(c, "h")]) for c in irreducibles)
-    return DirectedGraph(verts, edges)
-
-
-def _try_graph(elems, irreducibles, prods, parent, ports):
-    """Verify the candidate graph induced by a port partition.
-
-    Returns Rigid, NotRigid for defects no coarsening can repair, or None
-    when only extra endpoint identifications might still help.
-    """
-    class_of = {pt: f"n{sorted(ports).index(_find(parent, pt))}" for pt in ports}
-    graph = _build_graph(irreducibles, class_of)
-    defect = graph.check_conditions()
-    if defect is not None:
-        return NotRigid(f"forced graph defect: {defect}", graph)
-
-    label = _label_elements(elems, irreducibles, prods, graph, class_of)
-    if label is None:
-        return None  # endpoint mismatch; coarsening might reconcile
-    ok, why = _verify_labeling(elems, prods, graph, label)
-    if ok:
-        cert = RigidCertificate(graph, tuple(sorted(
-            (c.vector, label[c]) for c in elems
-        )))
-        return Rigid(cert)
-    if why == "composable pair without product":
-        return NotRigid(why, graph)
-    return None
-
-
-def _label_elements(elems, irreducibles, prods, graph, class_of):
-    label = {}
-    for c in irreducibles:
-        label[c] = (class_of[(c, "t")], class_of[(c, "h")])
-    remaining = [c for c in elems if c not in label]
-    # peel off products whose factors are already labeled
-    changed = True
-    while remaining and changed:
-        changed = False
-        for c in list(remaining):
-            endpoints = set()
-            for (a, b), r in prods.items():
-                if r == c and a in label and b in label:
-                    if label[a][1] != label[b][0]:
-                        return None
-                    endpoints.add((label[a][0], label[b][1]))
-            if len(endpoints) > 1:
-                return None
-            if endpoints:
-                label[c] = endpoints.pop()
-                remaining.remove(c)
-                changed = True
-    if remaining:
-        return None
-    return label
-
-
-def _verify_labeling(elems, prods, graph, label):
-    classes = graph.path_classes()
-    values = set(label.values())
-    if values != classes or len(values) != len(elems):
-        return False, "labeling is not a bijection onto path classes"
-    for a in elems:
-        for b in elems:
-            composable = label[a][1] == label[b][0]
-            r = prods.get((a, b))
-            if (r is not None) != composable:
-                if composable:
-                    return False, "composable pair without product"
-                return False, "product without composability"
-            if r is not None and label[r] != (label[a][0], label[b][1]):
-                return False, "product labels do not compose"
-    return True, None
-
-
-def _coarsening_search(elems, irreducibles, prods, parent, ports):
-    base_classes = {}
-    for pt in ports:
-        base_classes.setdefault(_find(parent, pt), []).append(pt)
-    blocks = [tuple(sorted(v)) for v in base_classes.values()]
-    blocks.sort()
-
-    def heads(block):
-        return any(kind == "h" for _, kind in block)
-
-    def tails(block):
-        return any(kind == "t" for _, kind in block)
-
-    # enumerate partitions coarser than the forced one such that no merge
-    # ever brings a new head together with a new tail
-    seen = 0
-    stack = [tuple(blocks)]
-    visited = {tuple(blocks)}
-    while stack:
-        current = stack.pop()
-        seen += 1
-        if seen > _FALLBACK_CAP:
-            return RigidUnknown("coarsening search cap exceeded")
-        merged_parent = {}
-        for block in current:
-            for pt in block:
-                merged_parent[pt] = block[0]
-        outcome = _try_graph(elems, irreducibles, prods, merged_parent, ports)
-        if isinstance(outcome, Rigid):
-            return outcome
-        for i, j in itertools.combinations(range(len(current)), 2):
-            a, b = current[i], current[j]
-            if (heads(a) and tails(b)) or (heads(b) and tails(a)):
-                continue
-            merged = tuple(sorted(
-                [blk for k, blk in enumerate(current) if k not in (i, j)]
-                + [tuple(sorted(a + b))]
-            ))
-            if merged not in visited:
-                visited.add(merged)
-                stack.append(merged)
-    return NotRigid("no compatible graph exists", None)
 
 
 def verify_rigid_certificate(p, vectors, certificate):

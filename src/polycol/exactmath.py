@@ -427,18 +427,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("polynomial powers must be nonnegative ints")
-        result = Poly.const(self.names, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __eq__(self, other):
         if type(other) is not Poly:
             if isinstance(other, int):

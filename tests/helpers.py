@@ -26,7 +26,11 @@ chart maps a polytope onto its normalized model by the left inverse of its
 Hermite basis, where ``normalize_full_dim`` solves over that basis by back
 substitution.  The column-table
 functions (weak products, the column-map check) and the degree-consistency
-check read the production product table and lattice points.
+check read the production product table and lattice points.  The rigidity
+oracle glues only the irreducible elements' ports and then searches the
+coarsenings of that partition, up to 50,000 of them, where ``is_rigid``
+also glues the products' ends and decides from that one partition; both
+read the production hulls and product table.
 
 The test rings and generators live here because no command needs them: Q
 and Z/m with the unit inverses the torus reads, the identity, torus and
@@ -38,6 +42,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import comb, gcd
+from typing import NamedTuple
 
 from polycol import algebra
 from polycol.algebra import (
@@ -46,12 +51,18 @@ from polycol.algebra import (
     symmetry_permutations,
 )
 from polycol.columns import (
+    DirectedGraph,
+    NotRigid,
+    Rigid,
+    RigidCertificate,
     UnclassifiablePolygonError,
     classify_balanced_polygon,
     column_vectors,
     is_balanced,
     is_col_divisible,
     product_table,
+    strict_hull,
+    weak_hull,
 )
 from polycol.exactmath import (
     ZZ,
@@ -65,6 +76,7 @@ from polycol.exactmath import (
     primitive_part,
     transpose,
     vec_add,
+    vec_neg,
     vec_scale,
     vec_sub,
 )
@@ -1156,3 +1168,195 @@ def _multiset_image(auto, combo):
                 nxt[key] = nxt.get(key, zero) + c * cx
         current = {k: v for k, v in nxt.items() if v}
     return current
+
+
+# ---------------------------------------------------------------------------
+# rigidity by search
+
+
+class RigidUnknown(NamedTuple):
+    reason: str
+
+
+_FALLBACK_CAP = 50000
+
+
+def coarsening_search_is_rigid(p, vectors):
+    """Rigidity by a capped search over coarsenings of the port partition.
+
+    Checks the negation-free and hull-equality clauses directly, then
+    builds the forced graph whose edges are the irreducible elements of the
+    strict hull, with head-tail gluing exactly where products exist.  Extra
+    endpoint identifications (head-head or tail-tail) are the only freedom
+    any valid graph has, so a bounded enumeration of those coarsenings is a
+    complete fallback; Unknown appears only if that enumeration is cut off.
+    """
+    table = product_table(p)
+    hull = strict_hull(p, vectors)
+    hull_vecs = {c.vector for c in hull}
+    for c in hull:
+        if vec_neg(c.vector) in hull_vecs:
+            return NotRigid("strict hull contains a vector and its negative", c)
+    wh = weak_hull(p, vectors)
+    if wh != hull:
+        return NotRigid("strict hull differs from weak hull",
+                        tuple(sorted(c.vector for c in wh ^ hull)))
+
+    elems = sorted(hull, key=lambda c: c.vector)
+    eidx = {c: i for i, c in enumerate(elems)}
+
+    prods = {}
+    for a in elems:
+        for b in elems:
+            r = table.product_of(a, b)
+            if r is not None:
+                if r not in eidx:
+                    return NotRigid("products escape the hull", (a, b, r))
+                prods[(a, b)] = r
+    reducible = set(prods.values())
+    irreducibles = [c for c in elems if c not in reducible]
+
+    # forced gluing of ports: head(e) ~ tail(f) exactly when e*f exists
+    ports = [(c, "t") for c in irreducibles] + [(c, "h") for c in irreducibles]
+    parent = {pt: pt for pt in ports}
+
+    for e in irreducibles:
+        for f in irreducibles:
+            if (e, f) in prods:
+                parent[_find(parent, (e, "h"))] = _find(parent, (f, "t"))
+
+    outcome = _try_graph(elems, irreducibles, prods, parent, ports)
+    if outcome is not None:
+        return outcome
+    # fallback: enumerate legal extra gluings of the forced partition
+    return _coarsening_search(elems, irreducibles, prods, parent, ports)
+
+
+def _find(parent, x):
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _build_graph(irreducibles, class_of):
+    verts = tuple(sorted({class_of[(c, "t")] for c in irreducibles}
+                         | {class_of[(c, "h")] for c in irreducibles}))
+    edges = tuple((class_of[(c, "t")], class_of[(c, "h")]) for c in irreducibles)
+    return DirectedGraph(verts, edges)
+
+
+def _try_graph(elems, irreducibles, prods, parent, ports):
+    """Verify the candidate graph induced by a port partition.
+
+    Returns Rigid, NotRigid for defects no coarsening can repair, or None
+    when only extra endpoint identifications might still help.
+    """
+    class_of = {pt: f"n{sorted(ports).index(_find(parent, pt))}" for pt in ports}
+    graph = _build_graph(irreducibles, class_of)
+    defect = graph.check_conditions()
+    if defect is not None:
+        return NotRigid(f"forced graph defect: {defect}", graph)
+
+    label = _label_elements(elems, irreducibles, prods, graph, class_of)
+    if label is None:
+        return None  # endpoint mismatch; coarsening might reconcile
+    ok, why = _verify_labeling(elems, prods, graph, label)
+    if ok:
+        cert = RigidCertificate(graph, tuple(sorted(
+            (c.vector, label[c]) for c in elems
+        )))
+        return Rigid(cert)
+    if why == "composable pair without product":
+        return NotRigid(why, graph)
+    return None
+
+
+def _label_elements(elems, irreducibles, prods, graph, class_of):
+    label = {}
+    for c in irreducibles:
+        label[c] = (class_of[(c, "t")], class_of[(c, "h")])
+    remaining = [c for c in elems if c not in label]
+    # peel off products whose factors are already labeled
+    changed = True
+    while remaining and changed:
+        changed = False
+        for c in list(remaining):
+            endpoints = set()
+            for (a, b), r in prods.items():
+                if r == c and a in label and b in label:
+                    if label[a][1] != label[b][0]:
+                        return None
+                    endpoints.add((label[a][0], label[b][1]))
+            if len(endpoints) > 1:
+                return None
+            if endpoints:
+                label[c] = endpoints.pop()
+                remaining.remove(c)
+                changed = True
+    if remaining:
+        return None
+    return label
+
+
+def _verify_labeling(elems, prods, graph, label):
+    classes = graph.path_classes()
+    values = set(label.values())
+    if values != classes or len(values) != len(elems):
+        return False, "labeling is not a bijection onto path classes"
+    for a in elems:
+        for b in elems:
+            composable = label[a][1] == label[b][0]
+            r = prods.get((a, b))
+            if (r is not None) != composable:
+                if composable:
+                    return False, "composable pair without product"
+                return False, "product without composability"
+            if r is not None and label[r] != (label[a][0], label[b][1]):
+                return False, "product labels do not compose"
+    return True, None
+
+
+def _coarsening_search(elems, irreducibles, prods, parent, ports):
+    base_classes = {}
+    for pt in ports:
+        base_classes.setdefault(_find(parent, pt), []).append(pt)
+    blocks = [tuple(sorted(v)) for v in base_classes.values()]
+    blocks.sort()
+
+    def heads(block):
+        return any(kind == "h" for _, kind in block)
+
+    def tails(block):
+        return any(kind == "t" for _, kind in block)
+
+    # enumerate partitions coarser than the forced one such that no merge
+    # ever brings a new head together with a new tail
+    seen = 0
+    stack = [tuple(blocks)]
+    visited = {tuple(blocks)}
+    while stack:
+        current = stack.pop()
+        seen += 1
+        if seen > _FALLBACK_CAP:
+            return RigidUnknown("coarsening search cap exceeded")
+        merged_parent = {}
+        for block in current:
+            for pt in block:
+                merged_parent[pt] = block[0]
+        outcome = _try_graph(elems, irreducibles, prods, merged_parent, ports)
+        if isinstance(outcome, Rigid):
+            return outcome
+        for i, j in itertools.combinations(range(len(current)), 2):
+            a, b = current[i], current[j]
+            if (heads(a) and tails(b)) or (heads(b) and tails(a)):
+                continue
+            merged = tuple(sorted(
+                [blk for k, blk in enumerate(current) if k not in (i, j)]
+                + [tuple(sorted(a + b))]
+            ))
+            if merged not in visited:
+                visited.add(merged)
+                stack.append(merged)
+    return NotRigid("no compatible graph exists", None)

@@ -208,21 +208,29 @@ def test_cli_output_unchanged_under_the_benchmark_tracer(tmp_path, capsys):
 
 def test_cli_verify_doubling_tests_the_simplex_once(tmp_path, capsys,
                                                     monkeypatch):
-    import polycol.cli
+    import sys
 
-    calls = {"is_unimodular_simplex": 0, "polytope_from_points": 0}
+    import polycol.polytopes
+
+    names = ("is_unimodular_simplex", "polytope_from_points",
+             "normalize_full_dim", "integral_affine_equivalent")
+    calls = dict.fromkeys(names, 0)
 
     def counting(name):
-        original = getattr(polycol.cli, name)
+        original = getattr(polycol.polytopes, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(polycol.cli, name, counted)
+        # every polycol namespace that imported the function
+        for mod_name, mod in list(sys.modules.items()):
+            if (mod_name.startswith("polycol")
+                    and getattr(mod, name, None) is original):
+                monkeypatch.setattr(mod, name, counted)
 
-    counting("is_unimodular_simplex")
-    counting("polytope_from_points")
+    for name in names:
+        counting(name)
     unit = [[0] * 4] + [[int(i == j) for j in range(4)] for i in range(4)]
     path = write_poly(tmp_path, "simplex4", unit)
     code, out, _ = run_cli(capsys, "verify", path, "--which", "doubling")
@@ -230,7 +238,11 @@ def test_cli_verify_doubling_tests_the_simplex_once(tmp_path, capsys,
     facets = json.loads(out)["facets"]
     assert len(facets) == 5
     assert all(f["unimodular_simplex_step"] for f in facets)
-    assert calls == {"is_unimodular_simplex": 1, "polytope_from_points": 1}
+    # one test on q and one on each double; the input is the only polytope
+    # built from points, and no double is normalized or matched against a
+    # reference simplex
+    assert calls == {"is_unimodular_simplex": 6, "polytope_from_points": 1,
+                     "normalize_full_dim": 1, "integral_affine_equivalent": 0}
 
 
 def test_cli_verify_steinberg_unbalanced(tmp_path, capsys):

@@ -28,6 +28,7 @@ from polycol.polytopes import normalize_full_dim, polytope_from_points
 from polycol.scan import enumerate_polygons
 
 from .conftest import (
+    CORPUS,
     SIMPLEX3,
     SLANTED_QUAD,
     SQUARE_PYRAMID,
@@ -40,6 +41,7 @@ from .conftest import (
 )
 from .helpers import (
     check_k_morphism,
+    coarsening_search_is_rigid,
     literal_column_search,
     literal_product_table,
     random_normalized_polytopes,
@@ -490,8 +492,8 @@ def test_rigid_disjoint_edges():
 
 def test_rigid_diamond_double_factorization():
     # (1,1,-1) factors two ways over the pyramid; the certificate is the
-    # diamond graph, which needs endpoint identifications beyond the ones
-    # forced by composability (exercises the coarsening fallback)
+    # diamond graph, whose source joins two tails and whose sink joins two
+    # heads: only the start and end of the product (1,1,-1) glue them
     by_vec = cols_by_vector(SQUARE_PYRAMID)
     quad = [by_vec[(0, 1, -1)], by_vec[(1, 0, 0)],
             by_vec[(1, 0, -1)], by_vec[(0, 1, 0)]]
@@ -509,12 +511,58 @@ def test_rigid_diamond_double_factorization():
 
 
 def test_rigid_refutation_after_search():
-    # three apex edges plus the long diagonal admit no compatible graph
+    # three apex edges plus the long diagonal admit no compatible graph: the
+    # forced graph already has a defect
     by_vec = cols_by_vector(SQUARE_PYRAMID)
     quad = [by_vec[(-1, 0, 0)], by_vec[(0, -1, 0)],
             by_vec[(0, 0, -1)], by_vec[(1, 1, -1)]]
     result = is_rigid(SQUARE_PYRAMID, quad)
     assert isinstance(result, NotRigid)
+
+
+def test_rigid_pyramid_times_simplex_is_decided():
+    # the refuted pyramid system padded into the square pyramid x the unit
+    # 5-simplex, plus the five simplex edges at the origin; a search over
+    # coarsenings of the port partition gives up on it after 50,000 states
+    d5 = [(0,) * 5] + [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    p = polytope_from_points(
+        [x + y for x in SQUARE_PYRAMID.vertices for y in d5]
+    )
+    assert len(p.lattice_points) == 30
+    by_vec = cols_by_vector(p)
+    assert len(by_vec) == 38
+    system = [v + (0,) * 5 for v in ((-1, 0, 0), (0, -1, 0), (0, 0, -1),
+                                     (1, 1, -1))]
+    system += [(0, 0, 0) + y for y in d5[1:]]
+    result = is_rigid(p, [by_vec[v] for v in system])
+    assert isinstance(result, NotRigid)
+    assert result.reason == "forced graph defect: multiple edges"
+
+
+def test_rigid_matches_coarsening_search():
+    # every column set of size <= 3 of the corpus, the pyramid over the
+    # unit 3-cube and the unit 4-simplex: 2,413 sets
+    cube_pyramid = polytope_from_points(
+        [c + (0,) for c in itertools.product((0, 1), repeat=3)]
+        + [(0, 0, 0, 1)]
+    )
+    simplex4 = polytope_from_points(
+        [(0,) * 4] + [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    )
+    count = 0
+    for p in CORPUS + [cube_pyramid, simplex4]:
+        cols = column_vectors(p)
+        for k in (1, 2, 3):
+            for system in itertools.combinations(cols, k):
+                count += 1
+                expected = coarsening_search_is_rigid(p, system)
+                assert isinstance(expected, (Rigid, NotRigid)), system
+                result = is_rigid(p, system)
+                assert type(result) is type(expected), (p.vertices, system)
+                if isinstance(result, Rigid):
+                    assert verify_rigid_certificate(p, system,
+                                                    result.certificate)
+    assert count == 2413
 
 
 def test_k_morphism_identity(corpus):
