@@ -7,10 +7,10 @@ the image of each degree-one monomial, in canonical lattice-point order, with
 its nonzero coefficients only.  Every automorphism a command builds is a
 composite of elementary column shears.
 
-Symbolic verification happens over a polynomial ring on integer
-coefficients: an identity of columns there holds over every commutative ring
-at once.  Where the monomial grading pins each coefficient to a single term,
-the identity is checked over Z with every variable at 1 instead.
+The shear identities are identities of polynomials in the scalars, so they
+hold over every commutative ring at once, and each is decided over Z: at
+scalars 1 where the monomial grading pins each coefficient to a single
+term, and by Kronecker substitution where it does not.
 
 The graded semigroup is held slice by slice, each built once from the one
 below it and stored on the polytope.
@@ -19,12 +19,12 @@ below it and stored on the polytope.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from math import comb
 
 from .columns import is_balanced, product_table
 from .exactmath import (
     ZZ,
-    PolynomialRing,
     dot,
     rank_int,
     vec_add,
@@ -332,8 +332,21 @@ def symmetry_group_data(p):
 # symbolic verification of the commutator relations
 
 
-def verify_steinberg_relations(p, var_names=("a", "b")):
-    """Additivity and commutator identities over a symbolic polynomial ring.
+def _kronecker_additivity(p, u, unit):
+    """x_u(lam) x_u(mu) = x_u(lam + mu) over Z[lam, mu], decided at lam = 1,
+    mu = B for B above every entry of x_u(1) x_u(1) and x_u(2) (see
+    ``verify_steinberg_relations``); ``unit`` is x_u(1) over Z.  Returns the
+    verdict, x_u(B) and x_u(1) x_u(B)."""
+    sides = (unit.compose(unit), elementary_automorphism(p, u, 2, ZZ))
+    b = 1 + max(max(col.values()) for g in sides for col in g.columns)
+    by_b = elementary_automorphism(p, u, b, ZZ)
+    one_b = unit.compose(by_b)
+    ok = one_b.columns == elementary_automorphism(p, u, 1 + b, ZZ).columns
+    return ok, by_b, one_b
+
+
+def verify_steinberg_relations(p):
+    """Additivity and commutator identities of the column shears, over Z.
 
     For every column u the composite of shears along u adds exponents; for
     every ordered pair with nonzero sum, the commutator is the shear along
@@ -365,12 +378,19 @@ def verify_steinberg_relations(p, var_names=("a", "b")):
     x_w(-1) is then the certified inverse shear of w.
 
     The grading does not separate lam from mu when u and v are parallel, nor
-    in the additivity identity, so those are composed over Z[lam, mu].  Two
-    columns are never parallel unless they are equal or opposite (each has
-    height -1 over its base facet), and opposite columns have sum zero, so
-    the only parallel pair is the diagonal (u, u), a commute pair since 2u
-    is not a column; it reuses the product x_u(lam) x_u(mu) of the
-    additivity check.
+    in the additivity identity; those are decided by Kronecker substitution
+    (von zur Gathen and Gerhard, "Modern Computer Algebra").  With lam and
+    mu both of degree -u, the coefficient of [x + k u] in the image of [x]
+    under x_u(lam) x_u(mu), x_u(mu) x_u(lam) or x_u(lam + mu) is
+    homogeneous of degree k with nonnegative coefficients (each shear's are
+    binom(h, k) t^k), so its value at (1, 1), an entry of x_u(1) x_u(1) or
+    x_u(2), bounds them all.  For B above every such entry, the value at
+    (1, B) lists them as base-B digits: additivity holds iff
+    x_u(1) x_u(B) = x_u(1 + B).  Two columns are never parallel unless they
+    are equal or opposite (each has height -1 over its base facet), and
+    opposite columns have sum zero, so the only parallel pair is the
+    diagonal (u, u), a commute pair since 2u is not a column: it holds iff
+    x_u(1) x_u(B) = x_u(B) x_u(1), whatever additivity says.
 
     A rank-2 pair (u, v) and its mirror (v, u) need the same two products,
     x_u(1) x_v(1) and x_v(1) x_u(1), with the sides swapped.  Each is
@@ -378,15 +398,12 @@ def verify_steinberg_relations(p, var_names=("a", "b")):
     once the second has used it.
     """
     balanced, _ = is_balanced(p)
-    ring = PolynomialRing(var_names)
-    lam = ring.var(var_names[0])
-    mu = ring.var(var_names[1])
     table = product_table(p)
     cols = table.columns
     report = {"additivity": [], "pairs": [], "all_ok": True, "balanced": balanced}
-    # per column: x_u(1) and its certified inverse x_u(-1) over Z, and
-    # x_u(lam), x_u(mu), x_u(lam) x_u(mu) over Z[lam, mu]
-    unit, inverse, by_lam, by_mu, lam_mu = [], [], [], [], []
+    # per column over Z: x_u(1), its certified inverse x_u(-1), and the
+    # Kronecker pair x_u(B), x_u(1) x_u(B)
+    unit, inverse, by_b, one_b = [], [], [], []
     for u in cols:
         unit.append(elementary_automorphism(p, u, 1, ZZ))
         inverse.append(elementary_automorphism(p, u, -1, ZZ))
@@ -394,11 +411,9 @@ def verify_steinberg_relations(p, var_names=("a", "b")):
             raise InternalCheckError(
                 f"the shears along {u.vector} by -t do not invert those by t"
             )
-        by_lam.append(elementary_automorphism(p, u, lam, ring))
-        by_mu.append(elementary_automorphism(p, u, mu, ring))
-        lam_mu.append(by_lam[-1].compose(by_mu[-1]))
-        rhs = elementary_automorphism(p, u, lam + mu, ring)
-        ok = lam_mu[-1].columns == rhs.columns
+        ok, b, ob = _kronecker_additivity(p, u, unit[-1])
+        by_b.append(b)
+        one_b.append(ob)
         report["additivity"].append({"u": u.vector, "ok": ok})
         if not ok:
             report["all_ok"] = False
@@ -424,7 +439,7 @@ def verify_steinberg_relations(p, var_names=("a", "b")):
                 f"parallel columns {cols[i].vector}, {cols[j].vector} "
                 "in a commutator case"
             )
-        return lam_mu[i].columns == by_mu[i].compose(by_lam[i]).columns
+        return one_b[i].columns == by_b[i].compose(unit[i]).columns
 
     for i, j, case, k in cases:
         pair = {"u": cols[i].vector, "v": cols[j].vector, "case": case}
@@ -447,71 +462,50 @@ def verify_steinberg_relations(p, var_names=("a", "b")):
 def verify_additive_embedding(p, facet_index, grid=5):
     """Same-base shears commute and assemble into an additive embedding.
 
-    The homomorphism identity is symbolic.  Commutation is checked at
-    scalar 1 over Z, by the grading argument of
+    Commutation is checked at scalar 1 over Z, by the grading argument of
     ``verify_steinberg_relations``: two distinct columns on one base facet
-    both have height -1 over it, so they are never parallel.  Injectivity is
-    certified on a grid of distinct integer tuples whose images over Z must
-    be pairwise distinct automorphisms; Z embeds in Q compatibly with
+    both have height -1 over it, so they are never parallel.  With
+    phi(a) = x_1(a_1) ... x_s(a_s), phi(a + b) = phi(a) phi(b) holds iff
+    every column is additive, decided by Kronecker substitution as there,
+    and the columns commute: then phi(a + b) = prod x_i(a_i) x_i(b_i)
+    = prod x_i(a_i) prod x_i(b_i); conversely, with all other variables at
+    0 it reads x_i(a_i + b_i) = x_i(a_i) x_i(b_i), or
+    x_i(b_i) x_j(a_j) = x_j(a_j) x_i(b_i) for i < j.  Injectivity is
+    certified on a grid of distinct integer tuples whose images over Z
+    must be pairwise distinct automorphisms; Z embeds in Q compatibly with
     composition, so that is the same count as over Q.
     """
     table = product_table(p)
     cols = [c for c in table.columns if c.base == facet_index]
-    s = len(cols)
     report = {"facet": facet_index, "columns": [c.vector for c in cols]}
-    if s < 2:
+    if len(cols) < 2:
         report["status"] = "vacuous"
         report["all_ok"] = True
         return report
-    names = tuple(f"a{i}" for i in range(s)) + tuple(f"b{i}" for i in range(s))
-    ring = PolynomialRing(names)
-    avars = [ring.var(f"a{i}") for i in range(s)]
-    bvars = [ring.var(f"b{i}") for i in range(s)]
-
-    def shears_at(values):
-        return [
-            elementary_automorphism(p, c, lam, ring) for c, lam in zip(cols, values)
-        ]
-
     unit = [elementary_automorphism(p, c, 1, ZZ) for c in cols]
     ok_comm = all(
         ei.compose(ej).columns == ej.compose(ei).columns
         for ei, ej in itertools.combinations(unit, 2)
     )
     report["pairwise_commute"] = ok_comm
-
-    def phi(factors):
-        out = factors[0]
-        for e in factors[1:]:
-            out = out.compose(e)
-        return out
-
-    lhs = phi(shears_at([a + b for a, b in zip(avars, bvars)]))
-    rhs = phi(shears_at(avars)).compose(phi(shears_at(bvars)))
-    report["homomorphism"] = lhs.columns == rhs.columns
-
-    # the grid varies the first two columns and keeps the rest at 0, so it
-    # needs one shear over Z per column and value
-    grid_shears = [
-        {
-            value: elementary_automorphism(p, c, value, ZZ)
-            for value in (range(grid) if k < 2 else (0,))
-        }
-        for k, c in enumerate(cols)
-    ]
-    points = [
-        (i, j) + (0,) * (s - 2) for i in range(grid) for j in range(grid)
-    ]
-    images = {
-        phi([grid_shears[k][value] for k, value in enumerate(pt)])
-        for pt in points
-    }
-    report["grid_points"] = len(points)
-    report["distinct_images"] = len(images)
-    report["injective_on_grid"] = len(images) == len(points)
-    report["all_ok"] = (
-        ok_comm and report["homomorphism"] and report["injective_on_grid"]
+    report["homomorphism"] = ok_comm and all(
+        _kronecker_additivity(p, c, e)[0] for c, e in zip(cols, unit)
     )
+
+    # the grid varies the first two columns and keeps the rest at 0
+    first, second = (
+        [elementary_automorphism(p, c, t, ZZ) for t in range(grid)]
+        for c in cols[:2]
+    )
+    rest = [elementary_automorphism(p, c, 0, ZZ) for c in cols[2:]]
+    images = {
+        reduce(GradedAutomorphism.compose, [x, y, *rest])
+        for x in first for y in second
+    }
+    report["grid_points"] = grid * grid
+    report["distinct_images"] = len(images)
+    report["injective_on_grid"] = len(images) == grid * grid
+    report["all_ok"] = report["homomorphism"] and report["injective_on_grid"]
     return report
 
 

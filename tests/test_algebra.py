@@ -30,6 +30,7 @@ from polycol.cli import main
 from polycol.columns import column_vectors, is_balanced, product_table
 from polycol.exactmath import (
     ZZ,
+    Poly,
     PolynomialRing,
     dot,
     rank_int,
@@ -742,8 +743,9 @@ def test_rank2_commutator_coefficients_are_single_terms(balanced_corpus):
 
 
 def test_steinberg_symbolic_compositions(monkeypatch):
-    # over Z[a, b]: x_u(a) x_u(b) per column, reused by the diagonal pair,
-    # and x_u(b) x_u(a) per parallel pair; everything else is over Z
+    # no composition over a polynomial ring: per column, the inverse
+    # certificate x_u(1) x_u(-1), the bound x_u(1) x_u(1), the Kronecker
+    # product x_u(1) x_u(B) and the diagonal pair's x_u(B) x_u(1), all over Z
     p = dilate(TRIANGLE, 4)
     calls = Counter()
     compose = GradedAutomorphism.compose
@@ -760,11 +762,11 @@ def test_steinberg_symbolic_compositions(monkeypatch):
     assert len(parallel) == ncols
     assert all(e["u"] == e["v"] for e in parallel)
     products = sum(e["case"] == "product" for e in report["pairs"])
-    assert calls["symbolic"] == ncols + len(parallel)
-    # one inverse certificate per column, two products per rank-2 pair and
-    # its mirror, shared by both, and a third for the product shear
+    assert calls["symbolic"] == 0
+    # two products per rank-2 pair and its mirror, shared by both, and a
+    # third for the product shear
     rank2 = len(report["pairs"]) - len(parallel)
-    assert calls["ZZ"] == ncols + rank2 + products
+    assert calls["ZZ"] == 4 * ncols + rank2 + products
 
 
 def test_additive_embedding_matches_literal(corpus):
@@ -813,6 +815,119 @@ def test_additive_embedding_triangle_and_vacuous():
     lonely = verify_additive_embedding(TRAPEZOID,
                                        col(TRAPEZOID, (-1, 0)).base)
     assert lonely["status"] == "vacuous"
+
+
+def _embedding_reports(p, verify):
+    bases = sorted({c.base for c in product_table(p).columns})
+    return [verify(p, f) for f in bases]
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_kronecker_checks_match_literal_on_dilated_triangles(k):
+    # additivity, the diagonal pair and the embedding homomorphism over Z
+    # against the literal compositions over Z[a, b]
+    p = dilate(TRIANGLE, k)
+    assert verify_steinberg_relations(p) == literal_steinberg_report(p)
+    assert _embedding_reports(p, verify_additive_embedding) == (
+        _embedding_reports(p, helpers.literal_embedding_report)
+    )
+
+
+def test_kronecker_checks_match_literal_on_sheared_corpus():
+    rng = random.Random(23)
+    checked = 0
+    for p in CORPUS:
+        if not product_table(p).columns:
+            continue
+        for q in [p] + helpers.sheared_images(p, rng, count=2):
+            report = verify_steinberg_relations(q)
+            assert report == literal_steinberg_report(q), p.name
+            assert _embedding_reports(q, verify_additive_embedding) == (
+                _embedding_reports(q, helpers.literal_embedding_report)
+            ), p.name
+            checked += len(report["additivity"])
+    assert checked >= 60
+
+
+def test_verify_composes_no_polynomials(tmp_path, monkeypatch, capsys):
+    counts = Counter()
+
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Poly, "__mul__", counting("mul", Poly.__mul__))
+    monkeypatch.setattr(Poly, "__add__", counting("add", Poly.__add__))
+    monkeypatch.setattr(
+        PolynomialRing, "__init__", counting("ring", PolynomialRing.__init__)
+    )
+    for p in [TRAPEZOID, WIDE_TRIANGLE, SQUARE_PYRAMID, dilate(TRIANGLE, 4)]:
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"vertices": [list(v) for v in p.vertices]}))
+        for which in ["steinberg", "embedding"]:
+            assert main(["verify", str(path), "--which", which]) == 0
+            capsys.readouterr()
+    assert counts == {}
+    # the counters do see polynomial work where there is some
+    literal_steinberg_report(TRIANGLE)
+    assert counts["mul"] > 0 and counts["add"] > 0 and counts["ring"] == 1
+
+
+# Shears at a wrong scalar: x_u(t) is built as the true x_u(g(t)), with g
+# the identity off the listed values and g(1) = 1, g(-1) = -1, so that the
+# inverse certificate, the rank-2 pairs and the diagonal pair still hold.
+# On the unit triangle every height is at most 1, so the largest entry of a
+# true x_u(c) is max(1, c): B = 1 + max(2 g(1), g(2)), and additivity is
+# read as g(1) + g(B) = g(1 + B).  Each map is additive at the B of a wrong
+# bound, and not at the true B:
+WRONG_SCALARS = {
+    # B = 3; a B without the +1 is 2, where 1 + 2 = g(3)
+    "off-at-4": {4: 5},
+    # B = 3 from x_u(1) x_u(1); x_u(2) = x_u(1) alone gives B = 2
+    "low-at-2": {2: 1, 3: 2},
+    # B = 4 from x_u(2) = x_u(3); x_u(1) x_u(1) alone gives B = 3
+    "high-at-2": {2: 3, 5: 6},
+}
+
+
+@pytest.mark.parametrize("scalars", WRONG_SCALARS.values(), ids=WRONG_SCALARS)
+def test_wrong_shear_fails_additivity(tmp_path, monkeypatch, capsys, scalars):
+    def wrong(p, c, t, rng):
+        return elementary_automorphism(p, c, scalars.get(t, t), rng)
+
+    monkeypatch.setattr("polycol.algebra.elementary_automorphism", wrong)
+    report = verify_steinberg_relations(TRIANGLE)
+    assert report["additivity"]
+    assert not any(e["ok"] for e in report["additivity"])
+    assert all(e["ok"] is not False for e in report["pairs"])
+    assert not report["all_ok"]
+    embeddings = _embedding_reports(TRIANGLE, verify_additive_embedding)
+    assert embeddings
+    for e in embeddings:
+        assert e["pairwise_commute"]
+        assert e["homomorphism"] is False
+        assert not e["all_ok"]
+    path = tmp_path / "triangle.json"
+    path.write_text('{"vertices": [[0, 0], [1, 0], [0, 1]]}')
+    for which in ["steinberg", "embedding"]:
+        assert main(["verify", str(path), "--which", which]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["ok"] is False
+
+
+def test_wrong_polynomial_shear_fails_additivity_like_literal(monkeypatch):
+    # x_u(g(t)) with g(t) = t + (t^2 - 1)(t - 2)(t - 3), in every ring: not
+    # additive over Z[a, b], and g(1) = 1, g(-1) = -1
+    def wrong(p, c, t, rng):
+        return elementary_automorphism(p, c, t + (t * t - 1) * (t - 2) * (t - 3), rng)
+
+    _patch_shears(monkeypatch, wrong)
+    for p in [TRIANGLE, TRAPEZOID, dilate(TRIANGLE, 3)]:
+        report = verify_steinberg_relations(p)
+        assert report["additivity"] == literal_steinberg_report(p)["additivity"]
+        assert not any(e["ok"] for e in report["additivity"]), p.name
 
 
 def test_unit_simplex_words_have_determinant_one():
