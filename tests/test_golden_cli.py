@@ -7,7 +7,8 @@ the file with
 
     PYTHONPATH=src python -m tests.test_golden_cli
 
-and says in its description which commands changed and why.
+which prints each label it adds, removes or changes; a change says in its
+description which commands changed and why.
 """
 
 import hashlib
@@ -21,7 +22,13 @@ from pathlib import Path
 from polycol.cli import main
 from polycol.polytopes import polytope_from_points
 
-from .conftest import CORPUS, EMPTY_SIMPLEX, NON_NORMAL_SIMPLEX, REEVE_TETRAHEDRON
+from .conftest import (
+    CORPUS,
+    EMPTY_SIMPLEX,
+    NON_NORMAL_SIMPLEX,
+    REEVE_TETRAHEDRON,
+    TRAPEZOID,
+)
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -56,18 +63,24 @@ SEARCH_POLYTOPES = [
 SEARCH_FORMS = (("analyze",), ("verify", "--which", "doubling"))
 
 
+def _stdin(p):
+    return json.dumps({"name": p.name, "vertices": [list(v) for v in p.vertices]})
+
+
 def golden_commands():
     """{label: (argv, stdin text)} for every form on every test polytope,
     numbered since two share a name, the search forms on the search
-    polytopes, and the polygon scans of boxes 1-3 at seed 7."""
+    polytopes, the trapezoid's doubling chain to 11 steps, and the polygon
+    scans of boxes 1-3 at seed 7."""
     commands = {}
     polytopes = CORPUS + [REEVE_TETRAHEDRON, EMPTY_SIMPLEX, NON_NORMAL_SIMPLEX]
     jobs = [(p, FORMS) for p in polytopes]
     jobs += [(p, SEARCH_FORMS) for p in SEARCH_POLYTOPES]
     for i, (p, forms) in enumerate(jobs):
-        text = json.dumps({"name": p.name, "vertices": [list(v) for v in p.vertices]})
         for sub, *rest in forms:
-            commands[" ".join([sub, *rest, f"{i:02d}", p.name])] = ([sub, "-", *rest], text)
+            commands[" ".join([sub, *rest, f"{i:02d}", p.name])] = ([sub, "-", *rest], _stdin(p))
+    commands["spectrum --steps 11 trapezoid"] = (
+        ["spectrum", "-", "--steps", "11"], _stdin(TRAPEZOID))
     for box in (1, 2, 3):
         argv = ["scan-polygons", "--box", str(box), "--seed", "7"]
         commands[" ".join(argv)] = (argv, "")
@@ -97,6 +110,14 @@ def test_cli_outputs_match_golden_digests():
 
 
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     digests = {label: digest(argv, text)
                for label, (argv, text) in golden_commands().items()}
+    for label in sorted(old.keys() | digests.keys()):
+        if label not in old:
+            print(f"added: {label}")
+        elif label not in digests:
+            print(f"removed: {label}")
+        elif old[label] != digests[label]:
+            print(f"changed: {label}")
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
