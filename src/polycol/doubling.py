@@ -185,35 +185,31 @@ def extend_columns(p, doubled):
 
 
 class TrackedColumn:
-    """A column followed along a doubling chain; ``decomposed_step`` is set
-    by the step that doubles along its base facet."""
+    """A column followed along a doubling chain: ``column`` is its column
+    in the chain's current polytope, and ``decomposed_step`` is set by the
+    step that doubles along its base facet."""
 
-    def __init__(self, ident, birth_vector, birth_step, enqueue_position):
+    def __init__(self, ident, column, birth_step, enqueue_position):
         self.ident = ident
-        self.birth_vector = birth_vector
+        self.birth_vector = column.vector
+        self.column = column
         self.birth_step = birth_step
         self.enqueue_position = enqueue_position
         self.decomposed_step = None
-
-    def vector_at(self, ambient_dim):
-        pad = ambient_dim - len(self.birth_vector)
-        return self.birth_vector + (0,) * pad
 
 
 class SpectrumStep(NamedTuple):
     index: int
     chosen: TrackedColumn
     chosen_vector: tuple
-    facet_key: tuple
     result: DoublingResult
-    decomposed: list
     queue_after: list
 
 
 class DoublingSpectrum(NamedTuple):
     initial: Polytope
     steps: list
-    tracked: dict
+    tracked: list  # tracked[i].ident == i
     final: Polytope
 
 
@@ -226,119 +222,81 @@ def doubling_spectrum(p, steps):
     double.  A column enqueued with k entries ahead of it is popped within
     k+1 steps, so every column is decomposed no later than its
     enqueue-time queue length: the schedule is fair.
+
+    Each tracked column is held as its column in the current polytope P
+    and carried to the double D by the step's ``col_inclusion``, the
+    injective map Col(P) -> Col(D) that ``extend_columns`` checks.  The
+    tracked columns are always exactly Col(P), so the new columns of D are
+    those outside the image of the inclusion.
     """
     if steps < 1:
         raise ValueError("a spectrum needs at least one step")
-    initial_cols = product_table(p).columns
-    if not initial_cols:
+    if not product_table(p).columns:
         raise ValueError("doubling spectra need a polytope with columns")
 
-    steps_done = []
-    tracked = {}
+    tracked = []
     queue = deque()
-    next_id = 0
-    for c in initial_cols:
-        tc = TrackedColumn(
-            ident=next_id,
-            birth_vector=c.vector,
-            birth_step=0,
-            enqueue_position=len(queue) + 1,
-        )
-        next_id += 1
-        tracked[tc.ident] = tc
-        queue.append(tc.ident)
 
+    def enqueue(columns, birth_step):
+        for c in columns:
+            tracked.append(TrackedColumn(len(tracked), c, birth_step, len(queue) + 1))
+            queue.append(len(tracked) - 1)
+
+    enqueue(product_table(p).columns, 0)
+    steps_done = []
     current = p
     for step_index in range(1, steps + 1):
-        ident = queue.popleft()
-        tc = tracked[ident]
-        vec = tc.vector_at(current.ambient_dim)
-        cols = {c.vector: c for c in product_table(current).columns}
-        if vec not in cols:
-            raise InternalCheckError(
-                f"tracked column {vec} vanished from the chain"
-            )
-        chosen = cols[vec]
+        tc = tracked[queue.popleft()]
+        chosen = tc.column
         result = double_along_facet(current, chosen.base)
-
-        decomposed_now = []
-        for other in tracked.values():
-            if other.decomposed_step is not None:
-                continue
-            ovec = other.vector_at(current.ambient_dim)
-            col = cols.get(ovec)
-            if col is not None and col.base == chosen.base:
+        for other in tracked:
+            if other.decomposed_step is None and other.column.base == chosen.base:
                 other.decomposed_step = step_index
-                decomposed_now.append(other.ident)
-
+            image = result.col_inclusion.get(other.column)
+            if image is None:
+                raise InternalCheckError(
+                    f"tracked column {other.column.vector} vanished from the chain"
+                )
+            other.column = image
         current = result.doubled
-        new_cols = product_table(current).columns
-        known = {
-            t.vector_at(current.ambient_dim) for t in tracked.values()
-        }
-        for c in new_cols:
-            if c.vector in known:
-                continue
-            tc_new = TrackedColumn(
-                ident=next_id,
-                birth_vector=c.vector,
-                birth_step=step_index,
-                enqueue_position=len(queue) + 1,
-            )
-            next_id += 1
-            tracked[tc_new.ident] = tc_new
-            queue.append(tc_new.ident)
-            known.add(c.vector)
-
+        carried = set(result.col_inclusion.values())
+        enqueue([c for c in product_table(current).columns if c not in carried],
+                step_index)
         steps_done.append(
-            SpectrumStep(
-                index=step_index,
-                chosen=tc,
-                chosen_vector=vec,
-                facet_key=result.facet.key(),
-                result=result,
-                decomposed=decomposed_now,
-                queue_after=list(queue),
-            )
+            SpectrumStep(step_index, tc, chosen.vector, result, list(queue))
         )
     return DoublingSpectrum(p, steps_done, tracked, current)
 
 
 def spectrum_report(spectrum):
     """JSON-ready report: per-step data plus the fairness ledger."""
-    steps_data = []
-    for st in spectrum.steps:
-        steps_data.append(
-            {
-                "step": st.index,
-                "chosen_id": st.chosen.ident,
-                "chosen_vector": list(st.chosen_vector),
-                "facet_normal": list(st.facet_key[0]),
-                "facet_offset": st.facet_key[1],
-                "vertices": [list(v) for v in st.result.doubled.vertices],
-                "lattice_count_identity": st.result.count_identity_holds,
-                "decomposed_ids": sorted(st.decomposed),
-                "queue_after": list(st.queue_after),
-            }
-        )
-    ledger = []
-    for ident in sorted(spectrum.tracked):
-        tc = spectrum.tracked[ident]
-        delay = (
-            tc.decomposed_step - tc.birth_step
-            if tc.decomposed_step is not None
-            else None
-        )
-        ledger.append(
-            {
-                "id": tc.ident,
-                "vector": list(tc.birth_vector),
-                "enqueued_step": tc.birth_step,
-                "enqueue_position": tc.enqueue_position,
-                "decomposed_step": tc.decomposed_step,
-                "delay": delay,
-            }
-        )
+    steps_data = [
+        {
+            "step": st.index,
+            "chosen_id": st.chosen.ident,
+            "chosen_vector": list(st.chosen_vector),
+            "facet_normal": list(st.result.facet.normal),
+            "facet_offset": st.result.facet.offset,
+            "vertices": [list(v) for v in st.result.doubled.vertices],
+            "lattice_count_identity": st.result.count_identity_holds,
+            "decomposed_ids": [tc.ident for tc in spectrum.tracked
+                               if tc.decomposed_step == st.index],
+            "queue_after": list(st.queue_after),
+        }
+        for st in spectrum.steps
+    ]
+    ledger = [
+        {
+            "id": tc.ident,
+            "vector": list(tc.birth_vector),
+            "enqueued_step": tc.birth_step,
+            "enqueue_position": tc.enqueue_position,
+            "decomposed_step": tc.decomposed_step,
+            "delay": None if tc.decomposed_step is None
+            else tc.decomposed_step - tc.birth_step,
+        }
+        for tc in spectrum.tracked
+    ]
     return {
         "initial_vertices": [list(v) for v in spectrum.initial.vertices],
         "steps": steps_data,
