@@ -55,7 +55,10 @@ def to_json(data):
 
 
 def parse_polytope_json(text):
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("polytope JSON is nested too deeply") from None
     if not isinstance(data, dict) or "vertices" not in data:
         raise ValueError('polytope JSON needs a "vertices" list')
     vertices = data["vertices"]

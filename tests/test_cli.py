@@ -144,6 +144,8 @@ MALFORMED_INPUTS = (
     '{"vertices": "x"}',
     '{"name": 1.5, "vertices": [[0,0],[1,0],[0,1]]}',
     '{"name": [1, {"a": 2.5}], "vertices": [[0,0],[1,0],[0,1]]}',
+    # json.loads recurses once per level; the id keeps the test name short
+    pytest.param("[" * 100000, id="100000 open brackets"),
 )
 
 
