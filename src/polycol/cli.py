@@ -90,11 +90,10 @@ def _verify_embedding(q, args):
 def _verify_heights(q, args):
     pruned = product_table(q).columns
     unpruned = column_vectors(q, pruned=False)
-    cols = unpruned if args.no_prune else pruned
     heights = [
         {"vector": list(c.vector), "base": c.base,
          "height": dot(q.facets[c.base].normal, c.vector)}
-        for c in cols
+        for c in pruned
     ]
     agree = pruned == unpruned
     ok = agree and all(h["height"] == -1 for h in heights)
@@ -178,8 +177,6 @@ def cmd_export(args):
         _emit(to_json(normal_fan_json(q)), args.output)
     elif args.what == "columns-json":
         _emit(to_json(columns_json_data(q)), args.output)
-    else:
-        raise ValueError(f"unsupported export target {args.what}")
     return 0
 
 
@@ -221,7 +218,6 @@ def build_parser():
         choices=["steinberg", "embedding", "heights", "columns-property", "doubling"],
     )
     sp.add_argument("--max-degree", type=int, default=3)
-    sp.add_argument("--no-prune", action="store_true")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("export", help="machine-readable exports")

@@ -76,7 +76,7 @@ def column_vectors(p, pruned=True):
 
     Without ``pruned`` every difference of two lattice points is a
     candidate, and each is checked literally, by shifting every lattice
-    point and looking the result up; ``--no-prune`` style runs use this
+    point and looking the result up; ``verify --which heights`` uses this
     slow path to double-check the pruning and the min-height rule.  Callers
     that only need Col(P) read ``product_table(p).columns``, which searches
     once per polytope object.
