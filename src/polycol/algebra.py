@@ -19,7 +19,6 @@ below it and stored on the polytope.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
 from math import comb
 
 from .columns import is_balanced, product_table
@@ -459,7 +458,11 @@ def verify_steinberg_relations(p):
     return report
 
 
-def verify_additive_embedding(p, facet_index, grid=5):
+# values 0..EMBEDDING_GRID-1 of the first two columns in the injectivity grid
+EMBEDDING_GRID = 5
+
+
+def verify_additive_embedding(p, facet_index):
     """Same-base shears commute and assemble into an additive embedding.
 
     Commutation is checked at scalar 1 over Z, by the grading argument of
@@ -492,19 +495,16 @@ def verify_additive_embedding(p, facet_index, grid=5):
         _kronecker_additivity(p, c, e)[0] for c, e in zip(cols, unit)
     )
 
-    # the grid varies the first two columns and keeps the rest at 0
+    # the grid varies the first two columns and keeps the rest at 0, where
+    # their shears are the identity
     first, second = (
-        [elementary_automorphism(p, c, t, ZZ) for t in range(grid)]
+        [elementary_automorphism(p, c, t, ZZ) for t in range(EMBEDDING_GRID)]
         for c in cols[:2]
     )
-    rest = [elementary_automorphism(p, c, 0, ZZ) for c in cols[2:]]
-    images = {
-        reduce(GradedAutomorphism.compose, [x, y, *rest])
-        for x in first for y in second
-    }
-    report["grid_points"] = grid * grid
+    images = {x.compose(y) for x in first for y in second}
+    report["grid_points"] = EMBEDDING_GRID ** 2
     report["distinct_images"] = len(images)
-    report["injective_on_grid"] = len(images) == grid * grid
+    report["injective_on_grid"] = len(images) == EMBEDDING_GRID ** 2
     report["all_ok"] = report["homomorphism"] and report["injective_on_grid"]
     return report
 
