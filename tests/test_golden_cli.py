@@ -27,6 +27,7 @@ from .conftest import (
     EMPTY_SIMPLEX,
     NON_NORMAL_SIMPLEX,
     REEVE_TETRAHEDRON,
+    SQUARE_PYRAMID,
     TRAPEZOID,
 )
 
@@ -70,7 +71,8 @@ def _stdin(p):
 def golden_commands():
     """{label: (argv, stdin text)} for every form on every test polytope,
     numbered since two share a name, the search forms on the search
-    polytopes, the trapezoid's doubling chain to 11 steps, and the polygon
+    polytopes, the trapezoid's doubling chain to 11 steps, the chains of
+    the square pyramid and triangle x segment to 7 steps, and the polygon
     scans of boxes 1-3 at seed 7."""
     commands = {}
     polytopes = CORPUS + [REEVE_TETRAHEDRON, EMPTY_SIMPLEX, NON_NORMAL_SIMPLEX]
@@ -81,6 +83,9 @@ def golden_commands():
             commands[" ".join([sub, *rest, f"{i:02d}", p.name])] = ([sub, "-", *rest], _stdin(p))
     commands["spectrum --steps 11 trapezoid"] = (
         ["spectrum", "-", "--steps", "11"], _stdin(TRAPEZOID))
+    for p in (SQUARE_PYRAMID, SEARCH_POLYTOPES[1]):
+        commands[f"spectrum --steps 7 {p.name}"] = (
+            ["spectrum", "-", "--steps", "7"], _stdin(p))
     for box in (1, 2, 3):
         argv = ["scan-polygons", "--box", str(box), "--seed", "7"]
         commands[" ".join(argv)] = (argv, "")
