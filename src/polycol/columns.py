@@ -227,7 +227,7 @@ class ProductTable:
         return one_sided, witness
 
 
-def product_table(p):
+def product_table(p, columns=None):
     """Col(P) and its partial product, built once per polytope object.
 
     The product u*v of two columns exists when no lattice point x off the
@@ -237,12 +237,14 @@ def product_table(p):
     ``p.off_facet_minima``): one comparison per entry, no lattice point
     touched.  The table is stored on ``p`` itself (next to its cached
     properties), so it lives exactly as long as ``p`` and is never shared
-    with an equal polytope.
+    with an equal polytope.  ``columns``, when given, is Col(P) already
+    known in canonical order (``doubling.extend_columns`` seeds a double's)
+    and stands in for the search.
     """
     table = p.__dict__.get("_product_table")
     if table is not None:
         return table
-    cols = column_vectors(p)
+    cols = column_vectors(p) if columns is None else columns
     minima = p.off_facet_minima
     index = {c.vector: i for i, c in enumerate(cols)}
     bases = [c.base for c in cols]

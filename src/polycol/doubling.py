@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .columns import product_table
+from .columns import ColumnVector, product_table
 from .exactmath import (
     dot,
     identity_matrix,
@@ -126,6 +126,7 @@ def double_along_facet(p, index, section=None):
     doubled.dim = n + 1
     doubled.is_normalized = p.is_normalized
     doubled._facet_pairs = tuple(pair for pair, _ in seeded)
+    doubled._doubling = (index, w, tuple(src for _, src in seeded))
     doubled.lattice_points = tuple(z for z, _ in lattice)
     doubled.facet_heights = tuple(
         tuple(z[-1] for z, _ in lattice) if src == "base"
@@ -160,15 +161,47 @@ def double_along_facet(p, index, section=None):
 
 
 def extend_columns(p, doubled):
-    """Map each column vector of P to its image among the doubled
-    polytope's columns.
+    """Map each column u of P to its image (u, 0) among the double's
+    columns, after seeding Col(D) from Col(P).
 
-    The natural inclusion appends a zero coordinate; the image must act on
-    the base copy exactly as the original does, which pins it down, and it
-    must be verified as a genuine column vector of the double.  Distinct
-    columns keep distinct images, so the map is injective.
+    In the notation of ``double_along_facet``, with Col_G(P) the columns of
+    P with base G, Col(D) is
+      - over the base copy t >= 0: (w, -1), and (u + w, -1) for u in Col_F(P);
+      - over the sheared copy: (-w, 1), and (u, 0) for u in Col_F(P), the
+        first list under the involution (y, t) -> (y + (t - a . y) w, a . y),
+        which swaps the two copies and fixes every lifted facet;
+      - over a lifted G != F: (u - s w, s) for u in Col_G(P), 0 <= s <= a . u.
+    Each is (u - s w, s) with u in Col(P) or u = 0, so its heights need no
+    dot products: u's over a lifted G', s over the base copy and a . u - s
+    over the sheared copy.
+
+    Proof: (y, t) -> y + z0 + t w carries the lattice point over (x, t) to
+    x, and a shift v = (y, t) to u = y + t w.  If v has base the lift of G,
+    the points over x off G shift into D, so u is a column of P with base G
+    (u = 0 would put v at height 0 over its base); the points at t = 0
+    force t >= 0, and those at t = ht(x) force t <= a . u, since
+    ht(x + u) = ht(x) + a . u.  Conversely such a v keeps every point over
+    x off G at a height 0 <= t' + t <= ht(x + u).  The base copy is the
+    same argument with t - 1: the points off it, over x off F at
+    1 <= t' <= ht(x), shift to height t' - 1, so u is in Col_F(P) or 0.
+
+    ``double_along_facet`` leaves F's index, w and the source of each facet
+    in ``doubled._doubling``.  The NoExtensionError lookup guards the
+    inclusion, and a certificate stands in for the search's own guards:
+    each seeded column sits at height -1 over its base and passes the
+    min-height rule of ``columns.column_vectors`` on D's minima.
     """
-    table = product_table(doubled)
+    cols = _seeded_columns(p, *doubled._doubling)
+    minima = doubled.off_facet_minima
+    for c in cols:
+        row = minima[c.base]
+        if c.heights[c.base] != -1 or any(
+            row[g] < -h for g, h in enumerate(c.heights) if h < 0
+        ):
+            raise InternalCheckError(
+                f"seeded column {c.vector} is no column of the double"
+            )
+    table = product_table(doubled, cols)
     mapping = {}
     for c in product_table(p).columns:
         k = table.index.get(c.vector + (0,))
@@ -178,6 +211,29 @@ def extend_columns(p, doubled):
             )
         mapping[c] = table.columns[k]
     return mapping
+
+
+def _seeded_columns(p, index, w, sources):
+    """Col(D) in canonical order, from Col(P) by the closed form of
+    ``extend_columns``; ``sources`` gives the source of each facet of D."""
+    zero = ((0,) * len(w), (0,) * len(p.facets))
+    shifts = [(zero, -1, "base"), (zero, 1, "sheared")]
+    for c in product_table(p).columns:
+        u = (c.vector, c.heights)
+        if c.base == index:
+            shifts += [(u, -1, "base"), (u, 0, "sheared")]
+        else:
+            shifts += [(u, s, c.base) for s in range(c.heights[index] + 1)]
+    position = {src: j for j, src in enumerate(sources)}
+    return tuple(sorted(
+        ColumnVector(
+            vec_sub(u, vec_scale(s, w)) + (s,),
+            position[base],
+            tuple(s if src == "base" else hu[index] - s if src == "sheared"
+                  else hu[src] for src in sources),
+        )
+        for (u, hu), s, base in shifts
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +255,6 @@ class TrackedColumn:
 
 
 class SpectrumStep(NamedTuple):
-    index: int
     chosen: TrackedColumn
     chosen_vector: tuple
     result: DoublingResult
@@ -210,7 +265,6 @@ class DoublingSpectrum(NamedTuple):
     initial: Polytope
     steps: list
     tracked: list  # tracked[i].ident == i
-    final: Polytope
 
 
 def doubling_spectrum(p, steps):
@@ -263,16 +317,16 @@ def doubling_spectrum(p, steps):
         enqueue([c for c in product_table(current).columns if c not in carried],
                 step_index)
         steps_done.append(
-            SpectrumStep(step_index, tc, chosen.vector, result, list(queue))
+            SpectrumStep(tc, chosen.vector, result, list(queue))
         )
-    return DoublingSpectrum(p, steps_done, tracked, current)
+    return DoublingSpectrum(p, steps_done, tracked)
 
 
 def spectrum_report(spectrum):
     """JSON-ready report: per-step data plus the fairness ledger."""
     steps_data = [
         {
-            "step": st.index,
+            "step": i,
             "chosen_id": st.chosen.ident,
             "chosen_vector": list(st.chosen_vector),
             "facet_normal": list(st.result.facet.normal),
@@ -280,10 +334,10 @@ def spectrum_report(spectrum):
             "vertices": [list(v) for v in st.result.doubled.vertices],
             "lattice_count_identity": st.result.count_identity_holds,
             "decomposed_ids": [tc.ident for tc in spectrum.tracked
-                               if tc.decomposed_step == st.index],
+                               if tc.decomposed_step == i],
             "queue_after": list(st.queue_after),
         }
-        for st in spectrum.steps
+        for i, st in enumerate(spectrum.steps, 1)
     ]
     ledger = [
         {

@@ -59,9 +59,6 @@ class FacetForm:
         self.on_facet = on_facet
         self.points_on = points_on
 
-    def key(self):
-        return (self.normal, self.offset)
-
     def __repr__(self):
         return f"FacetForm({self.normal}, {self.offset})"
 

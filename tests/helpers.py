@@ -270,10 +270,15 @@ def contains(p, z):
     return tuple(z) in p.point_index
 
 
+def facet_key(f):
+    """(normal, offset) of a facet form."""
+    return (f.normal, f.offset)
+
+
 def facet_index(p, facet):
     """The index of the facet form among P's facets."""
     for i, f in enumerate(p.facets):
-        if f.key() == facet.key():
+        if facet_key(f) == facet_key(facet):
             return i
     raise ValueError("facet form does not belong to this polytope")
 

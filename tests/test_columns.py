@@ -42,6 +42,7 @@ from .conftest import (
 from .helpers import (
     check_k_morphism,
     coarsening_search_is_rigid,
+    facet_key,
     literal_column_search,
     literal_product_table,
     random_normalized_polytopes,
@@ -59,10 +60,10 @@ def test_slanted_quad_columns():
     cols = cols_by_vector(SLANTED_QUAD)
     assert set(cols) == {(0, -1), (-1, 0), (1, 0), (-1, -1)}
     facets = SLANTED_QUAD.facets
-    assert facets[cols[(0, -1)].base].key() == ((0, 1), 0)       # bottom
-    assert facets[cols[(-1, 0)].base].key() == ((1, -1), 0)      # slant
-    assert facets[cols[(1, 0)].base].key() == ((-1, 0), -3)      # right
-    assert facets[cols[(-1, -1)].base].key() == ((0, 1), 0)      # bottom
+    assert facet_key(facets[cols[(0, -1)].base]) == ((0, 1), 0)       # bottom
+    assert facet_key(facets[cols[(-1, 0)].base]) == ((1, -1), 0)      # slant
+    assert facet_key(facets[cols[(1, 0)].base]) == ((-1, 0), -3)      # right
+    assert facet_key(facets[cols[(-1, -1)].base]) == ((0, 1), 0)      # bottom
 
 
 def test_product_table_built_once_per_object():
@@ -323,7 +324,7 @@ def test_is_balanced():
     cols = cols_by_vector(STEEP_TRIANGLE)
     slant_col = cols[(1, 0)]
     slant = STEEP_TRIANGLE.facets[slant_col.base]
-    assert slant.key() == ((-1, -3), -3)
+    assert facet_key(slant) == ((-1, -3), -3)
     assert dot(slant.normal, (0, -1)) == 3
 
 

@@ -1,16 +1,24 @@
+import io
 import json
 import random
 
 import pytest
 
-from polycol import doubling
-from polycol.columns import column_vectors
+from polycol import columns, doubling
+from polycol.cli import main
+from polycol.columns import ColumnVector, column_vectors, product_table
 from polycol.doubling import (
     double_along_facet,
     doubling_spectrum,
     spectrum_report,
 )
-from polycol.exactmath import dot, kernel_basis_int, vec_scale, vec_sub
+from polycol.exactmath import (
+    dot,
+    integral_section,
+    kernel_basis_int,
+    vec_scale,
+    vec_sub,
+)
 from polycol.polytopes import (
     InternalCheckError,
     Polytope,
@@ -32,7 +40,7 @@ from .conftest import (
     TRIANGLE,
     UNIT_SQUARE,
 )
-from .helpers import contains, facet_index
+from .helpers import contains, facet_index, facet_key
 
 
 def unit_simplex(n):
@@ -43,7 +51,7 @@ def unit_simplex(n):
 
 
 def test_segment_doubles_to_triangle():
-    f0 = next(f for f in SEGMENT.facets if f.key() == ((1,), 0))
+    f0 = next(f for f in SEGMENT.facets if facet_key(f) == ((1,), 0))
     r = double_along_facet(SEGMENT, facet_index(SEGMENT, f0))
     assert r.doubled.vertices == ((0, 0), (0, 1), (1, 0))
     assert r.count_identity_holds
@@ -68,7 +76,7 @@ def test_simplex_chain():
 
 
 def test_square_doubles_to_prism():
-    f = next(f for f in UNIT_SQUARE.facets if f.key() == ((0, 1), 0))
+    f = next(f for f in UNIT_SQUARE.facets if facet_key(f) == ((0, 1), 0))
     r = double_along_facet(UNIT_SQUARE, facet_index(UNIT_SQUARE, f))
     assert len(r.doubled.lattice_points) == 6
     assert len(r.doubled.facets) == 5
@@ -84,7 +92,7 @@ def test_doubling_structure(corpus):
             r = double_along_facet(q, i)
             n = q.ambient_dim
             # base copy is the facet at the new coordinate's zero level
-            keys = {g.key() for g in r.doubled.facets}
+            keys = {facet_key(g) for g in r.doubled.facets}
             assert ((0,) * n + (1,), 0) in keys
             assert (f.normal + (0,), 0) in keys
             assert len(r.doubled.facets) == len(q.facets) + 1
@@ -155,6 +163,108 @@ def test_seeded_double_matches_rebuild_on_column_facets(corpus):
     assert done == 39
 
 
+def _keyed(p, cols):
+    """Columns with their bases and heights read through p's facet pairs."""
+    pairs = p._facet_pairs
+    return [(c.vector, pairs[c.base], sorted(zip(pairs, c.heights)))
+            for c in cols]
+
+
+def _assert_columns_match_search(d, literal=False):
+    """The columns and product table seeded on a double equal the search's
+    on D rebuilt from its vertices, and with ``literal`` the unpruned
+    search's too."""
+    r = polytope_from_points(d.vertices)
+    seeded, searched = product_table(d), product_table(r)
+    assert _keyed(d, seeded.columns) == _keyed(r, searched.columns)
+    assert seeded.rows == searched.rows
+    if literal:
+        assert _keyed(d, seeded.columns) == _keyed(
+            r, column_vectors(r, pruned=False))
+
+
+def _random_sections(a, rng, count):
+    w = integral_section(a)
+    kernel = kernel_basis_int([a])
+    for _ in range(count):
+        coeffs = [rng.randint(-2, 2) for _ in kernel]
+        yield tuple(
+            x + sum(c * row[i] for c, row in zip(coeffs, kernel))
+            for i, x in enumerate(w)
+        )
+
+
+def test_seeded_columns_match_search_along_the_chain():
+    chain = doubling_spectrum(TRAPEZOID, 11)
+    assert len(product_table(chain.steps[-1].result.doubled).columns) == 134
+    for step, st in enumerate(chain.steps, 1):
+        _assert_columns_match_search(st.result.doubled, literal=step <= 3)
+
+
+def test_seeded_columns_match_search_on_corpus_doublings(corpus):
+    rng = random.Random(25)
+    done = 0
+    for p in corpus:
+        q, _ = normalize_full_dim(p)
+        for i, f in enumerate(q.facets):
+            _assert_columns_match_search(double_along_facet(q, i).doubled)
+            for w in _random_sections(f.normal, rng, 3):
+                _assert_columns_match_search(
+                    double_along_facet(q, i, section=w).doubled)
+            done += 1
+    assert done == 49
+
+
+def test_spectrum_searches_columns_only_for_its_input(capsys, monkeypatch):
+    searched = []
+    original = columns._min_height_bases
+
+    def counted(p):
+        searched.append(p)
+        return original(p)
+
+    monkeypatch.setattr(columns, "_min_height_bases", counted)
+    text = json.dumps({"vertices": [list(v) for v in TRAPEZOID.vertices]})
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["spectrum", "-", "--steps", "7"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["steps"]) == 7
+    assert [q.vertices for q in searched] == [TRAPEZOID.vertices]
+
+
+def _beyond_the_fibre(p, index, w, sources):
+    # (u - s w, s) with s = a.u + 1 over a lifted facet G: it claims height
+    # -1 over G but takes the top point of a fibre off G out of the sheared
+    # copy, so M[G][sheared] = 0 < 1 refuses it
+    u = next(c for c in product_table(p).columns if c.base != index)
+    s = u.heights[index] + 1
+    return ColumnVector(
+        vec_sub(u.vector, vec_scale(s, w)) + (s,),
+        sources.index(u.base),
+        tuple(s if src == "base" else u.heights[index] - s
+              if src == "sheared" else u.heights[src] for src in sources),
+    )
+
+
+def _zero_shift(p, index, w, sources):
+    # (-w, 1) seeded at s = 0: the zero vector, with no negative height for
+    # the min-height rule to test, but height 0 over its base
+    return ColumnVector((0,) * (len(w) + 1), sources.index("sheared"),
+                        (0,) * len(sources))
+
+
+@pytest.mark.parametrize("bad", [_beyond_the_fibre, _zero_shift],
+                         ids=["beyond-the-fibre", "zero-shift"])
+def test_certificate_refuses_a_bad_seeded_column(monkeypatch, bad):
+    seeded = doubling._seeded_columns
+
+    def with_bad_column(*args):
+        return tuple(sorted(seeded(*args) + (bad(*args),)))
+
+    monkeypatch.setattr(doubling, "_seeded_columns", with_bad_column)
+    with pytest.raises(InternalCheckError, match="no column of the double"):
+        double_along_facet(TRAPEZOID, 0)
+
+
 def test_seeded_double_of_a_non_normalized_polytope(monkeypatch):
     # the column inclusion refuses P, so the geometry is checked without it
     with pytest.raises(ValueError, match="normalized"):
@@ -178,7 +288,7 @@ def test_certificate_refuses_a_supporting_line_posed_as_a_facet():
 
 def test_count_identity_flag():
     # heights above 1 create interior points between the copies
-    bottom = next(f for f in SLANTED_QUAD.facets if f.key() == ((0, 1), 0))
+    bottom = next(f for f in SLANTED_QUAD.facets if facet_key(f) == ((0, 1), 0))
     r = double_along_facet(SLANTED_QUAD, facet_index(SLANTED_QUAD, bottom))
     assert not r.count_identity_holds
     assert len(r.doubled.lattice_points) == sum(
@@ -282,4 +392,4 @@ def test_spectrum_determinism_and_fairness():
     assert first["chosen_vector"] == [-1, 0]
     # polytopes in the chain stay normalized
     chain = doubling_spectrum(TRAPEZOID, 4)
-    assert chain.final.is_normalized
+    assert chain.steps[-1].result.doubled.is_normalized

@@ -57,6 +57,7 @@ from .helpers import (
     all_frames_cycle_normal_form,
     box_scan_lattice_points,
     brute_force_polygon_equivalent,
+    facet_key,
     facet_scan_oracle,
     fan_witness,
     frame_forms,
@@ -309,7 +310,7 @@ def test_facet_minimality(corpus):
 
 
 def test_height():
-    bottom = next(f for f in HEXAGON.facets if f.key() == ((0, 1), 0))
+    bottom = next(f for f in HEXAGON.facets if facet_key(f) == ((0, 1), 0))
     assert height(HEXAGON, bottom, (1, 1), 1) == 1
     assert height(HEXAGON, bottom, (3, 0), 1) == 0
     assert height(HEXAGON, bottom, (0, -1), 0) == -1
