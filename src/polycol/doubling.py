@@ -191,7 +191,8 @@ def extend_columns(p, doubled):
     each seeded column sits at height -1 over its base and passes the
     min-height rule of ``columns.column_vectors`` on D's minima.
     """
-    cols = _seeded_columns(p, *doubled._doubling)
+    cols_p = product_table(p).columns
+    cols = _seeded_columns(cols_p, *doubled._doubling)
     minima = doubled.off_facet_minima
     for c in cols:
         row = minima[c.base]
@@ -203,7 +204,7 @@ def extend_columns(p, doubled):
             )
     table = product_table(doubled, cols)
     mapping = {}
-    for c in product_table(p).columns:
+    for c in cols_p:
         k = table.index.get(c.vector + (0,))
         if k is None:
             raise NoExtensionError(
@@ -213,12 +214,13 @@ def extend_columns(p, doubled):
     return mapping
 
 
-def _seeded_columns(p, index, w, sources):
+def _seeded_columns(cols_p, index, w, sources):
     """Col(D) in canonical order, from Col(P) by the closed form of
-    ``extend_columns``; ``sources`` gives the source of each facet of D."""
-    zero = ((0,) * len(w), (0,) * len(p.facets))
+    ``extend_columns``; ``sources`` gives the source of each facet of D,
+    which has one facet more than P."""
+    zero = ((0,) * len(w), (0,) * (len(sources) - 1))
     shifts = [(zero, -1, "base"), (zero, 1, "sheared")]
-    for c in product_table(p).columns:
+    for c in cols_p:
         u = (c.vector, c.heights)
         if c.base == index:
             shifts += [(u, -1, "base"), (u, 0, "sheared")]
