@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
+from operator import add
 from typing import NamedTuple, Optional
 
 from .exactmath import (
@@ -108,27 +109,26 @@ def _min_height_bases(p):
     the bases decided by the min-height rule."""
     pts = p.lattice_points
     facet_heights = p.facet_heights
+    point_heights = tuple(zip(*facet_heights))
     cands = {}
     for f, row in zip(p.facets, facet_heights):
         i0 = next((i for i, h in enumerate(row) if h == 1), None)
         if i0 is None:
             continue
-        x0 = pts[i0]
+        x0, h0 = pts[i0], point_heights[i0]
         for j in f.on_facet:
             v = vec_sub(pts[j], x0)
             if v not in cands:
-                cands[v] = tuple(hg[j] - hg[i0] for hg in facet_heights)
+                cands[v] = vec_sub(point_heights[j], h0)
     minima = p.off_facet_minima
     for v in sorted(cands):
         heights = cands[v]
-        neg = [(g, -c) for g, c in enumerate(heights) if c < 0]
-        if not neg:
+        if min(heights) >= 0:
             raise InternalCheckError(
                 f"{v} shifts every lattice point inside a bounded polytope"
             )
-        bases = [
-            f for f, row in enumerate(minima) if all(row[g] >= c for g, c in neg)
-        ]
+        # M >= 0, so M[F][G] + c_G >= 0 holds already where c_G >= 0
+        bases = [f for f, row in enumerate(minima) if min(map(add, row, heights)) >= 0]
         yield v, heights, bases
 
 

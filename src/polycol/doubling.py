@@ -126,7 +126,6 @@ def double_along_facet(p, index, section=None):
     doubled.dim = n + 1
     doubled.is_normalized = p.is_normalized
     doubled._facet_pairs = tuple(pair for pair, _ in seeded)
-    doubled._doubling = (index, w, tuple(src for _, src in seeded))
     doubled.lattice_points = tuple(z for z, _ in lattice)
     doubled.facet_heights = tuple(
         tuple(z[-1] for z, _ in lattice) if src == "base"
@@ -153,14 +152,15 @@ def double_along_facet(p, index, section=None):
         doubled=doubled,
         embed_base=embed_base,
         embed_copy=embed_copy,
-        col_inclusion=extend_columns(p, doubled),
+        col_inclusion=extend_columns(
+            p, doubled, (index, w, tuple(src for _, src in seeded))),
         section=w,
         facet=facet,
         count_identity_holds=count_identity,
     )
 
 
-def extend_columns(p, doubled):
+def extend_columns(p, doubled, doubling):
     """Map each column u of P to its image (u, 0) among the double's
     columns, after seeding Col(D) from Col(P).
 
@@ -185,14 +185,14 @@ def extend_columns(p, doubled):
     same argument with t - 1: the points off it, over x off F at
     1 <= t' <= ht(x), shift to height t' - 1, so u is in Col_F(P) or 0.
 
-    ``double_along_facet`` leaves F's index, w and the source of each facet
-    in ``doubled._doubling``.  The NoExtensionError lookup guards the
-    inclusion, and a certificate stands in for the search's own guards:
+    ``doubling`` is (F's index, w, the source of each facet of D), as
+    ``double_along_facet`` seeds them.  The NoExtensionError lookup guards
+    the inclusion, and a certificate stands in for the search's own guards:
     each seeded column sits at height -1 over its base and passes the
     min-height rule of ``columns.column_vectors`` on D's minima.
     """
     cols_p = product_table(p).columns
-    cols = _seeded_columns(cols_p, *doubled._doubling)
+    cols = _seeded_columns(cols_p, *doubling)
     minima = doubled.off_facet_minima
     for c in cols:
         row = minima[c.base]

@@ -7,15 +7,19 @@ Z[x1, ..., xk].  ``det_int`` and ``mat_inverse_frac`` are fraction-free
 (Bareiss) eliminations in O(n^3) integer operations whose intermediate
 entries are minors of the input; ``rank_int`` and ``independent_rows`` share
 one echelon pass over primitive rows.  Vectors are plain tuples of ints,
-matrices are tuples of row tuples.  The canonical order on integer vectors is
+matrices are tuples of row tuples.  The vector kernels ``vec_add``,
+``vec_sub``, ``vec_neg``, ``vec_scale`` and ``dot`` take int coordinates and
+return exact ints; the binary ones need vectors of equal length and raise
+ValueError otherwise.  The canonical order on integer vectors is
 coordinate-lexicographic (= tuple order), and all set-valued results
 elsewhere in the package are emitted sorted in that order.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd
-from operator import add
+from operator import add, mul, neg, sub
 
 
 # ---------------------------------------------------------------------------
@@ -23,23 +27,29 @@ from operator import add
 
 
 def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"vectors of lengths {len(a)} and {len(b)}")
+    return tuple(map(add, a, b))
 
 
 def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"vectors of lengths {len(a)} and {len(b)}")
+    return tuple(map(sub, a, b))
 
 
 def vec_neg(a):
-    return tuple(-x for x in a)
+    return tuple(map(neg, a))
 
 
 def vec_scale(k, a):
-    return tuple(k * x for x in a)
+    return tuple(map(mul, repeat(k), a))
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"vectors of lengths {len(a)} and {len(b)}")
+    return sum(map(mul, a, b))
 
 
 def gcd_list(values):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from math import gcd
+from operator import mul
 
 from .exactmath import (
     det_int,
@@ -256,7 +257,7 @@ class Polytope:
         for prefix in itertools.product(*(range(lows[i], highs[i] + 1) for i in rest)):
             lo, hi = lows[k], highs[k]
             for coeffs, ak, b in forms:
-                r = sum(c * z for c, z in zip(coeffs, prefix)) - b
+                r = sum(map(mul, coeffs, prefix)) - b
                 if ak > 0:
                     lo = max(lo, -(r // ak))
                 elif ak < 0:
@@ -292,8 +293,8 @@ class Polytope:
         heights = self.facet_heights
         out = []
         for row_f in heights:
-            off = [i for i, h in enumerate(row_f) if h > 0]
-            out.append(tuple(min([row_g[i] for i in off]) for row_g in heights))
+            off = [h > 0 for h in row_f]
+            out.append(tuple(min(itertools.compress(row_g, off)) for row_g in heights))
         return tuple(out)
 
     @cached_property

@@ -32,6 +32,10 @@ coarsenings of that partition, up to 50,000 of them, where ``is_rigid``
 also glues the products' ends and decides from that one partition; both
 read the production hulls and product table.
 
+The vector kernels are kept here in the generator form they had before
+``exactmath`` moved them onto ``map``: ``zip(strict=True)`` raises on a
+length mismatch, where the production kernels check lengths themselves.
+
 The test rings and generators live here because no command needs them: Q
 and Z/m with the unit inverses the torus reads, the identity, torus and
 symmetry-group automorphisms, the inversion subgroup, and a polytope's point
@@ -92,6 +96,26 @@ from polycol.polytopes import (
     unimodular_frame_maps,
 )
 from polycol.scan import _directions, enumerate_polygons
+
+
+def generator_vec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def generator_vec_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b, strict=True))
+
+
+def generator_vec_neg(a):
+    return tuple(-x for x in a)
+
+
+def generator_vec_scale(k, a):
+    return tuple(k * x for x in a)
+
+
+def generator_dot(a, b):
+    return sum(x * y for x, y in zip(a, b, strict=True))
 
 
 class RationalRing:

@@ -269,7 +269,7 @@ def test_seeded_double_of_a_non_normalized_polytope(monkeypatch):
     # the column inclusion refuses P, so the geometry is checked without it
     with pytest.raises(ValueError, match="normalized"):
         double_along_facet(REEVE_TETRAHEDRON, 0)
-    monkeypatch.setattr(doubling, "extend_columns", lambda p, d: {})
+    monkeypatch.setattr(doubling, "extend_columns", lambda p, d, _: {})
     for p in (NON_NORMAL_SIMPLEX, REEVE_TETRAHEDRON, EMPTY_SIMPLEX):
         for i in range(len(p.facets)):
             d = double_along_facet(p, i).doubled

@@ -25,6 +25,10 @@ from polycol.exactmath import (
     saturation_basis,
     solve_int,
     transpose,
+    vec_add,
+    vec_neg,
+    vec_scale,
+    vec_sub,
 )
 
 from .conftest import CORPUS
@@ -32,6 +36,11 @@ from .helpers import (
     QQ,
     IntegersMod,
     adjugate_int,
+    generator_dot,
+    generator_vec_add,
+    generator_vec_neg,
+    generator_vec_scale,
+    generator_vec_sub,
     rank_loop_basis,
     rational_rank,
     rational_solve,
@@ -53,6 +62,35 @@ def test_primitive_part_idempotent(v):
         return
     p = primitive_part(tuple(v))
     assert primitive_part(p) == p
+
+
+_COORD = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6), _COORD, st.data())
+def test_vector_kernels_match_generator_forms(n, k, data):
+    a, b = (tuple(data.draw(st.lists(_COORD, min_size=n, max_size=n)))
+            for _ in range(2))
+    for got, want in [
+        (vec_add(a, b), generator_vec_add(a, b)),
+        (vec_sub(a, b), generator_vec_sub(a, b)),
+        (vec_neg(a), generator_vec_neg(a)),
+        (vec_scale(k, a), generator_vec_scale(k, a)),
+    ]:
+        assert got == want
+        assert type(got) is tuple and all(type(x) is int for x in got)
+    assert dot(a, b) == generator_dot(a, b)
+    assert type(dot(a, b)) is int
+
+
+@pytest.mark.parametrize("kernel", [vec_add, vec_sub, dot])
+@pytest.mark.parametrize("a, b", [((1, 2), (3,)), ((), (1,)), ((1, 2, 3), (4, 5))])
+def test_vector_kernels_refuse_unequal_lengths(kernel, a, b):
+    # map stops at the shorter vector, so the kernels check lengths first
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError):
+            kernel(x, y)
 
 
 def test_extended_gcd():
