@@ -32,9 +32,9 @@ coarsenings of that partition, up to 50,000 of them, where ``is_rigid``
 also glues the products' ends and decides from that one partition; both
 read the production hulls and product table.
 
-The vector kernels are kept here in the generator form they had before
-``exactmath`` moved them onto ``map``: ``zip(strict=True)`` raises on a
-length mismatch, where the production kernels check lengths themselves.
+The generator forms of the vector kernels are the oracle for the ``map``
+kernels of ``exactmath``: here ``zip(strict=True)`` refuses unequal
+lengths, where the production kernels compare the lengths themselves.
 
 The test rings and generators live here because no command needs them: Q
 and Z/m with the unit inverses the torus reads, the identity, torus and

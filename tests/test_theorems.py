@@ -21,6 +21,7 @@ from .conftest import (
     SQUARE_PYRAMID,
     TRAPEZOID,
 )
+from .helpers import random_normalized_polytopes
 
 
 def test_pick_on_every_polygon_in_the_box():
@@ -44,12 +45,16 @@ def test_pick_on_every_polygon_in_the_box():
         assert 2 * count == twice_area + boundary + 2, cycle
 
 
-def _ehrhart_top_difference(p):
-    """The n-th finite difference at 0 of k -> |L(kP)|, with |L(0P)| = 1."""
+def _ehrhart_top_differences(p):
+    """The n-th finite differences of k -> |L(kP)| at k = 0, 1 and 2, with
+    |L(0P)| = 1 and |L(1P)| read off P itself."""
     n = p.ambient_dim
     counts = [1, len(p.lattice_points)]
-    counts += [len(dilate(p, k).lattice_points) for k in range(2, n + 1)]
-    return sum((-1) ** (n - k) * comb(n, k) * c for k, c in enumerate(counts))
+    counts += [len(dilate(p, k).lattice_points) for k in range(2, n + 3)]
+    return [
+        sum((-1) ** (n - j) * comb(n, j) * counts[s + j] for j in range(n + 1))
+        for s in range(3)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -60,8 +65,8 @@ def _ehrhart_top_difference(p):
 def test_ehrhart_top_difference_on_3_polytopes(p):
     """Ehrhart's theorem: for a lattice n-polytope P, k -> |L(kP)| is a
     polynomial of degree n with leading coefficient vol(P) and constant
-    term 1, so its n-th finite difference is n! vol(P), the normalized
-    volume (E. Ehrhart, "Sur les polyedres rationnels homothetiques a n
+    term 1, so its n-th finite difference is the constant n! vol(P), the
+    normalized volume (E. Ehrhart, "Sur les polyedres rationnels homothetiques a n
     dimensions", C. R. Acad. Sci. Paris 254 (1962); Beck and Robins,
     "Computing the Continuous Discretely", 2nd ed., Springer 2015, ch. 3).
 
@@ -69,7 +74,12 @@ def test_ehrhart_top_difference_on_3_polytopes(p):
     normalized volumes 1, 2, 3 and 2: there L(P) alone cannot tell them
     apart.
     """
-    assert _ehrhart_top_difference(p) == normalized_volume(p)
+    assert _ehrhart_top_differences(p) == [normalized_volume(p)] * 3
+
+
+def test_ehrhart_top_difference_on_random_3_polytopes():
+    for p in random_normalized_polytopes(26, 6, dims=(3,)):
+        assert _ehrhart_top_differences(p) == [normalized_volume(p)] * 3, p
 
 
 def test_ehrhart_top_difference_along_the_doubling_chain():
@@ -79,4 +89,4 @@ def test_ehrhart_top_difference_along_the_doubling_chain():
     chain = doubling_spectrum(TRAPEZOID, 3)
     for st in chain.steps:
         d = st.result.doubled
-        assert _ehrhart_top_difference(d) == normalized_volume(d)
+        assert _ehrhart_top_differences(d) == [normalized_volume(d)] * 3
