@@ -63,6 +63,20 @@ SEARCH_POLYTOPES = [
 ]
 SEARCH_FORMS = (("analyze",), ("verify", "--which", "doubling"))
 
+# a lower-dimensional input: every command charts it onto its
+# full-dimensional model over the saturated lattice of its plane
+PLANAR_TRAPEZOID = polytope_from_points(
+    [(3 - x - 2 * z, x, z) for x, z in TRAPEZOID.vertices],
+    name="trapezoid in x + y + 2z = 3",
+)
+PLANAR_FORMS = (
+    ("analyze",),
+    ("verify", "--which", "steinberg"),
+    ("verify", "--which", "doubling"),
+    ("export", "--what", "fan"),
+    ("spectrum", "--steps", "3"),
+)
+
 
 def _stdin(p):
     return json.dumps({"name": p.name, "vertices": [list(v) for v in p.vertices]})
@@ -71,16 +85,20 @@ def _stdin(p):
 def golden_commands():
     """{label: (argv, stdin text)} for every form on every test polytope,
     numbered since two share a name, the search forms on the search
-    polytopes, the trapezoid's doubling chain to 11 steps, the chains of
-    the square pyramid and triangle x segment to 7 steps, and the polygon
-    scans of boxes 1-3 at seed 7."""
+    polytopes, the planar forms on the trapezoid in a plane of Z^3, the
+    trapezoid's presentation mod 3, its doubling chain to 11 steps, the
+    chains of the square pyramid and triangle x segment to 7 steps, and the
+    polygon scans of boxes 1-3 at seed 7."""
     commands = {}
     polytopes = CORPUS + [REEVE_TETRAHEDRON, EMPTY_SIMPLEX, NON_NORMAL_SIMPLEX]
     jobs = [(p, FORMS) for p in polytopes]
     jobs += [(p, SEARCH_FORMS) for p in SEARCH_POLYTOPES]
+    jobs.append((PLANAR_TRAPEZOID, PLANAR_FORMS))
     for i, (p, forms) in enumerate(jobs):
         for sub, *rest in forms:
             commands[" ".join([sub, *rest, f"{i:02d}", p.name])] = ([sub, "-", *rest], _stdin(p))
+    commands["export --what presentation --modulus 3 trapezoid"] = (
+        ["export", "-", "--what", "presentation", "--modulus", "3"], _stdin(TRAPEZOID))
     commands["spectrum --steps 11 trapezoid"] = (
         ["spectrum", "-", "--steps", "11"], _stdin(TRAPEZOID))
     for p in (SQUARE_PYRAMID, SEARCH_POLYTOPES[1]):
