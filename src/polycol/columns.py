@@ -138,13 +138,14 @@ def _literal_bases(p):
     pts = p.lattice_points
     index = p.point_index
     facets = p.facets
+    on = [set(f.on_facet) for f in facets]
     for v in sorted({vec_sub(y, x) for x in pts for y in pts if y != x}):
-        stuck = [x for x in pts if vec_add(x, v) not in index]
+        stuck = [i for i, x in enumerate(pts) if vec_add(x, v) not in index]
         if not stuck:
             raise InternalCheckError(
                 f"{v} shifts every lattice point inside a bounded polytope"
             )
-        bases = [i for i, f in enumerate(facets) if f.points_on.issuperset(stuck)]
+        bases = [i for i, s in enumerate(on) if s.issuperset(stuck)]
         heights = tuple(dot(f.normal, v) for f in facets) if bases else None
         yield v, heights, bases
 
@@ -490,8 +491,6 @@ def _match_trapezoid_relations(table):
     vecs = {c.vector: c for c in cols}
     paired = [c for c in cols if vec_neg(c.vector) in vecs]
     unpaired = [c for c in cols if vec_neg(c.vector) not in vecs]
-    if len(paired) != 2 or len(unpaired) != 2:
-        return None
     if len(table.products) != 2:
         return None
     for v in paired:

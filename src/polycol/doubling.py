@@ -12,16 +12,8 @@ from collections import deque
 from typing import NamedTuple
 
 from .columns import ColumnVector, product_table
-from .exactmath import (
-    dot,
-    identity_matrix,
-    integral_section,
-    mat_vec,
-    vec_neg,
-    vec_scale,
-    vec_sub,
-)
-from .polytopes import AffineLatticeMap, InternalCheckError, Polytope
+from .exactmath import dot, integral_section, vec_scale, vec_sub
+from .polytopes import InternalCheckError, Polytope
 
 
 class NoExtensionError(InternalCheckError):
@@ -30,8 +22,6 @@ class NoExtensionError(InternalCheckError):
 
 class DoublingResult(NamedTuple):
     doubled: Polytope
-    embed_base: AffineLatticeMap
-    embed_copy: AffineLatticeMap
     col_inclusion: dict
     section: tuple
     facet: object
@@ -77,7 +67,7 @@ def double_along_facet(p, index, section=None):
         w = tuple(section)
         if dot(a, w) != 1:
             raise ValueError("section must pair to 1 with the facet normal")
-    z0 = min(facet.points_on)
+    z0 = p.lattice_points[facet.on_facet[0]]
     heights = p.facet_heights
     ht = heights[index]
 
@@ -87,6 +77,7 @@ def double_along_facet(p, index, section=None):
     base = {lift(v, 0) for v in p.vertices}
     sheared = {lift(v, dot(a, v) - facet.offset) for v in p.vertices}
     verts = base | sheared
+    vertex_set = set(p.vertices)
     # each pair with its source: a facet index of P, "base" or "sheared"
     seeded = sorted(
         [((g + (dot(g, w),), b - dot(g, z0)), i)
@@ -110,9 +101,9 @@ def double_along_facet(p, index, section=None):
         elif src == "sheared":
             ok = sheared <= tight
         else:
-            on_g = p.facets[src].points_on
-            ok = sum(u[-1] == 0 for u in tight) == sum(
-                v in on_g for v in p.vertices
+            on_g = [p.lattice_points[i] for i in p.facets[src].on_facet]
+            ok = sum(u[-1] == 0 for u in tight) == len(
+                vertex_set.intersection(on_g)
             ) and any(u[-1] > 0 for u in tight)
         if not ok or min(vals.values()) < 0:
             raise InternalCheckError(f"seeded pair {(g, b)} is no facet of the double")
@@ -134,24 +125,12 @@ def double_along_facet(p, index, section=None):
         for _, src in seeded
     )
 
-    eye = identity_matrix(n)
-    base_matrix = eye + ((0,) * n,)
-    embed_base = AffineLatticeMap(base_matrix, mat_vec(base_matrix, vec_neg(z0)))
-
-    copy_matrix = tuple(
-        tuple(e - w[i] * a[j] for j, e in enumerate(row))
-        for i, row in enumerate(eye)
-    ) + (a,)
-    embed_copy = AffineLatticeMap(copy_matrix, mat_vec(copy_matrix, vec_neg(z0)))
-
     count_identity = len(doubled.lattice_points) == 2 * len(p.lattice_points) - len(
         facet.on_facet
     )
 
     return DoublingResult(
         doubled=doubled,
-        embed_base=embed_base,
-        embed_copy=embed_copy,
         col_inclusion=extend_columns(
             p, doubled, (index, w, tuple(src for _, src in seeded))),
         section=w,

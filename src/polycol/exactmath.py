@@ -52,16 +52,9 @@ def dot(a, b):
     return sum(map(mul, a, b))
 
 
-def gcd_list(values):
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
-
-
 def primitive_part(v):
     """v divided by the gcd of its components; positively proportional to v."""
-    g = gcd_list(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("primitive part of the zero vector is undefined")
     return tuple(x // g for x in v)
@@ -87,7 +80,7 @@ def integral_section(a):
 
     Deterministic: an extended-gcd sweep in coordinate order.
     """
-    if gcd_list(a) != 1:
+    if gcd(*a) != 1:
         raise ValueError("integral_section requires a primitive vector")
     g = 0
     w = [0] * len(a)
@@ -189,7 +182,7 @@ def independent_rows(rows, limit):
             if f:
                 r = [p * x - f * y for x, y in zip(r, e)]
         # lists, not primitive_part's tuples, which fill the tuple free lists
-        g = gcd_list(r)
+        g = gcd(*r)
         if g:
             r = [x // g for x in r]
             echelon.append((next(c for c, x in enumerate(r) if x), r))
@@ -247,19 +240,6 @@ def saturation_basis(rows):
         n = len(rows[0])
         return identity_matrix(n)
     return kernel_basis_int(perp)
-
-
-def lattice_index_is_full(rows, n):
-    """True iff the rows generate all of Z^n."""
-    if not rows:
-        return n == 0
-    h, _ = hermite_normal_form(rows)
-    nz = [r for r in h if any(r)]
-    if len(nz) != n:
-        return False
-    return all(nz[i][i] == 1 for i in range(n)) and all(
-        nz[i][j] == 0 for i in range(n) for j in range(n) if j != i
-    )
 
 
 def solve_int(m, rhss):

@@ -22,7 +22,6 @@ from .exactmath import (
     hermite_normal_form,
     identity_matrix,
     independent_rows,
-    lattice_index_is_full,
     mat_inverse_frac,
     mat_mul,
     mat_vec,
@@ -52,13 +51,12 @@ class FacetForm:
     ``on_facet`` indexes the lattice points lying on the facet.
     """
 
-    __slots__ = ("normal", "offset", "on_facet", "points_on")
+    __slots__ = ("normal", "offset", "on_facet")
 
-    def __init__(self, normal, offset, on_facet, points_on):
+    def __init__(self, normal, offset, on_facet):
         self.normal = normal
         self.offset = offset
         self.on_facet = on_facet
-        self.points_on = points_on
 
     def __repr__(self):
         return f"FacetForm({self.normal}, {self.offset})"
@@ -120,11 +118,6 @@ def dual_description(rows):
         if t in basis_set:
             continue
         vals = [dot(h, r[0]) for r in rays]
-        if all(v >= 0 for v in vals):
-            for r, v in zip(rays, vals):
-                if v == 0:
-                    r[1] |= 1 << t
-            continue
         pos = [i for i, v in enumerate(vals) if v > 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
@@ -214,9 +207,16 @@ class Polytope:
             return False
         if self.ambient_dim <= 2:
             return True
+        return self._lattice_basis == identity_matrix(self.ambient_dim)
+
+    @cached_property
+    def _lattice_basis(self):
+        """The nonzero rows of the Hermite form of the differences of the
+        lattice points to the least one: a basis of the lattice they
+        generate, for a P with at least two lattice points."""
         x0 = self.lattice_points[0]
-        diffs = [vec_sub(z, x0) for z in self.lattice_points[1:]]
-        return lattice_index_is_full(diffs, self.ambient_dim)
+        h, _ = hermite_normal_form([vec_sub(z, x0) for z in self.lattice_points[1:]])
+        return tuple(r for r in h if any(r))
 
     @cached_property
     def _facet_pairs(self):
@@ -299,12 +299,10 @@ class Polytope:
 
     @cached_property
     def facets(self):
-        pts = self.lattice_points
         out = []
         for (normal, offset), row in zip(self._facet_pairs, self.facet_heights):
             idx = tuple(i for i, h in enumerate(row) if h == 0)
-            points_on = frozenset(pts[i] for i in idx)
-            out.append(FacetForm(normal, offset, idx, points_on))
+            out.append(FacetForm(normal, offset, idx))
         return tuple(out)
 
     @cached_property
@@ -341,9 +339,10 @@ def polytope_from_points(points, name=None):
 
     Points spanning Z^2 take the vertices and facets of their polygon from
     one monotone-chain pass, with no rank computed; collinear ones fall
-    through to the rank test.  Points spanning a plane in Z^n take their
-    vertices from the same pass over their chart coordinates.  Double
-    description serves the other dimensions.
+    through to the rank test.  Double description serves the other
+    full-dimensional inputs.  Lower-dimensional points are hulled as their
+    coordinates over ``_saturated_chart``, and that hull stays as the
+    polytope's full-dimensional model.
     """
     pts = [tuple(p) for p in points]
     if not pts:
@@ -377,12 +376,13 @@ def polytope_from_points(points, name=None):
         # vertices, so the double description need not run again
         p._facet_pairs = tuple(pairs)
         return p
+    # the chart is based at the least point, a vertex, just as a chart of
+    # the vertices would be
     coords, embed = _saturated_chart(pts)
-    if d == 2:
-        verts_low = _convex_cycle(sorted(coords))
-    else:
-        verts_low = _extreme_points(coords, facet_inequalities(coords), d)
-    return Polytope([embed.apply(v) for v in verts_low], n, name=name)
+    model = polytope_from_points(coords, name=name)
+    p = Polytope([embed.apply(v) for v in model.vertices], n, name=name)
+    p._full_dim_model = model, embed
+    return p
 
 
 def _convex_cycle(pts):
@@ -445,9 +445,7 @@ def normalize_full_dim(p):
     if len(pts) == 1:
         embed = AffineLatticeMap(((),) * p.ambient_dim, pts[0])
         return Polytope([()], 0, name=p.name), embed
-    x0 = pts[0]
-    h, _ = hermite_normal_form([vec_sub(z, x0) for z in pts[1:]])
-    coords, embed = _chart(p.vertices, [r for r in h if any(r)])
+    coords, embed = _chart(p.vertices, p._lattice_basis)
     q = Polytope(coords, len(coords[0]), name=p.name)
     if not q.is_normalized:
         raise InternalCheckError("normalization did not reach the full lattice")

@@ -299,6 +299,12 @@ def facet_key(f):
     return (f.normal, f.offset)
 
 
+def facet_points(p, f):
+    """The sorted lattice points of P on the facet form f, read from its
+    inequality rather than from the height matrix."""
+    return [z for z in p.lattice_points if dot(f.normal, z) == f.offset]
+
+
 def facet_index(p, facet):
     """The index of the facet form among P's facets."""
     for i, f in enumerate(p.facets):
@@ -408,19 +414,20 @@ def box_scan_lattice_points(p):
 def literal_column_search(p):
     """Column vectors straight from the definition, no pruning at all.
 
-    Tries every difference of lattice points against every facet.
+    Tries every difference of lattice points against every facet, with
+    each facet's points read from its inequality.
     """
     pts = p.lattice_points
     pset = set(pts)
-    facets = p.facets
+    on = [set(facet_points(p, f)) for f in p.facets]
     found = []
     for v in sorted({vec_sub(y, x) for x in pts for y in pts if y != x}):
         bases = []
-        for i, f in enumerate(facets):
+        for i, s in enumerate(on):
             if all(
                 vec_add(x, v) in pset
                 for x in pts
-                if x not in f.points_on
+                if x not in s
             ):
                 bases.append(i)
         if len(bases) == 1:
@@ -443,7 +450,7 @@ def literal_product_table(p):
     """
     pts = p.lattice_points
     pset = set(pts)
-    on = [frozenset(x for x in pts if dot(f.normal, x) == f.offset) for f in p.facets]
+    on = [frozenset(facet_points(p, f)) for f in p.facets]
     cols = []
     for v in sorted({vec_sub(y, x) for x in pts for y in pts if y != x}):
         stuck = {x for x in pts if vec_add(x, v) not in pset}

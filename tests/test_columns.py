@@ -7,8 +7,10 @@ import pytest
 
 from polycol.algebra import sp_membership
 from polycol.columns import (
+    DirectedGraph,
     NotRigid,
     Rigid,
+    RigidCertificate,
     classify_balanced_polygon,
     column_vectors,
     columns_dot,
@@ -509,6 +511,45 @@ def test_rigid_diamond_double_factorization():
     # both factorizations realize the same path class
     assert (label[(0, 1, -1)][0], label[(1, 0, 0)][1]) == paths
     assert (label[(1, 0, -1)][0], label[(0, 1, 0)][1]) == paths
+
+
+def test_verify_rigid_certificate_refuses_each_tampering():
+    # a = (-1, 0, 1) and b = (0, 1, -1) compose to r = (-1, 1, 0) over the
+    # unit 3-simplex, and c = (-1, 0, 0) takes part in no product: the
+    # forced graph is a path of two edges beside one more edge
+    by_vec = cols_by_vector(SIMPLEX3)
+    system = [by_vec[v] for v in ((-1, 0, 0), (-1, 0, 1), (0, 1, -1))]
+    result = is_rigid(SIMPLEX3, system)
+    assert isinstance(result, Rigid)
+    graph, labeling = result.certificate
+    assert verify_rigid_certificate(SIMPLEX3, system, result.certificate)
+    label = dict(labeling)
+    a, b, r, c = (-1, 0, 1), (0, 1, -1), (-1, 1, 0), (-1, 0, 0)
+    assert set(label) == {a, b, r, c}
+    x, y = "x", "y"
+
+    def swapped(u, v):
+        return tuple(sorted({**label, u: label[v], v: label[u]}.items()))
+
+    tampered = [
+        # an element of the hull without a label
+        RigidCertificate(graph, labeling[1:]),
+        # a graph with a multiple edge
+        RigidCertificate(graph._replace(edges=graph.edges + graph.edges[:1]),
+                         labeling),
+        # a path class that labels no element
+        RigidCertificate(DirectedGraph(graph.vertices + (x, y),
+                                       graph.edges + ((x, y),)), labeling),
+        # one path class labelling every element
+        RigidCertificate(DirectedGraph((x, y), ((x, y),)),
+                         tuple((v, (x, y)) for v in label)),
+        # a product a*b whose factors' labels do not compose
+        RigidCertificate(graph, swapped(a, b)),
+        # a product a*b labelled apart from the path of its factors
+        RigidCertificate(graph, swapped(r, c)),
+    ]
+    for cert in tampered:
+        assert not verify_rigid_certificate(SIMPLEX3, system, cert), cert
 
 
 def test_rigid_refutation_after_search():

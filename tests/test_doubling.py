@@ -1,6 +1,8 @@
 import io
+import itertools
 import json
 import random
+from math import gcd
 
 import pytest
 
@@ -13,7 +15,9 @@ from polycol.doubling import (
     spectrum_report,
 )
 from polycol.exactmath import (
+    det_int,
     dot,
+    identity_matrix,
     integral_section,
     kernel_basis_int,
     vec_scale,
@@ -40,7 +44,7 @@ from .conftest import (
     TRIANGLE,
     UNIT_SQUARE,
 )
-from .helpers import contains, facet_index, facet_key
+from .helpers import contains, facet_index, facet_key, facet_points
 
 
 def unit_simplex(n):
@@ -96,25 +100,29 @@ def test_doubling_structure(corpus):
             assert ((0,) * n + (1,), 0) in keys
             assert (f.normal + (0,), 0) in keys
             assert len(r.doubled.facets) == len(q.facets) + 1
-            # embeddings land inside the double, heights are preserved
+            # the base copy (x - z0, 0) and psi(x) = (x - z0 - ht(x) w,
+            # ht(x)) of each vertex land inside the double, and they are
+            # its vertices
+            w, z0 = r.section, min(facet_points(q, f))
+            images = set()
             for v in q.vertices:
-                b = r.embed_base.apply(v)
-                c = r.embed_copy.apply(v)
+                h = dot(f.normal, v) - f.offset
+                b = vec_sub(v, z0) + (0,)
+                c = vec_sub(vec_sub(v, z0), vec_scale(h, w)) + (h,)
                 assert contains(r.doubled, b)
                 assert contains(r.doubled, c)
-                assert c[-1] == dot(f.normal, v) - f.offset
-            # the copy embedding maps Z^n onto a direct summand: the gcd of
-            # the maximal minors of its linear part is 1
-            import itertools as it
-            from math import gcd as _gcd
-
-            from polycol.exactmath import det_int, transpose
-
-            lin_rows = transpose(r.embed_copy.matrix)  # images of e_i
+                images |= {b, c}
+            assert images == set(r.doubled.vertices)
+            # psi maps Z^n onto a direct summand: the gcd of the maximal
+            # minors of its linear part x -> (x - (a . x) w, a . x) is 1
+            lin_rows = [  # images of e_j
+                vec_sub(e, vec_scale(a_j, w)) + (a_j,)
+                for e, a_j in zip(identity_matrix(n), f.normal)
+            ]
             g = 0
-            for colset in it.combinations(range(n + 1), n):
+            for colset in itertools.combinations(range(n + 1), n):
                 sub = [[row[c] for c in colset] for row in lin_rows]
-                g = _gcd(g, abs(det_int(sub)))
+                g = gcd(g, abs(det_int(sub)))
             assert g == 1
 
 
@@ -123,7 +131,7 @@ def test_doubled_lattice_points_match_segment_model():
     for p in [TRIANGLE, UNIT_SQUARE, TRAPEZOID]:
         for i, f in enumerate(p.facets):
             r = double_along_facet(p, i)
-            z0 = min(f.points_on)
+            z0 = min(facet_points(p, f))
             expected = set()
             for x in p.lattice_points:
                 h = dot(f.normal, vec_sub(x, z0))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from polycol.exactmath import (
     dot,
     hermite_normal_form,
-    lattice_index_is_full,
+    identity_matrix,
     mat_mul,
     mat_vec,
     rank_int,
@@ -58,6 +58,7 @@ from .helpers import (
     box_scan_lattice_points,
     brute_force_polygon_equivalent,
     facet_key,
+    facet_points,
     facet_scan_oracle,
     fan_witness,
     frame_forms,
@@ -204,7 +205,6 @@ def test_facet_heights_and_zero_sets():
         ), p
         for f, row in zip(p.facets, p.facet_heights):
             assert f.on_facet == tuple(i for i, h in enumerate(row) if h == 0)
-            assert f.points_on == frozenset(pts[i] for i in f.on_facet)
 
 
 def test_off_facet_minima_brute_force():
@@ -273,8 +273,8 @@ def test_hv_consistency(corpus):
         for v in p.vertices:
             assert all(dot(f.normal, v) >= f.offset for f in p.facets)
         for f in p.facets:
-            anchor = min(f.points_on)
-            diffs = [vec_sub(z, anchor) for z in f.points_on if z != anchor]
+            anchor, *rest = facet_points(p, f)
+            diffs = [vec_sub(z, anchor) for z in rest]
             assert rank_int(diffs) == p.dim - 1 if diffs else p.dim == 1
 
 
@@ -291,10 +291,8 @@ def test_facet_minimality(corpus):
             continue
         n = p.ambient_dim
         for f in p.facets:
-            bary = tuple(
-                Fraction(sum(z[i] for z in f.points_on), len(f.points_on))
-                for i in range(n)
-            )
+            on = facet_points(p, f)
+            bary = tuple(Fraction(sum(z[i] for z in on), len(on)) for i in range(n))
             others = [g for g in p.facets if g is not f]
             eps = Fraction(1)
             found = False
@@ -317,7 +315,7 @@ def test_height():
     for z in HEXAGON.lattice_points:
         h = height(HEXAGON, bottom, z, 1)
         assert h >= 0
-        assert (h == 0) == (z in bottom.points_on)
+        assert (h == 0) == (z in facet_points(HEXAGON, bottom))
     foreign = UNIT_SQUARE.facets[0]
     with pytest.raises(ValueError):
         height(SLANTED_QUAD, foreign, (0, 0), 1)
@@ -366,18 +364,18 @@ def _hnf_is_normalized(p):
     if p.ambient_dim == 0:
         return True
     x0 = p.lattice_points[0]
-    diffs = [vec_sub(z, x0) for z in p.lattice_points[1:]]
-    return lattice_index_is_full(diffs, p.ambient_dim)
+    h, _ = hermite_normal_form([vec_sub(z, x0) for z in p.lattice_points[1:]])
+    return tuple(r for r in h if any(r)) == identity_matrix(p.ambient_dim)
 
 
 def test_is_normalized_matches_hermite_form(monkeypatch):
     hnf_calls = []
 
-    def counted(rows, n):
-        hnf_calls.append(n)
-        return lattice_index_is_full(rows, n)
+    def counted(rows):
+        hnf_calls.append(len(rows[0]))
+        return hermite_normal_form(rows)
 
-    monkeypatch.setattr("polycol.polytopes.lattice_index_is_full", counted)
+    monkeypatch.setattr("polycol.polytopes.hermite_normal_form", counted)
     rng = random.Random(14)
     vertex_lists = list(enumerate_polygons(3))
     assert len(vertex_lists) == 1633
@@ -568,9 +566,8 @@ def test_normalized_volume_ignores_the_embedding():
             assert normalized_volume(q) == normalized_volume(p), (p.name, q)
 
 
-def test_saturated_chart_takes_three_hermite_forms(monkeypatch):
-    # saturation_basis takes two (the kernel and the kernel of the kernel)
-    # and solve_int one for all the points, however many there are
+def _count_hermite_forms(monkeypatch):
+    """A list that grows by one entry per Hermite form taken anywhere."""
     from polycol import exactmath
 
     hermite = exactmath.hermite_normal_form
@@ -581,6 +578,14 @@ def test_saturated_chart_takes_three_hermite_forms(monkeypatch):
         return hermite(m)
 
     monkeypatch.setattr(exactmath, "hermite_normal_form", counting)
+    monkeypatch.setattr(polytopes, "hermite_normal_form", counting)
+    return calls
+
+
+def test_saturated_chart_takes_three_hermite_forms(monkeypatch):
+    # saturation_basis takes two (the kernel and the kernel of the kernel)
+    # and solve_int one for all the points, however many there are
+    calls = _count_hermite_forms(monkeypatch)
     for k in (2, 5, 9):
         # 2k points of the plane x + y + 2z = 3 in Z^3
         points = [(3 - x - 2 * z, x, z) for x in range(k) for z in range(2)]
@@ -588,6 +593,41 @@ def test_saturated_chart_takes_three_hermite_forms(monkeypatch):
         coords, embed = polytopes._saturated_chart(points)
         assert len(calls) == 3
         assert [embed.apply(c) for c in coords] == points
+
+
+def test_lower_dimensional_input_is_charted_once(monkeypatch):
+    # the hull is taken over the chart of the points, and the lattice
+    # points are read over the same chart: one chart, whose three Hermite
+    # forms are all the work
+    chart = polytopes._saturated_chart
+    charts = []
+
+    def counting_chart(points):
+        charts.append(points)
+        return chart(points)
+
+    monkeypatch.setattr(polytopes, "_saturated_chart", counting_chart)
+    hermite_calls = _count_hermite_forms(monkeypatch)
+    points = [(3 - x - 2 * z, x, z) for x, z in TRAPEZOID.vertices]
+    p = polytope_from_points(points)
+    assert p.vertices == tuple(sorted(points)) and p.dim == 2
+    assert p.lattice_points == tuple(sorted(
+        (3 - x - 2 * z, x, z) for x, z in TRAPEZOID.lattice_points))
+    assert len(charts) == 1
+    assert len(hermite_calls) == 3
+
+
+def test_normalizing_takes_one_hermite_form_of_the_points(monkeypatch):
+    # the Reeve tetrahedron: one Hermite form decides it is not normalized
+    # and gives the basis it is charted over, one solves for the chart
+    # coordinates, and one checks the model is normalized
+    calls = _count_hermite_forms(monkeypatch)
+    p = polytope_from_points(REEVE_TETRAHEDRON.vertices)
+    p.lattice_points
+    q, embed = normalize_full_dim(p)
+    assert q.is_normalized
+    assert sorted(embed.apply(z) for z in q.lattice_points) == list(p.lattice_points)
+    assert len(calls) == 3
 
 
 def test_normal_fan():
