@@ -15,14 +15,30 @@ base F carries a lattice point at height 1 over F onto F, so the candidates
 for F are the differences y - x0 from one such point x0 to the points y of
 F.
 
-Both the base test and the product test read only facet heights, through
-two integer matrices on the polytope: H[G][i], the height of lattice point
-i over facet G, and M[F][G], the least height over G of a lattice point off
-F.  Min-height rule: with c_G the height of v over G, v has base F exactly
-when M[F][G] >= -c_G for every G with c_G < 0, because x + v is in P iff
-H[G][x] + c_G >= 0 for every G.  Likewise u*v exists exactly when
-M[F_u][F_v] + c > 0 for c the height of u over F_v: the points x + u, x off
-F_u, then all stay off F_v.
+Both the base test and the product test are sign tests on c_G, the height
+of a vector over facet G; a candidate carries these from H[G][i], the
+height of lattice point i over G (``p.facet_heights``).  Two facts on
+M[F][G], the least height over G of a lattice point off F, make them so.
+
+(1) M[F][G] = 0 for G != F.  Distinct facets do not contain one another,
+so G has a vertex off F, a lattice point at height 0 over G, and no point
+of P lies below G.
+
+(2) A column v with base F has c_F = -M[F][F].  If c_F >= 0, the points
+off F would shift off F again and again, but P is bounded and v != 0.  If
+-M[F][F] < c_F < 0, a lowest point off F would shift to a lower point off
+F.  And c_F >= -M[F][F], as the lowest point shifts into P.
+
+A lattice point x lies in P iff H[G][x] >= 0 for every G, so x + v does iff
+H[G][x] + c_G >= 0 for every G, and v has base F exactly when
+M[F][G] + c_G >= 0 for every G.  By (1), exactly when c_G >= 0 for every
+G != F and c_F >= -M[F][F]; by (2) then c_F < 0, so F is the only facet
+of negative height under v.  Likewise u*v exists exactly when u + v != 0
+and no point x + u, x off the base F_u of u, lies on the base F_v of v,
+that is when M[F_u][F_v] + c > 0 for c the height of u over F_v.  By (2)
+that sum is 0 when F_v = F_u, so same-base products never exist; by (1)
+it is c when F_v != F_u.  As u has negative height over F_u, u*v exists
+exactly when u has positive height over F_v and v != -u.
 """
 
 from __future__ import annotations
@@ -30,7 +46,6 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
-from operator import add
 from typing import NamedTuple, Optional
 
 from .exactmath import (
@@ -68,17 +83,15 @@ def column_vectors(p, pruned=True):
     normalized input, so x0 + v lies in P at height 0, that is on F; and
     shifting any point off F by v again and again passes through height 1.
     Each candidate comes with its heights c_G = H[G][y] - H[G][x0] over
-    every facet G (H is ``p.facet_heights``), and the min-height rule
-    decides its base: F is a base of v exactly when M[F][G] >= -c_G for
-    every G with c_G < 0 (M is ``p.off_facet_minima``).  Proof: a lattice
-    point x lies in P iff H[G][x] >= 0 for all G, so x + v does iff
-    H[G][x] + c_G >= 0 for all G; over the points x off F the least H[G][x]
-    is M[F][G].
+    every facet G (H is ``p.facet_heights``), and its base is its only
+    facet of negative height, when it has just one: by the module
+    docstring, v has base F exactly when c_G >= 0 for every G != F and
+    c_F >= -M[F][F], and a candidate for F has c_F = -1 while M[F][F] >= 1.
 
     Without ``pruned`` every difference of two lattice points is a
     candidate, and each is checked literally, by shifting every lattice
     point and looking the result up; ``verify --which heights`` uses this
-    slow path to double-check the pruning and the min-height rule.  Callers
+    slow path to double-check the pruning and the sign rule.  Callers
     that only need Col(P) read ``product_table(p).columns``, which searches
     once per polytope object.
     """
@@ -106,7 +119,7 @@ def column_vectors(p, pruned=True):
 
 def _min_height_bases(p):
     """(v, heights, bases) for the pruned candidates, in sorted order, with
-    the bases decided by the min-height rule."""
+    the base decided by the signs of the heights."""
     pts = p.lattice_points
     facet_heights = p.facet_heights
     point_heights = tuple(zip(*facet_heights))
@@ -120,16 +133,14 @@ def _min_height_bases(p):
             v = vec_sub(pts[j], x0)
             if v not in cands:
                 cands[v] = vec_sub(point_heights[j], h0)
-    minima = p.off_facet_minima
     for v in sorted(cands):
         heights = cands[v]
-        if min(heights) >= 0:
+        negative = [g for g, h in enumerate(heights) if h < 0]
+        if not negative:
             raise InternalCheckError(
                 f"{v} shifts every lattice point inside a bounded polytope"
             )
-        # M >= 0, so M[F][G] + c_G >= 0 holds already where c_G >= 0
-        bases = [f for f, row in enumerate(minima) if min(map(add, row, heights)) >= 0]
-        yield v, heights, bases
+        yield v, heights, negative if len(negative) == 1 else []
 
 
 def _literal_bases(p):
@@ -156,18 +167,14 @@ class ProductTable:
     ``rows[i][j]`` is the index k of the column u_i*u_j when that product
     exists, and None otherwise (u + (-u) included), at one pointer per
     entry: a table stays in memory for as long as its polytope does.
+    ``products`` lists the triples (i, j, k) of the products, in row order.
     """
 
-    def __init__(self, columns, rows):
+    def __init__(self, columns, index, rows, products):
         self.columns = columns
-        self.index = {c.vector: i for i, c in enumerate(columns)}
+        self.index = index
         self.rows = rows
-        self.products = tuple(
-            (i, j, k)
-            for i, row in enumerate(rows)
-            for j, k in enumerate(row)
-            if k is not None
-        )
+        self.products = products
 
     def column(self, v):
         """The index of a column, given as a ColumnVector or a vector."""
@@ -232,47 +239,48 @@ def product_table(p, columns=None):
     """Col(P) and its partial product, built once per polytope object.
 
     The product u*v of two columns exists when no lattice point x off the
-    base F_u of u is carried onto the base F_v of v by u.  Such an x + u
-    lies in P at height H[F_v][x] + c over F_v, where c = normal_{F_v} . u,
-    so the product exists exactly when M[F_u][F_v] + c > 0 (M is
-    ``p.off_facet_minima``): one comparison per entry, no lattice point
-    touched.  The table is stored on ``p`` itself (next to its cached
-    properties), so it lives exactly as long as ``p`` and is never shared
-    with an equal polytope.  ``columns``, when given, is Col(P) already
-    known in canonical order (``doubling.extend_columns`` seeds a double's)
-    and stands in for the search.
+    base F_u of u is carried onto the base F_v of v by u; by the module
+    docstring, exactly when u has positive height over F_v and v != -u.
+    So each row visits only the columns whose base lies above u, and no
+    lattice point is touched.  The table is stored on ``p`` itself (next
+    to its cached properties), so it lives exactly as long as ``p`` and is
+    never shared with an equal polytope.  ``columns``, when given, is
+    Col(P) already known in canonical order (``doubling.extend_columns``
+    seeds a double's) and stands in for the search.
     """
     table = p.__dict__.get("_product_table")
     if table is not None:
         return table
     cols = column_vectors(p) if columns is None else columns
-    minima = p.off_facet_minima
     index = {c.vector: i for i, c in enumerate(cols)}
-    bases = [c.base for c in cols]
+    on_base = {}
+    for j, c in enumerate(cols):
+        on_base.setdefault(c.base, []).append(j)
     rows = []
-    for u in cols:
-        mins = minima[u.base]
-        heights = u.heights
+    products = []
+    for i, u in enumerate(cols):
         opposite = index.get(vec_neg(u.vector))
-        row = []
+        row = [None] * len(cols)
         rows.append(row)
-        for j, g in enumerate(bases):
-            if j == opposite or mins[g] + heights[g] <= 0:
-                row.append(None)
-            else:
-                s = vec_add(u.vector, cols[j].vector)
-                k = index.get(s)
-                if k is None:
-                    raise InternalCheckError(
-                        f"product {u.vector}*{cols[j].vector} exists but {s} "
-                        "is not a column"
-                    )
-                if bases[k] != u.base:
-                    raise InternalCheckError(
-                        f"product {s} does not inherit the left base facet"
-                    )
-                row.append(k)
-    table = p.__dict__["_product_table"] = ProductTable(cols, rows)
+        above = (on_base.get(g, ()) for g, h in enumerate(u.heights) if h > 0)
+        for j in sorted(itertools.chain.from_iterable(above)):
+            if j == opposite:
+                continue
+            s = vec_add(u.vector, cols[j].vector)
+            k = index.get(s)
+            if k is None:
+                raise InternalCheckError(
+                    f"product {u.vector}*{cols[j].vector} exists but {s} "
+                    "is not a column"
+                )
+            if cols[k].base != u.base:
+                raise InternalCheckError(
+                    f"product {s} does not inherit the left base facet"
+                )
+            row[j] = k
+            products.append((i, j, k))
+    table = p.__dict__["_product_table"] = ProductTable(
+        cols, index, rows, tuple(products))
     return table
 
 

@@ -167,16 +167,15 @@ def extend_columns(p, doubled, doubling):
     ``doubling`` is (F's index, w, the source of each facet of D), as
     ``double_along_facet`` seeds them.  The NoExtensionError lookup guards
     the inclusion, and a certificate stands in for the search's own guards:
-    each seeded column sits at height -1 over its base and passes the
-    min-height rule of ``columns.column_vectors`` on D's minima.
+    each seeded column sits at height -1 over its base and at height >= 0
+    over every other facet of D, which by the sign rule of ``columns`` (a
+    height of -1 is never below -M[F][F]) makes it a column with that base.
     """
     cols_p = product_table(p).columns
     cols = _seeded_columns(cols_p, *doubling)
-    minima = doubled.off_facet_minima
     for c in cols:
-        row = minima[c.base]
         if c.heights[c.base] != -1 or any(
-            row[g] < -h for g, h in enumerate(c.heights) if h < 0
+            h < 0 for g, h in enumerate(c.heights) if g != c.base
         ):
             raise InternalCheckError(
                 f"seeded column {c.vector} is no column of the double"

@@ -287,17 +287,6 @@ class Polytope:
         )
 
     @cached_property
-    def off_facet_minima(self):
-        """M[F][G] = min{H[G][i] : H[F][i] > 0}, the least height over G of
-        a lattice point off F; M[F][F] >= 1."""
-        heights = self.facet_heights
-        out = []
-        for row_f in heights:
-            off = [h > 0 for h in row_f]
-            out.append(tuple(min(itertools.compress(row_g, off)) for row_g in heights))
-        return tuple(out)
-
-    @cached_property
     def facets(self):
         out = []
         for (normal, offset), row in zip(self._facet_pairs, self.facet_heights):

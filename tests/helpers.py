@@ -32,6 +32,10 @@ coarsenings of that partition, up to 50,000 of them, where ``is_rigid``
 also glues the products' ends and decides from that one partition; both
 read the production hulls and product table.
 
+The off-facet minima take a minimum over the whole height matrix for every
+pair of facets, where ``columns`` reads only the signs of a column's own
+heights.
+
 The generator forms of the vector kernels are the oracle for the ``map``
 kernels of ``exactmath``: here ``zip(strict=True)`` refuses unequal
 lengths, where the production kernels compare the lengths themselves.
@@ -303,6 +307,20 @@ def facet_points(p, f):
     """The sorted lattice points of P on the facet form f, read from its
     inequality rather than from the height matrix."""
     return [z for z in p.lattice_points if dot(f.normal, z) == f.offset]
+
+
+def off_facet_minima(p):
+    """M[F][G] = min{H[G][i] : H[F][i] > 0}, the least height over G of a
+    lattice point off F, over the whole height matrix: the oracle for the
+    two facts on M that ``columns`` proves and its sign tests rest on."""
+    heights = p.facet_heights
+    return tuple(
+        tuple(
+            min(h_g for h_f, h_g in zip(row_f, row_g) if h_f > 0)
+            for row_g in heights
+        )
+        for row_f in heights
+    )
 
 
 def facet_index(p, facet):

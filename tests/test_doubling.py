@@ -44,7 +44,13 @@ from .conftest import (
     TRIANGLE,
     UNIT_SQUARE,
 )
-from .helpers import contains, facet_index, facet_key, facet_points
+from .helpers import (
+    contains,
+    facet_index,
+    facet_key,
+    facet_points,
+    off_facet_minima,
+)
 
 
 def unit_simplex(n):
@@ -150,7 +156,7 @@ def _assert_matches_rebuilt(d):
     assert d._facet_pairs == r._facet_pairs
     assert d.lattice_points == r.lattice_points
     assert d.facet_heights == r.facet_heights
-    assert d.off_facet_minima == r.off_facet_minima
+    assert off_facet_minima(d) == off_facet_minima(r)
     assert d.is_normalized == r.is_normalized
 
 
@@ -242,7 +248,7 @@ def test_spectrum_searches_columns_only_for_its_input(capsys, monkeypatch):
 def _beyond_the_fibre(cols_p, index, w, sources):
     # (u - s w, s) with s = a.u + 1 over a lifted facet G: it claims height
     # -1 over G but takes the top point of a fibre off G out of the sheared
-    # copy, so M[G][sheared] = 0 < 1 refuses it
+    # copy, so its height -1 over the sheared copy refuses it
     u = next(c for c in cols_p if c.base != index)
     s = u.heights[index] + 1
     return ColumnVector(
@@ -254,8 +260,8 @@ def _beyond_the_fibre(cols_p, index, w, sources):
 
 
 def _zero_shift(cols_p, index, w, sources):
-    # (-w, 1) seeded at s = 0: the zero vector, with no negative height for
-    # the min-height rule to test, but height 0 over its base
+    # (-w, 1) seeded at s = 0: the zero vector, with no negative height off
+    # its base for the sign test to refuse, but height 0 over its base
     return ColumnVector((0,) * (len(w) + 1), sources.index("sheared"),
                         (0,) * len(sources))
 

@@ -65,6 +65,7 @@ from .helpers import (
     gram_inverse_chart,
     height,
     linear_image,
+    off_facet_minima,
     projectively_equivalent,
     random_normalized_polytopes,
     random_unimodular_matrix,
@@ -221,7 +222,7 @@ def test_off_facet_minima_brute_force():
             )
             for f in p.facets
         )
-        assert p.off_facet_minima == expected, p
+        assert off_facet_minima(p) == expected, p
 
 
 def test_facets_require_full_dim():

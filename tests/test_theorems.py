@@ -1,19 +1,32 @@
-"""Classical lattice-point theorems as oracles for ``lattice_points``.
+"""Published theorems as oracles for the program.
 
-Each side of an identity is computed without the other: the counts come
-from ``Polytope.lattice_points``, the fibre walk, and the right-hand sides
-from the vertices alone.
+Each side of an identity is computed without the other.  The lattice-point
+counts come from ``Polytope.lattice_points``, the fibre walk, and the
+right-hand sides from the vertices alone; class counts, equivalences and
+group orders come from the normal forms and the equivalence search, and
+the expected values from closed formulas.
 """
 
-from math import comb, gcd
+import itertools
+from math import comb, factorial, gcd
 
 import pytest
 
+from polycol.algebra import symmetry_permutations
+from polycol.columns import product_table
 from polycol.doubling import doubling_spectrum
-from polycol.polytopes import Polytope, dilate, normalized_volume
+from polycol.polytopes import (
+    Polytope,
+    cycle_normal_form,
+    dilate,
+    integral_affine_equivalent,
+    normalized_volume,
+    polytope_from_points,
+)
 from polycol.scan import enumerate_polygons
 
 from .conftest import (
+    CORPUS,
     EMPTY_SIMPLEX,
     NON_NORMAL_SIMPLEX,
     REEVE_TETRAHEDRON,
@@ -21,7 +34,17 @@ from .conftest import (
     SQUARE_PYRAMID,
     TRAPEZOID,
 )
-from .helpers import random_normalized_polytopes
+from .helpers import off_facet_minima, random_normalized_polytopes
+
+
+def _twice_area_and_boundary(cycle):
+    """(2A, B) of the polygon with a counterclockwise vertex cycle: 2A is
+    the shoelace sum, and an edge with vector (dx, dy) holds gcd(dx, dy)
+    boundary points besides its start."""
+    edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+    twice_area = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges)
+    boundary = sum(gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in edges)
+    return twice_area, boundary
 
 
 def test_pick_on_every_polygon_in_the_box():
@@ -30,19 +53,35 @@ def test_pick_on_every_polygon_in_the_box():
     zur Zahlenlehre", Sitzungsber. Lotos Prag 19 (1899); M. Beck and
     S. Robins, "Computing the Continuous Discretely", 2nd ed., Springer
     2015, ch. 2).
-
-    2A is the shoelace sum over the counterclockwise cycle, and an edge
-    with vector (dx, dy) holds gcd(dx, dy) boundary points besides its
-    start.
     """
     polygons = enumerate_polygons(3)
     assert len(polygons) == 1633
     for cycle in polygons:
-        edges = list(zip(cycle, cycle[1:] + cycle[:1]))
-        twice_area = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges)
-        boundary = sum(gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in edges)
+        twice_area, boundary = _twice_area_and_boundary(cycle)
         count = len(Polytope(cycle, 2).lattice_points)
         assert 2 * count == twice_area + boundary + 2, cycle
+
+
+def test_sixteen_reflexive_polygons_in_the_box():
+    """Up to lattice equivalence there are exactly 16 lattice polygons with
+    one interior lattice point, the reflexive polygons (B. Poonen and
+    F. Rodriguez-Villegas, "Lattice polygons and the number 12", Amer.
+    Math. Monthly 107 (2000); W. Castryck, "Moving out the edges of a
+    lattice polygon", Discrete Comput. Geom. 47 (2012)).  All of them fit
+    in [0, 3]^2, so the classes of the box-4 polygons hold each once.
+
+    The classes are the distinct ``cycle_normal_form`` values, and the
+    interior count I = A - B/2 + 1 is read off a member's cycle by Pick's
+    theorem, not from ``lattice_points``.
+    """
+    classes = {}
+    for cycle in enumerate_polygons(4):
+        classes.setdefault(cycle_normal_form(cycle), cycle)
+    interior = [
+        (twice_area - boundary + 2) // 2
+        for twice_area, boundary in map(_twice_area_and_boundary, classes.values())
+    ]
+    assert interior.count(1) == 16
 
 
 def _ehrhart_top_differences(p):
@@ -90,3 +129,89 @@ def test_ehrhart_top_difference_along_the_doubling_chain():
     for st in chain.steps:
         d = st.result.doubled
         assert _ehrhart_top_differences(d) == [normalized_volume(d)] * 3
+
+
+def _white_tetrahedron(p, q):
+    """T(p, q) = conv(0, e1, e3, (p, q, 1))."""
+    return polytope_from_points([(0, 0, 0), (1, 0, 0), (0, 0, 1), (p, q, 1)])
+
+
+def test_white_empty_tetrahedra_equivalence():
+    """White's theorem: for gcd(p, q) = 1, T(p, q) holds no lattice point
+    but its vertices and has normalized volume q, and T(p, q) and T(p', q)
+    are lattice equivalent iff p' = +-p or p' p = +-1 (mod q) (G. K. White,
+    "Lattice tetrahedra", Canad. J. Math. 16 (1964); A. Sebo, "An
+    introduction to empty lattice simplices", IPCO 1999, LNCS 1610).
+
+    All 45 pairs p < p' of residues prime to q, for q <= 9.
+    """
+    pairs = 0
+    for q in range(1, 10):
+        residues = [p for p in range(q) if gcd(p, q) == 1]
+        for p in residues:
+            t = _white_tetrahedron(p, q)
+            assert len(t.lattice_points) == 4 and normalized_volume(t) == q
+        for p, p2 in itertools.combinations(residues, 2):
+            expected = p2 in {p, q - p, pow(p, -1, q), q - pow(p, -1, q)}
+            found = integral_affine_equivalent(
+                _white_tetrahedron(p, q), _white_tetrahedron(p2, q))
+            assert (found is not None) == expected, (p, p2, q)
+            pairs += 1
+    assert pairs == 45
+
+
+def _unit_simplex(n):
+    return polytope_from_points(
+        [(0,) * n] + [tuple(int(i == j) for j in range(n)) for i in range(n)])
+
+
+def _cube(n):
+    return polytope_from_points(list(itertools.product((0, 1), repeat=n)))
+
+
+def _cross_polytope(n):
+    return polytope_from_points(
+        [tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)])
+
+
+@pytest.mark.parametrize(
+    "build, n, order",
+    [(_unit_simplex, n, factorial(n + 1)) for n in range(1, 5)]
+    + [(_cube, n, 2 ** n * factorial(n)) for n in range(1, 4)]
+    + [(_cross_polytope, n, 2 ** n * factorial(n)) for n in range(1, 4)],
+    ids=lambda v: getattr(v, "__name__", str(v)).strip("_"),
+)
+def test_symmetry_group_orders(build, n, order):
+    """The lattice symmetries of the unit n-simplex are the (n+1)! affine
+    permutations of its vertices; those of the unit n-cube and of the
+    cross-polytope conv(+-e_i) are the hyperoctahedral group, of order
+    2^n n!, the signed permutations of the coordinates (H. S. M. Coxeter,
+    "Regular Polytopes", 3rd ed., Dover 1973)."""
+    assert len(symmetry_permutations(build(n))) == order
+
+
+def test_off_facet_minima_vanish_off_the_diagonal():
+    """The two facts the sign tests of ``columns`` rest on, against the
+    brute-force minima M[F][G], the least height over G of a lattice point
+    off F: M[F][G] = 0 for G != F, as G has a vertex off F; and a column
+    with base F sits at height -M[F][F] over F (Bruns and Gubeladze,
+    "Polytopal linear groups", J. Algebra 218 (1999), where a column sits
+    at height -1 over its base on normalized P).
+
+    On the CORPUS, every polygon of ``enumerate_polygons(3)`` (columns on
+    the normalized ones) and steps 1-11 of the trapezoid's doubling chain.
+    """
+    polytopes = list(CORPUS)
+    polytopes += [Polytope(cycle, 2) for cycle in enumerate_polygons(3)]
+    polytopes += [st.result.doubled
+                  for st in doubling_spectrum(TRAPEZOID, 11).steps]
+    columns = 0
+    for p in polytopes:
+        minima = off_facet_minima(p)
+        for f, row in enumerate(minima):
+            assert row[f] >= 1 and row[:f] + row[f + 1:] == (0,) * (len(row) - 1), p
+        if p.is_normalized:
+            for c in product_table(p).columns:
+                assert c.heights[c.base] == -minima[c.base][c.base], (p, c)
+                columns += 1
+    assert columns > 2000
