@@ -77,6 +77,23 @@ PLANAR_FORMS = (
     ("spectrum", "--steps", "3"),
 )
 
+# degenerate inputs: a point of Z^0, a segment of Z^1, a point of Z^2 and
+# the column-free reflexive hexagon
+DEGENERATE_POLYTOPES = [
+    polytope_from_points([()], name="point of Z^0"),
+    polytope_from_points([(0,), (4,)], name="segment of length 4"),
+    polytope_from_points([(1, 2)], name="point of Z^2"),
+    polytope_from_points(
+        [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)],
+        name="reflexive hexagon",
+    ),
+]
+DEGENERATE_FORMS = (
+    ("analyze",),
+    ("export", "--what", "fan"),
+    ("spectrum", "--steps", "1"),
+)
+
 
 def _stdin(p):
     return json.dumps({"name": p.name, "vertices": [list(v) for v in p.vertices]})
@@ -86,14 +103,16 @@ def golden_commands():
     """{label: (argv, stdin text)} for every form on every test polytope,
     numbered since two share a name, the search forms on the search
     polytopes, the planar forms on the trapezoid in a plane of Z^3, the
-    trapezoid's presentation mod 3, its doubling chain to 11 steps, the
-    chains of the square pyramid and triangle x segment to 7 steps, and the
-    polygon scans of boxes 1-3 at seed 7."""
+    degenerate forms on the degenerate inputs, the trapezoid's presentation
+    mod 3, its doubling chain to 11 steps, the chains of the square pyramid
+    and triangle x segment to 7 steps, and the polygon scans of boxes 1-3 at
+    seed 7."""
     commands = {}
     polytopes = CORPUS + [REEVE_TETRAHEDRON, EMPTY_SIMPLEX, NON_NORMAL_SIMPLEX]
     jobs = [(p, FORMS) for p in polytopes]
     jobs += [(p, SEARCH_FORMS) for p in SEARCH_POLYTOPES]
     jobs.append((PLANAR_TRAPEZOID, PLANAR_FORMS))
+    jobs += [(p, DEGENERATE_FORMS) for p in DEGENERATE_POLYTOPES]
     for i, (p, forms) in enumerate(jobs):
         for sub, *rest in forms:
             commands[" ".join([sub, *rest, f"{i:02d}", p.name])] = ([sub, "-", *rest], _stdin(p))
