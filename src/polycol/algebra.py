@@ -30,7 +30,7 @@ from .exactmath import (
     vec_neg,
     vec_scale,
 )
-from .polytopes import AffineLatticeMap, InternalCheckError, lattice_equivalences
+from .polytopes import InternalCheckError, lattice_equivalences
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +166,10 @@ def elementary_automorphism(p, col, lam, ring):
     which are lattice points because heights over the base facet drop by
     exactly one per step; they are walked one step of v at a time.  Terms
     that vanish in the ring (lam = 0, or over Z/m a binomial coefficient
-    divisible by m) are not stored.
+    divisible by m) are not stored.  ``product_table(p)`` refuses a
+    non-normalized P: it runs ``column_vectors``, which raises ValueError,
+    and only the double of a normalized P has a seeded table.
     """
-    if not p.is_normalized:
-        raise ValueError("elementary automorphisms need a normalized polytope")
     table = product_table(p)
     col = table.columns[table.column(col)]
     v = col.vector
@@ -202,9 +202,8 @@ def elementary_automorphism(p, col, lam, ring):
 
 def lattice_symmetries(p):
     """All affine lattice self-maps of P, as AffineLatticeMaps sorted by
-    matrix, then translation."""
-    if p.ambient_dim == 0:
-        return [AffineLatticeMap.identity(0)]
+    matrix, then translation.  On Z^0, ``lattice_equivalences(p, p)``
+    yields the identity."""
     if not p.is_full_dimensional:
         raise ValueError("symmetries need a full-dimensional polytope")
     return sorted(lattice_equivalences(p, p), key=lambda m: (m.matrix, m.translation))

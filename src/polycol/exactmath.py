@@ -324,29 +324,17 @@ class Poly:
         self.terms = {e: c for e, c in terms.items() if c != 0}
 
     @classmethod
-    def _make(cls, names, terms):
-        """Internal constructor that neither copies nor filters: ``names``
-        is already a tuple and ``terms`` holds no zero coefficient."""
-        p = object.__new__(cls)
-        p.names = names
-        p.terms = terms
-        return p
-
-    @classmethod
     def const(cls, names, c):
-        c = int(c)
-        return cls._make(tuple(names), {(0,) * len(names): c} if c else {})
+        return cls(names, {(0,) * len(names): int(c)})
 
     @classmethod
     def variable(cls, names, name):
         names = tuple(names)
         i = names.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(names)))
-        return cls._make(names, {e: 1})
+        return cls(names, {e: 1})
 
     def _coerce(self, other):
-        if type(other) is Poly and other.names is self.names:
-            return other
         if isinstance(other, Poly):
             if other.names != self.names:
                 raise ValueError("polynomials over different variable sets")
@@ -362,22 +350,15 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        big, small = self.terms, other.terms
-        if len(big) < len(small):
-            big, small = small, big
-        terms = dict(big)
-        for e, c in small.items():
-            c += terms.get(e, 0)
-            if c:
-                terms[e] = c
-            else:
-                del terms[e]
-        return Poly._make(self.names, terms)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return Poly(self.names, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._make(self.names, {e: -c for e, c in self.terms.items()})
+        return Poly(self.names, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -392,28 +373,12 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        small, big = self.terms, other.terms
-        if len(small) > len(big):
-            small, big = big, small
-        if len(small) == 1:
-            # a constant or a monomial scales or shifts every term of the
-            # other factor: no two products meet, and none is zero since Z
-            # has no zero divisors
-            (e1, c1), = small.items()
-            if any(e1):
-                terms = {
-                    tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in big.items()
-                }
-            else:
-                terms = {e2: c1 * c2 for e2, c2 in big.items()}
-            return Poly._make(self.names, terms)
         terms = {}
-        get = terms.get
-        for e1, c1 in small.items():
-            for e2, c2 in big.items():
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
-                terms[e] = get(e, 0) + c1 * c2
-        return Poly._make(self.names, {e: c for e, c in terms.items() if c})
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return Poly(self.names, terms)
 
     __rmul__ = __mul__
 

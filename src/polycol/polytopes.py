@@ -93,7 +93,8 @@ def dual_description(rows):
 
     The rows must span the whole space, so the cone is pointed.  Classic
     double description with the combinatorial adjacency test; zero sets are
-    tracked as bitmasks over the processed rows.
+    tracked as bitmasks over the processed rows.  A basis row changes no
+    ray: each is >= 0 on it, and its mask already records where it is 0.
     """
     rows = sorted(set(rows))
     d = len(rows[0])
@@ -113,10 +114,7 @@ def dual_description(rows):
                 mask |= 1 << basis_idx[i]
         rays.append([primitive_part(col), mask])
 
-    basis_set = set(basis_idx)
     for t, h in enumerate(rows):
-        if t in basis_set:
-            continue
         vals = [dot(h, r[0]) for r in rays]
         pos = [i for i, v in enumerate(vals) if v > 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
@@ -331,7 +329,8 @@ def polytope_from_points(points, name=None):
     through to the rank test.  Double description serves the other
     full-dimensional inputs.  Lower-dimensional points are hulled as their
     coordinates over ``_saturated_chart``, and that hull stays as the
-    polytope's full-dimensional model.
+    polytope's full-dimensional model.  The point of Z^0 takes the rank
+    path, which returns ``Polytope([()], 0)``.
     """
     pts = [tuple(p) for p in points]
     if not pts:
@@ -344,8 +343,6 @@ def polytope_from_points(points, name=None):
             if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError(f"non-integral coordinate {c!r}")
     pts = sorted(set(pts))
-    if n == 0:
-        return Polytope([()], 0, name=name)
     if n == 2:
         cycle = _convex_cycle(pts)
         if len(cycle) >= 3:
@@ -355,7 +352,7 @@ def polytope_from_points(points, name=None):
             return p
     x0 = pts[0]
     diffs = [vec_sub(p, x0) for p in pts[1:]]
-    d = rank_int(diffs) if diffs else 0
+    d = rank_int(diffs)
     if d == 0:
         return Polytope([x0], n, name=name)
     if d == n:
@@ -446,13 +443,11 @@ def normalize_full_dim(p):
 
 
 def is_unimodular_simplex(p):
-    """Simplex whose edge lattice at a vertex is a direct summand of Z^n."""
+    """Simplex whose edge lattice at a vertex is a direct summand of Z^n:
+    the gcd of the edges' maximal minors is 1.  More than dim edges are
+    dependent, so on a non-simplex every maximal minor vanishes."""
     verts = p.vertices
-    if len(verts) != p.dim + 1:
-        return False
     v0 = verts[0]
-    # dim edges at v0, so independent; a direct summand iff the gcd of their
-    # maximal minors is 1
     diffs = [vec_sub(v, v0) for v in verts[1:]]
     g = 0
     for colset in itertools.combinations(range(p.ambient_dim), len(diffs)):
@@ -724,16 +719,11 @@ def vertex_adjacency(p):
 
 
 def normal_fan(p):
+    """One cone per vertex v, generated by the primitive v - w over its
+    neighbors w; ``vertex_adjacency`` joins the two endpoints of a segment,
+    because ``rank_int([]) == 0``."""
     if not p.is_full_dimensional:
         raise ValueError("normal fan requires a full-dimensional polytope")
-    if p.dim == 1:
-        a, b = p.vertices
-        return NormalFan(
-            [
-                (a, (primitive_part(vec_sub(a, b)),)),
-                (b, (primitive_part(vec_sub(b, a)),)),
-            ]
-        )
     adj = vertex_adjacency(p)
     cones = []
     for v in p.vertices:

@@ -368,17 +368,6 @@ def test_poly_cancellation_stores_no_zero():
     assert (a * (a * b - b * a + 3)).terms == {(1, 0): 3}
 
 
-def test_poly_make_matches_public_constructor():
-    names = ("a", "b")
-    for terms in ({}, {(0, 0): 5}, {(1, 0): 2, (0, 3): -1}):
-        made = Poly._make(names, dict(terms))
-        # the public constructor copies the names and drops zero terms
-        public = Poly(list(names), {**terms, (2, 2): 0})
-        assert made == public and public == made
-        assert hash(made) == hash(public)
-        assert made.terms == public.terms and made.names == public.names
-
-
 def test_poly_constant_hashes_like_its_int():
     names = ("a", "b")
     five = Poly.const(names, 5)
