@@ -529,11 +529,12 @@ class DirectedGraph(NamedTuple):
         if any(a == b for a, b in self.edges):
             return "self-loop"
         counts = self._path_counts()
+        # before the shadow test, which counts walks and so sees every cycle
+        if any(counts.get((v, v), 0) for v in self.vertices):
+            return "directed cycle"
         for a, b in self.edges:
             if counts.get((a, b), 0) != 1:
                 return f"edge {a}->{b} shadowed by another path"
-        if any(counts.get((v, v), 0) for v in self.vertices):
-            return "directed cycle"
         return None
 
     def _path_counts(self):

@@ -160,6 +160,30 @@ def test_cli_malformed_json_exits_2(tmp_path, capsys, command, text):
     assert err.startswith("error: ")
 
 
+def test_cli_rejects_a_vertex_that_is_not_a_list(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"vertices": [5]}')
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: each vertex must be a list of integers\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze"],
+    ["export", "--what", "dot"],
+    ["spectrum", "--steps", "2"],
+], ids=" ".join)
+def test_cli_output_file_gets_the_stdout_bytes(tmp_path, capsys, command):
+    trap = write_poly(tmp_path, "trap", [[0, 0], [2, 0], [1, 1], [0, 1]])
+    code, out, _ = run_cli(capsys, command[0], trap, *command[1:])
+    target = tmp_path / "out.txt"
+    code_o, out_o, err_o = run_cli(capsys, command[0], trap, *command[1:],
+                                   "-o", str(target))
+    assert code == code_o == 0
+    assert (out_o, err_o) == ("", "")
+    assert target.read_bytes() == out.encode("utf-8")
+
+
 def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     def broken(p):
         raise KeyError("stale index")
@@ -326,6 +350,12 @@ def test_cli_scan_rejects_sample_rate_outside_unit_interval(capsys, rate):
     assert code == 2
     assert out == ""
     assert err == "error: sample rate must lie in [0, 1]\n"
+
+
+def test_cli_scan_rejects_box_below_1(capsys):
+    code, out, err = run_cli(capsys, "scan-polygons", "--box", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: box must be >= 1\n"
 
 
 def test_cli_spectrum(tmp_path, capsys):

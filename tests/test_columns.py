@@ -386,6 +386,48 @@ def test_col_divisible_simplices():
         assert is_col_divisible(p) == (True, None)
 
 
+def _divisibility_cases(p):
+    """{(clause, first alternative holds, second holds)} over the cases of
+    the two Col-divisibility clauses, with products read off the literal
+    table: cd1 takes a != b with a*c and b*c, and asks a = (a-b)*b or
+    b = (b-a)*a; cd2 takes a*b = c*d with a != c, and asks a*t = c and
+    t*d = b for t = c-a, or c*t = a and t*b = d for t = a-c."""
+    cols, rows = literal_product_table(p)
+    vecs = [v for v, _ in cols]
+    index = {v: i for i, v in enumerate(vecs)}
+
+    def prod(u, v):
+        if u not in index or v not in index:
+            return None
+        k = rows[index[u]][index[v]]
+        return None if k is None else vecs[k]
+
+    cases = set()
+    for a, b, c in itertools.product(vecs, repeat=3):
+        if a != b and prod(a, c) and prod(b, c):
+            cases.add(("cd1", prod(vec_sub(a, b), b) == a,
+                       prod(vec_sub(b, a), a) == b))
+    for a, b, c, d in itertools.product(vecs, repeat=4):
+        if a != c and prod(a, b) and prod(a, b) == prod(c, d):
+            t1, t2 = vec_sub(c, a), vec_sub(a, c)
+            cases.add(("cd2", prod(a, t1) == c and prod(t1, d) == b,
+                       prod(c, t2) == a and prod(t2, b) == d))
+    return cases
+
+
+def test_col_divisibility_needs_each_alternative():
+    # the second double of the trapezoid's chain is Col-divisible, and in
+    # each clause some case holds through the first alternative only and
+    # some through the second only: dropping any one of the four fails it
+    q = doubling_spectrum(TRAPEZOID, 2).steps[-1].result.doubled
+    assert is_col_divisible(q) == (True, None)
+    assert _divisibility_cases(q) == {
+        (clause, first, second)
+        for clause in ("cd1", "cd2")
+        for first, second in ((True, True), (True, False), (False, True))
+    }
+
+
 def test_col_divisible_requires_balanced():
     with pytest.raises(ValueError):
         is_col_divisible(STEEP_TRIANGLE)
@@ -552,6 +594,19 @@ def test_verify_rigid_certificate_refuses_each_tampering():
         assert not verify_rigid_certificate(SIMPLEX3, system, cert), cert
 
 
+@pytest.mark.parametrize("vertices, edges, reason", [
+    ("ab", ("ab", "ab"), "multiple edges"),
+    ("abc", ("ab",), "isolated vertices"),
+    ("ab", ("aa", "ab"), "self-loop"),
+    ("abc", ("ab", "bc", "ac"), "edge a->c shadowed by another path"),
+    ("abc", ("ab", "bc", "ca"), "directed cycle"),
+    ("abc", ("ab", "bc"), None),
+])
+def test_check_conditions_names_each_defect(vertices, edges, reason):
+    graph = DirectedGraph(tuple(vertices), tuple(tuple(e) for e in edges))
+    assert graph.check_conditions() == reason
+
+
 def test_rigid_refutation_after_search():
     # three apex edges plus the long diagonal admit no compatible graph: the
     # forced graph already has a defect
@@ -560,6 +615,31 @@ def test_rigid_refutation_after_search():
             by_vec[(0, 0, -1)], by_vec[(1, 1, -1)]]
     result = is_rigid(SQUARE_PYRAMID, quad)
     assert isinstance(result, NotRigid)
+
+
+def test_rigid_forced_certificate_can_fail_verification():
+    # a 5-simplex with 9 lattice points, and seven of its columns that stay
+    # the irreducible elements of their hull of 14.  The forced graph has no
+    # defect, but it joins one vertex to another by two paths of three
+    # edges, and the hull element over each path gets the pair of ends as
+    # its label: two elements share a label, so no certificate exists
+    p = polytope_from_points([
+        (0, 0, 0, 0, 0), (0, 2, 2, 0, 0), (1, 2, 1, 0, 0), (2, 2, 2, 0, 0),
+        (3, 1, 1, 0, 1), (3, 1, 1, 1, 0),
+    ])
+    assert p.is_normalized and len(p.lattice_points) == 9
+    system = [(-3, 1, 1, 0, -1), (-2, 1, 1, 0, -1), (-2, 1, 0, -1, 0),
+              (-1, -1, -1, 0, 0), (-1, 0, 1, 0, 0), (0, -1, 0, 0, 0),
+              (0, 0, 0, -1, 1)]
+    result = is_rigid(p, system)
+    assert isinstance(result, NotRigid)
+    assert result.reason == "forced certificate fails verification"
+    graph, labeling = result.detail
+    assert graph.check_conditions() is None
+    assert len(graph.edges) == len(system) and len(labeling) == 14
+    label = dict(labeling)
+    assert label[(-3, -1, -1, -1, 0)] == label[(-3, 0, 0, -1, 0)]
+    assert isinstance(coarsening_search_is_rigid(p, system), NotRigid)
 
 
 def test_rigid_pyramid_times_simplex_is_decided():
