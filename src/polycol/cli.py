@@ -10,6 +10,7 @@ unexpected exception raised inside polycol.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .algebra import (
@@ -188,7 +189,14 @@ def cmd_spectrum(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing leaves the parser as it was: each ``parse_args`` fills a new
+    namespace from the defaults, so calls in one process see no state of
+    the calls before them.
+    """
     parser = argparse.ArgumentParser(
         prog="polycol",
         description="Exact column-structure computations on lattice polytopes",

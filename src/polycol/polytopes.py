@@ -444,17 +444,22 @@ def normalize_full_dim(p):
 
 def is_unimodular_simplex(p):
     """Simplex whose edge lattice at a vertex is a direct summand of Z^n:
-    the gcd of the edges' maximal minors is 1.  More than dim edges are
-    dependent, so on a non-simplex every maximal minor vanishes."""
-    verts = p.vertices
-    v0 = verts[0]
-    diffs = [vec_sub(v, v0) for v in verts[1:]]
-    g = 0
-    for colset in itertools.combinations(range(p.ambient_dim), len(diffs)):
-        g = gcd(g, det_int([[row[c] for c in colset] for row in diffs]))
-        if g == 1:
-            return True
-    return False
+    the gcd of the edges' maximal minors is 1.
+
+    Row operations on the transposed n x k edge matrix leave that gcd alone,
+    so it is the product of the k diagonal entries of its Hermite form, one
+    of which is 0 when the edges are dependent, as on every non-simplex.
+    With k > n the form has fewer than k rows and the edges are dependent.
+    A single point has no edges, and its one minor, the empty one, is 1.
+    """
+    v0, *rest = p.vertices
+    k = len(rest)
+    if k == 0:
+        return True
+    if k > p.ambient_dim:
+        return False
+    h, _ = hermite_normal_form(list(zip(*(vec_sub(v, v0) for v in rest))))
+    return all(h[i][i] == 1 for i in range(k))
 
 
 def dilate(p, k):

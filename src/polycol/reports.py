@@ -2,11 +2,18 @@
 
 Every report is deterministic: canonical orderings everywhere, sorted JSON
 keys, and integers rendered as strings once they leave the 64-bit range.
+
+``to_json`` renders a report in one recursive pass, with no copy of the
+report first.  Its bytes are those of ``json.dumps(sort_keys=True,
+indent=2)`` on the report with every dict key passed through ``str`` and
+every int with |n| >= 2^63 turned into its decimal string; the standard
+encoder needs that copy and has no C path for indented output.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .algebra import symmetry_group_data
 from .columns import (
@@ -36,22 +43,42 @@ GROUP_SHAPES = {
 }
 
 
-def _json_safe(obj):
-    if isinstance(obj, bool) or obj is None:
-        return obj
+def _render(obj, nl):
+    # nl is the newline plus the indent of the line obj starts on.  A dict's
+    # values are rendered in insertion order before its keys are sorted, so
+    # the TypeError names the first bad value in that order, and of two keys
+    # with one str form the later one's value is kept.
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
     if isinstance(obj, int):
-        return str(obj) if abs(obj) >= _I64 else obj
+        if abs(obj) >= _I64:
+            return encode_basestring_ascii(str(obj))
+        return int.__repr__(obj)
     if isinstance(obj, str):
-        return obj
+        return encode_basestring_ascii(obj)
+    inner = nl + "  "
     if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        items = {str(k): _render(v, inner) for k, v in obj.items()}
+        body = ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + v for k, v in sorted(items.items())
+        )
+        return "{" + inner + body + nl + "}"
     if isinstance(obj, (list, tuple)):
-        return [_json_safe(x) for x in obj]
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_render(x, inner) for x in obj]) + nl + "]"
     raise TypeError(f"not JSON-serializable: {obj!r}")
 
 
 def to_json(data):
-    return json.dumps(_json_safe(data), sort_keys=True, indent=2) + "\n"
+    """Sorted-key JSON with a two-space indent and a final newline."""
+    return _render(data, "\n") + "\n"
 
 
 def parse_polytope_json(text):

@@ -40,6 +40,12 @@ The generator forms of the vector kernels are the oracle for the ``map``
 kernels of ``exactmath``: here ``zip(strict=True)`` refuses unequal
 lengths, where the production kernels compare the lengths themselves.
 
+The minor-loop simplex test takes one determinant per choice of maximal
+minor, where ``is_unimodular_simplex`` reads the diagonal of one Hermite
+form.  The report-JSON oracle copies a report into str keys and strings
+for big ints and hands the copy to ``json.dumps``, where ``reports.to_json``
+renders the report itself in one pass.
+
 The test rings and generators live here because no command needs them: Q
 and Z/m with the unit inverses the torus reads, the identity, torus and
 symmetry-group automorphisms, the inversion subgroup, and a polytope's point
@@ -47,6 +53,7 @@ test, facet height and translation.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb, gcd
@@ -526,6 +533,19 @@ def unimodular_images(p, rng, count=3):
         shift = tuple(rng.randint(-100, 100) for _ in range(n))
         out.append(translate(linear_image(p, u), shift))
     return out
+
+
+def minor_loop_is_unimodular_simplex(p):
+    """The gcd of the maximal minors of the edges at the first vertex is 1,
+    one determinant per set of columns, stopping at gcd 1."""
+    v0 = p.vertices[0]
+    diffs = [vec_sub(v, v0) for v in p.vertices[1:]]
+    g = 0
+    for colset in itertools.combinations(range(p.ambient_dim), len(diffs)):
+        g = gcd(g, det_int([[row[c] for c in colset] for row in diffs]))
+        if g == 1:
+            return True
+    return False
 
 
 def sheared_images(p, rng, count=3):
@@ -1414,3 +1434,27 @@ def _coarsening_search(elems, irreducibles, prods, parent, ports):
                 visited.add(merged)
                 stack.append(merged)
     return NotRigid("no compatible graph exists", None)
+
+
+_I64 = 2**63
+
+
+def json_safe(obj):
+    """A copy of a report that ``json.dumps`` takes: str keys, and ints
+    with |n| >= 2^63 as decimal strings."""
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, int):
+        return str(obj) if abs(obj) >= _I64 else obj
+    if isinstance(obj, str):
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(x) for x in obj]
+    raise TypeError(f"not JSON-serializable: {obj!r}")
+
+
+def json_dumps_report(data):
+    """Report JSON through the json module: sorted keys, two-space indent."""
+    return json.dumps(json_safe(data), sort_keys=True, indent=2) + "\n"

@@ -1,18 +1,23 @@
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import polycol
-from polycol.cli import main
+from polycol.cli import build_parser, main
 from polycol.reports import analysis_report, parse_polytope_json, to_json
 from polycol.scan import enumerate_polygons, scan_polygons
 
 from .conftest import SQUARE_PYRAMID, TRAPEZOID
+from .helpers import json_dumps_report
+from .test_golden_cli import call, golden_commands
 
 
 def run_cli(capsys, *argv):
@@ -28,7 +33,8 @@ def write_poly(tmp_path, name, vertices):
 
 
 def test_cli_import_loads_no_unused_stdlib_modules():
-    # every CLI call pays for its imports; none of these is used by a command
+    # every CLI call pays for its imports; none of these is used by a command,
+    # and the parser is built by the first call, not by the import
     src = str(Path(polycol.__file__).resolve().parent.parent)
     code = (
         "import sys\n"
@@ -36,13 +42,16 @@ def test_cli_import_loads_no_unused_stdlib_modules():
         "before = set(sys.modules)\n"
         "import polycol.cli\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        "print(polycol.cli.build_parser.cache_info().currsize)\n"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    added = set(out.split())
+    modules, parsers = out.splitlines()
+    added = set(modules.split())
     assert "polycol.cli" in added
     assert added.isdisjoint({"dataclasses", "fractions", "decimal", "inspect"})
+    assert parsers == "0"
 
 
 def test_parse_rejects_bad_input():
@@ -79,6 +88,84 @@ def test_report_round_trip():
     report = analysis_report(TRAPEZOID)
     text = to_json(report)
     assert json.loads(text) == json.loads(to_json(json.loads(text)))
+
+
+_JSON_KEYS = st.one_of(st.sampled_from(["0", "1", "-1", "a"]), st.integers(-2, 2),
+                      st.integers(), st.text(max_size=6))
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.integers(-(2**64), 2**64), st.text(max_size=6)),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_JSON_KEYS, kids, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+@example(2**63)
+@example(-(2**63))
+@example(2**63 - 1)
+@example(-(2**63) + 1)
+@example({"n": [2**63, 2**63 - 1, -(2**63), (-(2**63) + 1,)]})
+@example({1: "int key first", "1": "str key last", 0: {}, "": [], "t": ()})
+@example(["\x00\x1f\x7f", "\u00e9\u20ac", "\U0001f600", "\ud800", '"\\/'])
+def test_to_json_matches_the_json_module(data):
+    assert to_json(data) == json_dumps_report(data)
+
+
+@pytest.mark.parametrize("data", [1.5, {1, 2}, [0, {"a": 2.0}],
+                                  {"b": set(), "a": 1.5}])
+def test_to_json_refuses_what_the_json_module_refuses(data):
+    with pytest.raises(TypeError) as ours:
+        to_json(data)
+    with pytest.raises(TypeError) as theirs:
+        json_dumps_report(data)
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_shared_parser_keeps_no_state_between_calls():
+    golden = golden_commands()
+    pyramid = json.dumps({"vertices": [list(v) for v in SQUARE_PYRAMID.vertices]})
+    sequence = [
+        (["verify", "-", "--which", "columns-property", "--max-degree", "1"], pyramid),
+        (["verify", "-", "--which", "columns-property"], pyramid),
+        (["scan-polygons", "--box", "2", "--seed", "5"], ""),
+        (["scan-polygons", "--box", "2"], ""),
+        golden["export --what presentation --modulus 3 trapezoid"],
+        (["verify", "-", "--which", "heights", "--no-prune"], pyramid),
+        golden["scan-polygons --box 1 --seed 7"],
+    ]
+    lone = []
+    for argv, text in sequence:
+        build_parser.cache_clear()
+        lone.append(call(argv, text))
+    build_parser.cache_clear()
+    shared = [call(argv, text) for argv, text in sequence]
+    assert build_parser.cache_info().misses == 1
+    assert shared == lone
+    assert lone[2] != lone[3]
+    assert lone[5][0] == 2 and "unrecognized arguments: --no-prune" in lone[5][2]
+    # columns-property prints the same at degrees 1 and 3 on every known
+    # input, so read the degree off the namespaces
+    parsed = [build_parser().parse_args(argv) for argv, _ in sequence[:4]]
+    assert [ns.max_degree for ns in parsed[:2]] == [1, 3]
+    assert [ns.seed for ns in parsed[2:]] == [5, 0]
+
+
+def test_cli_module_run_matches_the_in_process_call(tmp_path, capsys):
+    # a fresh interpreter builds the parser exactly once, on its one call
+    path = write_poly(tmp_path, "trapezoid", [[0, 0], [2, 0], [1, 1], [0, 1]])
+    src = str(Path(polycol.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "polycol.cli", "analyze", path],
+                          capture_output=True, env=env)
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
+    assert code == 0 and out.startswith("{")
 
 
 def test_cli_analyze_deterministic(tmp_path, capsys):

@@ -129,16 +129,25 @@ def golden_commands():
     return commands
 
 
-def digest(argv, text):
-    """sha256 of [exit code, stdout, stderr] of one in-process CLI call."""
+def call(argv, text):
+    """[exit code, stdout, stderr] of one in-process CLI call with ``text``
+    on stdin; an argv that argparse refuses gives its exit code."""
     out, err = io.StringIO(), io.StringIO()
     stdin, sys.stdin = sys.stdin, io.StringIO(text)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
     finally:
         sys.stdin = stdin
-    payload = json.dumps([code, out.getvalue(), err.getvalue()])
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def digest(argv, text):
+    """sha256 of [exit code, stdout, stderr] of one in-process CLI call."""
+    payload = json.dumps(call(argv, text))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 

@@ -2,6 +2,7 @@ import ast
 import inspect
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -65,6 +66,7 @@ from .helpers import (
     gram_inverse_chart,
     height,
     linear_image,
+    minor_loop_is_unimodular_simplex,
     off_facet_minima,
     projectively_equivalent,
     random_normalized_polytopes,
@@ -459,6 +461,49 @@ def test_unimodular_simplex():
     assert not is_unimodular_simplex(polytope_from_points([(0, 0), (2, 0), (0, 1)]))
     assert not is_unimodular_simplex(polytope_from_points([(0, 0), (1, 0), (1, 2)]))
     assert not is_unimodular_simplex(UNIT_SQUARE)
+
+
+def _unimodular_simplex_inputs():
+    """The CORPUS, the other conftest simplices, the 3-cube and two points;
+    seeded unimodular images of each; and embeddings of each into two and
+    three more dimensions, by zero padding and a unimodular map, which keeps
+    the answer, and by a random integer matrix, which may not."""
+    rng = random.Random(30)
+    cube = polytope_from_points(list(itertools.product((0, 1), repeat=3)))
+    base = CORPUS + [NON_NORMAL_SIMPLEX, REEVE_TETRAHEDRON, EMPTY_SIMPLEX, cube,
+                     polytope_from_points([()]), polytope_from_points([(5, -2)])]
+    out = list(base)
+    for p in base:
+        n = p.ambient_dim
+        if n:
+            out += unimodular_images(p, rng)
+        for m in (n + 2, n + 3):
+            pad = tuple(tuple(int(i == j) for j in range(n)) for i in range(m))
+            out.append(linear_image(linear_image(p, pad), random_unimodular_matrix(m, rng)))
+            w = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+            out.append(polytope_from_points([mat_vec(w, v) for v in p.vertices]))
+    return out
+
+
+def test_unimodular_simplex_matches_minor_loop():
+    inputs = _unimodular_simplex_inputs()
+    verdicts = [is_unimodular_simplex(p) for p in inputs]
+    assert verdicts == [minor_loop_is_unimodular_simplex(p) for p in inputs]
+    assert verdicts.count(True) > 20 and verdicts.count(False) > 20
+
+
+def test_unimodular_simplex_in_z20_takes_one_hermite_form():
+    # the minor loop takes C(20, 7) = 77,520 determinants on the 3-cube in
+    # Z^20, all of them 0 since its 7 edges span a 3-space
+    cube = polytope_from_points(
+        [v + (0,) * 17 for v in itertools.product((0, 1), repeat=3)])
+    simplex = polytope_from_points(
+        [tuple(int(i == j) for j in range(20)) for i in range(-1, 7)])
+    start = time.perf_counter()
+    verdicts = is_unimodular_simplex(cube), is_unimodular_simplex(simplex)
+    assert time.perf_counter() - start < 0.05
+    assert verdicts == (False, True)
+    assert minor_loop_is_unimodular_simplex(simplex)
 
 
 def test_integral_affine_equivalence():
