@@ -3,7 +3,6 @@
 from .exactmath import (
     ZZ,
     Poly,
-    PolynomialRing,
     hermite_normal_form,
     integral_section,
     primitive_part,
@@ -26,7 +25,6 @@ from .polytopes import (
 __all__ = [
     "ZZ",
     "Poly",
-    "PolynomialRing",
     "hermite_normal_form",
     "integral_section",
     "primitive_part",

@@ -2,8 +2,8 @@
 
 Everything in this package is exact; there is no floating point anywhere.
 Arithmetic is integer-only: a rational matrix travels as an integer matrix
-with one common denominator, and the coefficient rings are Z and
-Z[x1, ..., xk].  ``det_int`` and ``mat_inverse_frac`` are fraction-free
+with one common denominator, and the coefficient ring of every command is
+Z.  ``det_int`` and ``mat_inverse_frac`` are fraction-free
 (Bareiss) eliminations in O(n^3) integer operations whose intermediate
 entries are minors of the input; ``rank_int`` and ``independent_rows`` share
 one echelon pass over primitive rows.  Vectors are plain tuples of ints,
@@ -443,31 +443,6 @@ class IntegerRing:
 
     def from_int(self, n):
         return int(n)
-
-    def __repr__(self):
-        return self.name
-
-
-class PolynomialRing:
-    """Z[x1, ..., xk] for a fixed tuple of variable names."""
-
-    def __init__(self, names):
-        self.names = tuple(names)
-        self.name = "ZZ[" + ",".join(self.names) + "]"
-
-    @property
-    def zero(self):
-        return Poly.const(self.names, 0)
-
-    @property
-    def one(self):
-        return Poly.const(self.names, 1)
-
-    def var(self, name):
-        return Poly.variable(self.names, name)
-
-    def from_int(self, n):
-        return Poly.const(self.names, n)
 
     def __repr__(self):
         return self.name

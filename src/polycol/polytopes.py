@@ -483,17 +483,16 @@ def normalized_volume(p):
 
 def _nvol_full(p):
     # pyramid decomposition from a vertex: nvol(P) = sum over facets of
-    # lattice height times the facet's own normalized volume
+    # lattice height times the facet's own normalized volume, which is 1
+    # for the endpoints of a segment
     n = p.ambient_dim
-    if n == 1:
-        return max(v[0] for v in p.vertices) - min(v[0] for v in p.vertices)
     v0 = p.vertices[0]
     total = 0
     for normal, offset in p._facet_pairs:
         height = dot(normal, v0) - offset
         if height:
             facet = Polytope([v for v in p.vertices if dot(normal, v) == offset], n)
-            total += height * _nvol_full(facet._full_dim_model[0])
+            total += height * normalized_volume(facet)
     return total
 
 

@@ -46,10 +46,15 @@ form.  The report-JSON oracle copies a report into str keys and strings
 for big ints and hands the copy to ``json.dumps``, where ``reports.to_json``
 renders the report itself in one pass.
 
-The test rings and generators live here because no command needs them: Q
-and Z/m with the unit inverses the torus reads, the identity, torus and
-symmetry-group automorphisms, the inversion subgroup, and a polytope's point
-test, facet height and translation.
+The slice-based column check tests every semigroup monomial up to a
+degree bound against the slices behind ``algebra.sp_membership``, where
+``check_column_property`` shifts the lattice points off the base facet.
+
+The test rings and generators live here because no command needs them: Q,
+Z/m and Z[x...] with the unit inverses the torus reads, the dense matrix of
+an automorphism, the identity, torus and symmetry-group automorphisms, the
+inversion subgroup, the semigroup monomials of one degree, and a polytope's
+point test, facet height and translation.
 """
 
 import itertools
@@ -81,7 +86,7 @@ from polycol.columns import (
 )
 from polycol.exactmath import (
     ZZ,
-    PolynomialRing,
+    Poly,
     det_int,
     dot,
     hermite_normal_form,
@@ -127,6 +132,31 @@ def generator_vec_scale(k, a):
 
 def generator_dot(a, b):
     return sum(x * y for x, y in zip(a, b, strict=True))
+
+
+class PolynomialRing:
+    """Z[x1, ..., xk] for a fixed tuple of variable names."""
+
+    def __init__(self, names):
+        self.names = tuple(names)
+        self.name = "ZZ[" + ",".join(self.names) + "]"
+
+    @property
+    def zero(self):
+        return Poly.const(self.names, 0)
+
+    @property
+    def one(self):
+        return Poly.const(self.names, 1)
+
+    def var(self, name):
+        return Poly.variable(self.names, name)
+
+    def from_int(self, n):
+        return Poly.const(self.names, n)
+
+    def __repr__(self):
+        return self.name
 
 
 class RationalRing:
@@ -250,6 +280,16 @@ def unit_inverse(ring, u):
     if u == 1 or u == -1:
         return u
     raise ValueError(f"{u!r} is not a unit in {ring!r}")
+
+
+def dense_matrix(auto):
+    """Dense view of a GradedAutomorphism: entry [i][j] is the coefficient
+    of monomial i in the image of monomial j."""
+    zero = auto.ring.zero
+    m = len(auto.columns)
+    return tuple(
+        tuple(col.get(i, zero) for col in auto.columns) for i in range(m)
+    )
 
 
 def identity_automorphism(p, ring):
@@ -863,6 +903,28 @@ def dilation_monomials_of_degree(p, degree):
         for z in scaled.lattice_points
         if recursive_sp_membership(p, z, degree, memo)
     )
+
+
+def monomials_of_degree(p, degree):
+    """All (z, degree) in the graded semigroup, canonically sorted, read
+    from the slices behind ``algebra.sp_membership``."""
+    return tuple((z, degree) for z in sorted(algebra._semigroup_slice(p, degree)))
+
+
+def slice_column_property(p, col, max_degree):
+    """``algebra.check_column_property`` by the semigroup slices: every
+    monomial of degree 1..max_degree off the base face cone must shift by
+    the column vector into the same slice.  Returns (flag, violations)."""
+    table = product_table(p)
+    col = table.columns[table.column(col)]
+    facet = p.facets[col.base]
+    violations = []
+    for d in range(1, max_degree + 1):
+        for z, _ in monomials_of_degree(p, d):
+            off_face = dot(facet.normal, z) != d * facet.offset
+            if off_face and not algebra.sp_membership(p, vec_add(z, col.vector), d):
+                violations.append((z, d))
+    return (not violations), violations
 
 
 def dense_ring_product(ring, a, b):

@@ -12,7 +12,6 @@ from polycol.algebra import (
     check_column_property,
     elementary_automorphism,
     lattice_symmetries,
-    monomials_of_degree,
     sp_membership,
     steinberg_presentation_json,
     steinberg_presentation_lines,
@@ -31,7 +30,6 @@ from polycol.columns import column_vectors, is_balanced, product_table
 from polycol.exactmath import (
     ZZ,
     Poly,
-    PolynomialRing,
     dot,
     rank_int,
     vec_add,
@@ -42,6 +40,7 @@ from polycol.polytopes import (
     InternalCheckError,
     Polytope,
     dilate,
+    normalize_full_dim,
     polytope_from_points,
 )
 from polycol.reports import analysis_report
@@ -66,14 +65,17 @@ from .helpers import (
     QQ,
     IntegersMod,
     ModInt,
+    PolynomialRing,
     _multiset_image,
     conjugation_normal,
     degree_consistency_violations,
+    dense_matrix,
     dense_ring_product,
     elementary_closed_formula_image,
     identity_automorphism,
     inversion_subgroup,
     literal_steinberg_report,
+    monomials_of_degree,
     sigma_group,
     torus_automorphism,
 )
@@ -153,7 +155,9 @@ def test_sp_membership_matches_oracle_inside_and_outside(p, degree, data):
 def test_columns_property_builds_no_dilation_and_each_slice_once(
     tmp_path, capsys, monkeypatch
 ):
-    # a dilation of the triangle would be one more polytope built
+    # columns-property builds no dilation of the triangle (one more polytope)
+    # and no semigroup slice, whatever --max-degree says; sp_membership
+    # builds each slice up to its degree once, and keeps them on the polytope
     calls = Counter()
     polytope_init = Polytope.__init__
 
@@ -179,18 +183,22 @@ def test_columns_property_builds_no_dilation_and_each_slice_once(
     assert code == 0
     assert len(json.loads(capsys.readouterr().out)["columns"]) == 6
     assert calls["polytopes"] <= build
+    assert calls["slices"] == 0
+    assert sp_membership(q, (25, 0), 5)
+    assert calls["slices"] == 5
+    assert not sp_membership(q, (26, 0), 5) and sp_membership(q, (5, 5), 2)
     assert calls["slices"] == 5
 
 
 def test_column_property():
     v = col(HEXAGON, (0, -1))
-    ok, violations = check_column_property(HEXAGON, v, max_degree=2)
+    ok, violations = check_column_property(HEXAGON, v)
     assert ok and not violations
     # points on the base face are excluded from the quantifier, so degree-1
     # monomials at height zero never show up as violations
     for p in [TRIANGLE, UNIT_SQUARE, SQUARE_PYRAMID]:
         for c in column_vectors(p):
-            assert check_column_property(p, c, max_degree=2)[0]
+            assert check_column_property(p, c)[0]
 
 
 def test_column_property_rejects_non_column():
@@ -200,16 +208,54 @@ def test_column_property_rejects_non_column():
         check_column_property(HEXAGON, ColumnVector((2, 2), 0))
 
 
+@pytest.mark.parametrize("p", SEMIGROUP_CORPUS, ids=lambda p: p.name)
+def test_column_property_matches_slice_oracle(p):
+    # degree one decides every degree: the slice oracle at degrees 1-3 agrees
+    # on every column, on the normalized model the CLI checks
+    q, _ = normalize_full_dim(p)
+    cols = product_table(q).columns
+    for c in cols:
+        assert check_column_property(q, c) == (True, [])
+        for d in (1, 2, 3):
+            assert helpers.slice_column_property(q, c, d) == (True, []), (
+                p.name, c, d
+            )
+
+
+def test_column_property_and_oracle_flag_a_seeded_non_column():
+    # 2v for the column v = (0, -1) of 2 Delta_2, seeded as the one column
+    # of a table with v's base y >= 0 (a seeded real column would meet it in
+    # a product that is not a column): it sends the points at height 1,
+    # (0, 1) and (1, 1), out of P, so both sides flag it in degree one, and
+    # the oracle's degree-one violations are exactly those of
+    # check_column_property
+    from polycol.columns import ColumnVector
+
+    vertices = [(0, 0), (2, 0), (0, 2)]
+    v = col(polytope_from_points(vertices), (0, -1))
+    p = polytope_from_points(vertices)
+    fake = ColumnVector((0, -2), v.base,
+                        tuple(dot(f.normal, (0, -2)) for f in p.facets))
+    product_table(p, columns=(fake,))
+    ok, violations = check_column_property(p, fake)
+    assert not ok and violations == [((0, 1), 1), ((1, 1), 1)]
+    for d in (1, 2, 3):
+        ok, oracle = helpers.slice_column_property(p, fake, d)
+        assert not ok
+        assert [z for z in oracle if z[1] == 1] == violations
+
+
 def test_elementary_hexagon_binomial_column():
     ring = PolynomialRing(("a",))
     lam = ring.var("a")
     e = elementary_automorphism(HEXAGON, col(HEXAGON, (0, -1)), lam, ring)
     pts = HEXAGON.lattice_points
     j = pts.index((2, 3))
+    m = dense_matrix(e)
     images = {
-        pts[i]: e.matrix[i][j]
+        pts[i]: m[i][j]
         for i in range(len(pts))
-        if e.matrix[i][j] != ring.zero
+        if m[i][j] != ring.zero
     }
     assert images == {
         (2, 3): ring.one,
@@ -231,7 +277,7 @@ def test_elementary_simplex_is_elementary_matrix():
     lam = ring.var("a")
     for p in [SEGMENT, TRIANGLE, SIMPLEX3]:
         for c in column_vectors(p):
-            m = elementary_automorphism(p, c, lam, ring).matrix
+            m = dense_matrix(elementary_automorphism(p, c, lam, ring))
             n = len(m)
             assert all(m[i][i] == ring.one for i in range(n))
             off = [(i, j) for i in range(n) for j in range(n)
@@ -301,8 +347,8 @@ def test_sparse_compose_matches_dense_oracle():
                     for x, y in ((g, h), (h, g)):
                         xy = x.compose(y)
                         assert _no_stored_zero(xy)
-                        assert xy.matrix == dense_ring_product(
-                            ring, x.matrix, y.matrix
+                        assert dense_matrix(xy) == dense_ring_product(
+                            ring, dense_matrix(x), dense_matrix(y)
                         ), (p.name, ring, x, y)
                     g = g.compose(h)
 
@@ -416,12 +462,12 @@ def test_binomial_formula_matches_multiplicative_action():
 def test_torus():
     ring = QQ
     t = torus_automorphism(SEGMENT, (Fraction(2), Fraction(3)), ring)
-    assert [t.matrix[i][i] for i in range(2)] == [Fraction(3), Fraction(6)]
+    assert [dense_matrix(t)[i][i] for i in range(2)] == [Fraction(3), Fraction(6)]
     ident = torus_automorphism(TRIANGLE, (Fraction(1),) * 3, ring)
     assert ident.is_identity()
     # scaling through the grading only: a scalar matrix
     c = torus_automorphism(TRIANGLE, (Fraction(1), Fraction(1), Fraction(5)), ring)
-    assert all(c.matrix[i][i] == Fraction(5) for i in range(3))
+    assert all(dense_matrix(c)[i][i] == Fraction(5) for i in range(3))
     t_inv = torus_automorphism(SEGMENT, (Fraction(1, 2), Fraction(1, 3)), ring)
     assert t.compose(t_inv).is_identity()
     with pytest.raises(ValueError):
@@ -451,7 +497,7 @@ def test_sigma_group_closure():
         assert tuple(a[b[i]] for i in range(len(a))) in perms
     mats = sigma_group(UNIT_SQUARE)
     assert len(mats) == 8
-    assert all(len(m.matrix) == 4 for m in mats)
+    assert all(len(dense_matrix(m)) == 4 for m in mats)
 
 
 def test_inversions_normal(corpus, monkeypatch):
@@ -943,7 +989,7 @@ def test_unit_simplex_words_have_determinant_one():
             word = word.compose(
                 elementary_automorphism(TRIANGLE, c, rng.choice([lam, mu]), ring)
             )
-        assert _det_ring(ring, word.matrix) == ring.one
+        assert _det_ring(ring, dense_matrix(word)) == ring.one
 
 
 def _det_ring(ring, m):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from polycol.exactmath import (
     ZZ,
     Poly,
-    PolynomialRing,
     det_int,
     dot,
     extended_gcd,
@@ -35,6 +34,7 @@ from .conftest import CORPUS
 from .helpers import (
     QQ,
     IntegersMod,
+    PolynomialRing,
     adjugate_int,
     generator_dot,
     generator_vec_add,

@@ -215,3 +215,45 @@ def test_off_facet_minima_vanish_off_the_diagonal():
                 assert c.heights[c.base] == -minima[c.base][c.base], (p, c)
                 columns += 1
     assert columns > 2000
+
+
+def _demazure_roots(p):
+    """The Demazure roots of P's normal fan, as (m, F): ⟨n_F, m⟩ = -1 for
+    the one facet F and ⟨n_G, m⟩ >= 0 for every other, with the inner
+    normals of ``p._facet_pairs``.  A column v is a difference of lattice
+    points, so m is sought in the box of P's coordinate widths."""
+    normals = [normal for normal, _ in p._facet_pairs]
+    widths = [
+        max(v[i] for v in p.vertices) - min(v[i] for v in p.vertices)
+        for i in range(p.ambient_dim)
+    ]
+    roots = set()
+    for m in itertools.product(*(range(-w, w + 1) for w in widths)):
+        heights = [sum(a * b for a, b in zip(n, m)) for n in normals]
+        negative = [f for f, h in enumerate(heights) if h < 0]
+        if len(negative) == 1 and heights[negative[0]] == -1:
+            roots.add((m, negative[0]))
+    return roots
+
+
+@pytest.mark.parametrize("p", CORPUS, ids=lambda p: p.name)
+def test_columns_are_the_demazure_roots_and_survive_dilation(p):
+    """On normalized P, Col(P) is the set of Demazure roots of the normal
+    fan with their facets (M. Demazure, "Sous-groupes algébriques de rang
+    maximum du groupe de Cremona", Ann. Sci. ÉNS 3 (1970); D. Cox, "The
+    homogeneous coordinate ring of a toric variety", J. Algebraic Geom. 4
+    (1995), §4; Bruns and Gubeladze, "Polytopal linear groups", J. Algebra
+    218 (1999), §1).  A column sits at height -1 over its base and >= 0
+    over every other facet; conversely, a lattice point x off F has height
+    >= 1 over F, so x + m has height >= 0 there and no less than x
+    elsewhere, and lies in P.  kP has the same normal fan, so
+    Col(kP) = Col(P) for k = 2, 3, base facets included.
+
+    The roots come from the facet normals and the vertex box alone, with no
+    lattice point or column code.
+    """
+    columns = {(c.vector, c.base) for c in product_table(p).columns}
+    assert columns == _demazure_roots(p)
+    for k in (2, 3):
+        scaled = {(c.vector, c.base) for c in product_table(dilate(p, k)).columns}
+        assert scaled == columns, k
