@@ -49,7 +49,8 @@ FORMS = (
 )
 
 # the equivalence search beyond polygons: its symmetry groups and the
-# doubling check's unimodular-simplex test
+# doubling check's unimodular-simplex test; and the Steinberg report in
+# dimensions 3 and 4, up to the 380 pairs of the unit 4-simplex's 20 columns
 SEARCH_POLYTOPES = [
     polytope_from_points(list(itertools.product((0, 1), repeat=3)), name="3-cube"),
     polytope_from_points(
@@ -61,7 +62,11 @@ SEARCH_POLYTOPES = [
         name="unit 4-simplex",
     ),
 ]
-SEARCH_FORMS = (("analyze",), ("verify", "--which", "doubling"))
+SEARCH_FORMS = (
+    ("analyze",),
+    ("verify", "--which", "steinberg"),
+    ("verify", "--which", "doubling"),
+)
 
 # a lower-dimensional input: every command charts it onto its
 # full-dimensional model over the saturated lattice of its plane
