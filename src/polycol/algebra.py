@@ -338,10 +338,8 @@ def verify_steinberg_relations(p):
     every ordered pair with nonzero sum, the commutator is the shear along
     the product when it exists, and trivial when the sum is not a column.
     Pairs whose sum is a column without an existing product are outside
-    both covered cases and reported as skipped.  On a polytope that is not
-    balanced only additivity and the skipped pairs are reported, and
-    ``all_ok`` covers additivity alone; ``verify --which steinberg`` exits
-    1 on such input before calling this.
+    both covered cases and reported as skipped, with whether they commute.
+    Raises ValueError on a polytope that is not balanced.
 
     Each commutator is checked with two products instead of three.  Once
     x_u(-t) is known to invert x_u(t), the commutator A B A^-1 B^-1 of
@@ -381,70 +379,63 @@ def verify_steinberg_relations(p):
     diagonal (u, u), a commute pair since 2u is not a column: it holds iff
     x_u(1) x_u(B) = x_u(B) x_u(1), whatever additivity says.
 
-    A rank-2 pair (u, v) and its mirror (v, u) need the same two products,
-    x_u(1) x_v(1) and x_v(1) x_u(1), with the sides swapped.  Each is
-    composed once, when the first of the two pairs is checked, and dropped
-    once the second has used it.
+    The pairs are scheduled unordered.  A rank-2 pair i < j composes
+    x_u(1) x_v(1) and x_v(1) x_u(1) once and decides both orders from them,
+    each with its own E: the product shear of ``rows[i][j]`` or of
+    ``rows[j][i]``, or 1 where that entry is None (a skipped order then
+    reads as whether the shears commute).  Only the two verdicts are kept,
+    and the report reads them back in the row order of ``pair_cases``.
     """
-    balanced, _ = is_balanced(p)
+    if not is_balanced(p)[0]:
+        raise ValueError("Steinberg relations are verified for balanced polytopes")
     table = product_table(p)
-    cols = table.columns
-    report = {"additivity": [], "pairs": [], "all_ok": True, "balanced": balanced}
-    # per column over Z: x_u(1), its certified inverse x_u(-1), and the
-    # Kronecker pair x_u(B), x_u(1) x_u(B)
-    unit, inverse, by_b, one_b = [], [], [], []
-    for u in cols:
+    cols, rows = table.columns, table.rows
+    report = {"additivity": [], "pairs": [], "all_ok": True, "balanced": True}
+    # per column over Z: x_u(1) and its certified inverse x_u(-1); per
+    # ordered pair (i, j): does x_u(1) x_v(1) = E x_v(1) x_u(1) hold
+    unit, inverse, verdict = [], [], {}
+    for i, u in enumerate(cols):
         unit.append(elementary_automorphism(p, u, 1, ZZ))
         inverse.append(elementary_automorphism(p, u, -1, ZZ))
-        if not unit[-1].compose(inverse[-1]).is_identity():
+        if not unit[i].compose(inverse[i]).is_identity():
             raise InternalCheckError(
                 f"the shears along {u.vector} by -t do not invert those by t"
             )
-        ok, b, ob = _kronecker_additivity(p, u, unit[-1])
-        by_b.append(b)
-        one_b.append(ob)
+        ok, by_b, one_b = _kronecker_additivity(p, u, unit[i])
         report["additivity"].append({"u": u.vector, "ok": ok})
         if not ok:
             report["all_ok"] = False
+        if rows[i][i] is not None:
+            raise InternalCheckError(f"the product {u.vector}*{u.vector} exists")
+        verdict[i, i] = one_b.columns == by_b.compose(unit[i]).columns
 
-    cases = list(table.pair_cases())
-    checked = {(i, j) for i, j, case, _ in cases if balanced or case == "skipped"}
-    pending = {}  # (v, u) -> (x_v(1) x_u(1), x_u(1) x_v(1)), made for (u, v)
-
-    def holds(i, j, k):
-        """x_u(lam) x_v(mu) = E x_v(mu) x_u(lam), with E = x_w(-lam mu) for
-        the product index k, and E = 1 when k is None."""
-        if rank_int([cols[i].vector, cols[j].vector]) == 2:
-            if (i, j) in pending:
-                uv, vu = pending.pop((i, j))
-            else:
-                uv, vu = unit[i].compose(unit[j]), unit[j].compose(unit[i])
-                if (j, i) in checked:
-                    pending[(j, i)] = (vu, uv)
-            rhs = vu if k is None else inverse[k].compose(vu)
-            return uv.columns == rhs.columns
-        if i != j or k is not None:
+    for i, j in itertools.combinations(range(len(cols)), 2):
+        u, v = cols[i].vector, cols[j].vector
+        if not any(vec_add(u, v)):
+            continue
+        if rank_int([u, v]) < 2:
             raise InternalCheckError(
-                f"parallel columns {cols[i].vector}, {cols[j].vector} "
-                "in a commutator case"
+                f"parallel columns {u}, {v} in a commutator case"
             )
-        return one_b[i].columns == by_b[i].compose(unit[i]).columns
+        uv, vu = unit[i].compose(unit[j]), unit[j].compose(unit[i])
+        for a, b, lhs, rhs in ((i, j, uv, vu), (j, i, vu, uv)):
+            k = rows[a][b]
+            if k is not None:
+                rhs = inverse[k].compose(rhs)
+            verdict[a, b] = lhs.columns == rhs.columns
 
-    for i, j, case, k in cases:
+    for i, j, case, k in table.pair_cases():
         pair = {"u": cols[i].vector, "v": cols[j].vector, "case": case}
         if case == "skipped":
             pair.update(note="sum is a column but the product does not exist",
-                        commutes=holds(i, j, None), ok=None)
-            report["pairs"].append(pair)
-            continue
-        if not balanced:
-            continue
-        if case == "product":
-            pair["result"] = cols[k].vector
-        pair["ok"] = holds(i, j, k)
+                        commutes=verdict[i, j], ok=None)
+        else:
+            if case == "product":
+                pair["result"] = cols[k].vector
+            pair["ok"] = verdict[i, j]
+            if not pair["ok"]:
+                report["all_ok"] = False
         report["pairs"].append(pair)
-        if not pair["ok"]:
-            report["all_ok"] = False
     return report
 
 

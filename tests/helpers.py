@@ -707,8 +707,8 @@ def rank_loop_basis(rows, limit):
 def random_normalized_polytopes(seed, count, dims=(2, 3)):
     """Seeded small random polytopes, normalized, split across dimensions."""
     rng = random.Random(seed)
-    boxes = {2: 4, 3: 3}
-    counts = {2: 4, 3: 5}
+    boxes = {2: 4, 3: 3, 4: 2}
+    counts = {2: 4, 3: 5, 4: 5}
     out = []
     while len(out) < count:
         dim = dims[len(out) % len(dims)]
@@ -997,8 +997,6 @@ def literal_steinberg_report(p, var_names=("a", "b")):
                 continue
             k = table.rows[i][j]
             if k is not None:
-                if not balanced:
-                    continue
                 w = cols[k]
                 expected = elementary_automorphism(p, w, -(lam * mu), ring)
                 ok = commutator(i, j).columns == expected.columns
@@ -1009,8 +1007,6 @@ def literal_steinberg_report(p, var_names=("a", "b")):
                 if not ok:
                     report["all_ok"] = False
             elif s not in vecs:
-                if not balanced:
-                    continue
                 ok = commutator(i, j).is_identity()
                 report["pairs"].append(
                     {"u": u.vector, "v": v.vector, "case": "commute", "ok": ok}

@@ -22,6 +22,7 @@ from polycol.algebra import (
     verify_additive_embedding,
     verify_steinberg_relations,
     GradedAutomorphism,
+    _kronecker_additivity,
     _next_slice,
     column_inversion,
 )
@@ -664,6 +665,16 @@ def test_steinberg_skipped_pairs_logged():
         assert "commutes" in e
 
 
+def _additivity(p):
+    """The additivity entries of a Steinberg report, from
+    ``_kronecker_additivity`` alone, which also reads unbalanced P."""
+    return [
+        {"u": c.vector,
+         "ok": _kronecker_additivity(p, c, elementary_automorphism(p, c, 1, ZZ))[0]}
+        for c in product_table(p).columns
+    ]
+
+
 def test_steinberg_matches_literal_commutators():
     balanced = [p for p in CORPUS if is_balanced(p)[0]]
     assert SQUARE_PYRAMID in balanced
@@ -672,18 +683,12 @@ def test_steinberg_matches_literal_commutators():
     sheared = [q for p in balanced for q in helpers.sheared_images(p, rng)]
     for p in balanced + dilated + sheared:
         assert verify_steinberg_relations(p) == literal_steinberg_report(p), p.name
-    # unbalanced: the product and commute pairs are left out, the skipped
-    # pairs are still composed
+    # unbalanced: no report, and each column's additivity still matches
     p = STEEP_TRIANGLE
     assert not is_balanced(p)[0]
-    table = product_table(p)
-    n = len(table.columns)
-    assert any(table.rows[i][j] is not None
-               for i in range(n) for j in range(n))
-    report = verify_steinberg_relations(p)
-    assert report == literal_steinberg_report(p)
-    assert report["pairs"]
-    assert {e["case"] for e in report["pairs"]} == {"skipped"}
+    with pytest.raises(ValueError):
+        verify_steinberg_relations(p)
+    assert _additivity(p) == literal_steinberg_report(p)["additivity"]
 
 
 def _patch_shears(monkeypatch, shear):
@@ -809,8 +814,8 @@ def test_steinberg_symbolic_compositions(monkeypatch):
     assert all(e["u"] == e["v"] for e in parallel)
     products = sum(e["case"] == "product" for e in report["pairs"])
     assert calls["symbolic"] == 0
-    # two products per rank-2 pair and its mirror, shared by both, and a
-    # third for the product shear
+    # two products per unordered rank-2 pair, which decide both its orders,
+    # and a third for each order's product shear
     rank2 = len(report["pairs"]) - len(parallel)
     assert calls["ZZ"] == 4 * ncols + rank2 + products
 
@@ -881,18 +886,25 @@ def test_kronecker_checks_match_literal_on_dilated_triangles(k):
 
 def test_kronecker_checks_match_literal_on_sheared_corpus():
     rng = random.Random(23)
-    checked = 0
+    checked = unbalanced = 0
     for p in CORPUS:
         if not product_table(p).columns:
             continue
         for q in [p] + helpers.sheared_images(p, rng, count=2):
-            report = verify_steinberg_relations(q)
-            assert report == literal_steinberg_report(q), p.name
+            literal = literal_steinberg_report(q)
+            if literal["balanced"]:
+                assert verify_steinberg_relations(q) == literal, p.name
+            else:
+                with pytest.raises(ValueError):
+                    verify_steinberg_relations(q)
+                unbalanced += 1
+            assert _additivity(q) == literal["additivity"], p.name
             assert _embedding_reports(q, verify_additive_embedding) == (
                 _embedding_reports(q, helpers.literal_embedding_report)
             ), p.name
-            checked += len(report["additivity"])
+            checked += len(literal["additivity"])
     assert checked >= 60
+    assert unbalanced == 3
 
 
 def test_verify_composes_no_polynomials(tmp_path, monkeypatch, capsys):

@@ -8,7 +8,9 @@ the expected values from closed formulas.
 """
 
 import itertools
+from collections import Counter
 from math import comb, factorial, gcd
+from operator import add, sub
 
 import pytest
 
@@ -34,7 +36,7 @@ from .conftest import (
     SQUARE_PYRAMID,
     TRAPEZOID,
 )
-from .helpers import off_facet_minima, random_normalized_polytopes
+from .helpers import off_facet_minima, random_normalized_polytopes, rational_rank
 
 
 def _twice_area_and_boundary(cycle):
@@ -257,3 +259,59 @@ def test_columns_are_the_demazure_roots_and_survive_dilation(p):
     for k in (2, 3):
         scaled = {(c.vector, c.base) for c in product_table(dilate(p, k)).columns}
         assert scaled == columns, k
+
+
+def _semisimple_components(p):
+    """(rank, size) of each component of S = Col(P) ∩ -Col(P), with u and v
+    joined when u + v or u - v lies in S, or u + v = 0."""
+    cols = {c.vector for c in product_table(p).columns}
+    roots = {u for u in cols if tuple(-x for x in u) in cols}
+    unseen, components = set(roots), []
+    while unseen:
+        component, stack = set(), [unseen.pop()]
+        while stack:
+            u = stack.pop()
+            component.add(u)
+            joined = {
+                v for v in unseen
+                if not any(map(add, u, v))
+                or tuple(map(add, u, v)) in roots
+                or tuple(map(sub, u, v)) in roots
+            }
+            unseen -= joined
+            stack.extend(joined)
+        components.append((rational_rank(sorted(component)), len(component)))
+    return sorted(components)
+
+
+def test_semisimple_columns_are_of_type_a():
+    """The reductive part of a polytopal linear group has a root system of
+    type A: its roots are the columns u with -u also a column, and each
+    irreducible component is some A_l (Bruns and Gubeladze, "Polytopal
+    linear groups", J. Algebra 218 (1999), §1).  Two roots of one component
+    are linked by a chain of roots whose neighbours sum or differ to a
+    root, so the components below are the irreducible ones.  A_l has rank l
+    and l(l+1) roots; B_l and C_l have 2l², D_l has 2l(l-1) and G_2 has 12,
+    which meet l(l+1) only where the types coincide (B_1 = C_1 = A_1,
+    D_3 = A_3).  So the counts alone rule the other types out.
+
+    On the CORPUS, every polygon of ``enumerate_polygons(3)``, steps 1-9 of
+    the trapezoid's doubling chain and seeded random polytopes in
+    dimensions 3 and 4.  The unit n-simplex gives A_n, and the n-cube
+    gives n copies of A_1.
+    """
+    polytopes = list(CORPUS)
+    polytopes += [Polytope(cycle, 2) for cycle in enumerate_polygons(3)]
+    polytopes += [st.result.doubled
+                  for st in doubling_spectrum(TRAPEZOID, 9).steps]
+    polytopes += random_normalized_polytopes(32, 50, dims=(3, 4))
+    ranks = Counter()
+    for p in polytopes:
+        for rank, size in _semisimple_components(p):
+            assert size == rank * (rank + 1), (p, rank, size)
+            ranks[rank] += 1
+    assert ranks[1] > 200 and max(ranks) == 7, ranks
+    for n in range(1, 6):
+        assert _semisimple_components(_unit_simplex(n)) == [(n, n * (n + 1))]
+    for n in range(1, 5):
+        assert _semisimple_components(_cube(n)) == [(1, 2)] * n
