@@ -20,6 +20,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from polycol.cli import main
+from polycol.doubling import doubling_spectrum
 from polycol.polytopes import polytope_from_points
 
 from .conftest import (
@@ -99,6 +100,20 @@ DEGENERATE_FORMS = (
     ("spectrum", "--steps", "1"),
 )
 
+# the search forms on larger symmetry groups: triangle x triangle (72
+# symmetries) and a step of the trapezoid's doubling chain; numbered after
+# the degenerate inputs, so the labels above keep their numbers
+_CHAIN = doubling_spectrum(TRAPEZOID, 2).steps
+SYMMETRY_POLYTOPES = [
+    polytope_from_points(
+        [a + b for a in ((0, 0), (1, 0), (0, 1)) for b in ((0, 0), (1, 0), (0, 1))],
+        name="triangle x triangle",
+    ),
+    polytope_from_points(
+        _CHAIN[1].result.doubled.vertices, name="trapezoid chain step 2"
+    ),
+]
+
 
 def _stdin(p):
     return json.dumps({"name": p.name, "vertices": [list(v) for v in p.vertices]})
@@ -108,7 +123,8 @@ def golden_commands():
     """{label: (argv, stdin text)} for every form on every test polytope,
     numbered since two share a name, the search forms on the search
     polytopes, the planar forms on the trapezoid in a plane of Z^3, the
-    degenerate forms on the degenerate inputs, the trapezoid's presentation
+    degenerate forms on the degenerate inputs, the search forms on the
+    symmetry polytopes, the trapezoid's presentation
     mod 3, its doubling chain to 11 steps, the chains of the square pyramid
     and triangle x segment to 7 steps, and the polygon scans of boxes 1-3 at
     seed 7."""
@@ -118,6 +134,7 @@ def golden_commands():
     jobs += [(p, SEARCH_FORMS) for p in SEARCH_POLYTOPES]
     jobs.append((PLANAR_TRAPEZOID, PLANAR_FORMS))
     jobs += [(p, DEGENERATE_FORMS) for p in DEGENERATE_POLYTOPES]
+    jobs += [(p, SEARCH_FORMS) for p in SYMMETRY_POLYTOPES]
     for i, (p, forms) in enumerate(jobs):
         for sub, *rest in forms:
             commands[" ".join([sub, *rest, f"{i:02d}", p.name])] = ([sub, "-", *rest], _stdin(p))
