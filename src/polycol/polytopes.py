@@ -523,29 +523,29 @@ def integral_affine_equivalent(p, q):
 def lattice_equivalences(p, q):
     """Every lattice-affine bijection carrying the full-dimensional P onto Q.
 
-    Each vertex of the anchor ``_spanning_tuple(p)`` goes only to vertices
-    of Q with its signature, which such a map keeps, so maps come in the
-    order ``itertools.permutations(q.vertices, n + 1)`` reaches their images.
+    The anchor is a vertex v0 of least degree and n neighbours along
+    independent edges.  Such a map sends vertices to vertices and edges to
+    edges, so the anchor goes to a vertex w of equal degree and n of its
+    neighbours in order, which fix the map: each map is found once, in the
+    order of w and then of ``itertools.permutations``.
     """
-    anchor = _spanning_tuple(p)
-    frame_map = unimodular_frame_maps(anchor)
-    sig_p, sig_q = _vertex_signatures(p), _vertex_signatures(q)
-    candidates = [[w for w in q.vertices if sig_q[w] == sig_p[a]] for a in anchor]
+    n = p.ambient_dim
+    adj_p = vertex_adjacency(p)
+    adj_q = adj_p if q is p else vertex_adjacency(q)
+    v0 = min(p.vertices, key=lambda v: len(adj_p[v]))
+    nbrs = adj_p[v0]
+    idx = independent_rows([vec_sub(w, v0) for w in nbrs], n)
+    if len(idx) < n:
+        raise InternalCheckError("the edges at a vertex must span the space")
+    frame_map = unimodular_frame_maps((v0,) + tuple(nbrs[i] for i in idx))
     q_vert_set = set(q.vertices)
-    for image in itertools.product(*candidates):
-        if len(set(image)) < len(image):
+    for w in q.vertices:
+        if len(adj_q[w]) != len(nbrs):
             continue
-        amap = frame_map(image)
-        if amap is not None and {amap.apply(v) for v in p.vertices} == q_vert_set:
-            yield amap
-
-
-def _vertex_signatures(p):
-    """{vertex: the sorted lattice-point counts of the facets through it}."""
-    return {
-        v: sorted(len(f.on_facet) for f in p.facets if dot(f.normal, v) == f.offset)
-        for v in p.vertices
-    }
+        for image in itertools.permutations(adj_q[w], n):
+            amap = frame_map((w,) + image)
+            if amap is not None and {amap.apply(v) for v in p.vertices} == q_vert_set:
+                yield amap
 
 
 def unimodular_frame_maps(frame):
@@ -573,15 +573,6 @@ def unimodular_frame_maps(frame):
         return AffineLatticeMap(u, vec_sub(w0, mat_vec(u, v0)))
 
     return frame_map
-
-
-def _spanning_tuple(p):
-    """The first affinely spanning vertex tuple in vertex order."""
-    v0, *rest = p.vertices
-    idx = independent_rows([vec_sub(v, v0) for v in rest], p.ambient_dim)
-    if len(idx) < p.ambient_dim:
-        raise InternalCheckError("could not span a full-dimensional polytope")
-    return (v0,) + tuple(rest[i] for i in idx)
 
 
 def polygon_normal_form(p):
@@ -705,18 +696,19 @@ class NormalFan:
 
 
 def vertex_adjacency(p):
-    """Vertex pairs joined by an edge: common active facets of rank dim-1."""
+    """{vertex: its edge neighbours in vertex order} of a full-dimensional P:
+    u and w span an edge iff no third vertex lies on every facet through
+    both, since those facets cut out the least face holding both, all of P
+    when there is none."""
     facets = p.facets
-    n = p.ambient_dim
-    offsets = {f.normal: f.offset for f in facets}
-    active = {
-        v: [f.normal for f in facets if dot(f.normal, v) == f.offset]
+    on = {
+        v: sum(1 << i for i, f in enumerate(facets) if dot(f.normal, v) == f.offset)
         for v in p.vertices
     }
     adj = {v: [] for v in p.vertices}
     for u, w in itertools.combinations(p.vertices, 2):
-        common = [a for a in active[u] if dot(a, w) == offsets[a]]
-        if len(common) >= n - 1 and rank_int(common) == n - 1:
+        common = on[u] & on[w]
+        if not any(on[x] & common == common for x in p.vertices if x != u and x != w):
             adj[u].append(w)
             adj[w].append(u)
     return adj
@@ -724,8 +716,8 @@ def vertex_adjacency(p):
 
 def normal_fan(p):
     """One cone per vertex v, generated by the primitive v - w over its
-    neighbors w; ``vertex_adjacency`` joins the two endpoints of a segment,
-    because ``rank_int([]) == 0``."""
+    neighbors w in ``vertex_adjacency``, which joins the two endpoints of a
+    segment, since no third vertex lies on the facets through both."""
     if not p.is_full_dimensional:
         raise ValueError("normal fan requires a full-dimensional polytope")
     adj = vertex_adjacency(p)

@@ -30,6 +30,9 @@ REEVE_TETRAHEDRON = _p(
     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)], "Reeve tetrahedron"
 )
 EMPTY_SIMPLEX = _p([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)], "empty simplex")
+TRIANGLE_X_TRIANGLE = _p(
+    [a + b for a in TRIANGLE.vertices for b in TRIANGLE.vertices], "triangle x triangle"
+)
 
 # normalized full-dimensional polytopes used for corpus-wide invariants
 CORPUS = [

@@ -12,8 +12,11 @@ The cofactor adjugate calls ``det_int``, which shares no code with the
 Gauss-Jordan inverse it checks.  The graded-semigroup oracles recurse over
 the last summand inside a dilation of P, where the production code builds
 the semigroup slice by slice.  The unpruned equivalence search sends the
-same anchor frame through the same frame maps as the production search, so
-it checks the signature filter and the search order, not the frame maps.
+first spanning tuple of P's vertices to every ordered vertex tuple of Q,
+through the same frame maps as the production search, so it checks the edge
+anchor and the search, not the frame maps.  The rank adjacency joins two
+vertices whose common facets have rank n - 1, where ``vertex_adjacency``
+looks for a third vertex on all of them.
 The fan-witness oracle searches frame maps and tests each image by facet
 normals and incidences, where ``fan_normal_form`` compares sorted edge
 directions; the frame-form list reuses the frame matrix of
@@ -103,7 +106,6 @@ from polycol.exactmath import (
 from polycol.polytopes import (
     Polytope,
     _frame_matrix,
-    _spanning_tuple,
     dilate,
     normalize_full_dim,
     polygon_cycle,
@@ -769,9 +771,11 @@ def brute_force_polygon_equivalent(p_vertices, q_vertices):
 
 def unpruned_lattice_equivalences(p, q):
     """Every lattice-affine bijection carrying the full-dimensional P onto
-    Q, in search order: P's anchor tuple is sent to every ordered vertex
-    tuple of Q in turn, with no signature filter."""
-    frame_map = unimodular_frame_maps(_spanning_tuple(p))
+    Q, in search order: the first affinely spanning tuple of P's vertices,
+    in vertex order, is sent to every ordered vertex tuple of Q in turn."""
+    v0, *rest = p.vertices
+    idx = rank_loop_basis([vec_sub(v, v0) for v in rest], p.ambient_dim)
+    frame_map = unimodular_frame_maps((v0,) + tuple(rest[i] for i in idx))
     q_vert_set = set(q.vertices)
     maps = []
     for image in itertools.permutations(q.vertices, p.ambient_dim + 1):
@@ -779,6 +783,24 @@ def unpruned_lattice_equivalences(p, q):
         if amap is not None and {amap.apply(v) for v in p.vertices} == q_vert_set:
             maps.append(amap)
     return maps
+
+
+def rank_vertex_adjacency(p):
+    """{vertex: its edge neighbours in vertex order} of a full-dimensional
+    P, by rank: u and w span an edge iff the facets through both have rank
+    n - 1."""
+    n = p.ambient_dim
+    active = {
+        v: [f.normal for f in p.facets if dot(f.normal, v) == f.offset]
+        for v in p.vertices
+    }
+    adj = {v: [] for v in p.vertices}
+    for u, w in itertools.combinations(p.vertices, 2):
+        common = [a for a in active[u] if a in active[w]]
+        if len(common) >= n - 1 and rational_rank(common) == n - 1:
+            adj[u].append(w)
+            adj[w].append(u)
+    return adj
 
 
 def projectively_equivalent(p, q):

@@ -28,6 +28,7 @@ from polycol.algebra import (
 )
 from polycol.cli import main
 from polycol.columns import column_vectors, is_balanced, product_table
+from polycol.doubling import doubling_spectrum
 from polycol.exactmath import (
     ZZ,
     Poly,
@@ -59,6 +60,7 @@ from .conftest import (
     STEEP_TRIANGLE,
     TRAPEZOID,
     TRIANGLE,
+    TRIANGLE_X_TRIANGLE,
     UNIT_SQUARE,
     WIDE_TRIANGLE,
 )
@@ -489,6 +491,13 @@ def test_symmetry_groups():
     assert trap["symmetry_order"] == 2
     assert trap["inversion_order"] == 2
     assert symmetry_group_data(SQUARE_PYRAMID)["symmetry_order"] == 8
+    # T x T and steps 1-3 of the trapezoid's chain, in dimensions 4, 3, 4, 5
+    chain = [step.result.doubled for step in doubling_spectrum(TRAPEZOID, 3).steps]
+    orders = [
+        (data["symmetry_order"], data["inversion_order"])
+        for data in map(symmetry_group_data, [TRIANGLE_X_TRIANGLE] + chain)
+    ]
+    assert orders == [(72, 36), (6, 6), (12, 12), (36, 36)]
 
 
 def test_sigma_group_closure():

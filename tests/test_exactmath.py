@@ -305,7 +305,7 @@ def test_independent_rows_match_rank_loop_in_facets_and_frames(monkeypatch):
     for pts in point_sets:
         p = polytopes.polytope_from_points(pts)
         if p.is_full_dimensional:
-            polytopes._spanning_tuple(p)
+            next(polytopes.lattice_equivalences(p, p))
     assert len(seen) > len(point_sets)
     for rows, limit in seen:
         assert independent_rows(rows, limit) == rank_loop_basis(rows, limit)

@@ -30,6 +30,7 @@ from .conftest import (
     REEVE_TETRAHEDRON,
     SQUARE_PYRAMID,
     TRAPEZOID,
+    TRIANGLE_X_TRIANGLE,
 )
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -101,16 +102,18 @@ DEGENERATE_FORMS = (
 )
 
 # the search forms on larger symmetry groups: triangle x triangle (72
-# symmetries) and a step of the trapezoid's doubling chain; numbered after
-# the degenerate inputs, so the labels above keep their numbers
-_CHAIN = doubling_spectrum(TRAPEZOID, 2).steps
+# symmetries), steps 2 and 3 of the trapezoid's doubling chain (12 and 36)
+# and the 4-cube (384); numbered after the degenerate inputs, so the labels
+# above keep their numbers
+_CHAIN = doubling_spectrum(TRAPEZOID, 3).steps
 SYMMETRY_POLYTOPES = [
-    polytope_from_points(
-        [a + b for a in ((0, 0), (1, 0), (0, 1)) for b in ((0, 0), (1, 0), (0, 1))],
-        name="triangle x triangle",
-    ),
+    TRIANGLE_X_TRIANGLE,
     polytope_from_points(
         _CHAIN[1].result.doubled.vertices, name="trapezoid chain step 2"
+    ),
+    polytope_from_points(list(itertools.product((0, 1), repeat=4)), name="4-cube"),
+    polytope_from_points(
+        _CHAIN[2].result.doubled.vertices, name="trapezoid chain step 3"
     ),
 ]
 

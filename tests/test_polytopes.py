@@ -20,6 +20,7 @@ from polycol.exactmath import (
 )
 from polycol import polytopes
 from polycol.algebra import lattice_symmetries
+from polycol.doubling import doubling_spectrum
 from polycol.polytopes import (
     InternalCheckError,
     cycle_normal_form,
@@ -35,6 +36,7 @@ from polycol.polytopes import (
     polygon_normal_form,
     polytope_from_points,
     unimodular_frame_maps,
+    vertex_adjacency,
 )
 from polycol.scan import enumerate_polygons
 
@@ -52,6 +54,7 @@ from .conftest import (
     TRAPEZOID,
     TRIANGLE,
     TRIANGLE2,
+    TRIANGLE_X_TRIANGLE,
     UNIT_SQUARE,
 )
 from .helpers import (
@@ -71,6 +74,7 @@ from .helpers import (
     projectively_equivalent,
     random_normalized_polytopes,
     random_unimodular_matrix,
+    rank_vertex_adjacency,
     sheared_images,
     translate,
     unimodular_images,
@@ -569,7 +573,9 @@ def test_lattice_equivalences_match_unpruned_search():
     simplex4 = polytope_from_points(
         [(0,) * 4] + [tuple(int(i == j) for j in range(4)) for i in range(4)]
     )
+    chain = [step.result.doubled for step in doubling_spectrum(TRAPEZOID, 2).steps]
     polys = CORPUS + [NON_NORMAL_SIMPLEX, REEVE_TETRAHEDRON, EMPTY_SIMPLEX, simplex4]
+    polys += [TRIANGLE_X_TRIANGLE] + chain
     for p in polys:
         assert _keys(lattice_equivalences(p, p)) == _keys(
             unpruned_lattice_equivalences(p, p)
@@ -688,6 +694,19 @@ def test_normal_fan():
     ]
     assert len(normal_fan(TRIANGLE).cones) == 3
     assert normal_fan(TRIANGLE) == normal_fan(TRIANGLE2)
+
+
+def test_vertex_adjacency_matches_rank_oracle():
+    """Edges by a third vertex on the common facets, against edges by the
+    rank of the common facets, neighbour order included, on the CORPUS, the
+    box-3 polygons, steps 1-5 of the trapezoid's doubling chain (dimensions
+    3-7) and seeded random polytopes in dimensions 2-4."""
+    polys = list(CORPUS)
+    polys += [polytope_from_points(cycle) for cycle in enumerate_polygons(3)]
+    polys += [step.result.doubled for step in doubling_spectrum(TRAPEZOID, 5).steps]
+    polys += random_normalized_polytopes(33, 60, dims=(2, 3, 4))
+    for p in polys:
+        assert vertex_adjacency(p) == rank_vertex_adjacency(p), p.vertices
 
 
 def test_normal_fan_covers_dual_space(corpus):

@@ -179,8 +179,8 @@ def _cross_polytope(n):
 @pytest.mark.parametrize(
     "build, n, order",
     [(_unit_simplex, n, factorial(n + 1)) for n in range(1, 5)]
-    + [(_cube, n, 2 ** n * factorial(n)) for n in range(1, 4)]
-    + [(_cross_polytope, n, 2 ** n * factorial(n)) for n in range(1, 4)],
+    + [(_cube, n, 2 ** n * factorial(n)) for n in range(1, 5)]
+    + [(_cross_polytope, n, 2 ** n * factorial(n)) for n in range(1, 5)],
     ids=lambda v: getattr(v, "__name__", str(v)).strip("_"),
 )
 def test_symmetry_group_orders(build, n, order):
