@@ -39,6 +39,12 @@ that is when M[F_u][F_v] + c > 0 for c the height of u over F_v.  By (2)
 that sum is 0 when F_v = F_u, so same-base products never exist; by (1)
 it is c when F_v != F_u.  As u has negative height over F_u, u*v exists
 exactly when u has positive height over F_v and v != -u.
+
+So Col(P) is read off the facet normals alone: v is a column with base F
+exactly when c_F = -1 and c_G >= 0 for every G != F, the Demazure roots of
+P's normal fan.  In the plane these are found in closed form, with no
+lattice point (``column_vectors``); in higher dimension the pruned lattice
+search finds them.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from typing import NamedTuple, Optional
 
 from .exactmath import (
     dot,
+    extended_gcd,
     vec_add,
     vec_neg,
     vec_sub,
@@ -88,6 +95,18 @@ def column_vectors(p, pruned=True):
     docstring, v has base F exactly when c_G >= 0 for every G != F and
     c_F >= -M[F][F], and a candidate for F has c_F = -1 while M[F][F] >= 1.
 
+    A polygon (ambient dimension 2; every lattice polygon is normalized)
+    takes that rule in closed form, from its edge normals and with no
+    lattice point.  For an edge F with primitive inner normal n = (a, b),
+    ``extended_gcd`` gives v0 with n . v0 = -1, and the solutions of
+    n . v = -1 are v0 + t e, e = (-b, a).  Every other edge G bounds t
+    through n_G . v0 + t (n_G . e) >= 0, by exact floor or ceiling
+    division where n_G . e != 0 (it is 0 only for n_G = -n, at height 1).
+    The interval is bounded, since the inner normals of a polygon
+    positively span R^2 and so some n_G . e are positive and some
+    negative.  Each t in it is a column with base F and heights
+    c_G = n_G . v0 + t (n_G . e), and the columns are sorted by vector.
+
     Without ``pruned`` every difference of two lattice points is a
     candidate, and each is checked literally, by shifting every lattice
     point and looking the result up; ``verify --which heights`` uses this
@@ -101,7 +120,12 @@ def column_vectors(p, pruned=True):
         )
     if p.dim < 1:
         raise ValueError("column vectors need dimension >= 1")
-    found = _min_height_bases(p) if pruned else _literal_bases(p)
+    if not pruned:
+        found = _literal_bases(p)
+    elif p.ambient_dim == 2:
+        found = _polygon_roots(p)
+    else:
+        found = _min_height_bases(p)
     out = []
     for v, heights, bases in found:
         if not bases:
@@ -115,6 +139,26 @@ def column_vectors(p, pruned=True):
             )
         out.append(ColumnVector(v, base, heights))
     return tuple(out)
+
+
+def _polygon_roots(p):
+    """(v, heights, [base]) for the roots of a polygon's edge normals, in
+    sorted order, with no lattice point: see ``column_vectors``."""
+    normals = [normal for normal, _ in p._facet_pairs]
+    roots = []
+    for f, (a, b) in enumerate(normals):
+        _, x, y = extended_gcd(a, b)
+        # (n_G . v0, n_G . e) over every edge G, for v0 = (-x, -y) and
+        # e = (-b, a); c + t d >= 0 reads t >= ceil(-c / d) for d > 0 and
+        # t <= floor(c / -d) for d < 0
+        pairs = [(-m0 * x - m1 * y, m1 * a - m0 * b) for m0, m1 in normals]
+        lo = max([-(c // d) for c, d in pairs if d > 0])
+        hi = min([c // -d for c, d in pairs if d < 0])
+        for t in range(lo, hi + 1):
+            roots.append(((-x - t * b, -y + t * a),
+                          tuple([c + t * d for c, d in pairs]), [f]))
+    roots.sort()
+    return roots
 
 
 def _min_height_bases(p):

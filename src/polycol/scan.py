@@ -15,7 +15,9 @@ sorted vertex tuple; counts of polygons are sums of class sizes.  Only the
 members of a class that fails Col-divisibility, and a seeded sample of
 balanced polygons, are built in full.  The sample is the runtime check of the
 invariance: each sampled polygon must match its class, and its pruned
-column search must match the unpruned one.
+column search must match the unpruned one.  That unpruned search is the
+only lattice-point walk of the scan, as a polygon's pruned columns come
+from its edge normals (``columns.column_vectors``).
 """
 
 from __future__ import annotations

@@ -1,12 +1,15 @@
 import gc
 import itertools
+import math
 import random
 import weakref
 
 import pytest
 
+from polycol import columns, scan
 from polycol.algebra import sp_membership
 from polycol.columns import (
+    ColumnVector,
     DirectedGraph,
     NotRigid,
     Rigid,
@@ -25,7 +28,7 @@ from polycol.columns import (
     weak_hull,
 )
 from polycol.doubling import doubling_spectrum
-from polycol.exactmath import dot, vec_add, vec_sub
+from polycol.exactmath import dot, extended_gcd, mat_vec, vec_add, vec_sub
 from polycol.polytopes import normalize_full_dim, polytope_from_points
 from polycol.scan import enumerate_polygons
 
@@ -216,6 +219,52 @@ def test_product_table_matches_literal_on_box3_polygons():
     assert len(polygons) == 1633
     for q in polygons:
         assert_table_matches_literal(q)
+
+
+def assert_roots_match_min_height_search(p):
+    """The closed-form roots of polygon p equal the columns of the
+    lattice-point search, bases and heights included."""
+    expected = [ColumnVector(v, bases[0], heights)
+                for v, heights, bases in columns._min_height_bases(p) if bases]
+    assert list(column_vectors(p)) == expected, p.vertices
+
+
+def tall_gl2_images(p, rng, count=2):
+    """Seeded images of polygon p under GL2(Z) maps and translations, with
+    coordinates up to about 10^6.  One row of each map is a small primitive
+    vector, so one coordinate stays narrow and the oracle's lattice-point
+    walk crosses few lines; the other row is large."""
+    out = []
+    for _ in range(count):
+        c = d = 0
+        while math.gcd(c, d) != 1:
+            c, d = rng.randint(-9, 9), rng.randint(-9, 9)
+        _, x, y = extended_gcd(d, c)
+        k = rng.choice((1, -1)) * rng.randint(10 ** 4, 15000)
+        # (x + kc) d - (kd - y) c = xd + yc = 1
+        rows = [(x + k * c, k * d - y), (c, d)]
+        rng.shuffle(rows)
+        shift = tuple(rng.randint(-10 ** 5, 10 ** 5) for _ in range(2))
+        out.append(polytope_from_points(
+            [vec_add(mat_vec(rows, v), shift) for v in p.vertices]))
+    return out
+
+
+def test_polygon_roots_match_min_height_search():
+    """On every box-3 polygon, on the least member of each of the 1,517
+    integral-affine classes of box-4 polygons, and on tall GL2(Z) images
+    of every 8th box-3 polygon."""
+    box3 = [polytope_from_points(c) for c in enumerate_polygons(3)]
+    keys, forms = scan._cycle_forms(enumerate_polygons(4))
+    reps = {}
+    for key, form in zip(keys, forms):
+        reps[form] = min(reps.get(form, key), key)
+    assert len(box3) == 1633 and len(reps) == 1517
+    rng = random.Random(34)
+    images = [q for p in box3[::8] for q in tall_gl2_images(p, rng)]
+    assert max(abs(x) for q in images for v in q.vertices for x in v) > 5 * 10 ** 5
+    for p in box3 + [polytope_from_points(k) for k in reps.values()] + images:
+        assert_roots_match_min_height_search(p)
 
 
 def test_columns_require_normalized():

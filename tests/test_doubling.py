@@ -231,13 +231,14 @@ def test_seeded_columns_match_search_on_corpus_doublings(corpus):
 
 def test_spectrum_searches_columns_only_for_its_input(capsys, monkeypatch):
     searched = []
-    original = columns._min_height_bases
+    original = columns.column_vectors
 
-    def counted(p):
-        searched.append(p)
-        return original(p)
+    def counted(p, pruned=True):
+        if pruned:
+            searched.append(p)
+        return original(p, pruned)
 
-    monkeypatch.setattr(columns, "_min_height_bases", counted)
+    monkeypatch.setattr(columns, "column_vectors", counted)
     text = json.dumps({"vertices": [list(v) for v in TRAPEZOID.vertices]})
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert main(["spectrum", "-", "--steps", "7"]) == 0

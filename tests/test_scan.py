@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from polycol import columns, scan
+from polycol import columns, polytopes, scan
 from polycol.cli import main
 from polycol.columns import UnclassifiablePolygonError
 from polycol.polytopes import (
@@ -177,6 +177,24 @@ def test_sample_recheck_reports_members_unlike_their_class(monkeypatch):
     assert summary["sample_recheck"]["failures"] == [
         [list(v) for v in sorted(c)] for c in triangles if tuple(sorted(c)) != rep
     ]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_scan_walks_lattice_points_of_the_sample_only(monkeypatch, seed):
+    # class representatives take their columns from the edge normals, so
+    # only the sampled polygons' unpruned search walks lattice points; the
+    # members of a failing class would walk none either, and box 3 has none
+    walked = []
+    walk = polytopes.Polytope._fibre_lattice_points
+
+    def counted(p):
+        walked.append(p.vertices)
+        return walk(p)
+
+    monkeypatch.setattr(polytopes.Polytope, "_fibre_lattice_points", counted)
+    summary = scan_polygons(3, seed=seed)
+    assert summary["col_divisibility_failures"] == []
+    assert len(walked) == summary["sample_recheck"]["checked"] > 10
 
 
 def test_sample_recheck_compares_pruned_and_unpruned_columns(monkeypatch):
