@@ -129,7 +129,7 @@ def golden_commands():
     degenerate forms on the degenerate inputs, the search forms on the
     symmetry polytopes, the trapezoid's presentation
     mod 3, its doubling chain to 11 steps, the chains of the square pyramid
-    and triangle x segment to 7 steps, and the polygon scans of boxes 1-3 at
+    and triangle x segment to 7 steps, and the polygon scans of boxes 1-4 at
     seed 7."""
     commands = {}
     polytopes = CORPUS + [REEVE_TETRAHEDRON, EMPTY_SIMPLEX, NON_NORMAL_SIMPLEX]
@@ -148,7 +148,7 @@ def golden_commands():
     for p in (SQUARE_PYRAMID, SEARCH_POLYTOPES[1]):
         commands[f"spectrum --steps 7 {p.name}"] = (
             ["spectrum", "-", "--steps", "7"], _stdin(p))
-    for box in (1, 2, 3):
+    for box in (1, 2, 3, 4):
         argv = ["scan-polygons", "--box", str(box), "--seed", "7"]
         commands[" ".join(argv)] = (argv, "")
     return commands
