@@ -50,7 +50,6 @@ search finds them.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -63,11 +62,8 @@ from .exactmath import (
 )
 from .polytopes import (
     InternalCheckError,
-    dilate,
     fan_normal_form,
-    normalized_volume,
     polygon_normal_form,
-    polytope_from_points,
 )
 
 
@@ -189,18 +185,26 @@ def _min_height_bases(p):
 
 def _literal_bases(p):
     """(v, heights, bases) for every lattice-point difference, in sorted
-    order, with the bases decided by shifting every lattice point."""
+    order, with the bases decided by shifting every lattice point: a base
+    holds every point v shifts out of P, so the bases are the bits of the
+    AND of those points' facet bitmasks, and the walk stops once it is 0."""
     pts = p.lattice_points
     index = p.point_index
     facets = p.facets
-    on = [set(f.on_facet) for f in facets]
+    masks = [sum(1 << g for g, h in enumerate(col) if h == 0)
+             for col in zip(*p.facet_heights)]
     for v in sorted({vec_sub(y, x) for x in pts for y in pts if y != x}):
-        stuck = [i for i, x in enumerate(pts) if vec_add(x, v) not in index]
-        if not stuck:
+        common = -1  # every facet, until some point is stuck
+        for x, mask in zip(pts, masks):
+            if vec_add(x, v) not in index:
+                common &= mask
+                if not common:
+                    break
+        if common == -1:
             raise InternalCheckError(
                 f"{v} shifts every lattice point inside a bounded polytope"
             )
-        bases = [i for i, s in enumerate(on) if s.issuperset(stuck)]
+        bases = [g for g in range(len(facets)) if common >> g & 1]
         heights = tuple(dot(f.normal, v) for f in facets) if bases else None
         yield v, heights, bases
 
@@ -458,9 +462,14 @@ class UnclassifiablePolygonError(InternalCheckError):
     """A balanced polygon matched none of the six signatures."""
 
 
-UNIT_TRIANGLE_VERTICES = ((0, 0), (1, 0), (0, 1))
-TRAPEZOID_VERTICES = ((0, 0), (2, 0), (1, 1), (0, 1))
-UNIT_SQUARE_VERTICES = ((0, 0), (1, 0), (0, 1), (1, 1))
+# fan_normal_form of the trapezoid (0, 0), (2, 0), (1, 1), (0, 1) and the unit square
+TRAPEZOID_FAN_FORM = ((-1, -1), (-1, 0), (0, 1), (1, 0))
+UNIT_SQUARE_FAN_FORM = ((-1, 0), (0, -1), (0, 1), (1, 0))
+
+
+def _triangle_form(k):
+    """``polygon_normal_form`` of k times the unit triangle (frame: identity)."""
+    return ((0, 0), (0, k), (k, 0))
 
 
 def classify_balanced_polygon(p):
@@ -468,8 +477,9 @@ def classify_balanced_polygon(p):
 
     Signature order tests the negation-closed families first.  Classes a, b
     and e are also checked against their reference polygons by normal
-    forms: a triangle multiple by ``polygon_normal_form``, a fan match with
-    the standard trapezoid or the unit square by ``fan_normal_form``.  A
+    forms fixed once: a triangle multiple by ``polygon_normal_form``, whose
+    last vertex (k, 0) names the multiple k, a fan match with the standard
+    trapezoid or the unit square by ``fan_normal_form``.  A
     signature mismatch, or a matched signature whose check fails, raises:
     every balanced polygon must land in exactly one class.
     """
@@ -486,9 +496,8 @@ def classify_balanced_polygon(p):
 
     if len(cols) == 6 and len(pairs) == 6:
         if n_products == 6 and _triangle_relations(table):
-            k = math.isqrt(normalized_volume(p))
-            ref = dilate(polytope_from_points(UNIT_TRIANGLE_VERTICES), k)
-            if polygon_normal_form(p) != polygon_normal_form(ref):
+            form = polygon_normal_form(p)
+            if form != _triangle_form(form[-1][0]):
                 raise UnclassifiablePolygonError(
                     f"class-a signature but not a triangle multiple: {p.vertices}"
                 )
@@ -496,15 +505,13 @@ def classify_balanced_polygon(p):
     if len(cols) == 4 and len(pairs) == 2:
         labeled = _match_trapezoid_relations(table)
         if labeled is not None:
-            ref = polytope_from_points(TRAPEZOID_VERTICES)
-            if fan_normal_form(p) != fan_normal_form(ref):
+            if fan_normal_form(p) != TRAPEZOID_FAN_FORM:
                 raise UnclassifiablePolygonError(
                     f"class-b signature but no trapezoid fan match: {p.vertices}"
                 )
             return PolygonClassification("b", labeled)
     if len(cols) == 4 and len(pairs) == 4 and n_products == 0:
-        ref = polytope_from_points(UNIT_SQUARE_VERTICES)
-        if fan_normal_form(p) != fan_normal_form(ref):
+        if fan_normal_form(p) != UNIT_SQUARE_FAN_FORM:
             raise UnclassifiablePolygonError(
                 f"class-e signature but no square fan match: {p.vertices}"
             )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from .exactmath import (
@@ -42,6 +42,14 @@ class InternalCheckError(AssertionError):
     Raised loudly instead of patched over: any occurrence means either a bug
     in this package or a genuinely surprising polytope.
     """
+
+
+class LatticeWalkTooLargeError(ValueError):
+    """A lattice-point walk over more fibres than ``MAX_FIBRES``."""
+
+
+# the most fibres a lattice-point walk takes, at ~2.6 s per 10^6 on a 2-core Xeon
+MAX_FIBRES = 4 * 10**6
 
 
 class FacetForm:
@@ -241,14 +249,19 @@ class Polytope:
         The box is walked over every coordinate but the widest one, k (ties
         go to the highest index); over each prefix the facet pairs cut the
         line of z_k to an exact integer interval, whose points are all in
-        P.  The cost is the product of the other extents times the facet
-        count, plus the output.
+        P.  The cost is the product of the other extents, the fibre count,
+        times the facet count, plus the output; a fibre count above
+        ``MAX_FIBRES`` raises ``LatticeWalkTooLargeError`` before the walk.
         """
         n = self.ambient_dim
         lows = [min(v[i] for v in self.vertices) for i in range(n)]
         highs = [max(v[i] for v in self.vertices) for i in range(n)]
         k = max(range(n), key=lambda i: (highs[i] - lows[i], i))
         rest = [i for i in range(n) if i != k]
+        fibres = prod(highs[i] - lows[i] + 1 for i in rest)
+        if fibres > MAX_FIBRES:
+            raise LatticeWalkTooLargeError(
+                f"lattice-point walk over {fibres} fibres, above {MAX_FIBRES}")
         # a . z >= b reads a_k z_k >= b - s, where s = sum_{i != k} a_i z_i
         forms = [(tuple(a[i] for i in rest), a[k], b) for a, b in self._facet_pairs]
         pts = []
@@ -346,10 +359,7 @@ def polytope_from_points(points, name=None):
     if n == 2:
         cycle = _convex_cycle(pts)
         if len(cycle) >= 3:
-            p = Polytope(cycle, 2, name=name)
-            p.dim = 2
-            p._facet_pairs = _cycle_facet_pairs(cycle)
-            return p
+            return polygon_from_cycle(cycle, name=name)
     x0 = pts[0]
     diffs = [vec_sub(p, x0) for p in pts[1:]]
     d = rank_int(diffs)
@@ -368,6 +378,14 @@ def polytope_from_points(points, name=None):
     model = polytope_from_points(coords, name=name)
     p = Polytope([embed.apply(v) for v in model.vertices], n, name=name)
     p._full_dim_model = model, embed
+    return p
+
+
+def polygon_from_cycle(cycle, name=None):
+    """The polygon of a counterclockwise vertex cycle, facets read off it."""
+    p = Polytope(cycle, 2, name=name)
+    p.dim = 2
+    p._facet_pairs = _cycle_facet_pairs(cycle)
     return p
 
 
@@ -607,15 +625,20 @@ def cycle_normal_form(cyc):
     then Y(w) > 0 as w != a.  If X(w) = x on the b side, w and b span an
     edge on the level line X = x, which holds no third vertex; it misses v,
     so x > 0 makes it the maximal level, and it misses a, so l < x.
+
+    An edge enters the frames at both its ends, and U is unique, so one
+    ``extended_gcd`` (g, x, y) of e serves both: -e takes (g, -x, -y); l = g.
     """
-    m = len(cyc)
+    edges = [(wx - vx, wy - vy) for (vx, vy), (wx, wy) in zip(cyc, cyc[1:] + cyc[:1])]
+    bezouts = [extended_gcd(ex, ey) for ex, ey in edges]
     frames = []
     for i, (vx, vy) in enumerate(cyc):
-        for j, k in (((i + 1) % m, i - 1), (i - 1, (i + 1) % m)):
-            ax, ay = cyc[j][0] - vx, cyc[j][1] - vy
-            bx, by = cyc[k][0] - vx, cyc[k][1] - vy
-            (r0, r1), (s0, s1) = _frame_matrix((ax, ay), (bx, by))
-            second = min((r0 * ax + r1 * ay, 0), (r0 * bx + r1 * by, s0 * bx + s1 * by))
+        ahead, (ex, ey), (g, x, y) = edges[i], edges[i - 1], bezouts[i - 1]
+        back = (-ex, -ey)
+        for ea, eb, bezout in ((ahead, back, bezouts[i]), (back, ahead, (g, -x, -y))):
+            (r0, r1), (s0, s1) = _frame_matrix(ea, eb, bezout)
+            bx, by = eb
+            second = min((bezout[0], 0), (r0 * bx + r1 * by, s0 * bx + s1 * by))
             c0, c1 = r0 * vx + r1 * vy, s0 * vx + s1 * vy
             frames.append((second, r0, r1, s0, s1, c0, c1))
     least = min(frames)[0]
@@ -647,14 +670,16 @@ def fan_normal_form(p):
     return min(
         tuple(sorted((r0 * x + r1 * y, s0 * x + s1 * y) for x, y in dirs))
         for a, b in zip(dirs, dirs[1:] + dirs[:1])
-        for (r0, r1), (s0, s1) in (_frame_matrix(a, b), _frame_matrix(b, a))
+        for (r0, r1), (s0, s1) in (_frame_matrix(a, b, extended_gcd(*a)),
+                                   _frame_matrix(b, a, extended_gcd(*b)))
     )
 
 
-def _frame_matrix(ea, eb):
+def _frame_matrix(ea, eb, bezout):
     """The U in GL2(Z) with U primitive(ea) = (1, 0) and U eb = (x, y),
-    0 <= x < y; ea and eb must be linearly independent."""
-    g, x, y = extended_gcd(ea[0], ea[1])
+    0 <= x < y, for linearly independent ea and eb and the triple
+    ``bezout`` = extended_gcd(*ea)."""
+    g, x, y = bezout
     # with (dx, dy) = ea / g, rows (x, y) and (-dy, dx) have determinant 1
     # and send (dx, dy) to (1, 0)
     s0, s1 = -ea[1] // g, ea[0] // g

@@ -4,20 +4,22 @@ Convex polygons with vertices in the (box+1) x (box+1) grid are enumerated
 up to translation as closed edge-vector loops with strictly increasing
 directions; that yields every hull of a grid subset exactly once, as the
 counterclockwise cycle of its vertices.  A path is cut as soon as the
-directions left can no longer bring it back to the origin.
+directions left can no longer bring it back to the origin; a table built
+once per point gives the first direction from which that happens.
 
 The scan classifies first.  The normal form (``polytopes.cycle_normal_form``)
 is computed straight from a cycle, once per orbit of the eight symmetries of
 the box, and the cycles are grouped by it.  Balancedness, Col-divisibility,
 the column table and the class label are integral-affine invariants, so they
-are computed once per class, on a polytope built from the class's least
-sorted vertex tuple; counts of polygons are sums of class sizes.  Only the
-members of a class that fails Col-divisibility, and a seeded sample of
-balanced polygons, are built in full.  The sample is the runtime check of the
-invariance: each sampled polygon must match its class, and its pruned
-column search must match the unpruned one.  That unpruned search is the
-only lattice-point walk of the scan, as a polygon's pruned columns come
-from its edge normals (``columns.column_vectors``).
+are computed once per class, on the polygon of the class's least sorted
+vertex tuple, made from its enumerated cycle with no hull or rank computed;
+counts of polygons are sums of class sizes.  Only the members of a class that
+fails Col-divisibility, and a seeded sample of balanced polygons, are built
+in full.  The sample is the runtime check of the invariance: each sampled
+polygon must match its class, and its pruned column search must match the
+unpruned one.  That unpruned search is the only lattice-point walk of the
+scan, as a polygon's pruned columns come from its edge normals
+(``columns.column_vectors``).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .columns import (
 from .polytopes import (
     InternalCheckError,
     cycle_normal_form,
+    polygon_from_cycle,
     polytope_from_points,
 )
 
@@ -87,22 +90,26 @@ def enumerate_polygons(box):
     # pointed[i]: dirs[i:] lie within a half-turn, so a path can still close
     # only if -cur lies in the cone spanned by dirs[i] and dirs[-1]
     pointed = [dx * ey - dy * ex > 0 for dx, dy in dirs]
+    stops = {}  # point -> [the first index s >= i failing its cone test]
+    # the pinned points, one tuple each, shared by every polygon that holds one
+    grid = [[(u, w) for w in range(box + 1)] for u in range(box + 1)]
     path = [(0, 0)]
     polys = []
 
     # one call per path node; lo_x..hi_y is the bounding box of path
     def rec(i, edges_used, lo_x, hi_x, lo_y, hi_y):
         cx, cy = path[-1]
-        # from the first index stop that fails the cone test, dirs[stop:]
-        # cannot bring the path back, so the next edge takes a direction j
-        # in [i, stop)
-        stop = i
-        while stop < nd:
-            dx, dy = dirs[stop]
-            if pointed[stop] and (dy * cx - dx * cy < 0 or ex * cy - ey * cx < 0):
-                break
-            stop += 1
-        # the paths that skip the most directions come first
+        table = stops.get((cx, cy))
+        if table is None:
+            # the test on dirs[s] depends only on the point: one backward pass
+            table = stops[cx, cy] = [nd] * (nd + 1)
+            off = ex * cy - ey * cx < 0
+            for s, (dx, dy) in reversed(list(enumerate(dirs))):
+                fails = pointed[s] and (off or dy * cx - dx * cy < 0)
+                table[s] = s if fails else table[s + 1]
+        # dirs[stop:] cannot bring the path back, so the next edge takes a j
+        # in [i, stop); the paths that skip the most directions come first
+        stop = table[i]
         for j in range(stop - 1, i - 1, -1):
             dx, dy = dirs[j]
             k = 1
@@ -118,7 +125,7 @@ def enumerate_polygons(box):
                     # closed; the directions left turn less than a full
                     # circle, so they cannot close a second loop
                     if edges_used >= 2:
-                        polys.append(tuple((px - lo_x, py - lo_y) for px, py in path))
+                        polys.append(tuple([grid[a - lo_x][b - lo_y] for a, b in path]))
                 else:
                     path.append((x, y))
                     rec(j + 1, edges_used + 1, nlo_x, nhi_x, nlo_y, nhi_y)
@@ -126,6 +133,7 @@ def enumerate_polygons(box):
                 k += 1
 
     rec(0, 0, 0, 0, 0, 0)
+    del rec  # a cycle through its own closure: free the stop tables now
     return polys
 
 
@@ -143,14 +151,14 @@ def scan_polygons(box, seed=0, sample_rate=0.01):
         raise ValueError("sample rate must lie in [0, 1]")
     cycles = enumerate_polygons(box)
     keys, forms = _cycle_forms(cycles)
-    members = {}  # form -> sorted vertex tuples of its members
-    for form, key in zip(forms, keys):
-        members.setdefault(form, []).append(key)
+    members = {}  # form -> enumeration indices of its members
+    for i, form in enumerate(forms):
+        members.setdefault(form, []).append(i)
 
-    reps = {}  # form of a balanced class -> its least sorted vertex tuple's polytope
+    reps = {}  # form of a balanced class -> polygon of its least sorted vertex tuple
     invariants = {}  # form of a balanced class -> _invariants of its representative
     for form, group in members.items():
-        rep = polytope_from_points(min(group))
+        rep = polygon_from_cycle(cycles[min(group, key=keys.__getitem__)])
         inv = _invariants(rep)
         if inv[0]:
             reps[form], invariants[form] = rep, inv

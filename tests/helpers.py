@@ -92,6 +92,7 @@ from polycol.exactmath import (
     Poly,
     det_int,
     dot,
+    extended_gcd,
     hermite_normal_form,
     mat_inverse_frac,
     mat_mul,
@@ -862,7 +863,7 @@ def frame_forms(cyc):
     for i, v in enumerate(cyc):
         rel = [vec_sub(w, v) for w in cyc]
         for a, b in ((rel[(i + 1) % m], rel[i - 1]), (rel[i - 1], rel[(i + 1) % m])):
-            u = _frame_matrix(a, b)
+            u = _frame_matrix(a, b, extended_gcd(*a))
             forms.append(tuple(sorted(mat_vec(u, z) for z in rel)))
     return forms
 

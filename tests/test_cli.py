@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polycol
+from polycol import polytopes
 from polycol.cli import build_parser, main
 from polycol.reports import analysis_report, parse_polytope_json, to_json
 from polycol.scan import enumerate_polygons, scan_polygons
@@ -269,6 +271,19 @@ def test_cli_output_file_gets_the_stdout_bytes(tmp_path, capsys, command):
     assert code == code_o == 0
     assert (out_o, err_o) == ("", "")
     assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_oversized_fibre_walk_exits_2(tmp_path, capsys):
+    # the thin triangle's lattice-point walk would cross 10^30 + 2 fibres
+    n = 10**30
+    path = write_poly(tmp_path, "thin", [[0, 0], [n, n + 1], [n + 1, n + 2]])
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: lattice-point walk over {n + 2} fibres, "
+                   f"above {polytopes.MAX_FIBRES}\n")
 
 
 def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):

@@ -29,7 +29,13 @@ from polycol.columns import (
 )
 from polycol.doubling import doubling_spectrum
 from polycol.exactmath import dot, extended_gcd, mat_vec, vec_add, vec_sub
-from polycol.polytopes import normalize_full_dim, polytope_from_points
+from polycol.polytopes import (
+    dilate,
+    fan_normal_form,
+    normalize_full_dim,
+    polygon_normal_form,
+    polytope_from_points,
+)
 from polycol.scan import enumerate_polygons
 
 from .conftest import (
@@ -495,6 +501,15 @@ def test_classification_fixtures():
     assert wide.label == "d" and wide.same_base_count == 3
     ctri = polytope_from_points([(3, 0), (0, 3), (0, 1)])
     assert classify_balanced_polygon(ctri).label == "c"
+
+
+def test_classification_reference_forms_match_their_polygons():
+    # classes a, b and e compare against forms fixed once; each must be the
+    # form of the reference polygon it stands for
+    for k in range(1, 7):
+        assert columns._triangle_form(k) == polygon_normal_form(dilate(TRIANGLE, k))
+    assert columns.TRAPEZOID_FAN_FORM == fan_normal_form(TRAPEZOID)
+    assert columns.UNIT_SQUARE_FAN_FORM == fan_normal_form(UNIT_SQUARE)
 
 
 def test_classification_zero_columns_is_tagged_d():

@@ -273,6 +273,24 @@ def test_lattice_points_thin_triangle_with_huge_coordinates():
     assert polytope_from_points(verts).lattice_points == verts
 
 
+def test_fibre_walk_refuses_more_fibres_than_the_limit(monkeypatch):
+    # a box walks one fibre per value of its narrower coordinate
+    monkeypatch.setattr(polytopes, "MAX_FIBRES", 3)
+    at_limit = polytope_from_points(itertools.product(range(3), range(6)))
+    assert len(at_limit.lattice_points) == 18
+    over = polytope_from_points(itertools.product(range(4), range(6)))
+    with pytest.raises(polytopes.LatticeWalkTooLargeError,
+                       match="over 4 fibres, above 3"):
+        over.lattice_points
+    assert issubclass(polytopes.LatticeWalkTooLargeError, ValueError)
+
+
+def test_fibre_limit_clears_the_huge_thin_triangles():
+    # the thin triangle at N walks N + 2 fibres; N = 10^5 is the largest
+    # tier-1 input and N = 10^6 a measured baseline
+    assert polytopes.MAX_FIBRES >= 10**6 + 2
+
+
 def test_hv_consistency(corpus):
     for p in corpus:
         if not p.is_full_dimensional or p.ambient_dim == 0:
