@@ -468,7 +468,7 @@ UNIT_SQUARE_FAN_FORM = ((-1, 0), (0, -1), (0, 1), (1, 0))
 
 
 def _triangle_form(k):
-    """``polygon_normal_form`` of k times the unit triangle (frame: identity)."""
+    """``polygon_normal_form`` of k times the unit triangle: its sorted vertices."""
     return ((0, 0), (0, k), (k, 0))
 
 
