@@ -13,7 +13,8 @@ scalars 1 where the monomial grading pins each coefficient to a single
 term, and by Kronecker substitution where it does not.
 
 The graded semigroup is held slice by slice, each built once from the one
-below it and stored on the polytope.
+below it and stored on the polytope; so are the supports of the shear
+columns, walked once per column.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from math import comb
 from .columns import is_balanced, product_table
 from .exactmath import (
     ZZ,
-    rank_int,
     vec_add,
     vec_neg,
     vec_scale,
@@ -99,7 +99,9 @@ class GradedAutomorphism:
     lattice-point order, as a dict {row index: coefficient}.  No zero
     coefficient is ever stored, so equal automorphisms have equal columns;
     degree one generates the algebra, so equality of columns is equality of
-    automorphisms.
+    automorphisms.  A column dict may be shared between automorphisms (a
+    composite reuses the left factor's column wherever the right factor's
+    column is a single unit entry), so columns are never mutated.
     """
 
     def __init__(self, polytope, ring, columns):
@@ -109,15 +111,33 @@ class GradedAutomorphism:
 
     def compose(self, other):
         """self after other."""
-        if self.polytope != other.polytope or self.ring is not other.ring:
+        if (
+            self.polytope is not other.polytope and self.polytope != other.polytope
+        ) or self.ring is not other.ring:
             raise ValueError("automorphisms live on different algebras")
+        one = self.ring.one
+        mine = self.columns
         columns = []
         for col in other.columns:
+            # the body runs at most once: the first entry seeds the sum (a
+            # unit entry with a copy of the left column, or with the column
+            # itself when it stands alone), and the inner loop adds the rest
+            entries = iter(col.items())
             acc = {}
-            for k, c in col.items():
-                for i, a in self.columns[k].items():
-                    acc[i] = acc[i] + a * c if i in acc else a * c
-            columns.append({i: x for i, x in acc.items() if x})
+            for k, c in entries:
+                if c != one:
+                    acc = {i: a * c for i, a in mine[k].items()}
+                elif len(col) == 1:
+                    acc = mine[k]
+                    break
+                else:
+                    acc = dict(mine[k])
+                for k, c in entries:
+                    for i, a in mine[k].items():
+                        x = acc.get(i)
+                        acc[i] = a * c if x is None else x + a * c
+                acc = {i: x for i, x in acc.items() if x}
+            columns.append(acc)
         return GradedAutomorphism(self.polytope, self.ring, columns)
 
     def is_identity(self):
@@ -152,36 +172,52 @@ def elementary_automorphism(p, col, lam, ring):
 
     The column of x expands binomially through the points x + k v, all of
     which are lattice points because heights over the base facet drop by
-    exactly one per step; they are walked one step of v at a time.  Terms
-    that vanish in the ring (lam = 0, or over Z/m a binomial coefficient
-    divisible by m) are not stored.  ``product_table(p)`` refuses a
-    non-normalized P: it runs ``column_vectors``, which raises ValueError,
-    and only the double of a normalized P has a seeded table.
+    exactly one per step.  Each column's support, the indices of x, x + v,
+    ..., x + h v, is walked once per polytope object and stored on ``p``
+    (``_shear_supports``); a shear then only computes one binomial row
+    (binom(h, k) lam^k) per height.  Terms that vanish in the ring (lam = 0,
+    or over Z/m a binomial coefficient divisible by m) are not stored.
+    ``product_table(p)`` refuses a non-normalized P: it runs
+    ``column_vectors``, which raises ValueError, and only the double of a
+    normalized P has a seeded table.
     """
     table = product_table(p)
-    col = table.columns[table.column(col)]
-    v = col.vector
-    index = p.point_index
-    heights = p.facet_heights[col.base]
+    supports = _shear_supports(p, table, table.column(col))
     one = ring.one
     powers = [one]
-    for _ in range(max(heights)):
+    rows = [[one]]
+    for h in range(1, max(map(len, supports))):
         powers.append(powers[-1] * lam)
-    columns = []
-    for x, h in zip(p.lattice_points, heights):
-        column = {}
-        target, coeff = x, one
-        for k in range(h + 1):
-            if k:
-                target = vec_add(target, v)
-                coeff = ring.from_int(comb(h, k)) * powers[k]
-            i = index.get(target)
-            if i is None:
-                raise InternalCheckError(f"{x} + {k}*{v} escaped the polytope")
-            if coeff:
-                column[i] = coeff
-        columns.append(column)
+        rows.append([one] + [ring.from_int(comb(h, k)) * powers[k]
+                             for k in range(1, h + 1)])
+    columns = [dict(zip(support, rows[len(support) - 1])) for support in supports]
+    if not all(map(all, rows)):  # some term vanishes in the ring
+        columns = [{i: c for i, c in col.items() if c} for col in columns]
     return GradedAutomorphism(p, ring, columns)
+
+
+def _shear_supports(p, table, j):
+    """Per lattice point x of height h over the base of column j, the
+    indices of x, x + v, ..., x + h v; walked once and stored on ``p``."""
+    supports = p.__dict__.setdefault("_shear_supports", {})
+    out = supports.get(j)
+    if out is None:
+        col = table.columns[j]
+        v = col.vector
+        index = p.point_index
+        out = []
+        for i, (x, h) in enumerate(zip(p.lattice_points, p.facet_heights[col.base])):
+            support = [i]
+            target = x
+            for k in range(1, h + 1):
+                target = vec_add(target, v)
+                t = index.get(target)
+                if t is None:
+                    raise InternalCheckError(f"{x} + {k}*{v} escaped the polytope")
+                support.append(t)
+            out.append(tuple(support))
+        out = supports[j] = tuple(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +445,13 @@ def verify_steinberg_relations(p):
             raise InternalCheckError(f"the product {u.vector}*{u.vector} exists")
         verdict[i, i] = one_b.columns == by_b.compose(unit[i]).columns
 
+    # u and v are parallel exactly when every 2 x 2 minor of [u, v] is 0
+    minors = list(itertools.combinations(range(p.ambient_dim), 2))
     for i, j in itertools.combinations(range(len(cols)), 2):
         u, v = cols[i].vector, cols[j].vector
         if not any(vec_add(u, v)):
             continue
-        if rank_int([u, v]) < 2:
+        if not any(u[a] * v[b] - u[b] * v[a] for a, b in minors):
             raise InternalCheckError(
                 f"parallel columns {u}, {v} in a commutator case"
             )

@@ -219,10 +219,22 @@ class Polytope:
     def _lattice_basis(self):
         """The nonzero rows of the Hermite form of the differences of the
         lattice points to the least one: a basis of the lattice they
-        generate, for a P with at least two lattice points."""
-        x0 = self.lattice_points[0]
-        h, _ = hermite_normal_form([vec_sub(z, x0) for z in self.lattice_points[1:]])
-        return tuple(r for r in h if any(r))
+        generate, for a P with at least two lattice points.
+
+        The differences are folded into the basis n at a time, so no form
+        has more than 2n rows.  The row Hermite form of a lattice is unique,
+        so the basis is that of all differences at once, without its
+        (|L_P| - 1) x (|L_P| - 1) transform.
+        """
+        pts = self.lattice_points
+        x0 = pts[0]
+        step = max(self.ambient_dim, 1)
+        basis = ()
+        for start in range(1, len(pts), step):
+            chunk = [vec_sub(z, x0) for z in pts[start:start + step]]
+            h, _ = hermite_normal_form(list(basis) + chunk)
+            basis = tuple(r for r in h if any(r))
+        return basis
 
     @cached_property
     def _facet_pairs(self):

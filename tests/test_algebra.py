@@ -27,7 +27,13 @@ from polycol.algebra import (
     column_inversion,
 )
 from polycol.cli import main
-from polycol.columns import column_vectors, is_balanced, product_table
+from polycol.columns import (
+    ColumnVector,
+    ProductTable,
+    column_vectors,
+    is_balanced,
+    product_table,
+)
 from polycol.doubling import doubling_spectrum
 from polycol.exactmath import (
     ZZ,
@@ -385,6 +391,85 @@ def test_elementary_stores_no_vanishing_coefficient():
             )
             assert _no_stored_zero(e)
             assert e.columns == identity_automorphism(p, ring).columns
+
+
+def _chain_steps():
+    """Steps 1-3 of the trapezoid's doubling chain."""
+    return [s.result.doubled for s in doubling_spectrum(TRAPEZOID, 3).steps]
+
+
+def _closed_formula_scalars():
+    """(ring, scalars) pairs: 0 in each ring, and over Z/6 the scalars 2
+    and 3, at which binom(h, k) lam^k vanishes for h = 3 and h = 2."""
+    zab = PolynomialRing(("a", "b"))
+    a, b = zab.var("a"), zab.var("b")
+    z6 = IntegersMod(6)
+    return [
+        (ZZ, [0, 1, -1, 2, 7]),
+        (QQ, [Fraction(0), Fraction(-3, 2), Fraction(1)]),
+        (zab, [zab.zero, a, a + b, -(a * b)]),
+        (z6, [ModInt(t, 6) for t in (0, 1, 2, 3, 5)]),
+    ]
+
+
+def test_shear_columns_match_closed_formula():
+    # every column of every shear, built from the stored supports, against
+    # the binomial image of its degree-one monomial with the zeros dropped
+    rings = _closed_formula_scalars()
+    vanished = Counter()
+    for p in CORPUS + _chain_steps():
+        pts = p.lattice_points
+        for c in product_table(p).columns:
+            for ring, scalars in rings:
+                for lam in scalars:
+                    e = elementary_automorphism(p, c, lam, ring)
+                    for x, column in zip(pts, e.columns):
+                        image = elementary_closed_formula_image(p, c, lam, ring, x, 1)
+                        assert {pts[i]: coeff for i, coeff in column.items()} == {
+                            y: coeff for y, coeff in image.items() if coeff
+                        }, (p.name, c, lam, ring, x)
+                        if lam:
+                            vanished[repr(ring)] += sum(not a for a in image.values())
+    # a nonzero scalar leaves zero terms over Z/6 only
+    assert +vanished == Counter({"ZZ/6": vanished["ZZ/6"]}) and vanished["ZZ/6"]
+
+
+def test_equal_polytopes_walk_their_own_supports():
+    p, q = (polytope_from_points(TRAPEZOID.vertices) for _ in range(2))
+    assert p == q and p is not q
+    c = product_table(p).columns[0]
+    e = elementary_automorphism(p, c, 1, ZZ)
+    assert "_shear_supports" in p.__dict__
+    assert "_shear_supports" not in q.__dict__
+    f = elementary_automorphism(q, c.vector, 1, ZZ)
+    assert q.__dict__["_shear_supports"] is not p.__dict__["_shear_supports"]
+    assert q.__dict__["_shear_supports"] == p.__dict__["_shear_supports"]
+    assert e.columns == f.columns and e.polytope is p and f.polytope is q
+
+
+def test_verifiers_leave_the_shears_they_hold_unchanged(monkeypatch):
+    # a composite may share a column dict with its left factor; after both
+    # verifiers, every shear they built equals a fresh one, so nothing
+    # wrote into a shared column
+    held = []
+
+    def recording(p, c, t, ring):
+        e = elementary_automorphism(p, c, t, ring)
+        held.append((p, c, t, ring, e))
+        return e
+
+    monkeypatch.setattr("polycol.algebra.elementary_automorphism", recording)
+    inputs = [TRAPEZOID, SQUARE_PYRAMID, WIDE_TRIANGLE, dilate(TRIANGLE, 4)]
+    for p in inputs:
+        verify_steinberg_relations(p)
+        for f in sorted({c.base for c in product_table(p).columns}):
+            verify_additive_embedding(p, f)
+    monkeypatch.undo()
+    assert len({id(p) for p, *_ in held}) == len(inputs)
+    for p, c, t, ring, e in held:
+        twin = polytope_from_points(p.vertices)
+        assert e.columns == elementary_automorphism(p, c, t, ring).columns
+        assert e.columns == elementary_automorphism(twin, c.vector, t, ring).columns
 
 
 def test_elementary_inverse():
@@ -761,6 +846,44 @@ def test_steinberg_non_inverse_shear_is_internal_error(
     assert out == ""
     assert err.startswith("internal check failed: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_steinberg_parallel_pair_is_internal_error(tmp_path, monkeypatch, capsys):
+    # a column 2u beside u: parallel, with a nonzero sum, a pair no
+    # commutator case covers; its shears are those of u, so every check
+    # before the pair loop holds.  u has no zero coordinate, so a minor
+    # read with the wrong sign is nonzero
+    real_table = product_table
+
+    def slanted(p):
+        return next(c for c in real_table(p).columns if all(c.vector))
+
+    def with_double(p, columns=None):
+        table = real_table(p, columns)
+        u = slanted(p)
+        double = ColumnVector(vec_scale(2, u.vector), u.base, vec_scale(2, u.heights))
+        cols = tuple(table.columns) + (double,)
+        rows = [list(r) + [None] for r in table.rows] + [[None] * len(cols)]
+        index = {c.vector: i for i, c in enumerate(cols)}
+        return ProductTable(cols, index, rows, table.products)
+
+    def halved(p, c, t, ring):
+        u = slanted(p)
+        if getattr(c, "vector", c) == vec_scale(2, u.vector):
+            c = u
+        return elementary_automorphism(p, c, t, ring)
+
+    monkeypatch.setattr("polycol.algebra.product_table", with_double)
+    monkeypatch.setattr("polycol.algebra.elementary_automorphism", halved)
+    with pytest.raises(InternalCheckError, match="parallel columns"):
+        verify_steinberg_relations(polytope_from_points(TRAPEZOID.vertices))
+    path = tmp_path / "trapezoid.json"
+    path.write_text('{"vertices": [[0, 0], [2, 0], [1, 1], [0, 1]]}')
+    code = main(["verify", str(path), "--which", "steinberg"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal check failed: parallel columns ")
 
 
 def _rank2_composites(p, i, j, k, ring):

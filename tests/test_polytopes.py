@@ -3,6 +3,7 @@ import inspect
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -397,7 +398,7 @@ def test_is_normalized_matches_hermite_form(monkeypatch):
     hnf_calls = []
 
     def counted(rows):
-        hnf_calls.append(len(rows[0]))
+        hnf_calls.append((len(rows), len(rows[0])))
         return hermite_normal_form(rows)
 
     monkeypatch.setattr("polycol.polytopes.hermite_normal_form", counted)
@@ -411,16 +412,20 @@ def test_is_normalized_matches_hermite_form(monkeypatch):
         p = polytope_from_points(vertices)
         hnf_calls.clear()
         assert p.is_normalized == _hnf_is_normalized(p), vertices
-        # a Hermite form only above dimension 2
-        hermite = p.is_full_dimensional and p.ambient_dim > 2
-        assert hnf_calls == ([p.ambient_dim] if hermite else [])
+        # Hermite forms only above dimension 2: one per n differences
+        # folded in, each on at most 2n rows of n columns
+        n = p.ambient_dim
+        hermite = p.is_full_dimensional and n > 2
+        folds = -(-(len(p.lattice_points) - 1) // n) if hermite else 0
+        assert len(hnf_calls) == folds
+        assert all(r <= 2 * n and c == n for r, c in hnf_calls)
     # the Reeve tetrahedron: its lattice points are its vertices, and they
     # span an index-3 sublattice
     reeve = polytope_from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)])
     assert len(reeve.lattice_points) == 4
     hnf_calls.clear()
     assert not reeve.is_normalized
-    assert hnf_calls == [3]
+    assert hnf_calls == [(3, 3)]
     assert not _hnf_is_normalized(reeve)
 
 
@@ -985,3 +990,43 @@ def test_unimodular_frame_map():
     assert unimodular_frame_maps(((0, 0), (2, 0), (0, 1)))(
         ((0, 0), (1, 1), (0, 2))
     ) is None
+
+
+def _lattice_basis_inputs():
+    """The CORPUS, the conftest simplices whose points span a sublattice,
+    k * Delta_3 and k * cube for k <= 6, k * triangle for k <= 6 in a plane
+    of Z^3, whose points span a rank-2 lattice over many chunks, and steps
+    1-3 of the trapezoid's doubling chain."""
+    cube = polytope_from_points(list(itertools.product((0, 1), repeat=3)))
+    dilations = [dilate(q, k) for q in (SIMPLEX3, cube) for k in range(1, 7)]
+    plane = ((1, 0), (1, 1), (2, 3))
+    images = [linear_image(dilate(TRIANGLE, k), plane) for k in range(1, 7)]
+    chain = [s.result.doubled for s in doubling_spectrum(TRAPEZOID, 3).steps]
+    return (CORPUS + [NON_NORMAL_SIMPLEX, REEVE_TETRAHEDRON, EMPTY_SIMPLEX]
+            + dilations + images + chain)
+
+
+def test_lattice_basis_is_the_hermite_form_of_all_differences():
+    # the fold n rows at a time against one Hermite form of every difference
+    sublattices = 0
+    for p in _lattice_basis_inputs():
+        x0, *rest = p.lattice_points
+        h, _ = hermite_normal_form([vec_sub(z, x0) for z in rest])
+        assert p._lattice_basis == tuple(r for r in h if any(r)), p
+        sublattices += p._lattice_basis != identity_matrix(p.ambient_dim)
+    assert sublattices == 9
+
+
+def test_lattice_basis_memory_stays_flat_on_a_dilated_cube():
+    # 4,913 lattice points: a Hermite form over all 4,912 differences would
+    # build a 4,912 x 4,912 transform, tens of MB
+    cube = polytope_from_points(list(itertools.product((0, 1), repeat=3)))
+    p = dilate(cube, 16)
+    assert len(p.lattice_points) == 4913
+    tracemalloc.start()
+    try:
+        assert p.is_normalized
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000

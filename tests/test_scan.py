@@ -1,7 +1,9 @@
 """The class-first polygon scan against its per-polygon slow paths."""
 
 import hashlib
+import inspect
 import json
+import sys
 
 import pytest
 
@@ -27,6 +29,51 @@ UNIT_TRIANGLE = polytope_from_points([(0, 0), (1, 0), (0, 1)])
 def test_enumeration_matches_unpruned_oracle(box):
     # same polygons in the same order: the scan's sample draws follow it
     assert enumerate_polygons(box) == unpruned_enumerate_polygons(box)
+
+
+def _enumeration_work(box):
+    """(path nodes, candidate steps) of ``enumerate_polygons(box)``: the
+    calls of its nested ``rec``, and the runs of its bounding-box test, one
+    per step tried along a direction."""
+    lines, first = inspect.getsourcelines(enumerate_polygons)
+    box_test = first + next(
+        i for i, line in enumerate(lines) if "nhi_x - nlo_x > box" in line
+    )
+    nodes = steps = 0
+
+    def in_rec(frame, event, arg):
+        nonlocal steps
+        if event == "line" and frame.f_lineno == box_test:
+            steps += 1
+        return in_rec
+
+    def on_call(frame, event, arg):
+        nonlocal nodes
+        code = frame.f_code
+        if code.co_name == "rec" and code.co_filename == scan.__file__:
+            nodes += 1
+            return in_rec
+        return None
+
+    sys.settrace(on_call)
+    try:
+        enumerate_polygons(box)
+    finally:
+        sys.settrace(None)
+    return nodes, steps
+
+
+@pytest.mark.parametrize("box, work", [
+    (1, (21, 73)),
+    (2, (334, 1136)),
+    (3, (4644, 17795)),
+    (4, (56918, 224897)),
+])
+def test_enumeration_work_is_pinned(box, work):
+    # the stop tables end a path at a point where no direction left can
+    # close it; a table read at the wrong index tries steps that leave the
+    # box at once, which the step count sees even where the nodes agree
+    assert _enumeration_work(box) == work
 
 
 @pytest.mark.parametrize("box, digest", [
