@@ -305,6 +305,72 @@ def mat_inverse_frac(m):
     return tuple(tuple(s * x for x in row) for row in a), s * prev
 
 
+def lll_reduce(gram):
+    """(U, V) with U in GL_n(Z) and V = U^-1, the rows of U an LLL-reduced
+    basis (delta = 3/4) of Z^n under the positive definite integral form
+    ``gram``.
+
+    Cohen's integral LLL (A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7; Lenstra-Lenstra-Lovasz 1982) on the Gram matrix
+    alone: d[i] is the Gram determinant of the first i basis rows and
+    lam[k][j] = d[j + 1] mu[k][j] for the Gram-Schmidt coefficients mu, all
+    integers, and every division is exact.  A row operation U <- E U is
+    mirrored as V <- V E^-1, a column operation kept on the rows of V^T, so
+    no inverse is ever computed.
+    """
+    n = len(gram)
+    u = [list(r) for r in identity_matrix(n)]
+    vt = [list(r) for r in identity_matrix(n)]
+    d = [1, gram[0][0]] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k, l):
+        # row k -= q row l, q the integer nearest mu[k][l], if |mu| > 1/2
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            u[k] = [x - q * y for x, y in zip(u[k], u[l])]
+            vt[l] = [x + q * y for x, y in zip(vt[l], vt[k])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k, kmax):
+        u[k - 1], u[k] = u[k], u[k - 1]
+        vt[k - 1], vt[k] = vt[k], vt[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        m = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (b * t + m * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            # incremental Gram-Schmidt of row k against rows 0..k-1
+            kmax = k
+            for j in range(k + 1):
+                x = dot(u[k], mat_vec(gram, u[j]))
+                for i in range(j):
+                    x = (d[i + 1] * x - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = x
+                else:
+                    d[k + 1] = x
+        reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return tuple(map(tuple, u)), transpose(vt)
+
+
 # ---------------------------------------------------------------------------
 # sparse multivariate polynomials over Z
 

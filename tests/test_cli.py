@@ -274,16 +274,40 @@ def test_cli_output_file_gets_the_stdout_bytes(tmp_path, capsys, command):
 
 
 def test_oversized_fibre_walk_exits_2(tmp_path, capsys):
-    # the thin triangle's lattice-point walk would cross 10^30 + 2 fibres
-    n = 10**30
-    path = write_poly(tmp_path, "thin", [[0, 0], [n, n + 1], [n + 1, n + 2]])
+    # the square [0, 10^7]^2 is already reduced, so its lattice-point walk
+    # would cross 10^7 + 1 fibres in any frame
+    n = 10**7
+    path = write_poly(tmp_path, "square", [[0, 0], [n, 0], [0, n], [n, n]])
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "analyze", path)
     assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
-    assert err == (f"error: lattice-point walk over {n + 2} fibres, "
+    assert err == (f"error: lattice-point walk over {n + 1} fibres, "
                    f"above {polytopes.MAX_FIBRES}\n")
+
+
+def test_lattice_walk_past_the_point_budget_exits_2(tmp_path, capsys):
+    # the right triangle with legs 10^5 crosses 10^5 + 1 fibres, under the
+    # fibre limit, but holds about 5 * 10^9 points
+    n = 10**5
+    path = write_poly(tmp_path, "right", [[0, 0], [n, 0], [0, n]])
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: lattice-point walk past {polytopes.MAX_LATTICE_POINTS} points\n"
+
+
+@pytest.mark.parametrize("exponent", [30, 100])
+def test_thin_triangle_with_huge_coordinates_exits_0(tmp_path, capsys, exponent):
+    # the lattice reduction walks the unimodular triangle (0,0), (N,N+1),
+    # (N+1,N+2) in a box of 2 fibres, whatever N
+    n = 10**exponent
+    path = write_poly(tmp_path, "thin", [[0, 0], [n, n + 1], [n + 1, n + 2]])
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["lattice_point_count"] == 3
 
 
 def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):

@@ -16,6 +16,7 @@ from polycol.exactmath import (
     independent_rows,
     integral_section,
     kernel_basis_int,
+    lll_reduce,
     mat_inverse_frac,
     mat_mul,
     mat_vec,
@@ -320,6 +321,42 @@ def test_independent_rows_match_rank_loop(d, count, data):
     limit = data.draw(st.integers(1, d))
     assert independent_rows(rows, limit) == rank_loop_basis(rows, limit)
     assert rank_int(rows) == rational_rank(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_lll_reduce_meets_the_lll_conditions(n, data):
+    # rows of D span a positive definite form D^T D, with entries up to 10^30
+    bound = data.draw(st.sampled_from((3, 10**3, 10**30)))
+    rows = [tuple(data.draw(st.integers(-bound, bound)) for _ in range(n))
+            for _ in range(data.draw(st.integers(n, n + 3)))]
+    assume(rank_int(rows) == n)
+    gram = mat_mul(transpose(rows), rows)
+    u, v = lll_reduce(gram)
+    assert mat_mul(u, v) == identity_matrix(n)
+    assert abs(det_int(u)) == 1
+    # Gram-Schmidt over Q in the form: |mu| <= 1/2 and Lovasz with 3/4
+    form = [[Fraction(dot(a, mat_vec(gram, b))) for b in u] for a in u]
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms = []
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (form[i][j] - sum(mu[j][k] * mu[i][k] * norms[k]
+                                         for k in range(j))) / norms[j]
+        norms.append(form[i][i] - sum(mu[i][k] ** 2 * norms[k] for k in range(i)))
+    assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i))
+    assert all(norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+               for k in range(1, n))
+
+
+def test_lll_reduce_finds_the_thin_frame():
+    # the differences of the thin triangle (0,0), (N,N+1), (N+1,N+2) pair
+    # to 0 and +-1 with both reduced rows
+    n = 10**100
+    diffs = ((n, n + 1), (n + 1, n + 2))
+    u, v = lll_reduce(mat_mul(transpose(diffs), diffs))
+    assert mat_mul(u, v) == identity_matrix(2)
+    assert all(abs(dot(row, d)) <= 1 for row in u for d in diffs)
 
 
 def test_mat_inverse_frac_singular():

@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from polycol.exactmath import (
     dot,
+    extended_gcd,
     hermite_normal_form,
     identity_matrix,
     mat_mul,
@@ -268,8 +270,8 @@ def test_lattice_points_box_oracle(corpus):
 
 
 def test_lattice_points_thin_triangle_with_huge_coordinates():
-    # a unimodular triangle whose bounding box holds about 10^10 cells
-    n = 10**5
+    # a unimodular triangle whose bounding box holds about 10^60 cells
+    n = 10**30
     verts = ((0, 0), (n, n + 1), (n + 1, n + 2))
     assert polytope_from_points(verts).lattice_points == verts
 
@@ -287,9 +289,46 @@ def test_fibre_walk_refuses_more_fibres_than_the_limit(monkeypatch):
 
 
 def test_fibre_limit_clears_the_huge_thin_triangles():
-    # the thin triangle at N walks N + 2 fibres; N = 10^5 is the largest
-    # tier-1 input and N = 10^6 a measured baseline
+    # the thin triangle at N crosses N + 2 fibres in its own box, and 2 in
+    # the reduced one at every N; the limit still clears the direct walk
+    # at N = 10^6, the measured baseline of the walk before the reduction
     assert polytopes.MAX_FIBRES >= 10**6 + 2
+
+
+def test_fibre_limit_applies_to_the_reduced_box(monkeypatch):
+    n = 10**30
+    thin = ((0, 0), (n, n + 1), (n + 1, n + 2))
+    monkeypatch.setattr(polytopes, "MAX_FIBRES", 2)
+    assert polytope_from_points(thin).lattice_points == thin
+    monkeypatch.setattr(polytopes, "MAX_FIBRES", 1)
+    with pytest.raises(polytopes.LatticeWalkTooLargeError,
+                       match="over 2 fibres, above 1"):
+        polytope_from_points(thin).lattice_points
+
+
+def test_lattice_reduction_without_its_inverse_is_internal_error(monkeypatch):
+    n = 10**30
+    thin = polytope_from_points([(0, 0), (n, n + 1), (n + 1, n + 2)])
+    shear = ((1, 1), (0, 1))
+    monkeypatch.setattr(polytopes, "lll_reduce", lambda gram: (shear, shear))
+    with pytest.raises(InternalCheckError, match="lost its inverse"):
+        thin.lattice_points
+
+
+def test_lattice_walk_refuses_more_points_than_the_limit(monkeypatch):
+    # a 3 x 6 box walks 3 fibres of 6 points
+    box = list(itertools.product(range(3), range(6)))
+    monkeypatch.setattr(polytopes, "MAX_LATTICE_POINTS", 18)
+    assert len(polytope_from_points(box).lattice_points) == 18
+    monkeypatch.setattr(polytopes, "MAX_LATTICE_POINTS", 17)
+    with pytest.raises(polytopes.LatticeWalkTooLargeError, match="past 17 points"):
+        polytope_from_points(box).lattice_points
+    # a fibre that would pass the limit is refused before it is built
+    monkeypatch.undo()
+    tall = polytope_from_points([(0, 0), (2, 0), (0, 10**12), (2, 10**12)])
+    with pytest.raises(polytopes.LatticeWalkTooLargeError,
+                       match=f"past {polytopes.MAX_LATTICE_POINTS} points"):
+        tall.lattice_points
 
 
 def test_hv_consistency(corpus):
@@ -969,6 +1008,62 @@ def test_lattice_points_commute_with_unimodular_maps(p, rng, shift):
         box *= max(v[i] for v in q.vertices) - min(v[i] for v in q.vertices) + 1
     if box <= 20000:
         assert list(q.lattice_points) == box_scan_lattice_points(q)
+
+
+def test_reduced_walk_matches_direct_walk_on_sheared_images(monkeypatch):
+    # seeded GL_n(Z) images in dimensions 2-4, entries up to 10^3, each
+    # reduced whenever that shrinks its box: the walk against the image of
+    # L_P everywhere, against the direct walk where its box crosses at most
+    # 20,000 fibres, and against the box scan where it holds at most 20,000
+    # cells
+    walked = []
+    walk = polytopes._walk_fibres
+
+    def spy(vertices, pairs):
+        walked.append(vertices)
+        return walk(vertices, pairs)
+
+    monkeypatch.setattr(polytopes, "_walk_fibres", spy)
+    monkeypatch.setattr(polytopes, "_DIRECT_WALK_FIBRES", 0)
+    rng = random.Random(37)
+    checked = {2: 0, 3: 0, 4: 0}
+    for p in [p for p in CORPUS if p.ambient_dim >= 2] + [TRIANGLE_X_TRIANGLE]:
+        n = p.ambient_dim
+        for _ in range(8):
+            u = random_unimodular_matrix(n, rng, shears=rng.randint(2, 5),
+                                         size=rng.choice((4, 12, 40)))
+            if max(abs(x) for row in u for x in row) > 1000:
+                continue
+            shift = tuple(rng.randint(-10**3, 10**3) for _ in range(n))
+            q = polytope_from_points([vec_add(mat_vec(u, v), shift) for v in p.vertices])
+            pts = list(q.lattice_points)
+            assert pts == sorted(vec_add(mat_vec(u, z), shift) for z in p.lattice_points)
+            lows, highs, _, fibres = polytopes._fibre_box(q.vertices)
+            if fibres <= 20000:
+                assert pts == sorted(walk(q.vertices, q._facet_pairs))
+                checked[n] += walked[-1] is not q.vertices
+            if prod(h - l + 1 for l, h in zip(lows, highs)) <= 20000:
+                assert pts == box_scan_lattice_points(q)
+    # reduced walks checked against the direct one: 41, 11 and 6
+    assert min(checked.values()) >= 5
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([p for p in CORPUS if p.ambient_dim == 2]),
+    st.tuples(*[st.integers(-10**30, 10**30)] * 4),
+)
+def test_lattice_points_of_huge_unimodular_images(p, entries):
+    a, b, *shift = entries
+    g, x, y = extended_gcd(a, b)
+    assume(g == 1)
+    # det = a x + b y = 1
+    u = ((a, b), (-y, x))
+    q = polytope_from_points([vec_add(mat_vec(u, v), shift) for v in p.vertices])
+    assert len(q.lattice_points) == len(p.lattice_points)
+    assert q.lattice_points == tuple(
+        sorted(vec_add(mat_vec(u, z), shift) for z in p.lattice_points)
+    )
 
 
 def test_unimodular_frame_map():
