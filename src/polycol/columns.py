@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from operator import add, sub
 from typing import NamedTuple, Optional
 
 from .exactmath import (
@@ -187,16 +188,19 @@ def _literal_bases(p):
     """(v, heights, bases) for every lattice-point difference, in sorted
     order, with the bases decided by shifting every lattice point: a base
     holds every point v shifts out of P, so the bases are the bits of the
-    AND of those points' facet bitmasks, and the walk stops once it is 0."""
+    AND of those points' facet bitmasks, and the walk stops once it is 0.
+    Interior points, of mask 0, are walked first, so a stuck one stops it
+    at once."""
     pts = p.lattice_points
     index = p.point_index
     facets = p.facets
     masks = [sum(1 << g for g, h in enumerate(col) if h == 0)
              for col in zip(*p.facet_heights)]
-    for v in sorted({vec_sub(y, x) for x in pts for y in pts if y != x}):
+    walk = sorted(zip(pts, masks), key=lambda item: item[1] != 0)
+    for v in sorted({tuple(map(sub, y, x)) for x in pts for y in pts if y != x}):
         common = -1  # every facet, until some point is stuck
-        for x, mask in zip(pts, masks):
-            if vec_add(x, v) not in index:
+        for x, mask in walk:
+            if tuple(map(add, x, v)) not in index:
                 common &= mask
                 if not common:
                     break

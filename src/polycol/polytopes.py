@@ -348,18 +348,36 @@ def _walk_fibres(vertices, pairs):
     interval, whose points are all in the polytope.  The cost is the fibre
     count times the facet count, plus the output.  A walk over more than
     ``MAX_FIBRES`` fibres raises ``LatticeWalkTooLargeError`` before it
-    starts, and one to more than ``MAX_LATTICE_POINTS`` points raises it at
-    the fibre that would pass the limit, before that fibre is built.
+    starts.  So does one to more than ``MAX_LATTICE_POINTS`` points: when
+    the box holds more cells than that, the intervals are counted first,
+    with no point built, up to the first one that passes the limit.
     """
     lows, highs, k, fibres = _fibre_box(vertices)
     if fibres > MAX_FIBRES:
         raise LatticeWalkTooLargeError(
             f"lattice-point walk over {fibres} fibres, above {MAX_FIBRES}")
+    if fibres * (highs[k] - lows[k] + 1) > MAX_LATTICE_POINTS:
+        count = 0
+        for _, lo, hi in _fibre_intervals(lows, highs, k, pairs):
+            count += hi - lo + 1
+            if count > MAX_LATTICE_POINTS:
+                raise LatticeWalkTooLargeError(
+                    f"lattice-point walk past {MAX_LATTICE_POINTS} points")
+    pts = []
+    for prefix, lo, hi in _fibre_intervals(lows, highs, k, pairs):
+        head, tail = prefix[:k], prefix[k:]
+        pts.extend(head + (zk,) + tail for zk in range(lo, hi + 1))
+    return pts
+
+
+def _fibre_intervals(lows, highs, k, pairs):
+    """(prefix, lo, hi) for each nonempty fibre of the box lows..highs: the
+    coordinates but z_k, and the interval lo <= z_k <= hi that the facet
+    pairs cut from the line."""
     rest = [i for i in range(len(lows)) if i != k]
     # a . z >= b reads a_k z_k >= b - s, where s = sum_{i != k} a_i z_i
     forms = [(tuple(a[i] for i in rest), a[k], b) for a, b in pairs]
-    pts = []
-    for prefix in itertools.product(*(range(lows[i], highs[i] + 1) for i in rest)):
+    for prefix in _box_points([range(lows[i], highs[i] + 1) for i in rest]):
         lo, hi = lows[k], highs[k]
         for coeffs, ak, b in forms:
             r = sum(map(mul, coeffs, prefix)) - b
@@ -372,12 +390,20 @@ def _walk_fibres(vertices, pairs):
             if lo > hi:
                 break
         else:
-            if len(pts) + hi - lo >= MAX_LATTICE_POINTS:
-                raise LatticeWalkTooLargeError(
-                    f"lattice-point walk past {MAX_LATTICE_POINTS} points")
-            head, tail = prefix[:k], prefix[k:]
-            pts.extend(head + (zk,) + tail for zk in range(lo, hi + 1))
-    return pts
+            yield prefix, lo, hi
+
+
+def _box_points(ranges):
+    """``itertools.product(*ranges)`` with the last range read lazily:
+    product stores each range as a tuple before it yields, which for a
+    plane walk of 4 * 10^6 fibres is 160 MB."""
+    if not ranges:
+        yield ()
+        return
+    *outer, last = ranges
+    for head in itertools.product(*outer):
+        for z in last:
+            yield head + (z,)
 
 
 def _saturated_chart(points):
@@ -680,8 +706,29 @@ def cycle_normal_form(cyc):
     of the hull, such as ``polygon_cycle`` returns.  The form does not
     depend on the start vertex or the direction.
 
-    Only the frames reaching the least second entry are sorted.  In the
-    frame (v; a, b), U(a - v) = (l, 0) and U(b - v) = (x, y) with
+    Only the frames reaching the least second entry (``_cycle_frames``)
+    build U and sort the images.
+    """
+    frames = _cycle_frames(cyc)
+    least = min([frame[0] for frame in frames])
+    forms = []
+    for second, (vx, vy), ea, eb, bezout in frames:
+        if second == least:
+            (r0, r1), (s0, s1) = _frame_matrix(ea, eb, bezout)
+            # U(w - v) = U w - U v
+            c0, c1 = r0 * vx + r1 * vy, s0 * vx + s1 * vy
+            forms.append(tuple(sorted(
+                [(r0 * x + r1 * y - c0, s0 * x + s1 * y - c1) for x, y in cyc])))
+    return min(forms)
+
+
+def _cycle_frames(cyc):
+    """(second, v, ea, eb, bezout) for each of the 2m frames of a vertex
+    cycle: the vertex v, the edges ea and eb from v to its two neighbours,
+    ``bezout`` = extended_gcd(*ea), and the second entry of the frame's
+    sorted image tuple.
+
+    In the frame (v; a, b), U(a - v) = (l, 0) and U(b - v) = (x, y) with
     0 <= x < y span the cone at v, so every image has X, Y >= 0 and v goes
     to (0, 0), the first entry of every form.  The second entry is
     min((l, 0), (x, y)): X is least at v and rises weakly along both
@@ -691,28 +738,27 @@ def cycle_normal_form(cyc):
     edge on the level line X = x, which holds no third vertex; it misses v,
     so x > 0 makes it the maximal level, and it misses a, so l < x.
 
+    It is read off the edge pair with no U built: for ``bezout`` (g, p, q),
+    l = g, y = |det(ea, eb)| / g, and x = (p, q) . eb mod y, as the first
+    row of U is (p, q) less a multiple of the second, which sends eb to y
+    (``_frame_matrix``).  So it is (x, y) if x < g, else (g, 0).
+
     An edge enters the frames at both its ends, and U is unique, so one
-    ``extended_gcd`` (g, x, y) of e serves both: -e takes (g, -x, -y); l = g.
+    ``extended_gcd`` (g, p, q) of e serves both: -e takes (g, -p, -q).
     """
     edges = [(wx - vx, wy - vy) for (vx, vy), (wx, wy) in zip(cyc, cyc[1:] + cyc[:1])]
     bezouts = [extended_gcd(ex, ey) for ex, ey in edges]
     frames = []
-    for i, (vx, vy) in enumerate(cyc):
-        ahead, (ex, ey), (g, x, y) = edges[i], edges[i - 1], bezouts[i - 1]
+    for i, v in enumerate(cyc):
+        ahead, (ex, ey), (g, p, q) = edges[i], edges[i - 1], bezouts[i - 1]
         back = (-ex, -ey)
-        for ea, eb, bezout in ((ahead, back, bezouts[i]), (back, ahead, (g, -x, -y))):
-            (r0, r1), (s0, s1) = _frame_matrix(ea, eb, bezout)
-            bx, by = eb
-            second = min((bezout[0], 0), (r0 * bx + r1 * by, s0 * bx + s1 * by))
-            c0, c1 = r0 * vx + r1 * vy, s0 * vx + s1 * vy
-            frames.append((second, r0, r1, s0, s1, c0, c1))
-    least = min(frames)[0]
-    # U(w - v) = U w - U v, with U v = (c0, c1)
-    return min(
-        tuple(sorted([(r0 * x + r1 * y - c0, s0 * x + s1 * y - c1) for x, y in cyc]))
-        for second, r0, r1, s0, s1, c0, c1 in frames
-        if second == least
-    )
+        det = abs(ahead[0] * ey - ahead[1] * ex)
+        for ea, eb, bezout in ((ahead, back, bezouts[i]), (back, ahead, (g, -p, -q))):
+            l, p0, p1 = bezout
+            y = det // l
+            x = (p0 * eb[0] + p1 * eb[1]) % y
+            frames.append(((x, y) if x < l else (l, 0), v, ea, eb, bezout))
+    return frames
 
 
 def fan_normal_form(p):

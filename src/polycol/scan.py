@@ -9,17 +9,19 @@ once per point gives the first direction from which that happens.
 
 The scan classifies first.  The normal form (``polytopes.cycle_normal_form``)
 is computed straight from a cycle, once per orbit of the eight symmetries of
-the box, and the cycles are grouped by it.  Balancedness, Col-divisibility,
-the column table and the class label are integral-affine invariants, so they
-are computed once per class, on the polygon of the class's least sorted
-vertex tuple, made from its enumerated cycle with no hull or rank computed;
-counts of polygons are sums of class sizes.  Only the members of a class that
-fails Col-divisibility, and a seeded sample of balanced polygons, are built
-in full.  The sample is the runtime check of the invariance: each sampled
-polygon must match its class, and its pruned column search must match the
-unpruned one.  That unpruned search is the only lattice-point walk of the
-scan, as a polygon's pruned columns come from its edge normals
-(``columns.column_vectors``).
+the box, and gives each cycle a small class id; the other members of an
+orbit are found by the bitmask of their vertices in the grid, and nothing
+but the id is kept per polygon.  Balancedness, Col-divisibility, the column
+table and the class label are integral-affine invariants, so they are
+computed once per class, on the polygon of the class's least sorted vertex
+tuple, made from its enumerated cycle with no hull or rank computed, and
+dropped once classified; counts of polygons are sums of class sizes.  Only
+the members of a class that fails Col-divisibility, and a seeded sample of
+balanced polygons, are built in full.  The sample is the runtime check of
+the invariance: each sampled polygon must match its class, and its pruned
+column search must match the unpruned one.  That unpruned search is the
+only lattice-point walk of the scan, as a polygon's pruned columns come from
+its edge normals (``columns.column_vectors``).
 """
 
 from __future__ import annotations
@@ -150,64 +152,65 @@ def scan_polygons(box, seed=0, sample_rate=0.01):
     if not 0 <= sample_rate <= 1:
         raise ValueError("sample rate must lie in [0, 1]")
     cycles = enumerate_polygons(box)
-    keys, forms = _cycle_forms(cycles)
-    members = {}  # form -> enumeration indices of its members
-    for i, form in enumerate(forms):
-        members.setdefault(form, []).append(i)
+    classes, least = _cycle_classes(cycles, box)
+    sizes = [0] * len(least)
+    for c in classes:
+        sizes[c] += 1
 
-    reps = {}  # form of a balanced class -> polygon of its least sorted vertex tuple
-    invariants = {}  # form of a balanced class -> _invariants of its representative
-    for form, group in members.items():
-        rep = polygon_from_cycle(cycles[min(group, key=keys.__getitem__)])
+    invariants = []  # class id -> _invariants of its representative
+    labelled = []  # (vertices, label, error) of each balanced representative
+    for i in least:
+        rep = polygon_from_cycle(cycles[i])
         inv = _invariants(rep)
+        invariants.append(inv)
         if inv[0]:
-            reps[form], invariants[form] = rep, inv
+            try:
+                labelled.append((rep.vertices, classify_balanced_polygon(rep).label, None))
+            except UnclassifiablePolygonError as exc:  # surfaced, never swallowed
+                labelled.append((rep.vertices, None, str(exc)))
 
     # every member of a failing class, each with its own witness
-    failing = {form for form, inv in invariants.items() if not inv[1]}
+    failing = [inv[0] and not inv[1] for inv in invariants]
     divisibility_failures = []
-    for form, key in zip(forms, keys):
-        if form in failing:
-            ok, wit = is_col_divisible(polytope_from_points(key))
+    for cycle, c in zip(cycles, classes):
+        if failing[c]:
+            p = polytope_from_points(cycle)
+            ok, wit = is_col_divisible(p)
             if ok:
                 raise InternalCheckError(
-                    f"Col-divisible member {list(key)} of a failing class"
+                    f"Col-divisible member {list(p.vertices)} of a failing class"
                 )
             divisibility_failures.append(
-                {"vertices": [list(v) for v in key], "witness": repr(wit)}
+                {"vertices": [list(v) for v in p.vertices], "witness": repr(wit)}
             )
 
     per_class = {}
     witnesses = {}
     unclassified = []
-    for p in sorted(reps.values(), key=lambda q: q.vertices):
-        try:
-            cls = classify_balanced_polygon(p)
-        except UnclassifiablePolygonError as exc:  # surfaced, never swallowed
-            unclassified.append(
-                {"vertices": [list(v) for v in p.vertices], "error": str(exc)}
-            )
+    for vertices, label, error in sorted(labelled):
+        if error is not None:
+            unclassified.append({"vertices": [list(v) for v in vertices], "error": error})
             continue
-        per_class[cls.label] = per_class.get(cls.label, 0) + 1
-        if cls.label not in witnesses:
-            witnesses[cls.label] = [list(v) for v in p.vertices]
+        per_class[label] = per_class.get(label, 0) + 1
+        if label not in witnesses:
+            witnesses[label] = [list(v) for v in vertices]
 
     rng = random.Random(seed)
     sample_checked = 0
     sample_failures = []
-    for form, key in zip(forms, keys):
-        if form in reps and rng.random() < sample_rate:
+    for cycle, c in zip(cycles, classes):
+        if invariants[c][0] and rng.random() < sample_rate:
             sample_checked += 1
-            p = polytope_from_points(key)
-            if (_invariants(p) != invariants[form]
+            p = polytope_from_points(cycle)
+            if (_invariants(p) != invariants[c]
                     or product_table(p).columns != column_vectors(p, pruned=False)):
                 sample_failures.append([list(v) for v in p.vertices])
 
     return {
         "box": box,
         "polygons_up_to_translation": len(cycles),
-        "balanced_polygons": sum(len(members[form]) for form in reps),
-        "balanced_classes": len(reps),
+        "balanced_polygons": sum(n for n, inv in zip(sizes, invariants) if inv[0]),
+        "balanced_classes": len(labelled),
         "class_counts": dict(sorted(per_class.items())),
         "class_witnesses": dict(sorted(witnesses.items())),
         "absent_classes": sorted(set("abcdef") - set(per_class)),
@@ -220,49 +223,73 @@ def scan_polygons(box, seed=0, sample_rate=0.01):
     }
 
 
-def _box_images(cycle):
-    """Sorted vertex tuples of the images of a pinned cycle under the seven
+def _grid_bits(box):
+    """bit[x][y]: the bit of the grid point (x, y) of [0, box]^2 in a vertex
+    mask, the lexicographically least point on the highest bit."""
+    n = box + 1
+    return [[1 << (n * n - 1 - n * x - y) for y in range(n)] for x in range(n)]
+
+
+def _box_images(cycle, bit):
+    """Vertex masks of the images of a pinned cycle under the seven
     symmetries other than the identity of its box [0, w] x [0, h]."""
-    w = max(x for x, _ in cycle)
-    h = max(y for _, y in cycle)
-    return [tuple(sorted(image)) for image in (
-        [(w - x, y) for x, y in cycle],
-        [(x, h - y) for x, y in cycle],
-        [(w - x, h - y) for x, y in cycle],
-        [(y, x) for x, y in cycle],
-        [(h - y, x) for x, y in cycle],
-        [(y, w - x) for x, y in cycle],
-        [(h - y, w - x) for x, y in cycle],
-    )]
+    w = max([x for x, _ in cycle])
+    h = max([y for _, y in cycle])
+    return (
+        sum([bit[w - x][y] for x, y in cycle]),
+        sum([bit[x][h - y] for x, y in cycle]),
+        sum([bit[w - x][h - y] for x, y in cycle]),
+        sum([bit[y][x] for x, y in cycle]),
+        sum([bit[h - y][x] for x, y in cycle]),
+        sum([bit[y][w - x] for x, y in cycle]),
+        sum([bit[h - y][w - x] for x, y in cycle]),
+    )
 
 
-def _cycle_forms(cycles):
-    """Sorted vertex tuple and ``cycle_normal_form`` of each enumerated
-    cycle, the form computed once per orbit of the box's symmetries.
+def _cycle_classes(cycles, box):
+    """(classes, least): the integral-affine class id of each enumerated
+    cycle, numbered by first appearance, and per class the index of its
+    least sorted vertex tuple.
 
-    Each symmetry is in GL2(Z) x Z^2, so keeps the form, and keeps the box,
-    so carries a pinned polygon to one the enumeration lists exactly once.
-    The first member of an orbit stores its form under the keys of the
-    others, and each of them pops it; a key left over is a broken invariant.
+    A pinned polygon is keyed by its vertex mask (``_grid_bits``).  Two
+    sorted vertex tuples of equal length have masks in the reverse order:
+    the highest bit where the masks differ is the first point where the
+    tuples differ, and it is set in the lesser tuple.  Members of a class
+    have equally many vertices, so its greatest mask is its least sorted
+    tuple.  (A proper prefix would break this, and no class holds one.)
+
+    ``cycle_normal_form`` decides the class, computed once per orbit of the
+    box's symmetries: each symmetry is in GL2(Z) x Z^2, so keeps the form,
+    and keeps the box, so carries a pinned polygon to one the enumeration
+    lists exactly once.  The first member of an orbit stores its class id
+    under the masks of the others, and each of them pops it; a mask left
+    over is a broken invariant.
     """
-    # every enumerated cycle is the counterclockwise vertex cycle of its hull
-    known = {}
-    keys, forms = [], []
-    for cycle in cycles:
-        key = tuple(sorted(cycle))
-        form = known.pop(key, None)
-        if form is None:
-            form = cycle_normal_form(cycle)
-            for image in _box_images(cycle):
-                if image != key:
-                    known[image] = form
-        keys.append(key)
-        forms.append(form)
+    bit = _grid_bits(box)
+    ids = {}  # normal form -> class id
+    known = {}  # mask of a pending orbit member -> class id
+    classes = []
+    least, best = [], []  # per class: index and mask of its least sorted tuple
+    for i, cycle in enumerate(cycles):
+        mask = sum([bit[x][y] for x, y in cycle])
+        c = known.pop(mask, None)
+        if c is None:
+            # every enumerated cycle is the counterclockwise vertex cycle of its hull
+            c = ids.setdefault(cycle_normal_form(cycle), len(ids))
+            if c == len(least):
+                least.append(i)
+                best.append(mask)
+            for image in _box_images(cycle, bit):
+                if image != mask:
+                    known[image] = c
+        if mask > best[c]:
+            least[c], best[c] = i, mask
+        classes.append(c)
     if known:
-        raise InternalCheckError(
-            f"box image {list(min(known))} of a polygon was not enumerated"
-        )
-    return keys, forms
+        left = max(known)
+        vertices = [(x, y) for x, row in enumerate(bit) for y, b in enumerate(row) if left & b]
+        raise InternalCheckError(f"box image {vertices} of a polygon was not enumerated")
+    return classes, least
 
 
 def _invariants(p):

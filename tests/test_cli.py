@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -288,15 +289,26 @@ def test_oversized_fibre_walk_exits_2(tmp_path, capsys):
 
 
 def test_lattice_walk_past_the_point_budget_exits_2(tmp_path, capsys):
-    # the right triangle with legs 10^5 crosses 10^5 + 1 fibres, under the
-    # fibre limit, but holds about 5 * 10^9 points
-    n = 10**5
-    path = write_poly(tmp_path, "right", [[0, 0], [n, 0], [0, n]])
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "analyze", path)
-    assert time.perf_counter() - start < 1
-    assert (code, out) == (2, "")
-    assert err == f"error: lattice-point walk past {polytopes.MAX_LATTICE_POINTS} points\n"
+    # the right triangle with legs 10^5 crosses 10^5 + 1 fibres and the
+    # square exactly MAX_FIBRES, neither above the fibre limit, but they
+    # hold about 5 * 10^9 and 1.6 * 10^13 points; these are counted, not
+    # built, and no fibre coordinate is stored ahead of the walk, so the
+    # refusal takes little time and memory
+    n, m = 10**5, polytopes.MAX_FIBRES - 1
+    for vertices in ([[0, 0], [n, 0], [0, n]], [[0, 0], [m, 0], [0, m], [m, m]]):
+        path = write_poly(tmp_path, "big", vertices)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, out, err = run_cli(capsys, "analyze", path)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1
+        assert peak < 5 * 10**6
+        assert (code, out) == (2, "")
+        assert err == f"error: lattice-point walk past {polytopes.MAX_LATTICE_POINTS} points\n"
 
 
 @pytest.mark.parametrize("exponent", [30, 100])

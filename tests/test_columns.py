@@ -261,15 +261,13 @@ def test_polygon_roots_match_min_height_search():
     integral-affine classes of box-4 polygons, and on tall GL2(Z) images
     of every 8th box-3 polygon."""
     box3 = [polytope_from_points(c) for c in enumerate_polygons(3)]
-    keys, forms = scan._cycle_forms(enumerate_polygons(4))
-    reps = {}
-    for key, form in zip(keys, forms):
-        reps[form] = min(reps.get(form, key), key)
+    cycles = enumerate_polygons(4)
+    reps = [cycles[i] for i in scan._cycle_classes(cycles, 4)[1]]
     assert len(box3) == 1633 and len(reps) == 1517
     rng = random.Random(34)
     images = [q for p in box3[::8] for q in tall_gl2_images(p, rng)]
     assert max(abs(x) for q in images for v in q.vertices for x in v) > 5 * 10 ** 5
-    for p in box3 + [polytope_from_points(k) for k in reps.values()] + images:
+    for p in box3 + [polytope_from_points(c) for c in reps] + images:
         assert_roots_match_min_height_search(p)
 
 

@@ -323,6 +323,13 @@ def test_lattice_walk_refuses_more_points_than_the_limit(monkeypatch):
     monkeypatch.setattr(polytopes, "MAX_LATTICE_POINTS", 17)
     with pytest.raises(polytopes.LatticeWalkTooLargeError, match="past 17 points"):
         polytope_from_points(box).lattice_points
+    # a box of 9 cells holding 6 points is counted before the walk
+    triangle = [(0, 0), (2, 0), (0, 2)]
+    monkeypatch.setattr(polytopes, "MAX_LATTICE_POINTS", 6)
+    assert len(polytope_from_points(triangle).lattice_points) == 6
+    monkeypatch.setattr(polytopes, "MAX_LATTICE_POINTS", 5)
+    with pytest.raises(polytopes.LatticeWalkTooLargeError, match="past 5 points"):
+        polytope_from_points(triangle).lattice_points
     # a fibre that would pass the limit is refused before it is built
     monkeypatch.undo()
     tall = polytope_from_points([(0, 0), (2, 0), (0, 10**12), (2, 10**12)])
@@ -914,6 +921,32 @@ def test_cycle_normal_form_matches_all_frames_oracle():
             image = polygon_cycle(q)
             assert cycle_normal_form(image) == all_frames_cycle_normal_form(image)
             assert cycle_normal_form(image) == form
+
+
+def test_frame_second_entries_match_the_frame_matrix():
+    # the normal form picks its frames by the second entry read off the
+    # edge pair; a wrong entry on a frame that does not reach the form
+    # leaves every form unchanged, so each frame is checked on its own
+    rng = random.Random(38)
+    cycles = enumerate_polygons(3)
+    while len(cycles) < 1633 + 3000:
+        p = polytope_from_points([(rng.randint(0, 30), rng.randint(0, 30))
+                                  for _ in range(rng.randint(3, 9))])
+        if p.dim == 2:
+            cycles.append(polygon_cycle(p))
+    for cyc in cycles:
+        frames = polytopes._cycle_frames(cyc)
+        m = len(cyc)
+        assert sorted((v, ea, eb) for _, v, ea, eb, _ in frames) == sorted(
+            (v, vec_sub(a, v), vec_sub(b, v))
+            for i, v in enumerate(cyc)
+            for a, b in ((cyc[(i + 1) % m], cyc[i - 1]), (cyc[i - 1], cyc[(i + 1) % m]))
+        )
+        for second, v, ea, eb, bezout in frames:
+            g, x, y = extended_gcd(*ea)
+            assert bezout[0] == g == bezout[1] * ea[0] + bezout[2] * ea[1]
+            (r0, r1), (s0, s1) = polytopes._frame_matrix(ea, eb, (g, x, y))
+            assert second == min((g, 0), (r0 * eb[0] + r1 * eb[1], s0 * eb[0] + s1 * eb[1]))
 
 
 def test_minimal_frames_are_one_symmetry_orbit():
