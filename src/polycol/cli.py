@@ -106,10 +106,7 @@ def _verify_heights(q, args):
 
 
 def _verify_columns_property(q, args):
-    # degree one decides every degree (see check_column_property), so the
-    # bound is only validated
-    if args.max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
+    # degree one decides every degree (see check_column_property)
     results = []
     ok = True
     for c in product_table(q).columns:
@@ -226,7 +223,6 @@ def build_parser():
         required=True,
         choices=["steinberg", "embedding", "heights", "columns-property", "doubling"],
     )
-    sp.add_argument("--max-degree", type=int, default=3)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("export", help="machine-readable exports")

@@ -835,10 +835,11 @@ def vertex_adjacency(p):
     """{vertex: its edge neighbours in vertex order} of a full-dimensional P:
     u and w span an edge iff no third vertex lies on every facet through
     both, since those facets cut out the least face holding both, all of P
-    when there is none."""
-    facets = p.facets
+    when there is none.  The incidences come from the facet pairs, so no
+    lattice point is walked."""
+    pairs = p._facet_pairs
     on = {
-        v: sum(1 << i for i, f in enumerate(facets) if dot(f.normal, v) == f.offset)
+        v: sum(1 << i for i, (a, b) in enumerate(pairs) if dot(a, v) == b)
         for v in p.vertices
     }
     adj = {v: [] for v in p.vertices}

@@ -71,7 +71,7 @@ from polycol import algebra
 from polycol.algebra import (
     GradedAutomorphism,
     elementary_automorphism,
-    symmetry_permutations,
+    lattice_symmetries,
 )
 from polycol.columns import (
     DirectedGraph,
@@ -323,20 +323,23 @@ def torus_automorphism(p, units, ring):
 
 
 def sigma_group(p, ring=ZZ):
-    """The stored symmetry group as permutation-matrix automorphisms, in
-    sorted permutation order."""
+    """The lattice symmetries as permutation-matrix automorphisms, in sorted
+    permutation order.  Each map of ``lattice_symmetries`` is applied to
+    every lattice point here, so the matrices do not rest on the vertex
+    permutations ``algebra`` stores."""
+    index = p.point_index
+    perms = sorted(
+        tuple(index[m.apply(z)] for z in p.lattice_points)
+        for m in lattice_symmetries(p)
+    )
     return [
-        GradedAutomorphism(p, ring, [{i: ring.one} for i in perm])
-        for perm in sorted(symmetry_permutations(p))
+        GradedAutomorphism(p, ring, [{i: ring.one} for i in perm]) for perm in perms
     ]
 
 
 def inversion_subgroup(p):
-    """Permutations generated by all column inversions.  The generators are
-    read through the module, so a test may patch them there."""
-    return algebra._closure(
-        algebra._inversion_generators(p), len(p.lattice_points)
-    )
+    """The vertex permutations generated by all column inversions."""
+    return algebra._closure(algebra._inversion_generators(p), len(p.vertices))
 
 
 def contains(p, z):

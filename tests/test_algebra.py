@@ -39,8 +39,10 @@ from polycol.exactmath import (
     ZZ,
     Poly,
     dot,
+    mat_vec,
     rank_int,
     vec_add,
+    vec_neg,
     vec_scale,
     vec_sub,
 )
@@ -165,8 +167,8 @@ def test_columns_property_builds_no_dilation_and_each_slice_once(
     tmp_path, capsys, monkeypatch
 ):
     # columns-property builds no dilation of the triangle (one more polytope)
-    # and no semigroup slice, whatever --max-degree says; sp_membership
-    # builds each slice up to its degree once, and keeps them on the polytope
+    # and no semigroup slice, and takes no degree bound; sp_membership builds
+    # each slice up to its degree once, and keeps them on the polytope
     calls = Counter()
     polytope_init = Polytope.__init__
 
@@ -187,8 +189,12 @@ def test_columns_property_builds_no_dilation_and_each_slice_once(
     calls.clear()
     path = tmp_path / "triangle5.json"
     path.write_text(json.dumps({"vertices": vertices}))
-    code = main(["verify", str(path), "--which", "columns-property",
-                 "--max-degree", "5"])
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(path), "--which", "columns-property",
+              "--max-degree", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-degree 5" in capsys.readouterr().err
+    code = main(["verify", str(path), "--which", "columns-property"])
     assert code == 0
     assert len(json.loads(capsys.readouterr().out)["columns"]) == 6
     assert calls["polytopes"] <= build
@@ -595,39 +601,65 @@ def test_sigma_group_closure():
     assert all(len(dense_matrix(m)) == 4 for m in mats)
 
 
-def test_inversions_normal(corpus, monkeypatch):
-    # normality is tested on generators; the oracle conjugates every element
-    from polycol import algebra
-    from polycol.polytopes import normalize_full_dim
+def _conjugation_inputs(corpus):
+    """The normalized corpus of dimension >= 1, T x T, steps 1-4 of the
+    trapezoid's doubling chain, and the unit cubes and simplices up to
+    dimension 4."""
+    chain = [step.result.doubled for step in doubling_spectrum(TRAPEZOID, 4).steps]
+    units = [
+        polytope_from_points(pts)
+        for n in range(1, 5)
+        for pts in (
+            list(itertools.product((0, 1), repeat=n)),
+            [(0,) * n] + [tuple(int(i == j) for j in range(n)) for i in range(n)],
+        )
+    ]
+    normalized = [normalize_full_dim(p)[0] for p in corpus]
+    return [q for q in normalized if q.dim >= 1] + [TRIANGLE_X_TRIANGLE] + chain + units
 
-    simplex4 = polytope_from_points(
-        [(0,) * 4] + [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    )
-    for p in corpus + [simplex4]:
-        q, _ = normalize_full_dim(p)
-        if q.dim < 1:
-            continue
+
+def test_inversions_normal(corpus):
+    # the oracle conjugates every element of H by every element of G
+    for q in _conjugation_inputs(corpus):
         assert symmetry_group_data(q)["inversions_normal"], q.name
         assert conjugation_normal(symmetry_permutations(q), inversion_subgroup(q))
-    # in the symmetric group on the unit triangle's three points, a
-    # transposition generates a subgroup that is not normal, a 3-cycle one
-    # that is
-    for gens, normal in (([(1, 0, 2)], False), ([(1, 2, 0)], True)):
-        monkeypatch.setattr(algebra, "_inversion_generators", lambda p: gens)
-        triangle = polytope_from_points(TRIANGLE.vertices)
-        data = symmetry_group_data(triangle)
-        assert data["symmetry_order"] == 6
-        assert data["inversions_normal"] is normal
-        sub = inversion_subgroup(triangle)
-        assert conjugation_normal(symmetry_permutations(triangle), sub) is normal
+
+
+def test_inversions_conjugate_to_inversions(corpus):
+    # the lemma behind normality: g s_v g^-1 = s_{L_g v} for every lattice
+    # symmetry g with linear part L_g and every two-sided column v
+    conjugations = 0
+    for q in _conjugation_inputs(corpus):
+        table = product_table(q)
+        two_sided = [c.vector for c in table.columns if vec_neg(c.vector) in table.index]
+        for g in lattice_symmetries(q):
+            perm = symmetry_permutation(q, g)
+            inverse = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+            for v in two_sided:
+                s = column_inversion(q, v)
+                conjugate = tuple(perm[s[inverse[i]]] for i in range(len(perm)))
+                assert conjugate == column_inversion(q, mat_vec(g.matrix, v))
+                conjugations += 1
+    assert conjugations > 9000
+
+
+def test_symmetry_permutations_walk_no_lattice_point():
+    # the symmetries act on the 8 vertices of 16 * cube, not its 17^3 points
+    cube = polytope_from_points(
+        [tuple(16 * c for c in v) for v in itertools.product((0, 1), repeat=3)]
+    )
+    perms = symmetry_permutations(cube)
+    assert len(perms) == 48
+    assert {len(perm) for perm in perms} == {8}
+    assert "lattice_points" not in cube.__dict__
 
 
 def test_column_inversion_square_reflection():
     perm = column_inversion(UNIT_SQUARE, col(UNIT_SQUARE, (1, 0)))
-    pts = UNIT_SQUARE.lattice_points
+    verts = UNIT_SQUARE.vertices
     # x1 -> 1 - x1
-    for i, z in enumerate(pts):
-        assert pts[perm[i]] == (1 - z[0], z[1])
+    for i, z in enumerate(verts):
+        assert verts[perm[i]] == (1 - z[0], z[1])
     assert len(inversion_subgroup(UNIT_SQUARE)) == 4
     assert len(inversion_subgroup(TRIANGLE)) == 6  # all of Sigma
 

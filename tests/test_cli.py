@@ -152,11 +152,11 @@ def test_shared_parser_keeps_no_state_between_calls():
     assert shared == lone
     assert lone[2] != lone[3]
     assert lone[5][0] == 2 and "unrecognized arguments: --no-prune" in lone[5][2]
-    # columns-property prints the same at degrees 1 and 3 on every known
-    # input, so read the degree off the namespaces
-    parsed = [build_parser().parse_args(argv) for argv, _ in sequence[:4]]
-    assert [ns.max_degree for ns in parsed[:2]] == [1, 3]
-    assert [ns.seed for ns in parsed[2:]] == [5, 0]
+    # a refused flag leaves nothing behind for the next call
+    assert lone[0][0] == 2 and "unrecognized arguments: --max-degree 1" in lone[0][2]
+    assert lone[1][0] == 0
+    parsed = [build_parser().parse_args(argv) for argv, _ in sequence[2:4]]
+    assert [ns.seed for ns in parsed] == [5, 0]
 
 
 def test_cli_module_run_matches_the_in_process_call(tmp_path, capsys):
@@ -466,19 +466,22 @@ def test_cli_export_rejects_modulus_below_2(tmp_path, capsys, modulus):
     assert err == "error: modulus must be >= 2\n"
 
 
-@pytest.mark.parametrize("degree", ["0", "-1"])
+@pytest.mark.parametrize("degree", ["0", "-1", "3"])
 @pytest.mark.parametrize("vertices", [
     [[0, 0], [2, 0], [1, 1], [0, 1]],
     [[2, 0], [1, 2], [0, 1]],  # column-free
 ])
 def test_cli_columns_property_rejects_degree_below_1(tmp_path, capsys, degree,
                                                      vertices):
+    # degree one decides every degree, so columns-property takes no degree
+    # bound: argparse refuses the flag at any value
     path = write_poly(tmp_path, "p", vertices)
-    code, out, err = run_cli(capsys, "verify", path, "--which",
-                             "columns-property", "--max-degree", degree)
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", path, "--which", "columns-property", "--max-degree", degree])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
     assert out == ""
-    assert err == "error: max_degree must be >= 1\n"
+    assert f"unrecognized arguments: --max-degree {degree}" in err
 
 
 @pytest.mark.parametrize("rate", ["5", "-1", "nan"])
