@@ -158,11 +158,8 @@ class GradedAutomorphism:
         )
 
     def __hash__(self):
-        return hash((
-            self.polytope,
-            id(self.ring),
-            tuple(frozenset(col.items()) for col in self.columns),
-        ))
+        # the columns alone: equal automorphisms have equal columns
+        return hash(tuple(frozenset(col.items()) for col in self.columns))
 
     def __repr__(self):
         return f"GradedAutomorphism({self.ring!r}, {self.columns})"

@@ -9,9 +9,9 @@ unexpected exception raised inside polycol.
 
 from __future__ import annotations
 
-import argparse
-import functools
+import re
 import sys
+import types
 
 from .algebra import (
     check_column_property,
@@ -143,17 +143,19 @@ def _verify_doubling(q, args):
     return {"check": "doubling", "facets": results}, ok
 
 
+_CHECKS = {
+    "steinberg": _verify_steinberg,
+    "embedding": _verify_embedding,
+    "heights": _verify_heights,
+    "columns-property": _verify_columns_property,
+    "doubling": _verify_doubling,
+}
+
+
 def cmd_verify(args):
     p = parse_polytope_json(_read_input(args.input))
     q, _ = normalize_full_dim(p)
-    dispatch = {
-        "steinberg": _verify_steinberg,
-        "embedding": _verify_embedding,
-        "heights": _verify_heights,
-        "columns-property": _verify_columns_property,
-        "doubling": _verify_doubling,
-    }
-    report, ok = dispatch[args.which](q, args)
+    report, ok = _CHECKS[args.which](q, args)
     report["ok"] = ok
     _emit(to_json(report), args.output)
     return 0 if ok else 1
@@ -187,65 +189,160 @@ def cmd_spectrum(args):
     return 0
 
 
-@functools.cache
-def build_parser():
-    """The argument parser, built on the first call and shared after it.
+_OUTPUT = (str, None, False)
+# subcommand: (handler, reads an input, help, flags), the flags in the order
+# that messages list them; a flag's key joins its option strings by "/", its
+# dest is the last one without dashes, and its value is (int, float, str or
+# a tuple of the choices, default, required)
+_COMMANDS = {
+    "analyze": (cmd_analyze, True, "full structural report", {"-o/--output": _OUTPUT}),
+    "scan-polygons": (cmd_scan, False, "exhaustive polygon scan", {
+        "--box": (int, 3, False), "--seed": (int, 0, False),
+        "--sample-rate": (float, 0.01, False), "-o/--output": _OUTPUT}),
+    "verify": (cmd_verify, True, "run a verification suite",
+               {"-o/--output": _OUTPUT, "--which": (tuple(_CHECKS), None, True)}),
+    "export": (cmd_export, True, "machine-readable exports", {
+        "-o/--output": _OUTPUT, "--what": (("dot", "presentation", "presentation-json",
+                                            "fan", "columns-json"), None, True),
+        "--modulus": (int, None, False)}),
+    "spectrum": (cmd_spectrum, True, "FIFO doubling chain report",
+                 {"-o/--output": _OUTPUT, "--steps": (int, 5, False)}),
+}
 
-    Parsing leaves the parser as it was: each ``parse_args`` fills a new
-    namespace from the defaults, so calls in one process see no state of
-    the calls before them.
-    """
-    parser = argparse.ArgumentParser(
-        prog="polycol",
-        description="Exact column-structure computations on lattice polytopes",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(sp):
-        sp.add_argument("input", help="polytope JSON file, or - for stdin")
-        sp.add_argument("-o", "--output", default=None, help="output file")
+def _usage(command, full=False):
+    """The usage line; with full, the help text that -h prints."""
+    if command is None:
+        line = "usage: polycol [-h] {" + ",".join(_COMMANDS) + "} ..."
+        about = "lattice polytope column structures:" + "".join(
+            f"\n  {name:<14} {spec[2]}" for name, spec in _COMMANDS.items())
+    else:
+        _, reads, about, flags = _COMMANDS[command]
+        words = [f"usage: polycol {command} [-h]"]
+        for f, (kind, _, required) in flags.items():
+            meta = f.split("/")[-1][2:].replace("-", "_").upper()
+            meta = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else meta
+            words.append(f"{f} {meta}" if required else f"[{f} {meta}]")
+        line = " ".join(words + ["input"] * reads)
+        about += "; input: a JSON file, or -" * reads
+    return f"{line}\n\n{about}\n" if full else line
 
-    sp = sub.add_parser("analyze", help="full structural report")
-    add_io(sp)
-    sp.set_defaults(func=cmd_analyze)
 
-    sp = sub.add_parser("scan-polygons", help="exhaustive polygon scan")
-    sp.add_argument("--box", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--sample-rate", type=float, default=0.01)
-    sp.add_argument("-o", "--output", default=None)
-    sp.set_defaults(func=cmd_scan)
+def _fail(command, message):
+    prog = "polycol" if command is None else f"polycol {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
 
-    sp = sub.add_parser("verify", help="run a verification suite")
-    add_io(sp)
-    sp.add_argument(
-        "--which",
-        required=True,
-        choices=["steinberg", "embedding", "heights", "columns-property", "doubling"],
-    )
-    sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("export", help="machine-readable exports")
-    add_io(sp)
-    sp.add_argument(
-        "--what",
-        required=True,
-        choices=["dot", "presentation", "presentation-json", "fan", "columns-json"],
-    )
-    sp.add_argument("--modulus", type=int, default=None)
-    sp.set_defaults(func=cmd_export)
+def _value(command, name, kind, text):
+    """text as a value of kind: int, float, str or a tuple of the choices."""
+    if isinstance(kind, tuple) and text not in kind:
+        _fail(command, f"argument {name}: invalid choice: {text!r} "
+              f"(choose from {', '.join(map(repr, kind))})")
+    try:
+        return text if isinstance(kind, tuple) else kind(text)
+    except ValueError:
+        _fail(command, f"argument {name}: invalid {kind.__name__} value: {text!r}")
 
-    sp = sub.add_parser("spectrum", help="FIFO doubling chain report")
-    add_io(sp)
-    sp.add_argument("--steps", type=int, default=5)
-    sp.set_defaults(func=cmd_spectrum)
 
-    return parser
+def _scan(command, argv, values):
+    """One pass over one parser level of argv: fills values, returns the
+    unrecognized arguments.  Every option is read before any value is
+    checked, so an ambiguous prefix is reported first.  The top level
+    (command None) has one positional, the command, which takes every
+    argument after it."""
+    flags, positional = {}, "command"
+    if command is not None:
+        _, reads, _, flags = _COMMANDS[command]
+        positional = "input" if reads else None
+        if reads:
+            values["input"] = None
+    dests = {f: f.split("/")[-1].lstrip("-").replace("-", "_") for f in flags}
+    values.update((dests[f], spec[1]) for f, spec in flags.items())
+    opts = {"-h": "-h/--help", "--help": "-h/--help"}
+    opts.update((s, f) for f in flags for s in f.split("/"))
+
+    def classify(arg):
+        # None for a positional, else (option string, "" for an unknown
+        # one, and the value glued to it or None)
+        if arg in opts:
+            return arg, None
+        if not arg.startswith("-") or arg == "-":
+            return None
+        name, eq, value = arg.partition("=")
+        if eq and name in opts:
+            return name, value
+        if arg[1] == "-":
+            hits = [(s, value if eq else None) for s in opts if s.startswith(name)]
+        else:
+            hits = [(arg[:2], arg[2:])] if arg[:2] in opts else []
+        if len(hits) > 1:
+            _fail(command, f"ambiguous option: {arg} could match "
+                  f"{', '.join(s for s, _ in hits)}")
+        if hits:
+            return hits[0]
+        if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+            return None  # a negative number, or a value with a space
+        return "", None
+
+    cut = argv.index("--") if "--" in argv else len(argv)  # all after it are positionals
+    found = {i: classify(arg) for i, arg in enumerate(argv[:cut])}
+    extras, i = [], 0
+    while i < len(argv):
+        j = i + (i == cut)  # a positional takes the "--" before it
+        if found.get(i):
+            (s, glued), helped = found[i], False
+            while glued is not None and opts.get(s) == "-h/--help":  # -h glues -h or -o
+                if s[1] == "-" or not glued or "-" + glued[0] not in opts:
+                    _fail(command, f"argument -h/--help: ignored explicit argument {glued!r}")
+                s, glued, helped = "-" + glued[0], glued[1:] or None, True
+            flag = opts.get(s)
+            if flag and flag != "-h/--help" and glued is None:
+                i += 1
+                if i == len(argv) or i == cut or found.get(i):
+                    _fail(command, f"argument {flag}: expected one argument")
+                glued = argv[i]
+            if helped or flag == "-h/--help":
+                sys.stdout.write(_usage(command, full=True))
+                raise SystemExit(0)
+            if flag is None:
+                extras.append(argv[i])
+            else:
+                values[dests[flag]] = _value(command, flag, flags[flag][0], glued)
+            i += 1
+        elif positional is None or j == len(argv):
+            extras.append(argv[i])
+            i += 1
+        elif command is None:
+            name = values["command"] = _value(None, positional, tuple(_COMMANDS), argv[i])
+            values["func"] = _COMMANDS[name][0]
+            return extras + _scan(name, argv[i + 1:], values)
+        else:
+            values["input"], positional = argv[j], None
+            i = j + 1 + (j + 1 == cut)  # and the "--" after it
+    # a required flag has no default, so it is missing while its value is None
+    missing = [positional] if positional else []
+    missing += [f for f, spec in flags.items() if spec[2] and values[dests[f]] is None]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    return extras
+
+
+def parse_args(argv):
+    """The namespace for argv: command, func, input and one attribute per
+    flag.  An argument error prints a usage line and a
+    ``polycol[ command]: error: ...`` line to stderr and raises
+    SystemExit(2); -h or --help prints the usage to stdout and raises
+    SystemExit(0)."""
+    values = {"command": None}
+    extras = _scan(None, list(argv), values)
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    return types.SimpleNamespace(**values)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

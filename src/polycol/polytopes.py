@@ -609,24 +609,26 @@ def integral_affine_equivalent(p, q):
     """A lattice-affine bijection carrying P onto Q, or None.
 
     Pure translations are tried first, so lower-dimensional translates get
-    their shift map; other lower-dimensional pairs are a ValueError.  In
-    every dimension the map is otherwise the first one
-    ``lattice_equivalences`` finds.
+    their shift map; other lower-dimensional pairs are a ValueError, unless
+    their lattice point counts differ.  In every dimension the map is
+    otherwise the first one ``lattice_equivalences`` finds, which reads only
+    vertices and facets: a full-dimensional pair with different point
+    counts has no map, so its points are never walked.
     """
     if p.ambient_dim != q.ambient_dim or p.dim != q.dim:
         return None
     if len(p.vertices) != len(q.vertices):
-        return None
-    if len(p.lattice_points) != len(q.lattice_points):
         return None
     # pure translations first, so equal-up-to-shift inputs (and Z^0) get
     # the shift map
     shift = vec_sub(min(q.vertices), min(p.vertices))
     if {vec_add(v, shift) for v in p.vertices} == set(q.vertices):
         return AffineLatticeMap(identity_matrix(p.ambient_dim), shift)
-    if not p.is_full_dimensional:
-        raise ValueError("integral-affine equivalence needs full-dimensional polytopes")
-    return next(lattice_equivalences(p, q), None)
+    if p.is_full_dimensional:
+        return next(lattice_equivalences(p, q), None)
+    if len(p.lattice_points) != len(q.lattice_points):
+        return None
+    raise ValueError("integral-affine equivalence needs full-dimensional polytopes")
 
 
 def lattice_equivalences(p, q):

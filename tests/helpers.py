@@ -60,6 +60,7 @@ inversion subgroup, the semigroup monomials of one degree, and a polytope's
 point test, facet height and translation.
 """
 
+import argparse
 import itertools
 import json
 import random
@@ -67,7 +68,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import NamedTuple
 
-from polycol import algebra
+from polycol import algebra, cli
 from polycol.algebra import (
     GradedAutomorphism,
     elementary_automorphism,
@@ -1542,3 +1543,54 @@ def json_safe(obj):
 def json_dumps_report(data):
     """Report JSON through the json module: sorted keys, two-space indent."""
     return json.dumps(json_safe(data), sort_keys=True, indent=2) + "\n"
+
+
+def argparse_parser():
+    """The CLI's argument parser as argparse builds it, the oracle for
+    ``cli.parse_args``: its namespaces and its errors."""
+    parser = argparse.ArgumentParser(
+        prog="polycol",
+        description="Exact column-structure computations on lattice polytopes",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_io(sp):
+        sp.add_argument("input", help="polytope JSON file, or - for stdin")
+        sp.add_argument("-o", "--output", default=None, help="output file")
+
+    sp = sub.add_parser("analyze", help="full structural report")
+    add_io(sp)
+    sp.set_defaults(func=cli.cmd_analyze)
+
+    sp = sub.add_parser("scan-polygons", help="exhaustive polygon scan")
+    sp.add_argument("--box", type=int, default=3)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--sample-rate", type=float, default=0.01)
+    sp.add_argument("-o", "--output", default=None)
+    sp.set_defaults(func=cli.cmd_scan)
+
+    sp = sub.add_parser("verify", help="run a verification suite")
+    add_io(sp)
+    sp.add_argument(
+        "--which",
+        required=True,
+        choices=["steinberg", "embedding", "heights", "columns-property", "doubling"],
+    )
+    sp.set_defaults(func=cli.cmd_verify)
+
+    sp = sub.add_parser("export", help="machine-readable exports")
+    add_io(sp)
+    sp.add_argument(
+        "--what",
+        required=True,
+        choices=["dot", "presentation", "presentation-json", "fan", "columns-json"],
+    )
+    sp.add_argument("--modulus", type=int, default=None)
+    sp.set_defaults(func=cli.cmd_export)
+
+    sp = sub.add_parser("spectrum", help="FIFO doubling chain report")
+    add_io(sp)
+    sp.add_argument("--steps", type=int, default=5)
+    sp.set_defaults(func=cli.cmd_spectrum)
+
+    return parser

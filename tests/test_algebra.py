@@ -280,6 +280,21 @@ def test_elementary_hexagon_binomial_column():
     }
 
 
+def test_equal_automorphisms_hash_equal():
+    # the hash reads the columns alone, so neither the order in which a
+    # column dict was filled nor the polytope object it sits on changes it
+    ring = PolynomialRing(("a",))
+    e = elementary_automorphism(TRAPEZOID, col(TRAPEZOID, (0, -1)), ring.var("a"), ring)
+    twin = polytope_from_points(TRAPEZOID.vertices)
+    assert twin == TRAPEZOID and twin is not TRAPEZOID
+    reordered = [dict(reversed(list(c.items()))) for c in e.columns]
+    assert any(list(c) != list(r) for c, r in zip(e.columns, reordered))
+    for other in (GradedAutomorphism(TRAPEZOID, ring, reordered),
+                  GradedAutomorphism(twin, ring, e.columns)):
+        assert other == e and hash(other) == hash(e)
+        assert len({e, other}) == 1
+
+
 def test_elementary_zero_is_identity():
     ring = PolynomialRing(("a",))
     e = elementary_automorphism(TRAPEZOID, col(TRAPEZOID, (0, -1)),

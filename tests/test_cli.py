@@ -1,5 +1,6 @@
 import importlib.util
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -14,12 +15,12 @@ from hypothesis import strategies as st
 
 import polycol
 from polycol import polytopes
-from polycol.cli import build_parser, main
+from polycol.cli import main, parse_args
 from polycol.reports import analysis_report, parse_polytope_json, to_json
 from polycol.scan import enumerate_polygons, scan_polygons
 
 from .conftest import SQUARE_PYRAMID, TRAPEZOID
-from .helpers import json_dumps_report
+from .helpers import argparse_parser, json_dumps_report
 from .test_golden_cli import call, golden_commands
 
 
@@ -36,25 +37,32 @@ def write_poly(tmp_path, name, vertices):
 
 
 def test_cli_import_loads_no_unused_stdlib_modules():
-    # every CLI call pays for its imports; none of these is used by a command,
-    # and the parser is built by the first call, not by the import
+    # every CLI call pays for its imports; none of these is used by a
+    # command, and parsing the arguments needs neither argparse nor the
+    # gettext and locale modules that it loads
     src = str(Path(polycol.__file__).resolve().parent.parent)
     code = (
-        "import sys\n"
+        "import io, sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "before = set(sys.modules)\n"
         "import polycol.cli\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
-        "print(polycol.cli.build_parser.cache_info().currsize)\n"
+        "out, sys.stdout = sys.stdout, io.StringIO()\n"
+        "code = polycol.cli.main(['scan-polygons', '--box', '1'])\n"
+        "sys.stdout = out\n"
+        "print(code, ' '.join(sorted(set(sys.modules) - before)))\n"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    modules, parsers = out.splitlines()
-    added = set(modules.split())
+    imported, called = out.splitlines()
+    code, called = called.split(" ", 1)
+    added, after_call = set(imported.split()), set(called.split())
+    assert code == "0"
     assert "polycol.cli" in added
     assert added.isdisjoint({"dataclasses", "fractions", "decimal", "inspect"})
-    assert parsers == "0"
+    for modules in (added, after_call):
+        assert modules.isdisjoint({"argparse", "gettext", "locale"})
 
 
 def test_parse_rejects_bad_input():
@@ -142,21 +150,129 @@ def test_shared_parser_keeps_no_state_between_calls():
         (["verify", "-", "--which", "heights", "--no-prune"], pyramid),
         golden["scan-polygons --box 1 --seed 7"],
     ]
+    # each call right after the refused first one, and all in one run: a
+    # call's result does not depend on the calls before it
     lone = []
     for argv, text in sequence:
-        build_parser.cache_clear()
+        call(*sequence[0])
         lone.append(call(argv, text))
-    build_parser.cache_clear()
     shared = [call(argv, text) for argv, text in sequence]
-    assert build_parser.cache_info().misses == 1
     assert shared == lone
     assert lone[2] != lone[3]
     assert lone[5][0] == 2 and "unrecognized arguments: --no-prune" in lone[5][2]
     # a refused flag leaves nothing behind for the next call
     assert lone[0][0] == 2 and "unrecognized arguments: --max-degree 1" in lone[0][2]
     assert lone[1][0] == 0
-    parsed = [build_parser().parse_args(argv) for argv, _ in sequence[2:4]]
+    parsed = [parse_args(argv) for argv, _ in sequence[2:4]]
     assert [ns.seed for ns in parsed] == [5, 0]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """vars of the namespace, or the exit code and the last stderr line."""
+    try:
+        return vars(parse(list(argv)))
+    except SystemExit as exc:
+        err = capsys.readouterr().err.splitlines()
+        return exc.code, err[-1] if err else ""
+
+
+def _workload_argvs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [op["argv"] for name in sorted(workloads.WORKLOADS)
+            for op in workloads.make_ops(name, 1, 0)]
+
+
+# the argument forms that argparse accepts, and that the CLI keeps
+EDGE_ARGVS = [
+    ["verify", "--which", "steinberg", "x.json"],
+    ["verify", "x.json", "--which=steinberg"],
+    ["verify", "--wh", "steinberg", "-"],
+    ["verify", "--which=doubling", "-", "--which", "heights"],
+    ["analyze", "-ofoo", "-"], ["analyze", "-", "-o", "foo"], ["analyze", "-", "-o=foo"],
+    ["analyze", "--out=a", "-", "--output", "b"], ["analyze", "-", "--output=a=b"],
+    ["analyze", "-", "-o=a=b"], ["analyze", "-", "--ou=a=b"], ["analyze", "--", "-x.json"],
+    ["analyze", "-", "--"], ["export", "-", "--what", "presentation", "--modulus", "-3"],
+    ["export", "--mod=-3", "--wha", "fan", "-"],
+    ["scan-polygons", "--se", "-5", "--box", "2", "--box", "1"],
+    ["scan-polygons", "--sample-rate", "-1.5", "--sa", ".25", "--seed=0"],
+    ["scan-polygons", "--sample-rate=1e-3", "--box", " 3", "--seed", "3_0"],
+    ["spectrum", "-", "--st", "2", "-o", "-"],
+]
+# one of each refusal: exit 2 with argparse's last stderr line
+INVALID_ARGVS = [
+    [], ["-o", "x"], ["frob"], ["--", "analyze", "-"], ["analyze"], ["analyze", "--"],
+    ["verify", "-"], ["verify"], ["export", "-"], ["verify", "-", "--which", "x"],
+    ["export", "-", "--what=dots"], ["scan-polygons", "--box", "x"],
+    ["scan-polygons", "--sample-rate", "0.5.1"], ["spectrum", "-", "--steps", "2.5"],
+    ["scan-polygons", "--box"], ["analyze", "-", "-o"], ["verify", "-", "--which", "--box"],
+    ["scan-polygons", "--box", "--", "3"], ["verify", "-", "--which", "heights", "--max-degree", "1"],
+    ["scan-polygons", "-x"], ["--foo", "analyze", "-"], ["analyze", "a", "b"],
+    ["scan-polygons", "3"], ["analyze", "-", "-o", "f", "--", "g"], ["scan-polygons", "--s", "3"],
+    ["scan-polygons", "--box", "x", "--s", "3"], ["verify", "--help=1"], ["analyze", "-hx"],
+    ["analyze", "-", "-ho"],
+]
+
+
+def test_parser_matches_argparse(capsys):
+    forms = ([argv for argv, _ in golden_commands().values()] + _workload_argvs()
+             + EDGE_ARGVS)
+    oracle = argparse_parser()
+    for argv in forms:
+        ours = _parse_outcome(parse_args, argv, capsys)
+        assert ours == _parse_outcome(oracle.parse_args, argv, capsys), argv
+        assert isinstance(ours, dict), argv
+    for argv in INVALID_ARGVS:
+        ours = _parse_outcome(parse_args, argv, capsys)
+        assert ours == _parse_outcome(oracle.parse_args, argv, capsys), argv
+        assert ours[0] == 2 and "error: " in ours[1], argv
+
+
+def test_parser_matches_argparse_on_every_short_argv(capsys):
+    # every argv of up to three words from a vocabulary of flag forms
+    words = ["verify", "scan-polygons", "-", "--", "-o", "-ofoo", "--wh", "--which=heights",
+             "heights", "--s", "--se", "-5", "--box=", "-h", "-hh", "--=x", "-x", "a b"]
+    oracle = argparse_parser()
+    for n in range(4):
+        for argv in itertools.product(words, repeat=n):
+            ours = _parse_outcome(parse_args, argv, capsys)
+            assert ours == _parse_outcome(oracle.parse_args, argv, capsys), argv
+
+
+def test_glued_double_dash_is_a_value(capsys):
+    # argparse drops a glued "--" and sets [] (which=[] then fails with
+    # exit 3 inside the command); the parser keeps it as the value
+    oracle = argparse_parser()
+    cases = [
+        (["verify", "-", "--which=--"], "which", "polycol verify: error: argument --which: "
+         "invalid choice: '--' (choose from 'steinberg', 'embedding', 'heights', "
+         "'columns-property', 'doubling')"),
+        (["scan-polygons", "--box=--"], "box",
+         "polycol scan-polygons: error: argument --box: invalid int value: '--'"),
+    ]
+    for argv, dest, refusal in cases:
+        assert _parse_outcome(parse_args, argv, capsys) == (2, refusal)
+        assert _parse_outcome(oracle.parse_args, argv, capsys)[dest] == []
+    assert parse_args(["analyze", "-", "-o=--"]).output == "--"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["verify", "-h"], ["verify", "-", "--help"],
+                                  ["scan-polygons", "--he"]])
+def test_help_lists_commands_and_choices(argv):
+    src = str(Path(polycol.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "polycol.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: polycol")
+    if argv == ["-h"]:
+        assert all(name in done.stdout for name in
+                   ("analyze", "scan-polygons", "verify", "export", "spectrum"))
+    if argv[0] == "verify":
+        assert all(name in done.stdout for name in ("steinberg", "embedding", "heights",
+                                                    "columns-property", "doubling"))
 
 
 def test_cli_module_run_matches_the_in_process_call(tmp_path, capsys):
@@ -474,7 +590,7 @@ def test_cli_export_rejects_modulus_below_2(tmp_path, capsys, modulus):
 def test_cli_columns_property_rejects_degree_below_1(tmp_path, capsys, degree,
                                                      vertices):
     # degree one decides every degree, so columns-property takes no degree
-    # bound: argparse refuses the flag at any value
+    # bound: the parser refuses the flag at any value
     path = write_poly(tmp_path, "p", vertices)
     with pytest.raises(SystemExit) as exc:
         main(["verify", path, "--which", "columns-property", "--max-degree", degree])

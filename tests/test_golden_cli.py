@@ -156,7 +156,7 @@ def golden_commands():
 
 def call(argv, text):
     """[exit code, stdout, stderr] of one in-process CLI call with ``text``
-    on stdin; an argv that argparse refuses gives its exit code."""
+    on stdin; an argv that the parser refuses gives its exit code."""
     out, err = io.StringIO(), io.StringIO()
     stdin, sys.stdin = sys.stdin, io.StringIO(text)
     try:

@@ -634,6 +634,48 @@ def test_iae_refuses_lower_dimensional_non_translates():
     assert (m.matrix, m.translation) == ((), ())
 
 
+def _iae_outcome(p, q, count_first):
+    """(matrix, translation), None or "ValueError"; with count_first, the
+    lattice point counts are compared first, as before the search read
+    only vertices."""
+    if (count_first and p.ambient_dim == q.ambient_dim and p.dim == q.dim
+            and len(p.lattice_points) != len(q.lattice_points)):
+        return None
+    try:
+        m = integral_affine_equivalent(p, q)
+    except ValueError:
+        return "ValueError"
+    return None if m is None else (m.matrix, m.translation)
+
+
+def test_iae_unchanged_without_the_point_count():
+    rng = random.Random(41)
+    polys = list(CORPUS) + [q for p in CORPUS[:6] for q in sheared_images(p, rng, 2)]
+    lines = [polytope_from_points(v) for v in (
+        [(0, 0), (1, 1)], [(0, 0), (2, 2)], [(0, 0), (1, 2)], [(3, 1), (5, 5)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 0, 0), (2, 0, 0), (0, 2, 0)],
+        [(0, 0, 0), (1, 0, 0), (0, 0, 1)], [(0, 0, 0), (1, 1, 0), (0, 0, 1)])]
+    outcomes = set()
+    for p, q in itertools.product(polys + lines, repeat=2):
+        fresh = [polytope_from_points(r.vertices) for r in (p, q)]
+        got = _iae_outcome(p, q, count_first=False)
+        assert got == _iae_outcome(*fresh, count_first=True), (p, q)
+        outcomes.add(got if got in (None, "ValueError") else "map")
+    assert outcomes == {None, "ValueError", "map"}
+
+
+def test_iae_walks_no_lattice_point():
+    # 16 * cube has 17^3 points; the frame search reads its 8 vertices
+    cube = polytope_from_points(
+        [tuple(16 * c for c in v) for v in itertools.product((0, 1), repeat=3)])
+    sheared = linear_image(cube, ((1, 2, 0), (0, 1, 3), (0, 0, 1)))
+    assert integral_affine_equivalent(cube, sheared) is not None
+    bigger = polytope_from_points([tuple(2 * c for c in v) for v in sheared.vertices])
+    assert integral_affine_equivalent(cube, bigger) is None
+    for p in (cube, sheared, bigger):
+        assert "lattice_points" not in p.__dict__
+
+
 def _keys(maps):
     return {(m.matrix, m.translation) for m in maps}
 
