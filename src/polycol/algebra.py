@@ -20,7 +20,7 @@ columns, walked once per column.
 from __future__ import annotations
 
 import itertools
-from math import comb
+from operator import add
 
 from .columns import is_balanced, product_table
 from .exactmath import (
@@ -133,11 +133,13 @@ class GradedAutomorphism:
                     break
                 else:
                     acc = dict(mine[k])
+                get = acc.get
                 for k, c in entries:
                     for i, a in mine[k].items():
-                        x = acc.get(i)
+                        x = get(i)
                         acc[i] = a * c if x is None else x + a * c
-                acc = {i: x for i, x in acc.items() if x}
+                if not all(acc.values()):
+                    acc = {i: x for i, x in acc.items() if x}
             columns.append(acc)
         return GradedAutomorphism(self.polytope, self.ring, columns)
 
@@ -159,7 +161,7 @@ class GradedAutomorphism:
 
     def __hash__(self):
         # the columns alone: equal automorphisms have equal columns
-        return hash(tuple(frozenset(col.items()) for col in self.columns))
+        return hash(tuple(map(frozenset, map(dict.items, self.columns))))
 
     def __repr__(self):
         return f"GradedAutomorphism({self.ring!r}, {self.columns})"
@@ -173,8 +175,11 @@ def elementary_automorphism(p, col, lam, ring):
     exactly one per step.  Each column's support, the indices of x, x + v,
     ..., x + h v, is walked once per polytope object and stored on ``p``
     (``_shear_supports``); a shear then only computes one binomial row
-    (binom(h, k) lam^k) per height.  Terms that vanish in the ring (lam = 0,
-    or over Z/m a binomial coefficient divisible by m) are not stored.
+    (binom(h, k) lam^k) per height, from the row below it by Pascal's rule
+    in the ring: binom(h, k) lam^k = binom(h - 1, k) lam^k
+    + lam binom(h - 1, k - 1) lam^(k - 1).  Terms that vanish in the ring
+    (lam = 0, or over Z/m a binomial coefficient divisible by m) are not
+    stored.
     ``product_table(p)`` refuses a non-normalized P: it runs
     ``column_vectors``, which raises ValueError, and only the double of a
     normalized P has a seeded table.
@@ -182,12 +187,11 @@ def elementary_automorphism(p, col, lam, ring):
     table = product_table(p)
     supports = _shear_supports(p, table, table.column(col))
     one = ring.one
-    powers = [one]
     rows = [[one]]
-    for h in range(1, max(map(len, supports))):
-        powers.append(powers[-1] * lam)
-        rows.append([one] + [ring.from_int(comb(h, k)) * powers[k]
-                             for k in range(1, h + 1)])
+    for _ in range(1, max(map(len, supports))):
+        prev = rows[-1]
+        rows.append([one, *(a + lam * b for a, b in zip(prev[1:], prev)),
+                     lam * prev[-1]])
     columns = [dict(zip(support, rows[len(support) - 1])) for support in supports]
     if not all(map(all, rows)):  # some term vanishes in the ring
         columns = [{i: c for i, c in col.items() if c} for col in columns]
@@ -196,24 +200,28 @@ def elementary_automorphism(p, col, lam, ring):
 
 def _shear_supports(p, table, j):
     """Per lattice point x of height h over the base of column j, the
-    indices of x, x + v, ..., x + h v; walked once and stored on ``p``."""
+    indices of x, x + v, ..., x + h v; walked once and stored on ``p``.
+
+    v has height -1 over the base, so x + v lies one lower than x, and the
+    points are taken in order of height: support(x) = (x,) + support(x + v),
+    one lookup per point off the base.
+    """
     supports = p.__dict__.setdefault("_shear_supports", {})
     out = supports.get(j)
     if out is None:
         col = table.columns[j]
         v = col.vector
         index = p.point_index
-        out = []
-        for i, (x, h) in enumerate(zip(p.lattice_points, p.facet_heights[col.base])):
-            support = [i]
-            target = x
-            for k in range(1, h + 1):
-                target = vec_add(target, v)
-                t = index.get(target)
+        pts, heights = p.lattice_points, p.facet_heights[col.base]
+        out = [None] * len(pts)
+        for i in sorted(range(len(pts)), key=heights.__getitem__):
+            if heights[i]:
+                t = index.get(tuple(map(add, pts[i], v)))
                 if t is None:
-                    raise InternalCheckError(f"{x} + {k}*{v} escaped the polytope")
-                support.append(t)
-            out.append(tuple(support))
+                    raise InternalCheckError(f"{pts[i]} + {v} escaped the polytope")
+                out[i] = (i, *out[t])
+            else:
+                out[i] = (i,)
         out = supports[j] = tuple(out)
     return out
 
@@ -346,13 +354,24 @@ def symmetry_group_data(p):
 # symbolic verification of the commutator relations
 
 
+def _kronecker_base(p, u, unit):
+    """B = 1 + max(top * mass, largest entry of x_u(2)), above every entry
+    of x_u(1) x_u(1) and x_u(2), for ``unit`` = x_u(1) over Z with top its
+    largest entry and mass its largest column sum.  The entries of x_u(1)
+    are positive, so an entry sum_k a_ik a_kj of x_u(1) x_u(1) is at most
+    top * sum_k a_kj <= top * mass."""
+    top = max(max(col.values()) for col in unit.columns)
+    mass = max(sum(col.values()) for col in unit.columns)
+    two = elementary_automorphism(p, u, 2, ZZ)
+    return 1 + max(top * mass, max(max(col.values()) for col in two.columns))
+
+
 def _kronecker_additivity(p, u, unit):
     """x_u(lam) x_u(mu) = x_u(lam + mu) over Z[lam, mu], decided at lam = 1,
-    mu = B for B above every entry of x_u(1) x_u(1) and x_u(2) (see
-    ``verify_steinberg_relations``); ``unit`` is x_u(1) over Z.  Returns the
-    verdict, x_u(B) and x_u(1) x_u(B)."""
-    sides = (unit.compose(unit), elementary_automorphism(p, u, 2, ZZ))
-    b = 1 + max(max(col.values()) for g in sides for col in g.columns)
+    mu = B for the B of ``_kronecker_base`` (see
+    ``verify_steinberg_relations``); ``unit`` is x_u(1) over Z.  Returns
+    the verdict, x_u(B) and x_u(1) x_u(B)."""
+    b = _kronecker_base(p, u, unit)
     by_b = elementary_automorphism(p, u, b, ZZ)
     one_b = unit.compose(by_b)
     ok = one_b.columns == elementary_automorphism(p, u, 1 + b, ZZ).columns
@@ -401,8 +420,12 @@ def verify_steinberg_relations(p):
     binom(h, k) t^k), so its value at (1, 1), an entry of x_u(1) x_u(1) or
     x_u(2), bounds them all.  For B above every such entry, the value at
     (1, B) lists them as base-B digits: additivity holds iff
-    x_u(1) x_u(B) = x_u(1 + B).  Two columns are never parallel unless they
-    are equal or opposite (each has height -1 over its base facet), and
+    x_u(1) x_u(B) = x_u(1 + B).  B = 1 + max(top * mass, largest entry of
+    x_u(2)), with top the largest entry of x_u(1) and mass its largest
+    column sum, so x_u(1) x_u(1) is not formed: x_u(1) has positive
+    entries, so an entry sum_k a_ik a_kj of x_u(1) x_u(1) is at most
+    top * sum_k a_kj <= top * mass.  Two columns are never parallel unless
+    they are equal or opposite (each has height -1 over its base facet), and
     opposite columns have sum zero, so the only parallel pair is the
     diagonal (u, u), a commute pair since 2u is not a column: it holds iff
     x_u(1) x_u(B) = x_u(B) x_u(1), whatever additivity says.

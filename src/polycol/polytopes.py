@@ -276,6 +276,8 @@ class Polytope:
         so each new coordinate has a small spread over P.  U maps Z^n onto
         Z^n, so the walk finds exactly U L_P, which U^-1 maps back; the
         facet pairs of U P are (a U^-1, b), as a . x = (a U^-1) . (U x).
+        When U is the identity, P's own frame is already reduced and is
+        walked at once.
         """
         verts, pairs, back = self.vertices, self._facet_pairs, None
         fibres = _fibre_box(verts)[3]
@@ -283,13 +285,15 @@ class Polytope:
             x0 = verts[0]
             cols = list(zip(*(vec_sub(v, x0) for v in verts[1:])))
             u, u_inv = lll_reduce([[sum(map(mul, a, b)) for b in cols] for a in cols])
-            if mat_mul(u, u_inv) != identity_matrix(self.ambient_dim):
-                raise InternalCheckError("lattice reduction lost its inverse")
-            reduced = [mat_vec(u, v) for v in verts]
-            if _fibre_box(reduced)[3] < fibres:
-                u_inv_t = transpose(u_inv)
-                verts, back = reduced, u_inv
-                pairs = [(mat_vec(u_inv_t, a), b) for a, b in pairs]
+            identity = identity_matrix(self.ambient_dim)
+            if u != identity:
+                if mat_mul(u, u_inv) != identity:
+                    raise InternalCheckError("lattice reduction lost its inverse")
+                reduced = [mat_vec(u, v) for v in verts]
+                if _fibre_box(reduced)[3] < fibres:
+                    u_inv_t = transpose(u_inv)
+                    verts, back = reduced, u_inv
+                    pairs = [(mat_vec(u_inv_t, a), b) for a, b in pairs]
         pts = _walk_fibres(verts, pairs)
         if back is not None:
             pts = [tuple([sum(map(mul, row, y)) for row in back]) for y in pts]

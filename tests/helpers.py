@@ -8,6 +8,8 @@ the pruning, not those functions; the Steinberg one composes the same shears
 into literal four-fold commutators over Z[lam, mu], so it checks the
 two-product identity and the reduction to lam = mu = 1, and the embedding
 one composes them over Z[a, b] and Q, so it checks the reduction to Z.
+The composed Kronecker base forms x_u(1) x_u(1), where ``_kronecker_base``
+bounds its entries by the entries and column sums of x_u(1).
 The cofactor adjugate calls ``det_int``, which shares no code with the
 Gauss-Jordan inverse it checks.  The graded-semigroup oracles recurse over
 the last summand inside a dilation of P, where the production code builds
@@ -1047,6 +1049,14 @@ def literal_steinberg_report(p, var_names=("a", "b")):
                      "commutes": commutator(i, j).is_identity(), "ok": None}
                 )
     return report
+
+
+def composed_kronecker_base(p, u):
+    """1 + the largest entry of x_u(1) x_u(1) and of x_u(2) over Z, with the
+    product x_u(1) x_u(1) composed."""
+    unit = elementary_automorphism(p, u, 1, ZZ)
+    sides = (unit.compose(unit), elementary_automorphism(p, u, 2, ZZ))
+    return 1 + max(max(col.values()) for g in sides for col in g.columns)
 
 
 def literal_embedding_report(p, facet_index, grid=5):

@@ -23,6 +23,7 @@ from polycol.algebra import (
     verify_steinberg_relations,
     GradedAutomorphism,
     _kronecker_additivity,
+    _kronecker_base,
     _next_slice,
     column_inversion,
 )
@@ -235,6 +236,22 @@ def test_column_property_matches_slice_oracle(p):
             assert helpers.slice_column_property(q, c, d) == (True, []), (
                 p.name, c, d
             )
+
+
+def test_shear_support_walk_refuses_an_escaping_column():
+    # 2v for the column v = (0, -1) of 2 Delta_2, seeded as the one column
+    # of its table: the chained walk reaches the points at height 1 first,
+    # and (0, 1) + 2v lies below the base, out of P
+    vertices = [(0, 0), (2, 0), (0, 2)]
+    v = col(polytope_from_points(vertices), (0, -1))
+    p = polytope_from_points(vertices)
+    fake = ColumnVector((0, -2), v.base,
+                        tuple(dot(f.normal, (0, -2)) for f in p.facets))
+    product_table(p, columns=(fake,))
+    with pytest.raises(InternalCheckError,
+                       match=r"^\(0, 1\) \+ \(0, -2\) escaped the polytope$"):
+        elementary_automorphism(p, fake, 1, ZZ)
+    assert p.__dict__["_shear_supports"] == {}
 
 
 def test_column_property_and_oracle_flag_a_seeded_non_column():
@@ -974,8 +991,8 @@ def test_rank2_commutator_coefficients_are_single_terms(balanced_corpus):
 
 def test_steinberg_symbolic_compositions(monkeypatch):
     # no composition over a polynomial ring: per column, the inverse
-    # certificate x_u(1) x_u(-1), the bound x_u(1) x_u(1), the Kronecker
-    # product x_u(1) x_u(B) and the diagonal pair's x_u(B) x_u(1), all over Z
+    # certificate x_u(1) x_u(-1), the Kronecker product x_u(1) x_u(B) and
+    # the diagonal pair's x_u(B) x_u(1), all over Z
     p = dilate(TRIANGLE, 4)
     calls = Counter()
     compose = GradedAutomorphism.compose
@@ -996,7 +1013,25 @@ def test_steinberg_symbolic_compositions(monkeypatch):
     # two products per unordered rank-2 pair, which decide both its orders,
     # and a third for each order's product shear
     rank2 = len(report["pairs"]) - len(parallel)
-    assert calls["ZZ"] == 4 * ncols + rank2 + products
+    assert calls["ZZ"] == 3 * ncols + rank2 + products
+
+
+def test_kronecker_base_bounds_the_composed_base():
+    # B from the entries and column sums of x_u(1) is never below B from the
+    # composed x_u(1) x_u(1); both read 3 where every height is at most 1,
+    # and the new B is larger above that (1281 against 241 on 6 Delta_2)
+    polytopes = list(CORPUS) + [dilate(TRIANGLE, k) for k in range(2, 7)]
+    polytopes += _chain_steps()
+    checked = equal = 0
+    for p in polytopes:
+        for u in product_table(p).columns:
+            unit = elementary_automorphism(p, u, 1, ZZ)
+            b, oracle = _kronecker_base(p, u, unit), helpers.composed_kronecker_base(p, u)
+            assert b >= oracle, (p.name, u.vector)
+            checked += 1
+            equal += b == oracle
+    assert checked > 100
+    assert 0 < equal < checked
 
 
 def test_additive_embedding_matches_literal(corpus):
@@ -1116,15 +1151,17 @@ def test_verify_composes_no_polynomials(tmp_path, monkeypatch, capsys):
 # the identity off the listed values and g(1) = 1, g(-1) = -1, so that the
 # inverse certificate, the rank-2 pairs and the diagonal pair still hold.
 # On the unit triangle every height is at most 1, so the largest entry of a
-# true x_u(c) is max(1, c): B = 1 + max(2 g(1), g(2)), and additivity is
-# read as g(1) + g(B) = g(1 + B).  Each map is additive at the B of a wrong
-# bound, and not at the true B:
+# true x_u(c) is max(1, c), and x_u(1) = x_u(g(1)) has top entry 1 and
+# column sums at most 2: top * mass = 2 = 2 g(1), the largest entry of
+# x_u(1) x_u(1).  So B = 1 + max(2, g(2)), and additivity is read as
+# g(1) + g(B) = g(1 + B).  Each map is additive at the B of a wrong bound,
+# and not at the true B:
 WRONG_SCALARS = {
     # B = 3; a B without the +1 is 2, where 1 + 2 = g(3)
     "off-at-4": {4: 5},
-    # B = 3 from x_u(1) x_u(1); x_u(2) = x_u(1) alone gives B = 2
+    # B = 3 from top * mass; x_u(2) = x_u(1) alone gives B = 2
     "low-at-2": {2: 1, 3: 2},
-    # B = 4 from x_u(2) = x_u(3); x_u(1) x_u(1) alone gives B = 3
+    # B = 4 from x_u(2) = x_u(3); top * mass alone gives B = 3
     "high-at-2": {2: 3, 5: 6},
 }
 

@@ -315,6 +315,26 @@ def test_lattice_reduction_without_its_inverse_is_internal_error(monkeypatch):
         thin.lattice_points
 
 
+def test_reduced_frame_is_walked_without_mapping_vertices(monkeypatch):
+    # [0, 100]^2 crosses 101 fibres, more than the direct walk takes, and
+    # its frame is already LLL-reduced: U is the identity, so neither the
+    # vertices nor the facet normals are mapped
+    reductions, mapped = [], []
+    reduce, apply = polytopes.lll_reduce, polytopes.mat_vec
+    monkeypatch.setattr(polytopes, "lll_reduce",
+                        lambda gram: reductions.append(gram) or reduce(gram))
+    monkeypatch.setattr(polytopes, "mat_vec",
+                        lambda m, v: mapped.append(v) or apply(m, v))
+    square = polytope_from_points([(0, 0), (100, 0), (0, 100), (100, 100)])
+    assert square.lattice_points == tuple(itertools.product(range(101), repeat=2))
+    assert len(reductions) == 1 and mapped == []
+    # the thin triangle's frame is not reduced, and its vertices are mapped
+    n = 10**30
+    thin = ((0, 0), (n, n + 1), (n + 1, n + 2))
+    assert polytope_from_points(thin).lattice_points == thin
+    assert len(reductions) == 2 and len(mapped) > 3
+
+
 def test_lattice_walk_refuses_more_points_than_the_limit(monkeypatch):
     # a 3 x 6 box walks 3 fibres of 6 points
     box = list(itertools.product(range(3), range(6)))

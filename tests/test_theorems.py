@@ -9,12 +9,12 @@ the expected values from closed formulas.
 
 import itertools
 from collections import Counter
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 from operator import add, sub
 
 import pytest
 
-from polycol.algebra import symmetry_permutations
+from polycol.algebra import symmetry_group_data, symmetry_permutations
 from polycol.columns import product_table
 from polycol.doubling import doubling_spectrum
 from polycol.polytopes import (
@@ -349,3 +349,26 @@ def test_semisimple_columns_are_of_type_a():
         assert _semisimple_components(_unit_simplex(n)) == [(n, n * (n + 1))]
     for n in range(1, 5):
         assert _semisimple_components(_cube(n)) == [(1, 2)] * n
+
+
+def test_inversion_subgroup_is_the_weyl_group():
+    """The inversion subgroup H, generated by the column inversions, is the
+    Weyl group of the root system S = Col(P) ∩ -Col(P), of type A by
+    ``test_semisimple_columns_are_of_type_a``: |W(A_r)| = (r + 1)!, so |H|
+    is the product of (r_i + 1)! over the components A_{r_i} of S
+    (J. E. Humphreys, "Introduction to Lie Algebras and Representation
+    Theory", Springer 1972, ch. III).  ``symmetry_group_data`` closes the
+    inversions under composition; the right-hand side reads only the
+    columns.  On the CORPUS, every polygon of ``enumerate_polygons(2)`` and
+    steps 1-3 of the trapezoid's doubling chain.
+    """
+    polytopes = list(CORPUS)
+    polytopes += [Polytope(cycle, 2) for cycle in enumerate_polygons(2)]
+    polytopes += [st.result.doubled
+                  for st in doubling_spectrum(TRAPEZOID, 3).steps]
+    orders = Counter()
+    for p in polytopes:
+        weyl = prod(factorial(rank + 1) for rank, _ in _semisimple_components(p))
+        assert symmetry_group_data(p)["inversion_order"] == weyl, p.vertices
+        orders[weyl] += 1
+    assert set(orders) == {1, 2, 4, 6, 12, 24, 36}, orders
