@@ -20,15 +20,15 @@ columns, walked once per column.
 from __future__ import annotations
 
 import itertools
+from math import factorial
 from operator import add
 
 from .columns import is_balanced, product_table
 from .exactmath import (
     ZZ,
-    dot,
+    rank_int,
     vec_add,
     vec_neg,
-    vec_scale,
 )
 from .polytopes import InternalCheckError, lattice_equivalences
 
@@ -239,113 +239,64 @@ def lattice_symmetries(p):
     return sorted(lattice_equivalences(p, p), key=lambda m: (m.matrix, m.translation))
 
 
-def symmetry_permutation(p, amap):
-    """A lattice symmetry as the permutation of P's vertices it induces; the
-    vertices of a full-dimensional P affinely span it, so this fixes the map."""
-    return _vertex_permutation(p, map(amap.apply, p.vertices), "symmetry")
-
-
-def _vertex_permutation(p, images, what):
-    """The indices in ``p.vertices`` of ``images``, one image per vertex."""
-    index = {v: i for i, v in enumerate(p.vertices)}
-    perm = tuple(map(index.get, images))
-    if None in perm:
-        raise InternalCheckError(f"{what} does not permute vertices")
-    return perm
-
-
-def _perm_compose(a, b):
-    # apply b first, then a
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
-def symmetry_permutations(p):
-    """The lattice symmetries of p as permutations of its vertices.
-
-    The set is computed once per polytope object and stored on ``p``, so
-    it lives exactly as long as ``p``.  No lattice point is walked.
-    """
-    perms = p.__dict__.get("_symmetry_permutations")
-    if perms is None:
-        perms = p.__dict__["_symmetry_permutations"] = frozenset(
-            symmetry_permutation(p, m) for m in lattice_symmetries(p)
-        )
-    return perms
-
-
-def _closure(gens, n):
-    """The group of permutations of range(n) generated by ``gens``.
-
-    Starting from the identity, each new element is composed with the
-    generators only; in a finite group that reaches every element.
-    """
-    identity = tuple(range(n))
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                candidate = _perm_compose(h, g)
-                if candidate not in group:
-                    group.add(candidate)
-                    nxt.append(candidate)
-        frontier = nxt
-    return group
-
-
-def column_inversion(p, col):
-    """The symmetry flipping columns parallel to a two-sided column vector v,
-    as a permutation of P's vertices: each vertex x moves to
-    x + (h_+(x) - h_-(x)) v, the point with mirrored heights h_+ and h_-
-    over the bases of v and -v, read from their normals and offsets.
-    """
-    table = product_table(p)
-    cv = table.columns[table.column(col)]
-    neg = table.index.get(vec_neg(cv.vector))
-    if neg is None:
-        raise ValueError("column inversion needs both v and -v as columns")
-    v = cv.vector
-    (a_plus, b_plus), (a_minus, b_minus) = (
-        p._facet_pairs[c.base] for c in (cv, table.columns[neg])
-    )
-    perm = _vertex_permutation(p, [
-        vec_add(x, vec_scale(dot(a_plus, x) - b_plus - dot(a_minus, x) + b_minus, v))
-        for x in p.vertices
-    ], "column inversion")
-    if perm not in symmetry_permutations(p):
-        raise InternalCheckError("column inversion is not a lattice symmetry")
-    return perm
-
-
-def _inversion_generators(p):
-    """The column inversions, one per column v with -v also a column."""
-    table = product_table(p)
-    return [
-        column_inversion(p, c)
-        for c in table.columns
-        if vec_neg(c.vector) in table.index
-    ]
-
-
 def symmetry_group_data(p):
     """Orders of the symmetry group G and the inversion subgroup H = <S>, S
     the column inversions s_v, and whether H is normal in G, which it is for
-    every P.  A g(x) = L x + t in G maps facets to facets and keeps heights:
-    the form (a, b) of F goes to (a L^-1, b + a L^-1 t), and g(x) lies as
-    high over g(F) as x over F.  As g permutes L_P, L v is a column with base
-    g(F) when v is one with base F, and -L v is one when -v is.  So
+    every P.  No group is built: |G| counts ``lattice_symmetries``, and |H|
+    is |W(Phi)| for Phi, the two-sided columns: v with -v also a column.
+
+    With (a_+, b_+) and (a_-, b_-) the forms of the bases of v and -v, and
+    h_+ and h_- the heights over them, s_v moves x to x + (h_+(x) - h_-(x)) v.
+    A g(x) = L x + t in G maps facets to facets and keeps heights: the form
+    (a, b) of F goes to (a L^-1, b + a L^-1 t), and g(x) lies as high over
+    g(F) as x over F.  As g permutes L_P, L v is a column with base g(F)
+    when v is one with base F, and -L v is one when -v is.  So
     g s_v g^-1 = s_{L v}, as both move g(x) by (h_+(x) - h_-(x)) L v, and
     g H g^-1 = <g S g^-1> lies in H.
+
+    H is isomorphic to W(Phi).  (1) The linear part x -> x + ((a_+ - a_-) x) v
+    of s_v fixes a hyperplane and sends v to -v, as a_+ v = -1 and
+    a_- v = 1 on normalized P: it is a reflection.  (2) By the lemma with
+    g = s_u, these reflections permute Phi; a reflection keeping a finite
+    spanning set and negating one of its vectors is unique (J. E. Humphreys,
+    "Introduction to Lie Algebras and Representation Theory", Springer 1972,
+    section 9.1), so on span Phi they generate W(Phi).  (3) Each s_v moves x
+    along span Phi only, so an element of H that is the identity on span Phi
+    has a unipotent linear part, which has finite order and is the identity.
+    (4) An element with identity linear part is a translation keeping P, so
+    it is trivial.
+
+    Each component of Phi is of type A (Bruns and Gubeladze, "Polytopal
+    linear groups", J. Algebra 218 (1999), section 1), and A_r has rank r,
+    r(r + 1) roots and |W(A_r)| = (r + 1)!.  Roots u and v are joined when
+    u + v is 0 or a root (u - v a root joins them through -v).  A component
+    of another size, or an |H| not dividing |G|, is an InternalCheckError.
     """
-    sym = symmetry_permutations(p)
-    inv = _closure(_inversion_generators(p), len(p.vertices))
-    if len(sym) % len(inv) != 0:
+    table = product_table(p)
+    roots = {c.vector for c in table.columns if vec_neg(c.vector) in table.index}
+    unseen, inversion_order = set(roots), 1
+    while unseen:
+        component, stack = [], [unseen.pop()]
+        while stack:
+            u = stack.pop()
+            component.append(u)
+            joined = {
+                v for v in unseen
+                if not any(map(add, u, v)) or tuple(map(add, u, v)) in roots
+            }
+            unseen -= joined
+            stack.extend(joined)
+        rank = rank_int(component)
+        if len(component) != rank * (rank + 1):
+            raise InternalCheckError("two-sided columns must be of type A")
+        inversion_order *= factorial(rank + 1)
+    symmetry_order = len(lattice_symmetries(p))
+    if symmetry_order % inversion_order != 0:
         raise InternalCheckError("inversion subgroup order must divide")
     return {
-        "symmetry_order": len(sym),
-        "inversion_order": len(inv),
-        "quotient_order": len(sym) // len(inv),
+        "symmetry_order": symmetry_order,
+        "inversion_order": inversion_order,
+        "quotient_order": symmetry_order // inversion_order,
         "inversions_normal": True,
     }
 

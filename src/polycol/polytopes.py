@@ -235,16 +235,21 @@ class Polytope:
         The differences are folded into the basis n at a time, so no form
         has more than 2n rows.  The row Hermite form of a lattice is unique,
         so the basis is that of all differences at once, without its
-        (|L_P| - 1) x (|L_P| - 1) transform.
+        (|L_P| - 1) x (|L_P| - 1) transform.  Once the basis is the identity
+        the lattice is Z^n, which more differences cannot change, and the
+        folding stops.
         """
         pts = self.lattice_points
         x0 = pts[0]
         step = max(self.ambient_dim, 1)
+        full = identity_matrix(self.ambient_dim)
         basis = ()
         for start in range(1, len(pts), step):
             chunk = [vec_sub(z, x0) for z in pts[start:start + step]]
             h, _ = hermite_normal_form(list(basis) + chunk)
             basis = tuple(r for r in h if any(r))
+            if basis == full:
+                break
         return basis
 
     @cached_property

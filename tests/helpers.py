@@ -55,9 +55,15 @@ The slice-based column check tests every semigroup monomial up to a
 degree bound against the slices behind ``algebra.sp_membership``, where
 ``check_column_property`` shifts the lattice points off the base facet.
 
+The inversion subgroup is closed under composition here, as vertex
+permutations generated by the column inversions, each checked to be a
+lattice symmetry; ``algebra.symmetry_group_data`` builds no group and reads
+|H| off the components of the two-sided columns.
+
 The test rings and generators live here because no command needs them: Q,
 Z/m and Z[x...] with the unit inverses the torus reads, the dense matrix of
 an automorphism, the identity, torus and symmetry-group automorphisms, the
+lattice symmetries and column inversions as vertex permutations, the
 inversion subgroup, the semigroup monomials of one degree, and a polytope's
 point test, facet height and translation.
 """
@@ -108,6 +114,7 @@ from polycol.exactmath import (
     vec_sub,
 )
 from polycol.polytopes import (
+    InternalCheckError,
     Polytope,
     _frame_matrix,
     dilate,
@@ -340,9 +347,98 @@ def sigma_group(p, ring=ZZ):
     ]
 
 
+def symmetry_permutation(p, amap):
+    """A lattice symmetry as the permutation of P's vertices it induces; the
+    vertices of a full-dimensional P affinely span it, so this fixes the map."""
+    return _vertex_permutation(p, map(amap.apply, p.vertices), "symmetry")
+
+
+def _vertex_permutation(p, images, what):
+    """The indices in ``p.vertices`` of ``images``, one image per vertex."""
+    index = {v: i for i, v in enumerate(p.vertices)}
+    perm = tuple(map(index.get, images))
+    if None in perm:
+        raise InternalCheckError(f"{what} does not permute vertices")
+    return perm
+
+
+def _perm_compose(a, b):
+    # apply b first, then a
+    return tuple(a[b[i]] for i in range(len(a)))
+
+
+def symmetry_permutations(p):
+    """The lattice symmetries of p as permutations of its vertices.
+
+    The set is computed once per polytope object and stored on ``p``, so
+    it lives exactly as long as ``p``.  No lattice point is walked.
+    """
+    perms = p.__dict__.get("_symmetry_permutations")
+    if perms is None:
+        perms = p.__dict__["_symmetry_permutations"] = frozenset(
+            symmetry_permutation(p, m) for m in lattice_symmetries(p)
+        )
+    return perms
+
+
+def _closure(gens, n):
+    """The group of permutations of range(n) generated by ``gens``.
+
+    Starting from the identity, each new element is composed with the
+    generators only; in a finite group that reaches every element.
+    """
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in gens:
+                candidate = _perm_compose(h, g)
+                if candidate not in group:
+                    group.add(candidate)
+                    nxt.append(candidate)
+        frontier = nxt
+    return group
+
+
+def column_inversion(p, col):
+    """The symmetry flipping columns parallel to a two-sided column vector v,
+    as a permutation of P's vertices: each vertex x moves to
+    x + (h_+(x) - h_-(x)) v, the point with mirrored heights h_+ and h_-
+    over the bases of v and -v, read from their normals and offsets.
+    """
+    table = product_table(p)
+    cv = table.columns[table.column(col)]
+    neg = table.index.get(vec_neg(cv.vector))
+    if neg is None:
+        raise ValueError("column inversion needs both v and -v as columns")
+    v = cv.vector
+    (a_plus, b_plus), (a_minus, b_minus) = (
+        p._facet_pairs[c.base] for c in (cv, table.columns[neg])
+    )
+    perm = _vertex_permutation(p, [
+        vec_add(x, vec_scale(dot(a_plus, x) - b_plus - dot(a_minus, x) + b_minus, v))
+        for x in p.vertices
+    ], "column inversion")
+    if perm not in symmetry_permutations(p):
+        raise InternalCheckError("column inversion is not a lattice symmetry")
+    return perm
+
+
+def _inversion_generators(p):
+    """The column inversions, one per column v with -v also a column."""
+    table = product_table(p)
+    return [
+        column_inversion(p, c)
+        for c in table.columns
+        if vec_neg(c.vector) in table.index
+    ]
+
+
 def inversion_subgroup(p):
     """The vertex permutations generated by all column inversions."""
-    return algebra._closure(algebra._inversion_generators(p), len(p.vertices))
+    return _closure(_inversion_generators(p), len(p.vertices))
 
 
 def contains(p, z):

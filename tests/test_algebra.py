@@ -3,6 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,15 +18,12 @@ from polycol.algebra import (
     steinberg_presentation_lines,
     steinberg_presentation_mod,
     symmetry_group_data,
-    symmetry_permutation,
-    symmetry_permutations,
     verify_additive_embedding,
     verify_steinberg_relations,
     GradedAutomorphism,
     _kronecker_additivity,
     _kronecker_base,
     _next_slice,
-    column_inversion,
 )
 from polycol.cli import main
 from polycol.columns import (
@@ -79,6 +77,7 @@ from .helpers import (
     ModInt,
     PolynomialRing,
     _multiset_image,
+    column_inversion,
     conjugation_normal,
     degree_consistency_violations,
     dense_matrix,
@@ -89,6 +88,8 @@ from .helpers import (
     literal_steinberg_report,
     monomials_of_degree,
     sigma_group,
+    symmetry_permutation,
+    symmetry_permutations,
     torus_automorphism,
 )
 
@@ -623,6 +624,19 @@ def test_symmetry_groups():
     assert orders == [(72, 36), (6, 6), (12, 12), (36, 36)]
 
 
+def test_symmetry_groups_reject_two_sided_columns_not_of_type_a(monkeypatch):
+    # B_2's 8 roots form one component of rank 2, where A_2 has 6: the
+    # order (r + 1)! would be wrong, so the count is refused
+    roots = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)]
+    table = SimpleNamespace(
+        columns=[SimpleNamespace(vector=v) for v in roots],
+        index={v: i for i, v in enumerate(roots)},
+    )
+    monkeypatch.setattr("polycol.algebra.product_table", lambda p: table)
+    with pytest.raises(InternalCheckError, match="type A"):
+        symmetry_group_data(UNIT_SQUARE)
+
+
 def test_sigma_group_closure():
     perms = {symmetry_permutation(TRIANGLE, m)
              for m in lattice_symmetries(TRIANGLE)}
@@ -676,10 +690,13 @@ def test_inversions_conjugate_to_inversions(corpus):
 
 
 def test_symmetry_permutations_walk_no_lattice_point():
-    # the symmetries act on the 8 vertices of 16 * cube, not its 17^3 points
+    # the symmetry search and the oracle's permutations read the 8 vertices
+    # of 16 * cube, not its 17^3 points
     cube = polytope_from_points(
         [tuple(16 * c for c in v) for v in itertools.product((0, 1), repeat=3)]
     )
+    assert len(lattice_symmetries(cube)) == 48
+    assert "lattice_points" not in cube.__dict__
     perms = symmetry_permutations(cube)
     assert len(perms) == 48
     assert {len(perm) for perm in perms} == {8}
@@ -698,7 +715,7 @@ def test_column_inversion_square_reflection():
 
 def test_frame_search_inverts_only_its_anchor(monkeypatch):
     # the anchor frame is inverted once; no candidate image, found map or
-    # not, is inverted
+    # not, is inverted, and the group orders take that one search
     from polycol import exactmath, polytopes
 
     inverse = exactmath.mat_inverse_frac
@@ -712,11 +729,15 @@ def test_frame_search_inverts_only_its_anchor(monkeypatch):
         [tuple(int(i == j) for j in range(4)) for i in range(4)] + [(0,) * 4]
     )
     simplex.facets  # the facet search inverts a basis of its own
+    product_table(simplex)
     for module in (exactmath, polytopes):
         monkeypatch.setattr(module, "mat_inverse_frac", counting)
     group = lattice_symmetries(simplex)
     assert len(group) == 120
     assert len(calls) == 1
+    data = symmetry_group_data(simplex)
+    assert (data["symmetry_order"], data["inversion_order"]) == (120, 120)
+    assert len(calls) == 2
 
 
 def test_frame_searches_invert_their_anchor_once(monkeypatch):

@@ -460,6 +460,21 @@ def _hnf_is_normalized(p):
     return tuple(r for r in h if any(r)) == identity_matrix(p.ambient_dim)
 
 
+def _folds_to_identity(p):
+    """The least k whose first k * n differences to the least lattice point
+    generate Z^n, each prefix put into Hermite form whole, or
+    ceil((|L_P| - 1) / n) when no prefix does."""
+    n = p.ambient_dim
+    x0, *rest = p.lattice_points
+    diffs = [vec_sub(z, x0) for z in rest]
+    folds = -(-len(diffs) // n)
+    for k in range(1, folds + 1):
+        h, _ = hermite_normal_form(diffs[:k * n])
+        if tuple(r for r in h if any(r)) == identity_matrix(n):
+            return k
+    return folds
+
+
 def test_is_normalized_matches_hermite_form(monkeypatch):
     hnf_calls = []
 
@@ -479,11 +494,11 @@ def test_is_normalized_matches_hermite_form(monkeypatch):
         hnf_calls.clear()
         assert p.is_normalized == _hnf_is_normalized(p), vertices
         # Hermite forms only above dimension 2: one per n differences
-        # folded in, each on at most 2n rows of n columns
+        # folded in, until the first prefix of the differences that
+        # generates Z^n, each on at most 2n rows of n columns
         n = p.ambient_dim
         hermite = p.is_full_dimensional and n > 2
-        folds = -(-(len(p.lattice_points) - 1) // n) if hermite else 0
-        assert len(hnf_calls) == folds
+        assert len(hnf_calls) == (_folds_to_identity(p) if hermite else 0)
         assert all(r <= 2 * n and c == n for r, c in hnf_calls)
     # the Reeve tetrahedron: its lattice points are its vertices, and they
     # span an index-3 sublattice

@@ -14,7 +14,7 @@ from operator import add, sub
 
 import pytest
 
-from polycol.algebra import symmetry_group_data, symmetry_permutations
+from polycol.algebra import symmetry_group_data
 from polycol.columns import product_table
 from polycol.doubling import doubling_spectrum
 from polycol.polytopes import (
@@ -36,7 +36,12 @@ from .conftest import (
     SQUARE_PYRAMID,
     TRAPEZOID,
 )
-from .helpers import off_facet_minima, random_normalized_polytopes, rational_rank
+from .helpers import (
+    inversion_subgroup,
+    off_facet_minima,
+    random_normalized_polytopes,
+    rational_rank,
+)
 
 
 def _twice_area_and_boundary(cycle):
@@ -189,7 +194,7 @@ def test_symmetry_group_orders(build, n, order):
     cross-polytope conv(+-e_i) are the hyperoctahedral group, of order
     2^n n!, the signed permutations of the coordinates (H. S. M. Coxeter,
     "Regular Polytopes", 3rd ed., Dover 1973)."""
-    assert len(symmetry_permutations(build(n))) == order
+    assert symmetry_group_data(build(n))["symmetry_order"] == order
 
 
 def test_off_facet_minima_vanish_off_the_diagonal():
@@ -357,18 +362,24 @@ def test_inversion_subgroup_is_the_weyl_group():
     ``test_semisimple_columns_are_of_type_a``: |W(A_r)| = (r + 1)!, so |H|
     is the product of (r_i + 1)! over the components A_{r_i} of S
     (J. E. Humphreys, "Introduction to Lie Algebras and Representation
-    Theory", Springer 1972, ch. III).  ``symmetry_group_data`` closes the
-    inversions under composition; the right-hand side reads only the
-    columns.  On the CORPUS, every polygon of ``enumerate_polygons(2)`` and
-    steps 1-3 of the trapezoid's doubling chain.
+    Theory", Springer 1972, ch. III).  ``symmetry_group_data`` reads |H| off
+    its own components of S; here the right-hand sides are the product over
+    ``_semisimple_components``, which also joins roots whose difference is a
+    root, and the closure of the column inversions as vertex permutations.
+    On the CORPUS, every polygon of ``enumerate_polygons(2)``, steps 1-4 of
+    the trapezoid's doubling chain, seeded random polytopes in dimensions 3
+    and 4, and the unit cubes and simplices in dimensions 2-4.
     """
     polytopes = list(CORPUS)
     polytopes += [Polytope(cycle, 2) for cycle in enumerate_polygons(2)]
     polytopes += [st.result.doubled
-                  for st in doubling_spectrum(TRAPEZOID, 3).steps]
+                  for st in doubling_spectrum(TRAPEZOID, 4).steps]
+    polytopes += random_normalized_polytopes(41, 20, dims=(3, 4))
+    polytopes += [build(n) for build in (_cube, _unit_simplex) for n in range(2, 5)]
     orders = Counter()
     for p in polytopes:
         weyl = prod(factorial(rank + 1) for rank, _ in _semisimple_components(p))
         assert symmetry_group_data(p)["inversion_order"] == weyl, p.vertices
+        assert len(inversion_subgroup(p)) == weyl, p.vertices
         orders[weyl] += 1
-    assert set(orders) == {1, 2, 4, 6, 12, 24, 36}, orders
+    assert set(orders) == {1, 2, 4, 6, 8, 12, 16, 24, 36, 120, 144}, orders
