@@ -250,6 +250,12 @@ class ProductTable:
         not a column, so the shears commute; and "skipped" when the sum is a
         column without a product, which neither case covers.  k is None for
         the last two.
+
+        A skipped pair has the product v*u (the mirror lemma).  w = u + v is
+        a column, so w != 0 and F_u != F_v (else c_{F_u}(w) = -2); of its
+        heights c_{F_u}(v) - 1 and c_{F_v}(u) - 1 at most one is negative,
+        so c_{F_u}(v) > 0 or c_{F_v}(u) > 0, and the sign rule gives v*u or
+        u*v.  A sum with neither product raises InternalCheckError.
         """
         for i, (u, row) in enumerate(zip(self.columns, self.rows)):
             for j, (v, k) in enumerate(zip(self.columns, row)):
@@ -257,6 +263,8 @@ class ProductTable:
                     yield i, j, "product", k
                     continue
                 s = vec_add(u.vector, v.vector)
+                if s in self.index and self.rows[j][i] is None:
+                    raise InternalCheckError(f"{s} is a column with neither product")
                 if any(s):
                     case = "skipped" if s in self.index else "commute"
                     yield i, j, case, None
@@ -308,21 +316,23 @@ def product_table(p, columns=None):
     on_base = {}
     for j, c in enumerate(cols):
         on_base.setdefault(c.base, []).append(j)
+    vectors = [c.vector for c in cols]
     rows = []
     products = []
     for i, u in enumerate(cols):
-        opposite = index.get(vec_neg(u.vector))
+        uv = u.vector
+        opposite = index.get(vec_neg(uv))
         row = [None] * len(cols)
         rows.append(row)
-        above = (on_base.get(g, ()) for g, h in enumerate(u.heights) if h > 0)
-        for j in sorted(itertools.chain.from_iterable(above)):
+        for j in sorted([j for g, h in enumerate(u.heights) if h > 0
+                         for j in on_base.get(g, ())]):
             if j == opposite:
                 continue
-            s = vec_add(u.vector, cols[j].vector)
+            s = tuple(map(add, uv, vectors[j]))
             k = index.get(s)
             if k is None:
                 raise InternalCheckError(
-                    f"product {u.vector}*{cols[j].vector} exists but {s} "
+                    f"product {uv}*{vectors[j]} exists but {s} "
                     "is not a column"
                 )
             if cols[k].base != u.base:

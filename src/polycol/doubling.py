@@ -9,10 +9,11 @@ sections give integral-affinely equivalent results.
 from __future__ import annotations
 
 from collections import deque
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .columns import ColumnVector, product_table
-from .exactmath import dot, integral_section, vec_scale, vec_sub
+from .exactmath import dot, integral_section
 from .polytopes import InternalCheckError, Polytope
 
 
@@ -32,8 +33,9 @@ def double_along_facet(p, index, section=None):
     """conv of P x {0} and the sheared copy, as a polytope D in Z^(n+1).
 
     F = ``p.facets[index]`` reads a . x >= b; w is the section, z0 the
-    least lattice point of F and ht(x) = a . x - b.  The base copy of x is
-    (x - z0, 0), the sheared copy (x - z0 - ht(x) w, ht(x)); w maps to
+    least lattice point of F and ht(x) = a . x - b.  The copy of x at
+    height t is (x - offsets[t], t), from the table offsets[t] = z0 + t w:
+    the base copy at t = 0, the sheared copy at t = ht(x).  w maps to
     (0, 1), so the reference lattice is all of Z^(n+1).
 
     D inherits its geometry from P.  At (y, t) = (x - z0 - t w, t),
@@ -67,16 +69,22 @@ def double_along_facet(p, index, section=None):
         w = tuple(section)
         if dot(a, w) != 1:
             raise ValueError("section must pair to 1 with the facet normal")
-    z0 = p.lattice_points[facet.on_facet[0]]
+    pts = p.lattice_points
+    z0 = pts[facet.on_facet[0]]
     heights = p.facet_heights
     ht = heights[index]
+    offsets = [tuple(map(add, z0, [t * c for c in w])) for t in range(max(ht) + 1)]
 
     def lift(x, t):
-        return vec_sub(vec_sub(x, z0), vec_scale(t, w)) + (t,)
+        return tuple(map(sub, x, offsets[t])) + (t,)
 
-    base = {lift(v, 0) for v in p.vertices}
-    sheared = {lift(v, dot(a, v) - facet.offset) for v in p.vertices}
-    verts = base | sheared
+    # P's vertices by falling height over F: the base copies, then the
+    # sheared copies off F; the sheared copies are verts[off:]
+    vt = sorted(((sum(map(mul, a, v)) - facet.offset, v) for v in p.vertices),
+                reverse=True)
+    nv = len(vt)
+    off = nv - [t for t, _ in vt].count(0)
+    verts = [lift(v, 0) for _, v in vt] + [lift(v, t) for t, v in vt[:off]]
     vertex_set = set(p.vertices)
     # each pair with its source: a facet index of P, "base" or "sheared"
     seeded = sorted(
@@ -86,44 +94,38 @@ def double_along_facet(p, index, section=None):
         key=lambda e: e[0],
     )
     # distinct pairs, each certified a facet of the double below
-    keys = {pair for pair, _ in seeded}
-    if len(keys) != len(p.facets) + 1:
+    if len({pair for pair, _ in seeded}) != len(p.facets) + 1:
         raise InternalCheckError("doubling must add exactly one facet")
     for (g, b), src in seeded:
-        vals = {u: dot(g, u) - b for u in verts}
-        tight = {u for u, h in vals.items() if h == 0}
+        vals = [sum(map(mul, g, u)) - b for u in verts]
         if src == "base":
-            ok = base <= tight
+            ok = vals[:nv].count(0) == nv
         elif src == "sheared":
-            ok = sheared <= tight
+            ok = vals[off:].count(0) == len(vals) - off
         else:
-            on_g = [p.lattice_points[i] for i in p.facets[src].on_facet]
-            ok = sum(u[-1] == 0 for u in tight) == len(
-                vertex_set.intersection(on_g)
-            ) and any(u[-1] > 0 for u in tight)
-        if not ok or min(vals.values()) < 0:
+            on_g = map(pts.__getitem__, p.facets[src].on_facet)
+            ok = vals[:nv].count(0) == len(vertex_set.intersection(on_g)) and (
+                0 in vals[nv:])
+        if not ok or min(vals) < 0:
             raise InternalCheckError(f"seeded pair {(g, b)} is no facet of the double")
 
-    lattice = sorted(
-        (lift(x, t), i)
-        for i, x in enumerate(p.lattice_points)
-        for t in range(ht[i] + 1)
-    )
+    lattice = sorted([(lift(x, t), i) for i, x in enumerate(pts)
+                      for t in range(ht[i] + 1)])
+    order = [i for _, i in lattice]
+    level = [z[-1] for z, _ in lattice]
     doubled = Polytope(verts, n + 1, name=f"{p.name or 'P'} doubled")
     doubled.dim = n + 1
     doubled.is_normalized = p.is_normalized
     doubled._facet_pairs = tuple(pair for pair, _ in seeded)
-    doubled.lattice_points = tuple(z for z, _ in lattice)
+    doubled.lattice_points = tuple([z for z, _ in lattice])
     doubled.facet_heights = tuple(
-        tuple(z[-1] for z, _ in lattice) if src == "base"
-        else tuple(ht[i] - z[-1] for z, i in lattice) if src == "sheared"
-        else tuple(heights[src][i] for _, i in lattice)
+        tuple(level) if src == "base"
+        else tuple(map(sub, map(ht.__getitem__, order), level)) if src == "sheared"
+        else tuple(map(heights[src].__getitem__, order))
         for _, src in seeded
     )
 
-    count_identity = len(doubled.lattice_points) == 2 * len(p.lattice_points) - len(
-        facet.on_facet
-    )
+    count_identity = len(lattice) == 2 * len(pts) - len(facet.on_facet)
 
     return DoublingResult(
         doubled=doubled,
@@ -170,12 +172,9 @@ def extend_columns(p, doubled, doubling):
     cols_p = product_table(p).columns
     cols = _seeded_columns(cols_p, *doubling)
     for c in cols:
-        if c.heights[c.base] != -1 or any(
-            h < 0 for g, h in enumerate(c.heights) if g != c.base
-        ):
-            raise InternalCheckError(
-                f"seeded column {c.vector} is no column of the double"
-            )
+        h = c.heights
+        if h[c.base] != -1 or min(h) < -1 or h.count(-1) > 1:
+            raise InternalCheckError(f"seeded column {c.vector} is no column of the double")
     table = product_table(doubled, cols)
     mapping = {}
     for c in cols_p:
@@ -191,7 +190,12 @@ def extend_columns(p, doubled, doubling):
 def _seeded_columns(cols_p, index, w, sources):
     """Col(D) in canonical order, from Col(P) by the closed form of
     ``extend_columns``; ``sources`` gives the source of each facet of D,
-    which has one facet more than P."""
+    which has one facet more than P.
+
+    The shift (u - s w, s) of u subtracts the table entry ``offsets[s]`` =
+    s w.  Its heights pick u's over the facet of P that each lifted facet
+    comes from, then take s over the base copy and a . u - s over the
+    sheared one."""
     zero = ((0,) * len(w), (0,) * (len(sources) - 1))
     shifts = [(zero, -1, "base"), (zero, 1, "sheared")]
     for c in cols_p:
@@ -201,15 +205,17 @@ def _seeded_columns(cols_p, index, w, sources):
         else:
             shifts += [(u, s, c.base) for s in range(c.heights[index] + 1)]
     position = {src: j for j, src in enumerate(sources)}
-    return tuple(sorted(
-        ColumnVector(
-            vec_sub(u, vec_scale(s, w)) + (s,),
-            position[base],
-            tuple(s if src == "base" else hu[index] - s if src == "sheared"
-                  else hu[src] for src in sources),
-        )
-        for (u, hu), s, base in shifts
-    ))
+    at_base, at_sheared = position["base"], position["sheared"]
+    pick = [0 if isinstance(src, str) else src for src in sources]
+    top = max(s for _, s, _ in shifts)
+    offsets = {s: [s * c for c in w] for s in range(-1, top + 1)}
+    seeded = []
+    for (u, hu), s, base in shifts:
+        h = [hu[g] for g in pick]
+        h[at_base], h[at_sheared] = s, hu[index] - s
+        seeded.append(ColumnVector(
+            tuple(map(sub, u, offsets[s])) + (s,), position[base], tuple(h)))
+    return tuple(sorted(seeded))
 
 
 # ---------------------------------------------------------------------------

@@ -315,17 +315,16 @@ class Polytope:
         """H[G][i] = normal_G . x_i - offset_G over the sorted lattice points."""
         pts = self.lattice_points
         return tuple(
-            tuple(dot(normal, z) - offset for z in pts)
+            tuple([sum(map(mul, normal, z)) - offset for z in pts])
             for normal, offset in self._facet_pairs
         )
 
     @cached_property
     def facets(self):
-        out = []
-        for (normal, offset), row in zip(self._facet_pairs, self.facet_heights):
-            idx = tuple(i for i, h in enumerate(row) if h == 0)
-            out.append(FacetForm(normal, offset, idx))
-        return tuple(out)
+        return tuple(
+            FacetForm(normal, offset, tuple([i for i, h in enumerate(row) if not h]))
+            for (normal, offset), row in zip(self._facet_pairs, self.facet_heights)
+        )
 
     @cached_property
     def _full_dim_model(self):

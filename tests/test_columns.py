@@ -12,6 +12,7 @@ from polycol.columns import (
     ColumnVector,
     DirectedGraph,
     NotRigid,
+    ProductTable,
     Rigid,
     RigidCertificate,
     classify_balanced_polygon,
@@ -30,6 +31,8 @@ from polycol.columns import (
 from polycol.doubling import doubling_spectrum
 from polycol.exactmath import dot, extended_gcd, mat_vec, vec_add, vec_sub
 from polycol.polytopes import (
+    InternalCheckError,
+    Polytope,
     dilate,
     fan_normal_form,
     normalize_full_dim,
@@ -225,6 +228,35 @@ def test_product_table_matches_literal_on_box3_polygons():
     assert len(polygons) == 1633
     for q in polygons:
         assert_table_matches_literal(q)
+
+
+@pytest.mark.parametrize("fault", ["dropped", "moved"])
+def test_product_guards_refuse_a_bad_column_list(fault):
+    # Col(TRAPEZOID) with the product column of its first product left out,
+    # or posed over another facet: that product trips a guard
+    table = product_table(TRAPEZOID)
+    k = table.products[0][2]
+    cols = list(table.columns)
+    if fault == "dropped":
+        del cols[k]
+        match = "is not a column"
+    else:
+        cols[k] = cols[k]._replace(base=(cols[k].base + 1) % len(cols[k].heights))
+        match = "does not inherit the left base facet"
+    with pytest.raises(InternalCheckError, match=match):
+        product_table(Polytope(TRAPEZOID.vertices, 2), tuple(cols))
+
+
+def test_pair_cases_refuse_a_sum_without_either_product():
+    # by the mirror lemma a skipped pair (i, j) has the product u_j*u_i;
+    # a table that loses it holds a column sum with neither product
+    table = product_table(TRAPEZOID)
+    i, j, _, _ = next(c for c in table.pair_cases() if c[2] == "skipped")
+    rows = [list(row) for row in table.rows]
+    rows[j][i] = None
+    broken = ProductTable(table.columns, table.index, rows, table.products)
+    with pytest.raises(InternalCheckError, match="with neither product"):
+        list(broken.pair_cases())
 
 
 def assert_roots_match_min_height_search(p):

@@ -2,11 +2,12 @@ import io
 import itertools
 import json
 import random
+import sys
 from math import gcd
 
 import pytest
 
-from polycol import columns, doubling
+from polycol import columns, doubling, exactmath
 from polycol.cli import main
 from polycol.columns import ColumnVector, column_vectors, product_table
 from polycol.doubling import (
@@ -246,6 +247,30 @@ def test_spectrum_searches_columns_only_for_its_input(capsys, monkeypatch):
     assert [q.vertices for q in searched] == [TRAPEZOID.vertices]
 
 
+def test_doubling_step_calls_the_vector_helpers_only_per_lifted_facet():
+    # a step lifts points, certifies vertices and seeds columns and
+    # products with map and list comprehensions: the only exactmath
+    # helper calls left are g . w and g . z0 for each lifted facet (g, b)
+    product_table(TRAPEZOID)
+    codes = {getattr(exactmath, name).__code__: name
+             for name in ("dot", "vec_add", "vec_sub", "vec_scale")}
+    calls = dict.fromkeys(codes.values(), 0)
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        spectrum = doubling_spectrum(TRAPEZOID, 7)
+    finally:
+        sys.setprofile(previous)
+    lifted = sum(len(st.result.doubled.facets) - 2 for st in spectrum.steps)
+    assert calls == {"dot": 2 * lifted, "vec_add": 0, "vec_sub": 0, "vec_scale": 0}
+    assert lifted == 42
+
+
 def _beyond_the_fibre(cols_p, index, w, sources):
     # (u - s w, s) with s = a.u + 1 over a lifted facet G: it claims height
     # -1 over G but takes the top point of a fibre off G out of the sheared
@@ -267,8 +292,18 @@ def _zero_shift(cols_p, index, w, sources):
                         (0,) * len(sources))
 
 
-@pytest.mark.parametrize("bad", [_beyond_the_fibre, _zero_shift],
-                         ids=["beyond-the-fibre", "zero-shift"])
+def _misplaced_base(cols_p, index, w, sources):
+    # (-w, 1), a column over the sheared copy, claimed over the base copy:
+    # its heights hold a single -1, so only where the -1 sits refuses it
+    return ColumnVector(
+        tuple(-c for c in w) + (1,), sources.index("base"),
+        tuple(1 if src == "base" else -1 if src == "sheared" else 0
+              for src in sources),
+    )
+
+
+@pytest.mark.parametrize("bad", [_beyond_the_fibre, _zero_shift, _misplaced_base],
+                         ids=["beyond-the-fibre", "zero-shift", "misplaced-base"])
 def test_certificate_refuses_a_bad_seeded_column(monkeypatch, bad):
     seeded = doubling._seeded_columns
 
