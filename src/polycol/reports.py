@@ -29,6 +29,7 @@ from .polytopes import (
 )
 
 _I64 = 2**63
+_INT = frozenset([int])
 
 GROUP_SHAPES = {
     "a": ("E_a", "E(R)"),
@@ -72,6 +73,9 @@ def _render(obj, nl):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if _INT.issuperset(map(type, obj)) and max(map(abs, obj)) < _I64:
+            # plain ints in the 64-bit range (no bool): one join, no recursion
+            return "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]"
         return "[" + inner + ("," + inner).join([_render(x, inner) for x in obj]) + nl + "]"
     raise TypeError(f"not JSON-serializable: {obj!r}")
 

@@ -1012,9 +1012,9 @@ def test_rank2_commutator_coefficients_are_single_terms(balanced_corpus):
 
 def test_steinberg_symbolic_compositions(monkeypatch):
     # no composition over a polynomial ring: per column, the inverse
-    # certificate x_u(1) x_u(-1), the Kronecker product x_u(1) x_u(B) and
-    # the diagonal pair's x_u(B) x_u(1), all over Z
-    p = dilate(TRIANGLE, 4)
+    # certificate x_u(1) x_u(-1) and the Kronecker product x_u(1) x_u(B),
+    # all over Z; additivity settles the diagonal pair, so its x_u(B) x_u(1)
+    # is composed only where additivity fails
     calls = Counter()
     compose = GradedAutomorphism.compose
 
@@ -1022,19 +1022,37 @@ def test_steinberg_symbolic_compositions(monkeypatch):
         calls["ZZ" if self.ring is ZZ else "symbolic"] += 1
         return compose(self, other)
 
+    def counts(p):
+        calls.clear()
+        report = verify_steinberg_relations(p)
+        ncols = len(report["additivity"])
+        parallel = [e for e in report["pairs"] if rank_int([e["u"], e["v"]]) < 2]
+        assert len(parallel) == ncols
+        assert all(e["u"] == e["v"] for e in parallel)
+        products = sum(e["case"] == "product" for e in report["pairs"])
+        assert calls["symbolic"] == 0
+        # two products per unordered rank-2 pair, which decide both its
+        # orders, and a third for each order's product shear
+        rank2 = len(report["pairs"]) - len(parallel)
+        return report, ncols, calls["ZZ"] - rank2 - products
+
     monkeypatch.setattr(GradedAutomorphism, "compose", counted)
-    report = verify_steinberg_relations(p)
+    report, ncols, per_column = counts(dilate(TRIANGLE, 4))
     assert report["all_ok"]
-    ncols = len(report["additivity"])
-    parallel = [e for e in report["pairs"] if rank_int([e["u"], e["v"]]) < 2]
-    assert len(parallel) == ncols
-    assert all(e["u"] == e["v"] for e in parallel)
-    products = sum(e["case"] == "product" for e in report["pairs"])
-    assert calls["symbolic"] == 0
-    # two products per unordered rank-2 pair, which decide both its orders,
-    # and a third for each order's product shear
-    rank2 = len(report["pairs"]) - len(parallel)
-    assert calls["ZZ"] == 3 * ncols + rank2 + products
+    assert per_column == 2 * ncols
+
+    # off-at-4 on the unit triangle: every column fails additivity, so each
+    # diagonal pair is decided by its own composition again
+    scalars = WRONG_SCALARS["off-at-4"]
+
+    def wrong(p, c, t, rng):
+        return elementary_automorphism(p, c, scalars.get(t, t), rng)
+
+    monkeypatch.setattr("polycol.algebra.elementary_automorphism", wrong)
+    report, ncols, per_column = counts(TRIANGLE)
+    assert not any(e["ok"] for e in report["additivity"])
+    assert all(e["ok"] is not False for e in report["pairs"])
+    assert per_column == 3 * ncols
 
 
 def test_kronecker_base_bounds_the_composed_base():
@@ -1223,6 +1241,76 @@ def test_wrong_polynomial_shear_fails_additivity_like_literal(monkeypatch):
         report = verify_steinberg_relations(p)
         assert report["additivity"] == literal_steinberg_report(p)["additivity"]
         assert not any(e["ok"] for e in report["additivity"]), p.name
+
+
+def test_wrong_inverse_shear_exits_internal(tmp_path, monkeypatch, capsys):
+    # x_u(-2) in place of x_u(-1): the inverse certificate is composed for
+    # every column, never inferred from additivity, so it must fail
+    def wrong(p, c, t, rng):
+        return elementary_automorphism(p, c, -2 if t == -1 else t, rng)
+
+    monkeypatch.setattr("polycol.algebra.elementary_automorphism", wrong)
+    with pytest.raises(InternalCheckError, match="do not invert"):
+        verify_steinberg_relations(TRIANGLE)
+    path = tmp_path / "triangle.json"
+    path.write_text('{"vertices": [[0, 0], [1, 0], [0, 1]]}')
+    code = main(["verify", str(path), "--which", "steinberg"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal check failed: the shears along ")
+    assert "do not invert" in err
+
+
+def _count_embedding_work(monkeypatch, p, facet_index):
+    calls = Counter()
+    compose, hash_ = GradedAutomorphism.compose, GradedAutomorphism.__hash__
+
+    def counted_compose(self, other):
+        calls["compose"] += 1
+        return compose(self, other)
+
+    def counted_hash(self):
+        calls["hash"] += 1
+        return hash_(self)
+
+    monkeypatch.setattr(GradedAutomorphism, "compose", counted_compose)
+    monkeypatch.setattr(GradedAutomorphism, "__hash__", counted_hash)
+    return verify_additive_embedding(p, facet_index), calls
+
+
+def test_embedding_grid_composes_no_image_in_full(monkeypatch):
+    # one column tells the 25 grid images apart, so the grid makes no full
+    # composition and no hash: only the s(s - 1) commutation products and
+    # one Kronecker product per column are composed
+    base = column_vectors(WIDE_TRIANGLE)[0].base
+    report, calls = _count_embedding_work(monkeypatch, WIDE_TRIANGLE, base)
+    s = len(report["columns"])
+    assert s == 3
+    assert report["distinct_images"] == 25
+    assert calls == {"compose": s * (s - 1) + s}
+
+
+def test_embedding_grid_counts_colliding_images(monkeypatch):
+    # x_v(3) = x_v(1) for the second column v: the images at (a, 3) and
+    # (a, 1) coincide for each a, so the grid has 20 distinct images, and
+    # each of the five colliding groups of two is composed and hashed in full
+    base = column_vectors(WIDE_TRIANGLE)[0].base
+    v = [c for c in product_table(WIDE_TRIANGLE).columns if c.base == base][1]
+
+    def collide(p, c, t, rng):
+        if getattr(c, "vector", c) == v.vector and t == 3:
+            t = 1
+        return elementary_automorphism(p, c, t, rng)
+
+    _patch_shears(monkeypatch, collide)
+    literal = helpers.literal_embedding_report(WIDE_TRIANGLE, base)
+    report, calls = _count_embedding_work(monkeypatch, WIDE_TRIANGLE, base)
+    assert report == literal
+    assert report["distinct_images"] == 20
+    assert report["injective_on_grid"] is False
+    assert not report["all_ok"]
+    assert calls == {"compose": 3 * 2 + 3 + 10, "hash": 10}
 
 
 def test_unit_simplex_words_have_determinant_one():

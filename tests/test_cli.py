@@ -128,6 +128,30 @@ def test_to_json_matches_the_json_module(data):
     assert to_json(data) == json_dumps_report(data)
 
 
+@pytest.mark.parametrize("vector", [
+    [0, 1, -1],
+    (2**63 - 1, -(2**63) + 1),
+    [1, True],
+    (False, 0),
+    [2**63 - 1, 2**63],
+    [-(2**63), 0],
+    [0, 1.5],
+    [[1, 2], (3,)],
+])
+def test_to_json_int_vectors_match_the_json_module(vector):
+    # a list of plain ints below 2^63 in size is rendered in one join; a
+    # bool, a float or an int out of range sends it down the general path
+    for data in [vector, {"v": vector, "w": [vector]}]:
+        if any(type(x) is float for x in vector):
+            with pytest.raises(TypeError) as ours:
+                to_json(data)
+            with pytest.raises(TypeError) as theirs:
+                json_dumps_report(data)
+            assert str(ours.value) == str(theirs.value)
+        else:
+            assert to_json(data) == json_dumps_report(data)
+
+
 @pytest.mark.parametrize("data", [1.5, {1, 2}, [0, {"a": 2.0}],
                                   {"b": set(), "a": 1.5}])
 def test_to_json_refuses_what_the_json_module_refuses(data):
